@@ -5,8 +5,8 @@ o(2n+1) as a sparse matrix of exact rationals over an explicitly
 enumerated pattern basis, with independent verification oracles.
 """
 
-from .exact import (F0, F1, HalfInt, PoleError, RationalFunction, UniPoly,
-                    format_rational, parse_rational, rf_limit_at)
+from .exact import (F0, F1, HalfInt, PoleError, format_rational,
+                    parse_rational, rf_limit_at)
 from .linalg import Operator, nullspace, rank_of, rref
 from .patterns import (DimensionCapError, PatternA, PatternB, check_weight_gl,
                        check_weight_so, enumerate_patterns_a,
@@ -27,8 +27,8 @@ from .checks import (NonScalarError, VerificationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "F0", "F1", "HalfInt", "PoleError", "RationalFunction", "UniPoly",
-    "format_rational", "parse_rational", "rf_limit_at",
+    "F0", "F1", "HalfInt", "PoleError", "format_rational", "parse_rational",
+    "rf_limit_at",
     "Operator", "nullspace", "rank_of", "rref",
     "DimensionCapError", "PatternA", "PatternB", "check_weight_gl",
     "check_weight_so", "enumerate_patterns_a", "enumerate_patterns_b",

@@ -141,7 +141,9 @@ def branching_multiplicity(lam, mu):
         span = hi - lo
         if span < 0:
             return 0
-        assert span.denominator == 1
+        if span.denominator != 1:
+            raise ValueError("interval %s to %s is not integral; %s and %s "
+                             "mix parity" % (lo, hi, lam, mu))
         count *= int(span) + 1
     return count
 
@@ -257,7 +259,8 @@ def _freudenthal(lam, dominants, roots, rho, dom_of, bound):
                     num += m * sum(x * y for x, y in zip(nu, al))
                 t += 1
         val = 2 * num / den
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise ValueError("Freudenthal recursion gave %s at %s" % (val, mu))
         if val:
             mult[mu] = int(val)
     return mult

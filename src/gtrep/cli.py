@@ -2,7 +2,7 @@
 construction, verification suites, branching tables.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid weight or
-configuration, 3 construction failure.
+configuration or an unwritable output path, 3 construction failure.
 """
 
 import argparse
@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from fractions import Fraction
 
 from .exact import format_rational, parse_rational
@@ -45,8 +46,8 @@ def build_parser():
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="largest dimension the command will allocate")
     common.add_argument("--deform-trace", action="store_true",
-                        help="dump pre-specialization rational functions "
-                             "to stderr")
+                        help="print each deformed raising entry to stderr "
+                             "as its expansion t^v ... t^0 before the limit")
     p = argparse.ArgumentParser(
         prog="gtrep",
         description="exact generator matrices over pattern bases")
@@ -94,10 +95,23 @@ def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, out)
+    # a unique temp file in the target directory, renamed over the target;
+    # mkstemp makes it private, so give it the mode open() would have
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
+                                   prefix=".gtrep-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise CliError(2, "cannot write %s: %s" % (out, e.strerror or e))
 
 
 def _json_only(args):
@@ -158,6 +172,7 @@ def _rep_csv(args, rep):
 
 
 def cmd_dim(args):
+    _json_only(args)
     lam = _weight_of(args)
     _emit("%d\n" % weyl_dim(args.algebra, lam), args.out)
     return 0

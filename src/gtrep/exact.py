@@ -1,10 +1,14 @@
 """Exact scalar arithmetic for the representation builders.
 
 Everything runs over fractions.Fraction. HalfInt keeps pattern entries as
-doubled integers so they stay hashable and cheap to shift. RationalFunction
-is a reduced ratio of two dense one-variable polynomials; evaluating it at a
-point where the (reduced) denominator vanishes raises PoleError, which is
-exactly the "no finite limit" case.
+doubled integers so they stay hashable and cheap to shift.
+
+The deformed route of the type B builder shifts pattern entries by a formal
+t and needs only the limit at t = 0. Its data are linear forms a + b*t
+(LinearForm), products and quotients of them in factored form (Monomial),
+and per-target sums of those, expanded exactly to t^0 (LaurentSum).
+rf_limit_at reads off the t^0 coefficient; a surviving negative power
+raises PoleError, which is exactly the "no finite limit" case.
 """
 from __future__ import annotations
 
@@ -128,58 +132,51 @@ class HalfInt:
         return "HalfInt(%s)" % (self,)
 
 
-class UniPoly:
-    """Dense polynomial in one variable over Fraction, lowest degree first."""
+def _monomial(x):
+    # x as a Monomial, or None for an operand outside the field
+    if isinstance(x, Monomial):
+        return x
+    if isinstance(x, LinearForm):
+        return x.monomial()
+    if isinstance(x, (int, Fraction)):
+        return Monomial(x)
+    return None
 
-    __slots__ = ("c",)
 
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = tuple(c)
+class LinearForm:
+    """a + b*t over Fraction, t the deformation parameter. Sums and scalar
+    multiples stay linear; products and quotients become a Monomial."""
 
-    @staticmethod
-    def const(v):
-        return UniPoly((Fraction(v),))
+    __slots__ = ("a", "b")
 
-    @staticmethod
-    def var():
-        return UniPoly((0, 1))
-
-    @property
-    def degree(self):
-        return len(self.c) - 1
+    def __init__(self, a, b=F0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.a or self.b)
 
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.c == other.c
-        return NotImplemented
+    def monomial(self):
+        if self.a:
+            return Monomial(self.a, 0, {self.b / self.a: 1} if self.b else {})
+        return Monomial(self.b, 1)
 
-    def __hash__(self):
-        return hash(self.c)
-
-    def __neg__(self):
-        return UniPoly(tuple(-x for x in self.c))
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, LinearForm):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly.const(other)
+            return LinearForm(other)
         return None
+
+    def __neg__(self):
+        return LinearForm(-self.a, -self.b)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.c), len(o.c))
-        a = self.c + (F0,) * (n - len(self.c))
-        b = o.c + (F0,) * (n - len(o.c))
-        return UniPoly(tuple(x + y for x, y in zip(a, b)))
+        return LinearForm(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -187,219 +184,146 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return LinearForm(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return LinearForm(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self or not o:
-            return UniPoly()
-        out = [F0] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            for j, b in enumerate(o.c):
-                out[i + j] += a * b
-        return UniPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        x = Fraction(x)
-        acc = F0
-        for a in reversed(self.c):
-            acc = acc * x + a
-        return acc
-
-    def __divmod__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [F0] * max(len(self.c) - len(other.c) + 1, 0)
-        r = list(self.c)
-        dlead = other.c[-1]
-        dn = len(other.c)
-        while len(r) >= dn:
-            f = r[-1] / dlead
-            k = len(r) - dn
-            q[k] = f
-            for i, b in enumerate(other.c):
-                r[k + i] -= f * b
-            # leading term cancels exactly; drop it and any new zeros
-            while r and not r[-1]:
-                r.pop()
-        return UniPoly(tuple(q)), UniPoly(tuple(r))
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        if not self:
-            return self
-        inv = 1 / self.c[-1]
-        return UniPoly(tuple(x * inv for x in self.c))
-
-    def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            if i == 0:
-                parts.append(format_rational(a))
-            elif i == 1:
-                parts.append("%s*t" % format_rational(a))
-            else:
-                parts.append("%s*t^%d" % (format_rational(a), i))
-        return " + ".join(parts)
-
-
-def _poly_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a.monic()
-
-
-class RationalFunction:
-    """Reduced num/den pair; den is monic and nonzero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = UniPoly.const(num)
-        if den is None:
-            den = UniPoly.const(1)
-        elif isinstance(den, (int, Fraction)):
-            den = UniPoly.const(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        if not num:
-            self.num = UniPoly()
-            self.den = UniPoly.const(1)
-            return
-        g = _poly_gcd(num, den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.c[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def const(v):
-        return RationalFunction(UniPoly.const(v))
-
-    @staticmethod
-    def var():
-        return RationalFunction(UniPoly.var())
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction.const(other)
-        return None
-
-    def __neg__(self):
-        r = RationalFunction.__new__(RationalFunction)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+            return LinearForm(self.a * other, self.b * other)
+        return self.monomial() * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self.monomial() / other
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        return other / self.monomial()
+
+
+class Monomial:
+    """c * t^v * prod (1 + beta*t)^e, the factors kept as {beta: e}.
+
+    Products and quotients of linear forms stay exact in this shape, and
+    c == 0 is an exact zero test. There is no addition: sums of products
+    only happen in a LaurentSum."""
+
+    __slots__ = ("c", "v", "f")
+
+    def __init__(self, c, v=0, f=None):
+        self.c = Fraction(c)
+        if self.c:
+            self.v = v
+            self.f = f or {}
+        else:
+            self.v = 0
+            self.f = {}
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __neg__(self):
+        return Monomial(-self.c, self.v, self.f)
+
+    def _merge(self, o, sign):
+        f = dict(self.f)
+        for beta, e in o.f.items():
+            e = f.get(beta, 0) + sign * e
+            if e:
+                f[beta] = e
+            else:
+                del f[beta]
+        return f
+
+    def __mul__(self, other):
+        o = _monomial(other)
+        if o is None:
+            return NotImplemented
+        return Monomial(self.c * o.c, self.v + o.v, self._merge(o, 1))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _monomial(other)
+        if o is None:
+            return NotImplemented
+        if not o.c:
+            raise ZeroDivisionError("division by an exactly zero form")
+        return Monomial(self.c / o.c, self.v - o.v, self._merge(o, -1))
+
+    def __rtruediv__(self, other):
+        o = _monomial(other)
         if o is None:
             return NotImplemented
         return o / self
 
-    def value_at(self, x0):
-        x0 = Fraction(x0)
-        dv = self.den(x0)
-        if not dv:
-            raise PoleError("pole at %s" % (x0,), witness=str(self))
-        return self.num(x0) / dv
+    def expand(self):
+        """Coefficients of t^v ... t^0, empty when v > 0. The unit part
+        needs exactly its first -v terms past the constant, so the pole
+        order fixes the work and nothing is guessed."""
+        n = 1 - self.v
+        if n <= 1:
+            return [self.c] if n == 1 else []
+        s = [self.c] + [F0] * (n - 1)
+        for beta, e in self.f.items():
+            for _ in range(abs(e)):
+                if e > 0:
+                    for i in range(n - 1, 0, -1):
+                        s[i] += beta * s[i - 1]
+                else:
+                    for i in range(1, n):
+                        s[i] -= beta * s[i - 1]
+        return s
+
+
+class LaurentSum:
+    """A sum of monomials, kept as its coefficients of t^lo ... t^0.
+
+    Each term is expanded exactly to t^0, so the pole part and the constant
+    term are exact; higher powers cannot reach the limit at t = 0 and are
+    not kept. Monomials, linear forms and scalars can be added in; any
+    other arithmetic raises TypeError."""
+
+    __slots__ = ("lo", "c")
+
+    def __init__(self, lo=0, coeffs=(F0,)):
+        self.lo = lo
+        self.c = tuple(coeffs)
+
+    def __add__(self, other):
+        m = _monomial(other)
+        if m is None:
+            return NotImplemented
+        terms = m.expand()
+        if not terms:
+            return self
+        lo = min(self.lo, m.v)
+        c = [F0] * (self.lo - lo) + list(self.c)
+        for i, x in enumerate(terms, m.v - lo):
+            c[i] += x
+        return LaurentSum(lo, c)
 
     def __str__(self):
-        if self.den.degree == 0:
-            return "(%s)" % (self.num,)
-        return "(%s)/(%s)" % (self.num, self.den)
+        parts = []
+        for p, x in enumerate(self.c, self.lo):
+            if x:
+                parts.append(format_rational(x) if p == 0
+                             else "%s*t^%d" % (format_rational(x), p))
+        return " + ".join(parts + ["O(t)"])
 
-    def __repr__(self):
-        return "RationalFunction<%s>" % (self,)
 
-
-def rf_limit_at(f, x0):
-    """Exact limit of f at x0.
-
-    Plain scalars pass through. For a RationalFunction the stored form is
-    already fully cancelled, so the limit is just evaluation; a vanishing
-    denominator there means a genuine pole and raises PoleError.
+def rf_limit_at(f):
+    """Exact limit at t = 0 of a LaurentSum (a monomial, linear form or
+    scalar is summed into an empty one first). A surviving negative power
+    is a genuine pole and raises PoleError with the expansion as witness.
     """
-    if isinstance(f, (int, Fraction)):
-        return Fraction(f)
-    if isinstance(f, HalfInt):
-        return f.as_fraction()
-    return f.value_at(x0)
+    if not isinstance(f, LaurentSum):
+        f = LaurentSum() + f
+    if any(f.c[:-1]):
+        raise PoleError("pole at t = 0", witness=str(f))
+    return f.c[-1]

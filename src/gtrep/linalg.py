@@ -1,7 +1,7 @@
 """Sparse matrices over an exact field, plus the small eliminations the
-verification layer needs. Entries are Fraction in normal builds and
-RationalFunction in deformed ones; the code only assumes field arithmetic
-and truthiness-as-nonzero."""
+verification layer needs. Entries are Fraction in every build (deformed
+columns are reduced to their limits before they are stored); the code only
+assumes field arithmetic and truthiness-as-nonzero."""
 from __future__ import annotations
 
 from fractions import Fraction

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import F1, PoleError, RationalFunction, UniPoly, rf_limit_at
+from .exact import F0, F1, LaurentSum, LinearForm, PoleError, rf_limit_at
 from .linalg import Operator, rref
 from .patterns import PatternB, check_weight_so, enumerate_patterns_b
 
@@ -28,54 +28,46 @@ class ConstructionError(Exception):
 
 
 class DeformContext:
-    """Evaluates pattern data as plain Fractions or as rational functions
-    of the deformation parameter. profile "uniform" shifts every entry by
-    the parameter; "per-level" shifts level-r entries by r times it."""
+    """Evaluates pattern data as plain Fractions or, deformed, as linear
+    forms in the parameter t with every pattern entry shifted by t."""
 
-    __slots__ = ("deformed", "profile")
+    __slots__ = ("deformed",)
 
-    def __init__(self, deformed=False, profile="uniform"):
-        if profile not in ("uniform", "per-level"):
-            raise ValueError("unknown deformation profile %r" % (profile,))
+    def __init__(self, deformed=False):
         self.deformed = deformed
-        self.profile = profile
 
-    def _mult(self, level):
-        return 1 if self.profile == "uniform" else level
-
-    def entry(self, h, level):
-        # h: HalfInt pattern entry (or derived l-value) living at `level`
+    def entry(self, h):
+        # h: HalfInt pattern entry (or derived l-value)
         if not self.deformed:
             return h.as_fraction()
-        return RationalFunction(UniPoly((h.as_fraction(), self._mult(level))))
+        return LinearForm(h.as_fraction(), 1)
 
     def const(self, x):
         x = Fraction(x)
         if not self.deformed:
             return x
-        return RationalFunction.const(x)
+        return LinearForm(x)
+
+
+PLAIN = DeformContext(False)
+DEFORMED = DeformContext(True)
 
 
 def _lu(ctx, pat, k, i):
     # l_{ki}; the i = 0 value is a fixed constant, never deformed
     if i == 0:
         return ctx.const(-HALF)
-    return ctx.entry(pat.lval(k, i), k)
+    return ctx.entry(pat.lval(k, i))
 
 
 def _lp(ctx, pat, k, i):
-    return ctx.entry(pat.lpr(k, i), k)
+    return ctx.entry(pat.lpr(k, i))
 
 
 def _wt(ctx, pat, k):
     # F(k,k) eigenvalue of the (possibly non-basis) array, deformed along
-    # with its entries; evaluated per term on the target array
-    base = pat.weight()[k - 1].as_fraction()
-    if not ctx.deformed:
-        return base
-    m = ctx._mult
-    drift = k * m(k) - (k - 1) * m(k - 1)
-    return RationalFunction(UniPoly((base, Fraction(drift))))
+    # with its entries (it moves by t); evaluated per term on the target
+    return ctx.entry(pat.weight()[k - 1])
 
 
 def mid_row_prefactor(ctx, pat, k, i):
@@ -242,87 +234,52 @@ def build_f_diag(basis, k):
     return op
 
 
-def _single_step(basis, k, term_fn, profile):
-    """Evaluate a one-step generator; per-entry deformed retry on poles."""
-    plain = DeformContext(False, profile)
+def _single_step(basis, k, term_fn):
+    """Evaluate a one-step generator in plain arithmetic. There is no
+    deformed route here: no tested module meets a zero denominator in these
+    coefficients, so one is a construction failure naming its location."""
     op = Operator(basis.dim)
     for c, pat in enumerate(basis.patterns):
-        for tgt, thunk in term_fn(plain, pat, k):
+        for tgt, thunk in term_fn(PLAIN, pat, k):
             if not tgt.full_valid():
                 continue
             r = basis.index[tgt]
             try:
                 v = thunk()
             except ZeroDivisionError:
-                eps = DeformContext(True, profile)
-                match = [th for tg, th in term_fn(eps, pat, k) if tg == tgt]
-                total = RationalFunction.const(0)
-                for th in match:
-                    total = total + th()
-                try:
-                    v = rf_limit_at(total, 0)
-                except PoleError as e:
-                    raise ConstructionError(
-                        "pole in generator (%d) at column %d target %d"
-                        % (k, c, r), witness=e.witness)
+                raise ConstructionError(
+                    "zero denominator at level %d column %d target %d"
+                    % (k, c, r))
             if v:
                 op.add_to(r, c, v)
     return op
 
 
-def build_f_lower(basis, k, profile="uniform"):
-    return _single_step(basis, k, lambda ctx, pat, kk: lower_step_terms(ctx, pat, kk), profile)
+def build_f_lower(basis, k):
+    return _single_step(basis, k, lower_step_terms)
 
 
-def build_phi_minus(basis, k, profile="uniform"):
-    return _single_step(basis, k, prime_drop_terms, profile)
+def build_phi_minus(basis, k):
+    return _single_step(basis, k, prime_drop_terms)
 
 
-def build_phi_u(basis, k, u, deformed=False, profile="uniform"):
-    """The parametric lowering step as an explicit matrix. In deformed mode
-    the result keeps rational-function entries and extends over the
-    generically-valid arrays reachable from the basis (extra columns are
-    never sources); used for traces and diagnostics."""
-    if not deformed:
-        return _single_step(
-            basis, k, lambda ctx, pat, kk: lower_step_terms(ctx, pat, kk, u),
-            profile)
-    ctx = DeformContext(True, profile)
-    extra = []
-    extra_index = {}
-
-    def idx_of(pat):
-        if pat in basis.index:
-            return basis.index[pat]
-        if pat not in extra_index:
-            extra_index[pat] = basis.dim + len(extra)
-            extra.append(pat)
-        return extra_index[pat]
-
-    entries = {}
-    for c, pat in enumerate(basis.patterns):
-        for tgt, thunk in lower_step_terms(ctx, pat, k, u):
-            if not tgt.generic_valid():
-                continue
-            r = idx_of(tgt)
-            v = thunk()
-            if v:
-                prev = entries.get((r, c))
-                entries[(r, c)] = v if prev is None else prev + v
-    return entries, tuple(extra)
+def build_phi_u(basis, k, u):
+    """The parametric lowering step as an explicit matrix."""
+    return _single_step(
+        basis, k, lambda ctx, pat, kk: lower_step_terms(ctx, pat, kk, u))
 
 
 def raise_column_terms(basis, k, pat, ctx):
     """All composite paths from one source pattern: returns {target: value}
-    in ctx arithmetic. Intermediates pass the interleaving-only filter;
-    final targets must be basis members."""
+    in ctx arithmetic, a LaurentSum per target when deformed. Intermediates
+    pass the interleaving-only filter; final targets must be basis
+    members."""
     acc = {}
+    zero = LaurentSum() if ctx.deformed else F0
 
     def add(tgt, v):
-        if not v:
-            return
-        prev = acc.get(tgt)
-        acc[tgt] = v if prev is None else prev + v
+        if v:
+            acc[tgt] = acc.get(tgt, zero) + v
 
     # first composite term: primed drop, then parametric step at u = 2
     for mid, thunk1 in prime_drop_terms(ctx, pat, k):
@@ -349,34 +306,31 @@ def raise_column_terms(basis, k, pat, ctx):
     return acc
 
 
-def build_f_raise(basis, k, profile="uniform", force_deformed=False,
-                  trace=None):
+def build_f_raise(basis, k, force_deformed=False, trace=None):
     """The raising generator at level k from the two-step composite.
 
     Fast path: plain rational arithmetic per source column. Any division
     by zero sends the whole column through the deformed route, where the
-    per-target sums are rational functions whose limit at zero is taken
-    after full cancellation between paths (per-path limits alone would
-    miss pole pairs that cancel in the sum).
+    per-target sums are Laurent expansions whose t^0 coefficient is taken
+    after cancellation between paths (per-path limits alone would miss
+    pole pairs that cancel in the sum).
     """
     op = Operator(basis.dim)
-    plain = DeformContext(False, profile)
-    eps = DeformContext(True, profile)
     for c, pat in enumerate(basis.patterns):
         use_deformed = force_deformed
         if not use_deformed:
             try:
-                col = raise_column_terms(basis, k, pat, plain)
+                col = raise_column_terms(basis, k, pat, PLAIN)
             except ZeroDivisionError:
                 use_deformed = True
         if use_deformed:
-            dcol = raise_column_terms(basis, k, pat, eps)
+            dcol = raise_column_terms(basis, k, pat, DEFORMED)
             col = {}
             for tgt, v in dcol.items():
                 if trace is not None:
                     trace.append((k, c, basis.index[tgt], str(v)))
                 try:
-                    lim = rf_limit_at(v, 0)
+                    lim = rf_limit_at(v)
                 except PoleError as e:
                     raise ConstructionError(
                         "raising generator pole at level %d column %d" % (k, c),
@@ -544,8 +498,7 @@ class SoRep:
         return SoBasis.highest_index(self)
 
 
-def build_so(lam, cap=None, profile="uniform", force_deformed=False,
-             trace=None):
+def build_so(lam, cap=None, force_deformed=False, trace=None):
     """All (2n+1)^2 generator matrices over the pattern basis."""
     lam = check_weight_so(lam)
     n = len(lam)
@@ -553,8 +506,8 @@ def build_so(lam, cap=None, profile="uniform", force_deformed=False,
     seeds = {}
     for k in range(1, n + 1):
         seeds[(k, k)] = build_f_diag(basis, k)
-        seeds[(k - 1, -k)] = build_f_lower(basis, k, profile)
-        seeds[(k - 1, k)] = build_f_raise(basis, k, profile,
+        seeds[(k - 1, -k)] = build_f_lower(basis, k)
+        seeds[(k - 1, k)] = build_f_raise(basis, k,
                                           force_deformed=force_deformed,
                                           trace=trace)
     gens = close_generators(n, seeds, basis.dim)

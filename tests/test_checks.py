@@ -55,6 +55,12 @@ class TestBranchingCount:
         lam = (Fraction(0), Fraction(-1))
         assert branching_multiplicity(lam, (Fraction(-1, 2),)) == 0
 
+    def test_mixed_parity_label_raises(self):
+        # not an assert, so the check survives python -O
+        with pytest.raises(ValueError, match="parity"):
+            branching_multiplicity((Fraction(0), Fraction(-1, 2)),
+                                   (Fraction(0),))
+
     def test_empty_interval_is_zero(self):
         lam = (Fraction(0), Fraction(-1))
         assert branching_multiplicity(lam, (Fraction(-2),)) == 0

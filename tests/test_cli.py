@@ -59,7 +59,7 @@ class TestBadInput:
         assert code == 2 and "cap" in err
 
     def test_csv_outside_build(self, capsys):
-        for cmd in ("patterns", "verify", "branch"):
+        for cmd in ("dim", "patterns", "verify", "branch"):
             code, _, _ = run(capsys, cmd, "--type", "B", "--rank", "1",
                              "--weight", "-1", "--format", "csv")
             assert code == 2, cmd
@@ -128,6 +128,22 @@ class TestOutFile:
             assert code == 0 and out == ""
         assert p1.read_bytes() == p2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify", "--type", "B", "--rank", "1",
+                             "--weight", "-1",
+                             "--out", str(tmp_path / "nope" / "x.json"))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_directory_target_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "d"
+        target.mkdir()
+        code, _, err = run(capsys, "dim", "--type", "A", "--rank", "1",
+                           "--weight", "0", "--out", str(target))
+        assert code == 2 and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert not list(target.iterdir())
 
     def test_patterns_to_file(self, tmp_path, capsys):
         p = tmp_path / "pats.json"

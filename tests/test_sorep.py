@@ -6,15 +6,17 @@ import pytest
 
 from conftest import B_CORPUS, so_rep
 from gtrep import (
+    HalfInt,
     Operator,
     PatternB,
-    RationalFunction,
     check_weight_so,
     defining_operators,
     enumerate_patterns_b,
     structure_table,
 )
+from gtrep.exact import LaurentSum
 from gtrep.sorep import (
+    ConstructionError,
     DeformContext,
     SoBasis,
     build_f_diag,
@@ -22,6 +24,7 @@ from gtrep.sorep import (
     build_f_raise,
     build_phi_minus,
     build_phi_u,
+    _single_step,
     mid_row_prefactor,
     prime_drop_weight,
     prime_shift_weight,
@@ -50,10 +53,9 @@ class TestCoefficients:
         # level 1 row (0,) puts the content at -1/2, colliding with the
         # fixed slot; only the deformed value is finite
         pat = PatternB([0, 0], [(0,), (0, 0)], [(0,), (0, 0)])
-        ctx = DeformContext(True)
-        t = RationalFunction.var()
-        got = mid_row_prefactor(ctx, pat, 2, 0)
-        assert got == RationalFunction.const(1) / (t * (1 - t))
+        got = LaurentSum() + mid_row_prefactor(DeformContext(True), pat, 2, 0)
+        # 1/(t(1-t)) = t^-1 + 1 + O(t)
+        assert (got.lo, got.c) == (-1, (1, 1))
 
     def test_prime_shift_rank_one_is_unity(self):
         pat = PatternB([0], [(-1,)], [(-1,)])
@@ -88,6 +90,18 @@ class TestVectorModule:
         b = basis_of(("-1",))
         got = build_phi_u(b, 1, Fraction(2))
         assert dict(got.ent) == {(2, 0): Fraction(-2), (1, 2): Fraction(2, 3)}
+
+    def test_single_step_zero_denominator_is_construction_error(self):
+        # t/t is 0/0 in plain arithmetic; one-step generators never take
+        # the deformed route, so this is a hard failure with a location
+        b = basis_of(("-1",))
+
+        def ratio(ctx, pat, k):
+            d = ctx.entry(HalfInt(2)) - 1
+            return [(pat, lambda: d / d)]
+        with pytest.raises(ConstructionError,
+                           match="level 1 column 0 target 0"):
+            _single_step(b, 1, ratio)
 
     def test_mixed_lowering_matrix(self):
         b = basis_of(("-1",))
@@ -156,13 +170,6 @@ class TestDeformationAgreement:
             fast = build_f_raise(b, k)
             slow = build_f_raise(b, k, force_deformed=True)
             assert fast == slow, (w, k)
-
-    def test_per_level_profile_builds(self):
-        # alternative deformation direction; value may differ at colliding
-        # weights, so only well-definedness is asserted here
-        b = basis_of(("0", "-1"))
-        for k in (1, 2):
-            build_f_raise(b, k, profile="per-level", force_deformed=True)
 
 
 class TestDefiningModule:
