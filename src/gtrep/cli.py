@@ -2,7 +2,8 @@
 construction, verification suites, branching tables.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid weight or
-configuration or an unwritable output path, 3 construction failure.
+configuration or an unwritable output path, 3 construction failure,
+4 internal error (any other exception, reported as one stderr line).
 """
 
 import argparse
@@ -327,6 +328,8 @@ def main(argv=None):
     handlers = {"dim": cmd_dim, "patterns": cmd_patterns, "build": cmd_build,
                 "verify": cmd_verify, "branch": cmd_branch}
     try:
+        if args.cap < 1:
+            raise CliError(2, "--cap must be at least 1")
         return handlers[args.command](args)
     except CliError as e:
         sys.stderr.write(e.message + "\n")
@@ -340,6 +343,9 @@ def main(argv=None):
             msg += " [witness: %s]" % (e.witness,)
         sys.stderr.write("construction failed: %s\n" % msg)
         return 3
+    except Exception as e:
+        sys.stderr.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return 4
 
 
 if __name__ == "__main__":

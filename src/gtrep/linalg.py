@@ -1,10 +1,16 @@
-"""Sparse matrices over an exact field, plus the small eliminations the
-verification layer needs. Entries are Fraction in every build (deformed
-columns are reduced to their limits before they are stored); the code only
-assumes field arithmetic and truthiness-as-nonzero."""
+"""Sparse matrices over the rationals, plus the small eliminations the
+verification layer needs. Stored entries are Fraction in every build
+(deformed columns are reduced to their limits before they are stored).
+
+Products run on integers: each operand is scaled by the common
+denominator of its entries, the products of numerators are summed as
+Python ints, and each nonzero output entry becomes one reduced
+Fraction(num, den_left * den_right). A commutator sums both products into
+the same int accumulator. Entries that cancel to zero are not stored."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -70,21 +76,28 @@ class Operator:
             return Operator(self.dim)
         return Operator(self.dim, {k: v * s for k, v in self.ent.items()})
 
+    def _numerators(self):
+        # (common denominator, {(row, col): int numerator over it})
+        den = lcm(*(v.denominator for v in self.ent.values()))
+        return den, {k: v.numerator * (den // v.denominator)
+                     for k, v in self.ent.items()}
+
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        # group left factor by column
-        bycol = {}
-        for (r, c), v in self.ent.items():
-            bycol.setdefault(c, []).append((r, v))
-        out = Operator(self.dim)
-        for (k, c), bv in other.ent.items():
-            for r, av in bycol.get(k, ()):
-                out.add_to(r, c, av * bv)
-        return out
+        da, a = self._numerators()
+        db, b = other._numerators()
+        acc = {}
+        _accumulate(acc, a, b, 1)
+        return _from_numerators(self.dim, acc, da * db)
 
     def commutator(self, other):
-        return (self @ other) - (other @ self)
+        da, a = self._numerators()
+        db, b = other._numerators()
+        acc = {}
+        _accumulate(acc, a, b, 1)
+        _accumulate(acc, b, a, -1)
+        return _from_numerators(self.dim, acc, da * db)
 
     def transpose(self):
         return Operator(self.dim, {(c, r): v for (r, c), v in self.ent.items()})
@@ -117,6 +130,22 @@ class Operator:
 
     def __repr__(self):
         return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
+
+
+def _accumulate(acc, a, b, sign):
+    # acc += sign * (a @ b) on int numerator dicts, grouping a by column
+    bycol = {}
+    for (r, k), v in a.items():
+        bycol.setdefault(k, []).append((r, v if sign > 0 else -v))
+    get = acc.get
+    for (k, c), bv in b.items():
+        for r, av in bycol.get(k, ()):
+            key = (r, c)
+            acc[key] = get(key, 0) + av * bv
+
+
+def _from_numerators(dim, acc, den):
+    return Operator(dim, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 
 def rref(rows, ncols):

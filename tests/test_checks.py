@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, B_CORPUS, fresh_so_rep, gl_rep, so_rep
+from conftest import (A_CORPUS, B_CORPUS, fresh_gl_rep, fresh_so_rep, gl_rep,
+                      so_rep)
 from gtrep import (
     NonScalarError,
+    Operator,
     VerificationReport,
     branching_multiplicity,
     casimir_highest_value,
@@ -159,6 +161,30 @@ class TestStructure:
         r = fresh_so_rep(("0", "-1"))
         r.gens[(1, 2)].ent[(0, 0)] = Fraction(1, 3)
         assert not check_structure_constants(r, "B").passed
+
+    @pytest.mark.parametrize("algebra, rep", [
+        ("B", lambda: fresh_so_rep(("0", "-1"))),
+        ("A", lambda: fresh_gl_rep((2, 1, 0)))])
+    def test_every_slot_perturbation_detected(self, algebra, rep):
+        r = rep()
+        assert check_structure_constants(r, algebra).passed
+        for slot in sorted(r.gens):
+            orig = r.gens[slot]
+            bad = orig.copy()
+            bad.add_to(*(min(orig.ent) if orig.ent else (0, 0)),
+                       Fraction(1, 3))
+            r.gens[slot] = bad
+            assert not check_structure_constants(r, algebra).passed, slot
+            r.gens[slot] = orig
+
+    def test_scalar_in_vanishing_slot_detected(self):
+        # F(1,-1) = 0 in every module; the identity commutes with all
+        # generators, so only the entrywise slot comparison catches it
+        r = fresh_so_rep(("0", "-1"))
+        r.gens[(1, -1)] = Operator.identity(r.dim)
+        report = run_verification(r, "B", "fast")
+        assert not report.passed
+        assert report.checks[0]["witness"] == str(("antisymmetry", (1, -1)))
 
 
 class TestPhiIdentity:

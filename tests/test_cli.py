@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import gtrep.cli as cli
 from gtrep.cli import main
 
 
@@ -57,6 +58,26 @@ class TestBadInput:
         code, _, err = run(capsys, "build", "--type", "B", "--rank", "2",
                            "--weight", "0,-1", "--cap", "3")
         assert code == 2 and "cap" in err
+
+    def test_cap_below_one(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("weyl_dim ran before the cap was checked")
+
+        monkeypatch.setattr(cli, "weyl_dim", no_work)
+        for cmd in ("dim", "patterns", "build", "verify", "branch"):
+            for cap in ("0", "-5"):
+                code, out, err = run(capsys, cmd, "--type", "B", "--rank",
+                                     "1", "--weight", "-1", "--cap", cap)
+                assert (code, out, err) == (2, "", "--cap must be at least 1\n")
+
+    def test_internal_error_is_exit_4(self, capsys, monkeypatch):
+        def boom(lam, cap=None, trace=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_so", boom)
+        code, out, err = run(capsys, "verify", "--type", "B", "--rank", "1",
+                             "--weight", "-1")
+        assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")
 
     def test_csv_outside_build(self, capsys):
         for cmd in ("dim", "patterns", "verify", "branch"):

@@ -1,0 +1,79 @@
+"""Sparse operator arithmetic against a dense Fraction reference."""
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from gtrep import Operator
+
+# mixed denominators and both signs, so sums of products cancel often
+values = st.sampled_from([Fraction(v) for v in
+                          ("1", "-1", "1/2", "-1/2", "2/3", "-3/4", "5/6",
+                           "-7")])
+
+
+def operators(dim):
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    return st.dictionaries(cells, values, max_size=dim * dim).map(
+        lambda ent: Operator(dim, ent))
+
+
+operator_pairs = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(operators(d), operators(d)))
+
+
+def dense(op):
+    return [[op.ent.get((r, c), Fraction(0)) for c in range(op.dim)]
+            for r in range(op.dim)]
+
+
+def naive_product(a, b):
+    n = a.dim
+    x, y = dense(a), dense(b)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            for k in range(n):
+                out[r][c] += x[r][k] * y[k][c]
+    return out
+
+
+def naive_sum(x, y, sign=1):
+    return [[p + sign * q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def sparse(rows):
+    return {(r, c): v for r, row in enumerate(rows)
+            for c, v in enumerate(row) if v}
+
+
+def assert_matches(op, rows):
+    assert op.ent == sparse(rows)
+    assert all(type(v) is Fraction for v in op.ent.values())
+
+
+@given(operator_pairs)
+def test_product_matches_reference(pair):
+    a, b = pair
+    assert_matches(a @ b, naive_product(a, b))
+
+
+@given(operator_pairs)
+def test_commutator_matches_reference(pair):
+    a, b = pair
+    assert_matches(a.commutator(b),
+                   naive_sum(naive_product(a, b), naive_product(b, a), -1))
+
+
+@given(operator_pairs)
+def test_sum_matches_reference(pair):
+    a, b = pair
+    assert_matches(a + b, naive_sum(dense(a), dense(b)))
+
+
+def test_cancelling_products_are_not_stored():
+    a = Operator(2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    b = Operator(2, {(0, 0): Fraction(2, 3), (1, 0): Fraction(-1)})
+    assert (a @ b).ent == {}
+    assert a.commutator(a).ent == {}
+    assert Operator(2) @ a == Operator(2)
