@@ -7,15 +7,14 @@ vector to half the plain one, and the primed-lowering operator of the
 spinor module is identically zero.
 """
 
-from gtrep import Operator, build_so, check_weight_so, enumerate_patterns_b
-from gtrep.sorep import SoBasis, build_phi_minus
+from gtrep import Operator, build_phi_minus, build_so
 
 
 def show(rep, title):
     print("== %s  (dim %d) ==" % (title, rep.dim))
     for c, pat in enumerate(rep.patterns):
         print("  basis[%d]: sigma=%s primed=%s weight=%s"
-              % (c, pat.sigma, [str(x) for x in pat.primed[-1]],
+              % (c, pat.sigma, pat.to_json()["primed_rows"][-1],
                  [str(x) for x in pat.weight()]))
     for slot in sorted(rep.gens):
         op = rep.gens[slot]
@@ -34,9 +33,7 @@ print("raising applied to the primed vector:",
 print("raising applied to the plain vector:  ",
       spinor.gens[(0, 1)].column(0))
 
-lam = check_weight_so(("-1/2",))
-basis = SoBasis(lam, enumerate_patterns_b(lam))
-phi = build_phi_minus(basis, 1)
+phi = build_phi_minus(spinor, 1)
 print("primed-lowering operator is zero:", phi == Operator(2))
 print()
 

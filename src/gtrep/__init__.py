@@ -5,41 +5,37 @@ o(2n+1) as a sparse matrix of exact rationals over an explicitly
 enumerated pattern basis, with independent verification oracles.
 """
 
-from .exact import (F0, F1, HalfInt, PoleError, format_rational,
-                    parse_rational, rf_limit_at)
+from .exact import (F0, F1, PoleError, format_rational, parse_rational,
+                    rf_limit_at)
 from .linalg import Operator, nullspace, rank_of, rref
-from .patterns import (DimensionCapError, PatternA, PatternB, check_weight_gl,
-                       check_weight_so, enumerate_patterns_a,
-                       enumerate_patterns_b, pattern_shift_a,
-                       pattern_shift_b)
-from .glrep import (GlRep, InconsistencyError, build_gl, capelli_det,
-                    contravariant_gram, g_highest_vectors, z_lower, z_raise)
-from .sorep import (ConstructionError, SoBasis, SoRep, build_phi_minus,
-                    build_phi_u, build_so, defining_operators,
-                    structure_table)
+from .patterns import (DimensionCapError, PatternA, PatternB, Rep,
+                       check_weight_gl, check_weight_so, enumerate_patterns_a,
+                       enumerate_patterns_b)
+from .glrep import (InconsistencyError, build_gl, capelli_det,
+                    contravariant_gram, g_highest_vectors, mu_vector_index,
+                    z_lower, z_raise)
+from .sorep import (ConstructionError, build_phi_minus, build_phi_u,
+                    build_so, defining_operators, structure_table)
 from .checks import (NonScalarError, VerificationReport,
                      branching_multiplicity, casimir_highest_value,
                      casimir_scalar, check_branching,
                      check_structure_constants, equivalence_intertwiner,
-                     freudenthal_multiplicities, phi_definition_check,
-                     run_verification, weyl_dim)
+                     freudenthal_multiplicities, run_verification, weyl_dim)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "F0", "F1", "HalfInt", "PoleError", "format_rational", "parse_rational",
+    "F0", "F1", "PoleError", "format_rational", "parse_rational",
     "rf_limit_at",
     "Operator", "nullspace", "rank_of", "rref",
-    "DimensionCapError", "PatternA", "PatternB", "check_weight_gl",
+    "DimensionCapError", "PatternA", "PatternB", "Rep", "check_weight_gl",
     "check_weight_so", "enumerate_patterns_a", "enumerate_patterns_b",
-    "pattern_shift_a", "pattern_shift_b",
-    "GlRep", "InconsistencyError", "build_gl", "capelli_det",
-    "contravariant_gram", "g_highest_vectors", "z_lower", "z_raise",
-    "ConstructionError", "SoBasis", "SoRep", "build_phi_minus",
-    "build_phi_u", "build_so", "defining_operators", "structure_table",
+    "InconsistencyError", "build_gl", "capelli_det", "contravariant_gram",
+    "g_highest_vectors", "mu_vector_index", "z_lower", "z_raise",
+    "ConstructionError", "build_phi_minus", "build_phi_u", "build_so",
+    "defining_operators", "structure_table",
     "NonScalarError", "VerificationReport", "branching_multiplicity",
     "casimir_highest_value", "casimir_scalar", "check_branching",
     "check_structure_constants", "equivalence_intertwiner",
-    "freudenthal_multiplicities", "phi_definition_check",
-    "run_verification", "weyl_dim",
+    "freudenthal_multiplicities", "run_verification", "weyl_dim",
 ]

@@ -11,9 +11,8 @@ from fractions import Fraction
 
 from .exact import F0
 from .linalg import Operator, nullspace, rank_of
-from .patterns import DimensionCapError
 from .glrep import InconsistencyError, capelli_det, contravariant_gram
-from .sorep import SoBasis, _canon_slot, build_phi_minus, structure_table
+from .sorep import _canon_slot, build_phi_minus, structure_table
 
 
 class NonScalarError(Exception):
@@ -99,8 +98,7 @@ def check_structure_constants(rep, algebra_type):
 
 
 def weyl_dim(algebra_type, lam):
-    lam = tuple(Fraction(x) if not hasattr(x, "as_fraction") else x.as_fraction()
-                for x in lam)
+    lam = _as_fracs(lam)
     n = len(lam)
     if algebra_type == "A":
         ls = [lam[i] - i for i in range(n)]
@@ -128,8 +126,7 @@ def weyl_dim(algebra_type, lam):
 
 
 def _as_fracs(t):
-    return tuple(Fraction(x) if not hasattr(x, "as_fraction") else x.as_fraction()
-                 for x in t)
+    return tuple(Fraction(x) for x in t)
 
 
 def branching_multiplicity(lam, mu):
@@ -168,8 +165,7 @@ def check_branching(rep):
     n = rep.n
     groups = {}
     for c, w in enumerate(rep.weights):
-        mu = tuple(x.as_fraction() for x in w[:n - 1])
-        groups.setdefault(mu, []).append(c)
+        groups.setdefault(w[:n - 1], []).append(c)
     raising = [rep.gens[(i, j)]
                for i in range(-(n - 1), n) for j in range(i + 1, n)]
     witness = None
@@ -328,14 +324,11 @@ def _dominants_b(lt):
     return out
 
 
-def freudenthal_multiplicities(algebra_type, lam, cap=None):
+def freudenthal_multiplicities(algebra_type, lam):
     """Exact weight multiplicities by the recursion over positive roots;
     independent of the pattern enumeration."""
     lam = _as_fracs(lam)
     n = len(lam)
-    dim = weyl_dim(algebra_type, lam)
-    if cap is not None and dim > cap:
-        raise DimensionCapError("dimension %d exceeds cap %d" % (dim, cap))
     out = {}
     if algebra_type == "A":
         roots = []
@@ -397,26 +390,22 @@ def _joint_kernel(rep, k):
 
 
 def _phi_witness(rep):
-    basis = SoBasis(rep.lam, rep.patterns)
+    """First level whose quadratic expression in built generators differs
+    from the formula-built primed-lowering operator on that level's
+    highest subspace, with a kernel vector as witness; None when all
+    agree."""
     for k in range(1, rep.n + 1):
         quad = Operator(rep.dim) - (rep.gens[(0, k)]
                                     @ rep.gens[(0, k)]).scale(Fraction(1, 2))
         for i in range(1, k):
             quad = quad + rep.gens[(-k, i)] @ rep.gens[(i, k)]
-        diff = quad - build_phi_minus(basis, k)
+        diff = quad - build_phi_minus(rep, k)
         if not diff:
             continue
         for v in _joint_kernel(rep, k):
             if diff.apply(v):
                 return (k, sorted(v))
     return None
-
-
-def phi_definition_check(rep):
-    """Whether the quadratic expression in built generators agrees with the
-    formula-built primed-lowering operator on each level's highest
-    subspace."""
-    return _phi_witness(rep) is None
 
 
 # --------------------------------------------- module equivalence
@@ -454,7 +443,7 @@ def equivalence_intertwiner(rep, target):
     byrow = {}
     for (r, c), v in s.ent.items():
         byrow.setdefault(r, {})[c] = v
-    if rank_of(list(byrow.values()), dim) != dim:
+    if rank_of(list(byrow.values())) != dim:
         return None
     return s
 
@@ -472,10 +461,8 @@ def run_verification(rep, algebra_type, level="fast"):
     witness = None
     for k in range(1, rep.n + 1):
         diag = rep.gens[(k, k)]
-        want = {(c, c): rep.weights[c][k - 1].as_fraction()
-                if hasattr(rep.weights[c][k - 1], "as_fraction")
-                else rep.weights[c][k - 1] for c in range(rep.dim)}
-        want = {rc: v for rc, v in want.items() if v}
+        want = {(c, c): w[k - 1] for c, w in enumerate(rep.weights)
+                if w[k - 1]}
         if diag.ent != want:
             witness = ("diagonal", k)
             break
@@ -501,9 +488,7 @@ def run_verification(rep, algebra_type, level="fast"):
                        False, e.witness)
         hist = {}
         for w_ in rep.weights:
-            key = tuple(x.as_fraction() if hasattr(x, "as_fraction") else x
-                        for x in w_)
-            hist[key] = hist.get(key, 0) + 1
+            hist[w_] = hist.get(w_, 0) + 1
         freud = freudenthal_multiplicities(algebra_type, rep.lam)
         report.add("weight histogram matches the Freudenthal recursion",
                    hist == freud,

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -121,8 +120,7 @@ def _json_only(args):
 
 
 def _weight_strs(lam):
-    return [format_rational(x if isinstance(x, Fraction) else x.as_fraction())
-            for x in lam]
+    return [format_rational(x) for x in lam]
 
 
 def _build_rep(args, lam):
@@ -206,31 +204,11 @@ def cmd_build(args):
     return 0
 
 
-def _apply_corrupt_hook(rep, algebra):
-    raw = os.environ.get("GTREP_CORRUPT")
-    if not raw:
-        return
-    try:
-        name, r, c, val = raw.rsplit(":", 3)
-        m = re.match(r"^([EF])\((-?\d+),(-?\d+)\)$", name)
-        key = (int(m.group(2)), int(m.group(3)))
-        pos = (int(r), int(c))
-        v = parse_rational(val)
-        op = rep.gens[key]
-    except (AttributeError, KeyError, ValueError):
-        raise CliError(2, "malformed GTREP_CORRUPT value %r" % raw)
-    if v:
-        op.ent[pos] = v
-    else:
-        op.ent.pop(pos, None)
-
-
 def cmd_verify(args):
     _json_only(args)
     lam = _weight_of(args)
     _cap_guard(args, lam)
     rep = _build_rep(args, lam)
-    _apply_corrupt_hook(rep, args.algebra)
     report = run_verification(rep, args.algebra, args.level)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return 0 if report.passed else 1
@@ -239,7 +217,7 @@ def cmd_verify(args):
 def _branch_candidates(lam):
     # non-increasing tuples in the parity class of lam that can interleave
     n = len(lam)
-    lo, hi = lam[-1].as_fraction(), -lam[0].as_fraction()
+    lo, hi = lam[-1], -lam[0]
     step = Fraction(1)
     out = []
 
@@ -259,15 +237,15 @@ def _branch_candidates(lam):
 def cmd_branch(args):
     _json_only(args)
     lam = _weight_of(args)
+    _cap_guard(args, lam)
     lines = []
     code = 0
     if args.algebra == "A":
         # multiplicity-free: list the interleaving weights
-        fr = [Fraction(x) for x in lam]
         ranges = []
-        for i in range(len(fr) - 1):
-            ranges.append([fr[i + 1] + k
-                           for k in range(int(fr[i] - fr[i + 1]) + 1)])
+        for i in range(len(lam) - 1):
+            ranges.append([lam[i + 1] + k
+                           for k in range(int(lam[i] - lam[i + 1]) + 1)])
         mus = [[]]
         for r in ranges:
             mus = [m + [v] for m in mus for v in r]
@@ -276,12 +254,11 @@ def cmd_branch(args):
     elif args.rank == 1:
         lines.append("rank 1 restricts to the trivial subalgebra; "
                      "weight multiplicities:")
-        freud = freudenthal_multiplicities(args.algebra, lam, cap=args.cap)
+        freud = freudenthal_multiplicities(args.algebra, lam)
         for w, m in sorted(freud.items()):
             lines.append("weight=(%s): %d"
                          % (",".join(format_rational(x) for x in w), m))
     else:
-        _cap_guard(args, lam)
         table = []
         for mu in _branch_candidates(lam):
             c = branching_multiplicity(lam, mu)

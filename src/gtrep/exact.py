@@ -1,7 +1,7 @@
 """Exact scalar arithmetic for the representation builders.
 
-Everything runs over fractions.Fraction. HalfInt keeps pattern entries as
-doubled integers so they stay hashable and cheap to shift.
+Scalars are fractions.Fraction throughout: weights (half-integers
+included), pattern l-values and matrix entries alike.
 
 The deformed route of the type B builder shifts pattern entries by a formal
 t and needs only the limit at t = 0. Its data are linear forms a + b*t
@@ -40,96 +40,6 @@ def parse_rational(s):
 def format_rational(x):
     """Inverse of parse_rational; Fraction prints reduced, /1 omitted."""
     return str(Fraction(x))
-
-
-class HalfInt:
-    """An element of (1/2)Z, stored as the doubled integer."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, doubled):
-        self.d = int(doubled)
-
-    @staticmethod
-    def whole(k):
-        return HalfInt(2 * k)
-
-    @staticmethod
-    def from_fraction(x):
-        x = Fraction(x)
-        if x.denominator not in (1, 2):
-            raise ValueError("not a half-integer: %s" % (x,))
-        return HalfInt(x.numerator * (2 // x.denominator))
-
-    @property
-    def is_integer(self):
-        return self.d % 2 == 0
-
-    def as_fraction(self):
-        return Fraction(self.d, 2)
-
-    def _dbl(self, other):
-        # doubled value of the other operand, or None
-        if isinstance(other, HalfInt):
-            return other.d
-        if isinstance(other, int):
-            return 2 * other
-        if isinstance(other, Fraction):
-            if other.denominator in (1, 2):
-                return other.numerator * (2 // other.denominator)
-        return None
-
-    def __add__(self, other):
-        o = self._dbl(other)
-        if o is None:
-            return NotImplemented
-        return HalfInt(self.d + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._dbl(other)
-        if o is None:
-            return NotImplemented
-        return HalfInt(self.d - o)
-
-    def __rsub__(self, other):
-        o = self._dbl(other)
-        if o is None:
-            return NotImplemented
-        return HalfInt(o - self.d)
-
-    def __neg__(self):
-        return HalfInt(-self.d)
-
-    def __eq__(self, other):
-        o = self._dbl(other)
-        return NotImplemented if o is None else self.d == o
-
-    def __lt__(self, other):
-        o = self._dbl(other)
-        return NotImplemented if o is None else self.d < o
-
-    def __le__(self, other):
-        o = self._dbl(other)
-        return NotImplemented if o is None else self.d <= o
-
-    def __gt__(self, other):
-        o = self._dbl(other)
-        return NotImplemented if o is None else self.d > o
-
-    def __ge__(self, other):
-        o = self._dbl(other)
-        return NotImplemented if o is None else self.d >= o
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __str__(self):
-        return format_rational(self.as_fraction())
-
-    def __repr__(self):
-        return "HalfInt(%s)" % (self,)
 
 
 def _monomial(x):

@@ -13,67 +13,39 @@ from fractions import Fraction
 
 from .exact import F1
 from .linalg import Operator, nullspace
-from .patterns import PatternA, check_weight_gl, enumerate_patterns_a
+from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
 
 
 class InconsistencyError(Exception):
     """A linear condition that must have a solution does not."""
 
 
-class GlRep:
-    __slots__ = ("lam", "n", "dim", "patterns", "index", "weights", "gens")
-
-    def __init__(self, lam, patterns, gens):
-        self.lam = lam
-        self.n = len(lam)
-        self.patterns = patterns
-        self.dim = len(patterns)
-        self.index = {p: i for i, p in enumerate(patterns)}
-        self.weights = tuple(p.weight() for p in patterns)
-        self.gens = gens
-
-    def gen(self, i, j):
-        return self.gens[(i, j)]
-
-    def hval(self, a, col):
-        # eigenvalue of E_aa - a + 1 on basis column col
-        return self.weights[col][a - 1] - a + 1
-
-    def highest_index(self):
-        # the column-constant pattern carries the highest weight
-        pat = PatternA([self.lam[:k] for k in range(1, self.n + 1)])
-        return self.index[pat]
-
-    def mu_vector_index(self, mu):
-        """Index of the weight vector with middle row mu and the rows below
-        frozen to truncations of mu; None when no such basis vector."""
-        mu = tuple(Fraction(x) for x in mu)
-        rows = [mu[:k] for k in range(1, self.n)] + [self.lam]
-        pat = PatternA(rows)
-        return self.index.get(pat)
+def mu_vector_index(rep, mu):
+    """Index of the weight vector with middle row mu and the rows below
+    frozen to truncations of mu; None when no such basis vector."""
+    mu = tuple(Fraction(x) for x in mu)
+    rows = [mu[:k] for k in range(1, rep.n)] + [rep.lam]
+    return rep.index.get(PatternA(rows))
 
 
 def build_gl(lam, cap=None):
     """Construct all n^2 generator matrices over the pattern basis."""
     lam = check_weight_gl(lam)
     n = len(lam)
-    patterns = enumerate_patterns_a(lam, cap)
-    index = {p: i for i, p in enumerate(patterns)}
-    dim = len(patterns)
-    gens = {}
+    rep = Rep(lam, enumerate_patterns_a(lam, cap))
+    dim, index, gens = rep.dim, rep.index, rep.gens
 
     for k in range(1, n + 1):
         op = Operator(dim)
-        for c, pat in enumerate(patterns):
-            w = pat.weight()[k - 1]
-            if w:
-                op.ent[(c, c)] = w
+        for c, w in enumerate(rep.weights):
+            if w[k - 1]:
+                op.ent[(c, c)] = w[k - 1]
         gens[(k, k)] = op
 
     for k in range(1, n):
         up = Operator(dim)
         down = Operator(dim)
-        for c, pat in enumerate(patterns):
+        for c, pat in enumerate(rep.patterns):
             for i in range(1, k + 1):
                 li = pat.lval(k, i)
                 den = F1
@@ -102,7 +74,7 @@ def build_gl(lam, cap=None):
             gens[(i, j)] = gens[(i, i + 1)].commutator(gens[(i + 1, j)])
             gens[(j, i)] = gens[(j, i + 1)].commutator(gens[(i + 1, i)])
 
-    return GlRep(lam, patterns, gens)
+    return rep
 
 
 def _scaled_chain_sum(rep, chains, hsource):
@@ -116,9 +88,12 @@ def _scaled_chain_sum(rep, chains, hsource):
     total = Operator(rep.dim)
     for prod, comp in chains:
         for (r, c), v in prod.ent.items():
+            # h_a is the eigenvalue of E_aa - a + 1 on column c
+            w = rep.weights[c]
+            hs = w[hsource - 1] - hsource + 1
             scale = F1
             for t in comp:
-                scale *= rep.hval(hsource, c) - rep.hval(t, c)
+                scale *= hs - (w[t - 1] - t + 1)
             if scale:
                 total.add_to(r, c, v * scale)
     return total

@@ -26,12 +26,8 @@ class Operator:
         self.ent = {} if ent is None else ent
 
     @staticmethod
-    def zero(dim):
-        return Operator(dim)
-
-    @staticmethod
-    def identity(dim, one=F1):
-        return Operator(dim, {(i, i): one for i in range(dim)})
+    def identity(dim):
+        return Operator(dim, {(i, i): F1 for i in range(dim)})
 
     def copy(self):
         return Operator(self.dim, dict(self.ent))
@@ -120,14 +116,6 @@ class Operator:
     def entries_sorted(self):
         return sorted(self.ent.items())
 
-    def map_values(self, fn):
-        out = Operator(self.dim)
-        for k, v in self.ent.items():
-            nv = fn(v)
-            if nv:
-                out.ent[k] = nv
-        return out
-
     def __repr__(self):
         return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
 
@@ -148,7 +136,7 @@ def _from_numerators(dim, acc, den):
     return Operator(dim, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 
-def rref(rows, ncols):
+def rref(rows):
     """Reduced echelon form of sparse rows (dicts col->Fraction).
 
     Returns {pivot_col: row_dict} with each pivot row monic and fully
@@ -190,13 +178,13 @@ def rref(rows, ncols):
     return piv
 
 
-def rank_of(rows, ncols):
-    return len(rref(rows, ncols))
+def rank_of(rows):
+    return len(rref(rows))
 
 
 def nullspace(rows, ncols):
     """Deterministic basis of the kernel of the stacked row system."""
-    piv = rref(rows, ncols)
+    piv = rref(rows)
     basis = []
     for fc in range(ncols):
         if fc in piv:

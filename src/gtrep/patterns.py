@@ -1,21 +1,27 @@
-"""Pattern bases for the two chains.
+"""Pattern bases for the two chains, and the representation record.
 
 Type A patterns are triangular arrays of rationals with integral
 interleaving differences. Type B patterns carry one sigma bit per level,
 a primed row per level and an unprimed row per level (top row fixed to the
 highest weight), all entries non-positive members of one parity class.
+Type B entries are stored doubled, as ints; every value a pattern hands
+out (weights, l-values, sort keys, JSON) is a Fraction.
 
-Validity comes in two strengths. full_valid_b is basis membership: parity
-class, non-positivity, both interleaving chains and the sigma bound.
-generic_valid_b keeps only the interleaving chains; composite operators
-pass through such arrays while their coefficients are regularized, and the
-interleaving conditions are the ones stable under that deformation.
+Validity comes in two strengths. PatternB.full_valid is basis membership:
+parity class, non-positivity, both interleaving chains and the sigma
+bound. PatternB.generic_valid keeps only the interleaving chains;
+composite operators pass through such arrays while their coefficients are
+regularized, and the interleaving conditions are the ones stable under
+that deformation.
+
+Rep is the one record both builders return: the basis, its index, the
+weight of each basis vector and the generator matrices.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import HalfInt, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 
 
 class DimensionCapError(Exception):
@@ -35,23 +41,27 @@ def check_weight_gl(entries):
     return w
 
 
+def _doubled(x):
+    x = Fraction(x)
+    if x.denominator not in (1, 2):
+        raise ValueError("not a half-integer: %s" % (x,))
+    return x.numerator * (2 // x.denominator)
+
+
 def check_weight_so(entries):
     """Validate an odd-orthogonal highest weight in the non-positive
     convention: 0 >= w_1 >= ... >= w_n, all integer or all half-odd."""
-    w = tuple(x if isinstance(x, HalfInt) else
-              HalfInt.from_fraction(Fraction(x)) for x in entries)
-    if not w:
+    d = [_doubled(x) for x in entries]
+    if not d:
         raise ValueError("empty weight")
-    par = w[0].d % 2
-    for x in w:
-        if x.d % 2 != par:
-            raise ValueError("mixed parity classes in weight")
-    if w[0].d > 0:
+    if any(x % 2 != d[0] % 2 for x in d):
+        raise ValueError("mixed parity classes in weight")
+    if d[0] > 0:
         raise ValueError("weight entries must be non-positive")
-    for a, b in zip(w, w[1:]):
-        if a.d < b.d:
+    for a, b in zip(d, d[1:]):
+        if a < b:
             raise ValueError("weight entries must be non-increasing")
-    return w
+    return tuple(Fraction(x, 2) for x in d)
 
 
 # ---------------------------------------------------------------- type A
@@ -106,6 +116,11 @@ class PatternA:
                 if d1.denominator != 1 or d2.denominator != 1:
                     return False
         return True
+
+    @staticmethod
+    def highest(lam):
+        # the column-constant pattern carries the highest weight
+        return PatternA([lam[:k] for k in range(1, len(lam) + 1)])
 
     def __eq__(self, other):
         return isinstance(other, PatternA) and self.rows == other.rows
@@ -165,23 +180,40 @@ def enumerate_patterns_a(lam, cap=None):
 # ---------------------------------------------------------------- type B
 
 
-MINUS_HALF = HalfInt(-1)  # l_{k0}, fixed under any deformation
+MINUS_HALF = Fraction(-1, 2)  # l_{k0}, fixed under any deformation
+
+
+def _values(rows):
+    # doubled ints back to rational literals
+    return [[format_rational(Fraction(d, 2)) for d in r] for r in rows]
 
 
 class PatternB:
     """sigma bits, unprimed rows (rows[n-1] = highest weight) and primed
-    rows; entries HalfInt. Construction performs no validity checks."""
+    rows. The constructor takes entry values; rows and primed store each
+    entry doubled, as an int, and every value read back is a Fraction.
+    Construction performs no validity checks."""
 
     __slots__ = ("sigma", "rows", "primed")
 
     def __init__(self, sigma, rows, primed):
         self.sigma = tuple(int(s) for s in sigma)
-        self.rows = tuple(tuple(x if isinstance(x, HalfInt) else
-                                HalfInt.from_fraction(Fraction(x)) for x in r)
-                          for r in rows)
-        self.primed = tuple(tuple(x if isinstance(x, HalfInt) else
-                                  HalfInt.from_fraction(Fraction(x)) for x in r)
-                            for r in primed)
+        self.rows = tuple(tuple(_doubled(x) for x in r) for r in rows)
+        self.primed = tuple(tuple(_doubled(x) for x in r) for r in primed)
+
+    @staticmethod
+    def _from_doubled(sigma, rows, primed):
+        # tuples of ints, already doubled
+        pat = object.__new__(PatternB)
+        pat.sigma, pat.rows, pat.primed = sigma, rows, primed
+        return pat
+
+    @staticmethod
+    def highest(lam):
+        # all sigma 0, every stored row a truncation of the highest weight
+        n = len(lam)
+        rows = [lam[:k] for k in range(1, n + 1)]
+        return PatternB([0] * n, rows, rows)
 
     @property
     def n(self):
@@ -190,31 +222,31 @@ class PatternB:
     def key(self):
         out = []
         for k in range(self.n, 0, -1):
-            out.append(Fraction(self.sigma[k - 1]))
-            out.extend(x.as_fraction() for x in self.primed[k - 1])
+            out.append(self.sigma[k - 1])
+            out.extend(Fraction(d, 2) for d in self.primed[k - 1])
             if k >= 2:
-                out.extend(x.as_fraction() for x in self.rows[k - 2])
+                out.extend(Fraction(d, 2) for d in self.rows[k - 2])
         return tuple(out)
 
     def weight(self):
         out = []
         for k in range(1, self.n + 1):
             d = 2 * self.sigma[k - 1]
-            d += 2 * sum(x.d for x in self.primed[k - 1])
-            d -= sum(x.d for x in self.rows[k - 1])
+            d += 2 * sum(self.primed[k - 1])
+            d -= sum(self.rows[k - 1])
             if k >= 2:
-                d -= sum(x.d for x in self.rows[k - 2])
-            out.append(HalfInt(d))
+                d -= sum(self.rows[k - 2])
+            out.append(Fraction(d, 2))
         return tuple(out)
 
     def lval(self, k, i):
         # l_{ki} = entry - i + 1/2; i = 0 is the fixed -1/2
         if i == 0:
             return MINUS_HALF
-        return HalfInt(self.rows[k - 1][i - 1].d - 2 * i + 1)
+        return Fraction(self.rows[k - 1][i - 1] - 2 * i + 1, 2)
 
     def lpr(self, k, i):
-        return HalfInt(self.primed[k - 1][i - 1].d - 2 * i + 1)
+        return Fraction(self.primed[k - 1][i - 1] - 2 * i + 1, 2)
 
     def shifted(self, moves):
         """Apply moves: ("u",k,i,s) unprimed, ("p",k,i,s) primed,
@@ -224,15 +256,13 @@ class PatternB:
         primed = [list(r) for r in self.primed]
         for mv in moves:
             if mv[0] == "sig":
-                k = mv[1]
-                sigma[k - 1] ^= 1
-            elif mv[0] == "u":
-                _, k, i, s = mv
-                rows[k - 1][i - 1] = HalfInt(rows[k - 1][i - 1].d + 2 * s)
+                sigma[mv[1] - 1] ^= 1
             else:
                 _, k, i, s = mv
-                primed[k - 1][i - 1] = HalfInt(primed[k - 1][i - 1].d + 2 * s)
-        return PatternB(sigma, rows, primed)
+                (rows if mv[0] == "u" else primed)[k - 1][i - 1] += 2 * s
+        return PatternB._from_doubled(tuple(sigma),
+                                      tuple(map(tuple, rows)),
+                                      tuple(map(tuple, primed)))
 
     def interleaves(self):
         n = self.n
@@ -240,32 +270,32 @@ class PatternB:
             pr = self.primed[k - 1]
             ur = self.rows[k - 1]
             for i in range(k):
-                if pr[i].d < ur[i].d:
+                if pr[i] < ur[i]:
                     return False
-                if i + 1 < k and ur[i].d < pr[i + 1].d:
+                if i + 1 < k and ur[i] < pr[i + 1]:
                     return False
             if k >= 2:
                 below = self.rows[k - 2]
                 for i in range(k - 1):
-                    if pr[i].d < below[i].d:
+                    if pr[i] < below[i]:
                         return False
-                    if below[i].d < pr[i + 1].d:
+                    if below[i] < pr[i + 1]:
                         return False
         return True
 
     def full_valid(self):
         if not self.interleaves():
             return False
-        par = self.rows[self.n - 1][0].d % 2
+        par = self.rows[self.n - 1][0] % 2
         zero_max = 0 if par == 0 else -1
         for rr in (self.rows, self.primed):
             for r in rr:
-                for x in r:
-                    if x.d % 2 != par or x.d > zero_max:
+                for d in r:
+                    if d % 2 != par or d > zero_max:
                         return False
         if par == 0:
             for k in range(1, self.n + 1):
-                if self.sigma[k - 1] == 1 and self.primed[k - 1][0].d > -2:
+                if self.sigma[k - 1] == 1 and self.primed[k - 1][0] > -2:
                     return False
         return True
 
@@ -277,23 +307,17 @@ class PatternB:
                 and self.rows == other.rows and self.primed == other.primed)
 
     def __hash__(self):
-        return hash((self.sigma,
-                     tuple(tuple(x.d for x in r) for r in self.rows),
-                     tuple(tuple(x.d for x in r) for r in self.primed)))
+        return hash((self.sigma, self.rows, self.primed))
 
     def __repr__(self):
         return "PatternB(sigma=%s, rows=%s, primed=%s)" % (
-            self.sigma,
-            tuple(tuple(str(x) for x in r) for r in self.rows),
-            tuple(tuple(str(x) for x in r) for r in self.primed))
+            self.sigma, _values(self.rows), _values(self.primed))
 
     def to_json(self):
         return {
             "sigma": list(self.sigma),
-            "rows": [[format_rational(x.as_fraction()) for x in r]
-                     for r in self.rows],
-            "primed_rows": [[format_rational(x.as_fraction()) for x in r]
-                            for r in self.primed],
+            "rows": _values(self.rows),
+            "primed_rows": _values(self.primed),
         }
 
     @staticmethod
@@ -304,22 +328,11 @@ class PatternB:
                          for r in obj["primed_rows"]])
 
 
-def pattern_shift_a(pat, k, i, sign):
-    """Shifted array plus basis membership (zero-vector convention)."""
-    q = pat.shifted(k, i, sign)
-    return q, q.interleaves()
-
-
-def pattern_shift_b(pat, moves):
-    q = pat.shifted(moves)
-    return q, q.full_valid()
-
-
 def enumerate_patterns_b(lam, cap=None):
     """All valid B patterns for the highest weight, canonical order."""
-    lam = check_weight_so(lam)
-    n = len(lam)
-    par = lam[0].d % 2
+    top = tuple(_doubled(x) for x in check_weight_so(lam))
+    n = len(top)
+    par = top[0] % 2
     zero_max = 0 if par == 0 else -1  # doubled value of the class maximum
     out = []
 
@@ -345,12 +358,9 @@ def enumerate_patterns_b(lam, cap=None):
     def descend(k, urow_d, sig_acc, urows_acc, prows_acc):
         # urow_d: doubled entries of unprimed row k
         if k == 0:
-            pat = PatternB(list(reversed(sig_acc)),
-                           [tuple(HalfInt(d) for d in r)
-                            for r in reversed(urows_acc)],
-                           [tuple(HalfInt(d) for d in r)
-                            for r in reversed(prows_acc)])
-            out.append(pat)
+            out.append(PatternB._from_doubled(tuple(reversed(sig_acc)),
+                                              tuple(reversed(urows_acc)),
+                                              tuple(reversed(prows_acc))))
             if cap is not None and len(out) > cap:
                 raise DimensionCapError("pattern count exceeds cap %d" % cap)
             return
@@ -374,6 +384,31 @@ def enumerate_patterns_b(lam, cap=None):
                             urows_acc + ([urow2] if k >= 2 else []),
                             prows_acc + [prow])
 
-    descend(n, tuple(x.d for x in lam), [], [tuple(x.d for x in lam)], [])
+    descend(n, top, [], [top], [])
     out.sort(key=PatternB.key)
     return tuple(out)
+
+
+class Rep:
+    """A module over a pattern basis: the highest weight, the basis in
+    canonical order with its index, the weight of each basis vector (a
+    tuple of Fractions) and the generator matrices by slot. The type A
+    builder fills gens with E(i,j), 1 <= i,j <= n; the type B builder
+    with F(i,j), -n <= i,j <= n."""
+
+    __slots__ = ("lam", "n", "dim", "patterns", "index", "weights", "gens")
+
+    def __init__(self, lam, patterns):
+        self.lam = lam
+        self.n = len(lam)
+        self.patterns = patterns
+        self.dim = len(patterns)
+        self.index = {p: i for i, p in enumerate(patterns)}
+        self.weights = tuple(p.weight() for p in patterns)
+        self.gens = {}
+
+    def gen(self, i, j):
+        return self.gens[(i, j)]
+
+    def highest_index(self):
+        return self.index[type(self.patterns[0]).highest(self.lam)]

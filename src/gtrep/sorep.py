@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exact import F0, F1, LaurentSum, LinearForm, PoleError, rf_limit_at
 from .linalg import Operator, rref
-from .patterns import PatternB, check_weight_so, enumerate_patterns_b
+from .patterns import Rep, check_weight_so, enumerate_patterns_b
 
 HALF = Fraction(1, 2)
 
@@ -37,10 +37,11 @@ class DeformContext:
         self.deformed = deformed
 
     def entry(self, h):
-        # h: HalfInt pattern entry (or derived l-value)
+        # h: a Fraction read from a pattern (l-value or weight entry);
+        # deformed, it moves by t
         if not self.deformed:
-            return h.as_fraction()
-        return LinearForm(h.as_fraction(), 1)
+            return h
+        return LinearForm(h, 1)
 
     def const(self, x):
         x = Fraction(x)
@@ -205,32 +206,12 @@ def prime_drop_terms(ctx, pat, k):
     return terms
 
 
-class SoBasis:
-    __slots__ = ("lam", "n", "dim", "patterns", "index", "weights")
-
-    def __init__(self, lam, patterns):
-        self.lam = lam
-        self.n = len(lam)
-        self.patterns = patterns
-        self.dim = len(patterns)
-        self.index = {p: i for i, p in enumerate(patterns)}
-        self.weights = tuple(p.weight() for p in patterns)
-
-    def highest_index(self):
-        # column-constant pattern: all sigma 0, every stored row a
-        # truncation of the highest weight
-        pat = PatternB([0] * self.n,
-                       [self.lam[:k] for k in range(1, self.n + 1)],
-                       [self.lam[:k] for k in range(1, self.n + 1)])
-        return self.index[pat]
-
-
 def build_f_diag(basis, k):
     op = Operator(basis.dim)
     for c in range(basis.dim):
         w = basis.weights[c][k - 1]
-        if w.d:
-            op.ent[(c, c)] = w.as_fraction()
+        if w:
+            op.ent[(c, c)] = w
     return op
 
 
@@ -416,11 +397,16 @@ def structure_table(n, _cache={}):
 
 
 def close_generators(n, seeds, dim):
-    """Extend the seed slots to every F(i,j) using the bracket table.
+    """Extend the seed slots F(k,k), F(k-1,-k), F(k-1,k) to every F(i,j)
+    by a fixed bracket plan:
 
-    Deterministic: missing slots and candidate pairs are scanned in sorted
-    order; each new slot comes from the first bracket relation in which it
-    is the only unknown."""
+      F(0,k) = [F(0,k-1), F(k-1,k)], F(0,-k) = [F(0,k-1), F(k-1,-k)],
+      k = 2..n, then every other missing slot with i, j != 0 from
+      [F(i,0), F(0,j)], where F(i,0) = -F(0,-i).
+
+    Each bracket's coefficient is read from structure_table(n), which must
+    give the bracket as a multiple of the target slot alone. One commutator
+    per missing canonical slot, 2n(n-1) in all."""
     table = structure_table(n)
     known = {}
 
@@ -430,89 +416,40 @@ def close_generators(n, seeds, dim):
         if alt != slot:
             known[alt] = -op
 
+    def bracket(ab, cd, target):
+        cs, _ = _canon_slot(*target)
+        terms = table[(ab, cd)]
+        if set(terms) != {cs}:
+            raise ConstructionError("bracket [F%s, F%s] is not a multiple "
+                                    "of F%s alone" % (ab, cd, target))
+        store(cs, known[ab].commutator(known[cd]).scale(1 / terms[cs]))
+
     for i in range(-n, n + 1):
         known[(i, -i)] = Operator(dim)
     for slot, op in seeds.items():
         store(slot, op)
-
-    all_slots = sorted((i, j) for i in range(-n, n + 1)
-                       for j in range(-n, n + 1))
-    while True:
-        missing = [s for s in all_slots if s not in known]
-        if not missing:
-            break
-        progress = False
-        for slot in missing:
-            cs, sgn = _canon_slot(*slot)
-            found = None
-            for ab in sorted(known):
-                for cd in sorted(known):
-                    terms = table_bracket(*ab, *cd)
-                    if cs not in terms:
-                        continue
-                    if any(s != cs and not _slot_known(known, s)
-                           for s in terms):
-                        continue
-                    found = (ab, cd, terms)
-                    break
-                if found:
-                    break
-            if not found:
-                continue
-            ab, cd, terms = found
-            acc = known[ab].commutator(known[cd])
-            for s, coef in terms.items():
-                if s != cs:
-                    acc = acc - known[s].scale(coef)
-            op = acc.scale(1 / terms[cs])
-            if sgn < 0:
-                op = -op
-            store(slot, op)
-            progress = True
-        if not progress:
-            raise ConstructionError("bracket closure stalled; missing %s"
-                                    % (missing,))
+    for k in range(2, n + 1):
+        bracket((0, k - 1), (k - 1, k), (0, k))
+        bracket((0, k - 1), (k - 1, -k), (0, -k))
+    for i in range(-n, n + 1):
+        for j in range(-n, n + 1):
+            if i and j and (i, j) not in known:
+                bracket((i, 0), (0, j), (i, j))
     return known
 
 
-def _slot_known(known, s):
-    return s in known or (-s[1], -s[0]) in known
-
-
-class SoRep:
-    __slots__ = ("lam", "n", "dim", "patterns", "index", "weights", "gens")
-
-    def __init__(self, basis, gens):
-        self.lam = basis.lam
-        self.n = basis.n
-        self.dim = basis.dim
-        self.patterns = basis.patterns
-        self.index = basis.index
-        self.weights = basis.weights
-        self.gens = gens
-
-    def gen(self, i, j):
-        return self.gens[(i, j)]
-
-    def highest_index(self):
-        return SoBasis.highest_index(self)
-
-
-def build_so(lam, cap=None, force_deformed=False, trace=None):
+def build_so(lam, cap=None, trace=None):
     """All (2n+1)^2 generator matrices over the pattern basis."""
     lam = check_weight_so(lam)
     n = len(lam)
-    basis = SoBasis(lam, enumerate_patterns_b(lam, cap))
+    rep = Rep(lam, enumerate_patterns_b(lam, cap))
     seeds = {}
     for k in range(1, n + 1):
-        seeds[(k, k)] = build_f_diag(basis, k)
-        seeds[(k - 1, -k)] = build_f_lower(basis, k)
-        seeds[(k - 1, k)] = build_f_raise(basis, k,
-                                          force_deformed=force_deformed,
-                                          trace=trace)
-    gens = close_generators(n, seeds, basis.dim)
-    rep = SoRep(basis, gens)
-    if any(x.d for x in lam):
+        seeds[(k, k)] = build_f_diag(rep, k)
+        seeds[(k - 1, -k)] = build_f_lower(rep, k)
+        seeds[(k - 1, k)] = build_f_raise(rep, k, trace=trace)
+    rep.gens = close_generators(n, seeds, rep.dim)
+    if any(lam):
         _check_span_rank(rep)
     return rep
 
@@ -532,7 +469,7 @@ def _check_span_rank(rep):
             if row:
                 rows.append(row)
     want = rep.n * (2 * rep.n + 1)
-    got = len(rref(rows, rep.dim * rep.dim))
+    got = len(rref(rows))
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import gtrep.cli as cli
+from gtrep import build_so
 from gtrep.cli import main
 
 
@@ -78,6 +80,17 @@ class TestBadInput:
         code, out, err = run(capsys, "verify", "--type", "B", "--rank", "1",
                              "--weight", "-1")
         assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")
+
+    def test_branch_respects_cap(self, capsys):
+        # the type A table is a product of row gaps, so it needs the cap
+        # as much as any module does
+        for algebra, rank, weight in (("A", "2", "10,0"), ("B", "1", "-2"),
+                                      ("B", "2", "0,-2")):
+            code, out, err = run(capsys, "branch", "--type", algebra,
+                                 "--rank", rank, "--weight", weight,
+                                 "--cap", "3")
+            assert code == 2 and out == "", algebra
+            assert "exceeds cap 3" in err
 
     def test_csv_outside_build(self, capsys):
         for cmd in ("dim", "patterns", "verify", "branch"):
@@ -191,32 +204,33 @@ class TestVerify:
                            "--weight", "2,1,0", "--level", "full")
         assert code == 0 and len(json.loads(out)["checks"]) == 7
 
+    @staticmethod
+    def corrupting(monkeypatch, slot, pos, value):
+        # verify builds through cli.build_so; set (or, for 0, remove) one
+        # entry of one generator before the checks see it
+        def build(lam, cap=None, trace=None):
+            rep = build_so(lam, cap=cap, trace=trace)
+            if value:
+                rep.gens[slot].ent[pos] = value
+            else:
+                del rep.gens[slot].ent[pos]
+            return rep
+
+        monkeypatch.setattr(cli, "build_so", build)
+
     def test_corruption_hook_trips(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTREP_CORRUPT", "F(1,2):0:0:1/3")
+        self.corrupting(monkeypatch, (1, 2), (0, 0), Fraction(1, 3))
         code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "2",
                            "--weight", "0,-1")
         assert code == 1
         assert json.loads(out)["summary"] == "fail"
 
     def test_corruption_hook_zero_removes_entry(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTREP_CORRUPT", "F(0,1):0:1:0")
+        self.corrupting(monkeypatch, (0, 1), (0, 1), 0)
         code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "1",
                            "--weight", "-1/2")
         assert code == 1
-
-    def test_corruption_hook_malformed(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTREP_CORRUPT", "nonsense")
-        code, _, _ = run(capsys, "verify", "--type", "B", "--rank", "1",
-                         "--weight", "-1/2")
-        assert code == 2
-
-    def test_hook_ignored_outside_verify(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTREP_CORRUPT", "F(1,1):0:0:9")
-        code, out, _ = run(capsys, "build", "--type", "B", "--rank", "1",
-                           "--weight", "-1/2")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["operators"]["F(1,1)"]["entries"][0] == [0, 0, "-1/2"]
+        assert json.loads(out)["summary"] == "fail"
 
 
 class TestBranch:

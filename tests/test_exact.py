@@ -1,4 +1,4 @@
-"""Deformed-route arithmetic, half-integers, and limit evaluation."""
+"""Deformed-route arithmetic, rational literals, and limit evaluation."""
 
 from fractions import Fraction
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gtrep import (
-    HalfInt,
     PoleError,
     format_rational,
     parse_rational,
@@ -156,7 +155,7 @@ class TestParseFormat:
     def test_format_drops_unit_denominator(self):
         assert format_rational(Fraction(-3, 2)) == "-3/2"
         assert format_rational(Fraction(5)) == "5"
-        assert format_rational(HalfInt.whole(2).as_fraction()) == "2"
+        assert format_rational(Fraction(4, 2)) == "2"
 
     def test_rejects_garbage(self):
         for bad in ("", "1/0", "x", "1.5", "1/2/3"):
@@ -166,31 +165,3 @@ class TestParseFormat:
     @given(st.fractions(max_denominator=100))
     def test_roundtrip(self, x):
         assert parse_rational(format_rational(x)) == x
-
-
-class TestHalfInt:
-    def test_arithmetic(self):
-        a = HalfInt(3)   # 3/2
-        b = HalfInt.whole(1)
-        assert (a + b).as_fraction() == Fraction(5, 2)
-        assert (a - b).as_fraction() == Fraction(1, 2)
-        assert a + 1 == HalfInt(5)
-        assert -a == HalfInt(-3)
-
-    def test_integrality_flag(self):
-        assert HalfInt.whole(4).is_integer
-        assert not HalfInt(1).is_integer
-
-    def test_from_fraction_rejects_thirds(self):
-        with pytest.raises(ValueError):
-            HalfInt.from_fraction(Fraction(1, 3))
-
-    @given(st.integers(-20, 20), st.integers(-20, 20))
-    def test_order_matches_fraction_order(self, x, y):
-        a, b = HalfInt(x), HalfInt(y)
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
-        assert (a == b) == (x == y)
-
-    def test_str_uses_rational_form(self):
-        assert str(HalfInt(-1)) == "-1/2"
-        assert str(HalfInt.whole(3)) == "3"

@@ -10,6 +10,7 @@ from gtrep import (
     capelli_det,
     contravariant_gram,
     g_highest_vectors,
+    mu_vector_index,
     z_lower,
     z_raise,
 )
@@ -76,28 +77,28 @@ class TestCentralElement:
 class TestSeriesOperators:
     def test_raise_moves_one_box(self):
         r = gl_rep((2, 1, 0))
-        src = r.mu_vector_index((1, 0))
-        tgt = r.mu_vector_index((2, 0))
+        src = mu_vector_index(r, (1, 0))
+        tgt = mu_vector_index(r, (2, 0))
         vec = z_raise(r, 1).column(src)
         # -(m_1 - l_1)(m_1 - l_2)(m_1 - l_3) at m_1 = 1, l = (2, 0, -2)
         assert vec == {tgt: Fraction(3)}
 
     def test_raise_annihilates_at_wall(self):
         r = gl_rep((2, 1, 0))
-        src = r.mu_vector_index((2, 1))
+        src = mu_vector_index(r, (2, 1))
         assert z_raise(r, 1).column(src) == {}
 
     def test_lower_inverts_direction(self):
         r = gl_rep((2, 1, 0))
-        src = r.mu_vector_index((2, 1))
+        src = mu_vector_index(r, (2, 1))
         vec = z_lower(r, 2).column(src)
-        tgt = r.mu_vector_index((2, 0))
+        tgt = mu_vector_index(r, (2, 0))
         assert set(vec) == {tgt} and vec[tgt] != 0
 
     def test_mu_vector_index_absent(self):
         r = gl_rep((2, 1, 0))
-        assert r.mu_vector_index((2, 2)) is None
-        assert r.mu_vector_index((3, 0)) is None
+        assert mu_vector_index(r, (2, 2)) is None
+        assert mu_vector_index(r, (3, 0)) is None
 
 
 class TestHighestVectorsUnderSubalgebra:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, B_CORPUS
+from conftest import A_CORPUS, B_CORPUS, gl_rep, so_rep
 from gtrep import (
     DimensionCapError,
     PatternA,
@@ -13,8 +13,6 @@ from gtrep import (
     check_weight_so,
     enumerate_patterns_a,
     enumerate_patterns_b,
-    pattern_shift_a,
-    pattern_shift_b,
     weyl_dim,
 )
 
@@ -34,7 +32,8 @@ class TestWeightValidation:
 
     def test_so_parses_strings(self):
         w = check_weight_so(("-1/2", "-3/2"))
-        assert [x.as_fraction() for x in w] == [Fraction(-1, 2), Fraction(-3, 2)]
+        assert w == (Fraction(-1, 2), Fraction(-3, 2))
+        assert all(type(x) is Fraction for x in w)
 
     def test_so_rejects_mixed_parity(self):
         with pytest.raises(ValueError):
@@ -104,17 +103,14 @@ class TestValidity:
 
     def test_gl_shift_out_of_range_detected(self):
         p = PatternA([[0], [1, 0]])
-        q, ok = pattern_shift_a(p, 1, 1, 1)
-        assert ok and q.rows[0] == (Fraction(1),)
-        q, ok = pattern_shift_a(p, 1, 1, -1)
-        assert not ok
+        q = p.shifted(1, 1, 1)
+        assert q.interleaves() and q.rows[0] == (Fraction(1),)
+        assert not p.shifted(1, 1, -1).interleaves()
 
     def test_so_shift_out_of_range_detected(self):
         p = enumerate_patterns_b(check_weight_so(("-1",)))[1]  # sigma 0, primed 0
-        q, ok = pattern_shift_b(p, [("p", 1, 1, -1)])
-        assert ok
-        q, ok = pattern_shift_b(p, [("p", 1, 1, 1)])
-        assert not ok
+        assert p.shifted([("p", 1, 1, -1)]).full_valid()
+        assert not p.shifted([("p", 1, 1, 1)]).full_valid()
 
     def test_generic_valid_ignores_class_bound(self):
         # raising sigma without a deep enough primed entry breaks the
@@ -162,5 +158,14 @@ class TestWeights:
 
     def test_so_weight_example(self):
         pats = enumerate_patterns_b(check_weight_so(("-1",)))
-        eig = [p.weight()[0].as_fraction() for p in pats]
+        eig = [p.weight()[0] for p in pats]
         assert eig == [-1, 1, 0]
+
+    @pytest.mark.parametrize("rep", [
+        lambda: gl_rep((2, 1, 0)), lambda: so_rep(("0", "-1")),
+        lambda: so_rep(("-1/2", "-3/2"))], ids=["A", "B", "B-spinor"])
+    def test_rep_values_are_fractions(self, rep):
+        r = rep()
+        values = list(r.lam) + [x for w in r.weights for x in w]
+        assert all(type(x) is Fraction for x in values)
+        assert r.weights[r.highest_index()] == r.lam

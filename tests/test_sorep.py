@@ -6,9 +6,9 @@ import pytest
 
 from conftest import B_CORPUS, so_rep
 from gtrep import (
-    HalfInt,
     Operator,
     PatternB,
+    Rep,
     check_weight_so,
     defining_operators,
     enumerate_patterns_b,
@@ -18,12 +18,12 @@ from gtrep.exact import LaurentSum
 from gtrep.sorep import (
     ConstructionError,
     DeformContext,
-    SoBasis,
     build_f_diag,
     build_f_lower,
     build_f_raise,
     build_phi_minus,
     build_phi_u,
+    close_generators,
     _single_step,
     mid_row_prefactor,
     prime_drop_weight,
@@ -36,7 +36,7 @@ PLAIN = DeformContext(False)
 
 def basis_of(w):
     lam = check_weight_so(w)
-    return SoBasis(lam, enumerate_patterns_b(lam))
+    return Rep(lam, enumerate_patterns_b(lam))
 
 
 class TestCoefficients:
@@ -97,7 +97,7 @@ class TestVectorModule:
         b = basis_of(("-1",))
 
         def ratio(ctx, pat, k):
-            d = ctx.entry(HalfInt(2)) - 1
+            d = ctx.entry(Fraction(1)) - 1
             return [(pat, lambda: d / d)]
         with pytest.raises(ConstructionError,
                            match="level 1 column 0 target 0"):
@@ -148,6 +148,29 @@ class TestBrackets:
     def test_table_validates_against_elementary_matrices(self):
         # construction raises on any mismatch, so arrival is the assertion
         structure_table(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closure_runs_one_commutator_per_missing_slot(self, n,
+                                                          monkeypatch):
+        # seeded from the defining module, the fixed bracket plan must
+        # rebuild every slot of it with 2n(n-1) commutators
+        defs = defining_operators(n)
+        seeds = {}
+        for k in range(1, n + 1):
+            for slot in ((k, k), (k - 1, -k), (k - 1, k)):
+                seeds[slot] = defs[slot]
+        structure_table(n)
+        calls = []
+        commutator = Operator.commutator
+
+        def counted(a, b):
+            calls.append(1)
+            return commutator(a, b)
+
+        monkeypatch.setattr(Operator, "commutator", counted)
+        got = close_generators(n, seeds, 2 * n + 1)
+        assert len(calls) == 2 * n * (n - 1)
+        assert got == defs
 
     @pytest.mark.parametrize("w", [("-1",), ("0", "-1"), ("-1/2", "-1/2")])
     def test_all_commutators_close(self, w):
@@ -204,7 +227,7 @@ class TestWholeModules:
         rows = [{a * r.dim + b: v for (a, b), v in r.gens[slot].ent.items()}
                 for slot in sorted(r.gens)]
         rows = [row for row in rows if row]
-        assert rank_of(rows, r.dim * r.dim) == r.n * (2 * r.n + 1)
+        assert rank_of(rows) == r.n * (2 * r.n + 1)
 
     @pytest.mark.parametrize("w", B_CORPUS)
     def test_top_basis_vector_carries_the_label(self, w):
