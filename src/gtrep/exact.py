@@ -3,10 +3,13 @@
 Scalars are fractions.Fraction throughout: weights (half-integers
 included), pattern l-values and matrix entries alike.
 
-The deformed route of the type B builder shifts pattern entries by a formal
-t and needs only the limit at t = 0. Its data are linear forms a + b*t
-(LinearForm), products and quotients of them in factored form (Monomial),
-and per-target sums of those, expanded exactly to t^0 (LaurentSum).
+The type B builder writes each coefficient term as c times a ratio of
+products of factors (A, b), each standing for A/2 + b*t with int A and b:
+A is a doubled pattern value, b its drift when every pattern entry is
+shifted by a formal t. factor_value evaluates such a ratio at t = 0 as
+one Fraction. The deformed route needs only the limit at t = 0 of sums of
+such ratios: factor_monomial gives one term in factored form (Monomial),
+and the per-target sums are expanded exactly to t^0 (LaurentSum).
 rf_limit_at reads off the t^0 coefficient; a surviving negative power
 raises PoleError, which is exactly the "no finite limit" case.
 """
@@ -46,82 +49,69 @@ def _monomial(x):
     # x as a Monomial, or None for an operand outside the field
     if isinstance(x, Monomial):
         return x
-    if isinstance(x, LinearForm):
-        return x.monomial()
     if isinstance(x, (int, Fraction)):
         return Monomial(x)
     return None
 
 
-class LinearForm:
-    """a + b*t over Fraction, t the deformation parameter. Sums and scalar
-    multiples stay linear; products and quotients become a Monomial."""
+def factor_value(num, den, c=1):
+    """c * prod(num) / prod(den) at t = 0, where a factor (A, b) stands for
+    A/2 + b*t: the products run on the A's as ints and one Fraction is
+    made at the end. A zero A in den raises ZeroDivisionError."""
+    p = c
+    for a, _ in num:
+        p *= a
+    q = 1
+    for a, _ in den:
+        q *= a
+    e = len(den) - len(num)  # every factor carries a 1/2
+    if e >= 0:
+        return Fraction(p * 2 ** e, q)
+    return Fraction(p, q * 2 ** -e)
 
-    __slots__ = ("a", "b")
 
-    def __init__(self, a, b=F0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def monomial(self):
-        if self.a:
-            return Monomial(self.a, 0, {self.b / self.a: 1} if self.b else {})
-        return Monomial(self.b, 1)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LinearForm):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LinearForm(other)
-        return None
-
-    def __neg__(self):
-        return LinearForm(-self.a, -self.b)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LinearForm(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LinearForm(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LinearForm(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LinearForm(self.a * other, self.b * other)
-        return self.monomial() * other
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self.monomial() / other
-
-    def __rtruediv__(self, other):
-        return other / self.monomial()
+def factor_monomial(num, den, c=1):
+    """The same ratio as factor_value, as a Monomial in t: a factor with
+    A != 0 is A/2 * (1 + (2b/A)*t), one with A == 0 is b*t. A factor
+    (0, 0) in den raises ZeroDivisionError; one in num makes the zero
+    Monomial."""
+    p, q, v, f = c, 1, 0, {}
+    zero = False
+    for a, b in num:
+        if a:
+            p *= a
+            q *= 2
+            if b:
+                beta = Fraction(2 * b, a)
+                f[beta] = f.get(beta, 0) + 1
+        elif b:
+            p *= b
+            v += 1
+        else:
+            zero = True
+    for a, b in den:
+        if a:
+            p *= 2
+            q *= a
+            if b:
+                beta = Fraction(2 * b, a)
+                f[beta] = f.get(beta, 0) - 1
+        elif b:
+            q *= b
+            v -= 1
+        else:
+            raise ZeroDivisionError("division by an exactly zero factor")
+    if zero:
+        return Monomial(0)
+    return Monomial(Fraction(p, q), v, {x: e for x, e in f.items() if e})
 
 
 class Monomial:
     """c * t^v * prod (1 + beta*t)^e, the factors kept as {beta: e}.
 
-    Products and quotients of linear forms stay exact in this shape, and
-    c == 0 is an exact zero test. There is no addition: sums of products
-    only happen in a LaurentSum."""
+    factor_monomial builds one per coefficient term; products stay exact
+    in this shape, and c == 0 is an exact zero test. There is no addition:
+    sums of products only happen in a LaurentSum."""
 
     __slots__ = ("c", "v", "f")
 
@@ -140,37 +130,20 @@ class Monomial:
     def __neg__(self):
         return Monomial(-self.c, self.v, self.f)
 
-    def _merge(self, o, sign):
-        f = dict(self.f)
-        for beta, e in o.f.items():
-            e = f.get(beta, 0) + sign * e
-            if e:
-                f[beta] = e
-            else:
-                del f[beta]
-        return f
-
     def __mul__(self, other):
         o = _monomial(other)
         if o is None:
             return NotImplemented
-        return Monomial(self.c * o.c, self.v + o.v, self._merge(o, 1))
+        f = dict(self.f)
+        for beta, e in o.f.items():
+            e += f.get(beta, 0)
+            if e:
+                f[beta] = e
+            else:
+                del f[beta]
+        return Monomial(self.c * o.c, self.v + o.v, f)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _monomial(other)
-        if o is None:
-            return NotImplemented
-        if not o.c:
-            raise ZeroDivisionError("division by an exactly zero form")
-        return Monomial(self.c / o.c, self.v - o.v, self._merge(o, -1))
-
-    def __rtruediv__(self, other):
-        o = _monomial(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def expand(self):
         """Coefficients of t^v ... t^0, empty when v > 0. The unit part
@@ -196,8 +169,8 @@ class LaurentSum:
 
     Each term is expanded exactly to t^0, so the pole part and the constant
     term are exact; higher powers cannot reach the limit at t = 0 and are
-    not kept. Monomials, linear forms and scalars can be added in; any
-    other arithmetic raises TypeError."""
+    not kept. Monomials and scalars can be added in; any other arithmetic
+    raises TypeError."""
 
     __slots__ = ("lo", "c")
 
@@ -228,8 +201,8 @@ class LaurentSum:
 
 
 def rf_limit_at(f):
-    """Exact limit at t = 0 of a LaurentSum (a monomial, linear form or
-    scalar is summed into an empty one first). A surviving negative power
+    """Exact limit at t = 0 of a LaurentSum (a monomial or scalar is
+    summed into an empty one first). A surviving negative power
     is a genuine pole and raises PoleError with the expansion as witness.
     """
     if not isinstance(f, LaurentSum):

@@ -25,7 +25,24 @@ def mu_vector_index(rep, mu):
     frozen to truncations of mu; None when no such basis vector."""
     mu = tuple(Fraction(x) for x in mu)
     rows = [mu[:k] for k in range(1, rep.n)] + [rep.lam]
-    return rep.index.get(PatternA(rows))
+    try:
+        pat = PatternA(rows)
+    except ValueError:
+        return None  # mu is off the class of lam mod 1
+    return rep.index.get(pat)
+
+
+def _lvals(row):
+    # l_{ki} = entry - i + 1 as offsets from the pattern base; the base
+    # cancels in every difference the formulas take
+    return [x - i for i, x in enumerate(row)]
+
+
+def _prod_diff(li, ls):
+    p = 1
+    for x in ls:
+        p *= li - x
+    return p
 
 
 def build_gl(lam, cap=None):
@@ -46,24 +63,19 @@ def build_gl(lam, cap=None):
         up = Operator(dim)
         down = Operator(dim)
         for c, pat in enumerate(rep.patterns):
-            for i in range(1, k + 1):
-                li = pat.lval(k, i)
-                den = F1
-                for j in range(1, k + 1):
-                    if j != i:
-                        den *= li - pat.lval(k, j)
-                tgt = pat.shifted(k, i, +1)
-                if tgt.interleaves():
-                    num = F1
-                    for j in range(1, k + 2):
-                        num *= li - pat.lval(k + 1, j)
-                    up.add_to(index[tgt], c, -num / den)
-                tgt = pat.shifted(k, i, -1)
-                if tgt.interleaves():
-                    num = F1
-                    for j in range(1, k):
-                        num *= li - pat.lval(k - 1, j)
-                    down.add_to(index[tgt], c, num / den)
+            # l-value differences are integers: one Fraction per entry
+            lk = _lvals(pat.rows[k - 1])
+            above = _lvals(pat.rows[k])
+            below = _lvals(pat.rows[k - 2]) if k >= 2 else []
+            for i, li in enumerate(lk):
+                den = _prod_diff(li, lk[:i] + lk[i + 1:])
+                # a shifted array is a basis member iff it interleaves
+                r = index.get(pat.shifted(k, i + 1, +1))
+                if r is not None:
+                    up.add_to(r, c, Fraction(-_prod_diff(li, above), den))
+                r = index.get(pat.shifted(k, i + 1, -1))
+                if r is not None:
+                    down.add_to(r, c, Fraction(_prod_diff(li, below), den))
         gens[(k, k + 1)] = up
         gens[(k + 1, k)] = down
 

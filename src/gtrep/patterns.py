@@ -1,11 +1,13 @@
 """Pattern bases for the two chains, and the representation record.
 
-Type A patterns are triangular arrays of rationals with integral
-interleaving differences. Type B patterns carry one sigma bit per level,
-a primed row per level and an unprimed row per level (top row fixed to the
-highest weight), all entries non-positive members of one parity class.
-Type B entries are stored doubled, as ints; every value a pattern hands
-out (weights, l-values, sort keys, JSON) is a Fraction.
+Type A patterns are triangular arrays whose entries all differ by
+integers; each is stored as one shared rational base (the entries' class
+mod 1) and int offsets from it, so comparison, hashing, shifting and the
+interleaving test run on ints. Type B patterns carry one sigma bit per
+level, a primed row per level and an unprimed row per level (top row
+fixed to the highest weight), all entries non-positive members of one
+parity class, stored doubled, as ints. Weights and JSON values are
+Fractions; the builders read the ints directly.
 
 Validity comes in two strengths. PatternB.full_valid is basis membership:
 parity class, non-positivity, both interleaving chains and the sigma
@@ -67,53 +69,73 @@ def check_weight_so(entries):
 # ---------------------------------------------------------------- type A
 
 
-class PatternA:
-    """Triangular array; rows[k-1] is row k (length k), rows[n-1] on top."""
+def _offsets(row, base):
+    # entries of one class mod 1 as int offsets from base
+    out = []
+    for x in row:
+        d = Fraction(x) - base
+        if d.denominator != 1:
+            raise ValueError("pattern entries must differ by integers")
+        out.append(d.numerator)
+    return tuple(out)
 
-    __slots__ = ("rows",)
+
+class PatternA:
+    """Triangular array; rows[k-1] is row k (length k), rows[n-1] on top.
+
+    Every entry lies in one class mod 1, so the pattern stores that class
+    as base (a Fraction in [0, 1)) and rows as int offsets from it; entry
+    (k, i) is base + rows[k-1][i-1]. The constructor takes entry values and
+    raises ValueError when two of them differ by a non-integer."""
+
+    __slots__ = ("base", "rows")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        rows = [tuple(Fraction(x) for x in r) for r in rows]
+        self.base = rows[-1][0] % 1 if rows and rows[-1] else Fraction(0)
+        self.rows = tuple(_offsets(r, self.base) for r in rows)
+
+    @staticmethod
+    def _from_offsets(base, rows):
+        # tuples of int offsets from base
+        pat = object.__new__(PatternA)
+        pat.base, pat.rows = base, rows
+        return pat
 
     @property
     def n(self):
         return len(self.rows)
 
     def key(self):
-        # top row constant across the basis, excluded
+        # top row constant across the basis, excluded; all patterns of a
+        # module share the base, so the offsets sort as the entries do
         out = []
         for k in range(self.n - 1, 0, -1):
             out.extend(self.rows[k - 1])
         return tuple(out)
 
     def weight(self):
+        # row k sums k entries, so each difference of row sums is one base
+        # plus an integer
         out = []
-        prev = Fraction(0)
-        for k in range(1, self.n + 1):
-            s = sum(self.rows[k - 1], Fraction(0))
-            out.append(s - prev)
+        prev = 0
+        for r in self.rows:
+            s = sum(r)
+            out.append(self.base + (s - prev))
             prev = s
         return tuple(out)
 
-    def lval(self, k, i):
-        # l_{ki} = entry - i + 1, 1-based i
-        return self.rows[k - 1][i - 1] - i + 1
-
     def shifted(self, k, i, sign):
-        rows = [list(r) for r in self.rows]
-        rows[k - 1][i - 1] += sign
-        return PatternA(rows)
+        rows = list(self.rows)
+        row = list(rows[k - 1])
+        row[i - 1] += sign
+        rows[k - 1] = tuple(row)
+        return PatternA._from_offsets(self.base, tuple(rows))
 
     def interleaves(self):
-        for k in range(2, self.n + 1):
-            hi = self.rows[k - 1]
-            lo = self.rows[k - 2]
-            for i in range(k - 1):
-                d1 = hi[i] - lo[i]
-                d2 = lo[i] - hi[i + 1]
-                if d1 < 0 or d2 < 0:
-                    return False
-                if d1.denominator != 1 or d2.denominator != 1:
+        for hi, lo in zip(self.rows[1:], self.rows):
+            for i, x in enumerate(lo):
+                if hi[i] < x or x < hi[i + 1]:
                     return False
         return True
 
@@ -123,16 +145,21 @@ class PatternA:
         return PatternA([lam[:k] for k in range(1, len(lam) + 1)])
 
     def __eq__(self, other):
-        return isinstance(other, PatternA) and self.rows == other.rows
+        return (isinstance(other, PatternA)
+                and (self.rows, self.base) == (other.rows, other.base))
 
     def __hash__(self):
         return hash(self.rows)
 
+    def _values(self):
+        return [[format_rational(self.base + d) for d in r]
+                for r in self.rows]
+
     def __repr__(self):
-        return "PatternA(%s)" % (self.rows,)
+        return "PatternA(%s)" % (self._values(),)
 
     def to_json(self):
-        return {"rows": [[format_rational(x) for x in r] for r in self.rows]}
+        return {"rows": self._values()}
 
     @staticmethod
     def from_json(obj):
@@ -142,45 +169,37 @@ class PatternA:
 def enumerate_patterns_a(lam, cap=None):
     """All valid type A patterns for the given top row, canonical order."""
     lam = check_weight_gl(lam)
-    n = len(lam)
+    base = lam[0] % 1
     out = []
 
     def descend(rows_acc, upper):
         if len(upper) == 1:
-            pat = PatternA(list(reversed(rows_acc)))
-            out.append(pat)
+            out.append(PatternA._from_offsets(base, tuple(reversed(rows_acc))))
             if cap is not None and len(out) > cap:
                 raise DimensionCapError("pattern count exceeds cap %d" % cap)
             return
-        # choose the row below `upper`
+        # choose the row below `upper`: upper[i] >= v[i] >= upper[i + 1]
         k = len(upper) - 1
-        choices = []
-        for i in range(k):
-            lo = upper[i + 1]
-            hi = upper[i]
-            span = int(hi - lo)
-            choices.append([lo + j for j in range(span + 1)])
 
         def rec(i, cur):
             if i == k:
-                descend(rows_acc + [tuple(cur)], tuple(cur))
+                row = tuple(cur)
+                descend(rows_acc + [row], row)
                 return
-            for v in choices[i]:
+            for v in range(upper[i + 1], upper[i] + 1):
                 cur.append(v)
                 rec(i + 1, cur)
                 cur.pop()
 
         rec(0, [])
 
-    descend([tuple(lam)], tuple(lam))
+    top = _offsets(lam, base)
+    descend([top], top)
     out.sort(key=PatternA.key)
     return tuple(out)
 
 
 # ---------------------------------------------------------------- type B
-
-
-MINUS_HALF = Fraction(-1, 2)  # l_{k0}, fixed under any deformation
 
 
 def _values(rows):
@@ -228,25 +247,17 @@ class PatternB:
                 out.extend(Fraction(d, 2) for d in self.rows[k - 2])
         return tuple(out)
 
+    def doubled_weight(self, k):
+        # twice the F(k,k) eigenvalue, an int
+        d = 2 * self.sigma[k - 1] + 2 * sum(self.primed[k - 1])
+        d -= sum(self.rows[k - 1])
+        if k >= 2:
+            d -= sum(self.rows[k - 2])
+        return d
+
     def weight(self):
-        out = []
-        for k in range(1, self.n + 1):
-            d = 2 * self.sigma[k - 1]
-            d += 2 * sum(self.primed[k - 1])
-            d -= sum(self.rows[k - 1])
-            if k >= 2:
-                d -= sum(self.rows[k - 2])
-            out.append(Fraction(d, 2))
-        return tuple(out)
-
-    def lval(self, k, i):
-        # l_{ki} = entry - i + 1/2; i = 0 is the fixed -1/2
-        if i == 0:
-            return MINUS_HALF
-        return Fraction(self.rows[k - 1][i - 1] - 2 * i + 1, 2)
-
-    def lpr(self, k, i):
-        return Fraction(self.primed[k - 1][i - 1] - 2 * i + 1, 2)
+        return tuple(Fraction(self.doubled_weight(k), 2)
+                     for k in range(1, self.n + 1))
 
     def shifted(self, moves):
         """Apply moves: ("u",k,i,s) unprimed, ("p",k,i,s) primed,

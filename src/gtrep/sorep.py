@@ -1,5 +1,10 @@
 """Irreducible o(2n+1) modules on decorated double-row pattern bases.
 
+Every coefficient is a ratio of products of l-value and weight
+differences. Each term is written once as factor lists (A, b), meaning
+A/2 + b*t, with A read from the doubled pattern ints and b the drift
+under the deformation below, and DeformContext.value evaluates it.
+
 The diagonal and lowering generators evaluate directly. The raising
 generators come from a two-step composite whose individual steps can hit
 removable poles; those columns are recomputed with every pattern entry
@@ -14,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import F0, F1, LaurentSum, LinearForm, PoleError, rf_limit_at
+from .exact import (F0, F1, LaurentSum, PoleError, factor_monomial,
+                    factor_value, rf_limit_at)
 from .linalg import Operator, rref
 from .patterns import Rep, check_weight_so, enumerate_patterns_b
-
-HALF = Fraction(1, 2)
 
 
 class ConstructionError(Exception):
@@ -28,151 +32,156 @@ class ConstructionError(Exception):
 
 
 class DeformContext:
-    """Evaluates pattern data as plain Fractions or, deformed, as linear
-    forms in the parameter t with every pattern entry shifted by t."""
+    """Evaluates coefficient terms, each given as c * prod(num) / prod(den)
+    over factors (A, b) = A/2 + b*t (see exact.py): plain, as one Fraction
+    at t = 0; deformed, as one Monomial in t, every pattern entry shifted
+    by t."""
 
     __slots__ = ("deformed",)
 
     def __init__(self, deformed=False):
         self.deformed = deformed
 
-    def entry(self, h):
-        # h: a Fraction read from a pattern (l-value or weight entry);
-        # deformed, it moves by t
-        if not self.deformed:
-            return h
-        return LinearForm(h, 1)
-
-    def const(self, x):
-        x = Fraction(x)
-        if not self.deformed:
-            return x
-        return LinearForm(x)
+    def value(self, num, den, c=1):
+        if self.deformed:
+            return factor_monomial(num, den, c)
+        return factor_value(num, den, c)
 
 
 PLAIN = DeformContext(False)
 DEFORMED = DeformContext(True)
 
-
-def _lu(ctx, pat, k, i):
-    # l_{ki}; the i = 0 value is a fixed constant, never deformed
-    if i == 0:
-        return ctx.const(-HALF)
-    return ctx.entry(pat.lval(k, i))
-
-
-def _lp(ctx, pat, k, i):
-    return ctx.entry(pat.lpr(k, i))
+# Pattern data as factors (A, b): A doubled, b the drift under the shift.
+# An l-value l_{ki} = entry - i + 1/2 moves by t; l_{k0} = -1/2 is fixed.
+# The F(k,k) eigenvalue of an array, read on a term's target with
+# PatternB.doubled_weight, moves by t along with the entries.
+MINUS_HALF = (-1, 0)
 
 
-def _wt(ctx, pat, k):
-    # F(k,k) eigenvalue of the (possibly non-basis) array, deformed along
-    # with its entries (it moves by t); evaluated per term on the target
-    return ctx.entry(pat.weight()[k - 1])
+def _lu(pat, k, i):
+    # doubled l_{ki}, i >= 1; drift 1
+    return pat.rows[k - 1][i - 1] - 2 * i + 1
 
 
-def mid_row_prefactor(ctx, pat, k, i):
-    """Prefactor over the level k-1 l-values; slot i = 0 uses the fixed
-    -1/2. Denominators here are the only coefficient factors that can
-    vanish, and only via the +1/2 pairing in the integer class."""
-    li = _lu(ctx, pat, k - 1, i)
-    acc = ctx.const(1)
+def _lp(pat, k, i):
+    # doubled primed l-value; drift 1
+    return pat.primed[k - 1][i - 1] - 2 * i + 1
+
+
+def mid_row_prefactor(pat, k, i):
+    """Prefactor over the level k-1 l-values as (num, den); slot i = 0
+    uses the fixed -1/2. Denominators here are the only coefficient
+    factors that can vanish, and only via the +1/2 pairing in the integer
+    class."""
+    li, bi = MINUS_HALF if i == 0 else (_lu(pat, k - 1, i), 1)
+    den = []
     for a in range(1, k):
-        la = _lu(ctx, pat, k - 1, a)
+        la = _lu(pat, k - 1, a)
         if a != i:
-            acc = acc / (li - la)
-        acc = acc / (li + la)
-    return acc
+            den.append((li - la, bi - 1))
+        den.append((li + la, bi + 1))
+    return [], den
 
 
-def prime_shift_weight(ctx, pat, k, i, x):
+def prime_shift_weight(pat, k, i, x):
     """Interpolation-style weight attached to raising primed slot i of
-    level k, evaluated at x."""
-    acc = ctx.const(1)
-    lpi = _lp(ctx, pat, k, i)
+    level k, evaluated at the factor x, as (num, den)."""
+    xa, xb = x
+    lpi = _lp(pat, k, i)
+    num, den = [], []
     for a in range(1, k + 1):
         if a == i:
             continue
-        la = _lp(ctx, pat, k, a)
-        acc = acc * (x + la + 1) * (x - la) / (la - lpi)
-    return acc
+        la = _lp(pat, k, a)
+        num.append((xa + la + 2, xb + 1))  # x + l_a + 1
+        num.append((xa - la, xb - 1))      # x - l_a
+        den.append((la - lpi, 0))
+    return num, den
 
 
-def prime_drop_weight(ctx, pat, k, i):
-    """Coefficient attached to lowering primed slot i of level k."""
-    lpi = _lp(ctx, pat, k, i)
+def prime_drop_weight(pat, k, i):
+    """Coefficient attached to lowering primed slot i of level k, as
+    (num, den)."""
+    lpi = _lp(pat, k, i)
     sig = pat.sigma[k - 1]
-    acc = lpi * (1 - 2 * sig - 2 * lpi)
+    # l'_i * (1 - 2 sigma - 2 l'_i)
+    num = [(lpi, 1), (2 - 4 * sig - 2 * lpi, -2)]
     for a in range(1, k + 1):
-        acc = acc * (_lu(ctx, pat, k, a) - lpi)
+        num.append((_lu(pat, k, a) - lpi, 0))
     for a in range(1, k):
-        acc = acc * (_lu(ctx, pat, k - 1, a) - lpi)
-    for a in range(1, k + 1):
-        if a != i:
-            acc = acc / (_lp(ctx, pat, k, a) - lpi)
-    return acc
+        num.append((_lu(pat, k - 1, a) - lpi, 0))
+    den = [(_lp(pat, k, a) - lpi, 0) for a in range(1, k + 1) if a != i]
+    return num, den
 
 
-def _sig_case_terms(ctx, pat, k):
-    """The sigma-flip branch: list of (raw target, coeff thunk) before the
-    shared prefactor and denominators are applied."""
+def _sig_case_terms(pat, k):
+    """The sigma-flip branch: list of (raw target, thunk) before the shared
+    prefactor and denominators are applied; a thunk returns (num, den, c)."""
     sk = pat.sigma[k - 1]
     skm = pat.sigma[k - 2] if k >= 2 else 0
     base = [("sig", k)] + ([("sig", k - 1)] if k >= 2 else [])
-    x0 = ctx.const(-HALF)
     out = []
     if (sk, skm) == (0, 0):
-        sign = ctx.const(1 if k % 2 == 0 else -1)
-        out.append((pat.shifted(base), lambda s=sign: s))
+        sign = 1 if k % 2 == 0 else -1
+        out.append((pat.shifted(base), lambda: ([], [], sign)))
     elif (sk, skm) == (1, 0):
         for j in range(1, k + 1):
             tgt = pat.shifted(base + [("p", k, j, +1)])
-            out.append((tgt,
-                        lambda j=j: prime_shift_weight(ctx, pat, k, j, x0)))
+            out.append((tgt, lambda j=j:
+                        (*prime_shift_weight(pat, k, j, MINUS_HALF), 1)))
     elif (sk, skm) == (0, 1):
         for m in range(1, k):
             tgt = pat.shifted(base + [("p", k - 1, m, +1)])
-            out.append((tgt,
-                        lambda m=m: -prime_shift_weight(ctx, pat, k - 1, m, x0)))
+            out.append((tgt, lambda m=m:
+                        (*prime_shift_weight(pat, k - 1, m, MINUS_HALF), -1)))
     else:
         sign = 1 if (k - 1) % 2 == 0 else -1
+
+        def both(j, m):
+            n1, d1 = prime_shift_weight(pat, k, j, MINUS_HALF)
+            n2, d2 = prime_shift_weight(pat, k - 1, m, MINUS_HALF)
+            return n1 + n2, d1 + d2, sign
         for j in range(1, k + 1):
             for m in range(1, k):
                 tgt = pat.shifted(base + [("p", k, j, +1), ("p", k - 1, m, +1)])
-                out.append((tgt, lambda j=j, m=m:
-                            sign * prime_shift_weight(ctx, pat, k, j, x0)
-                            * prime_shift_weight(ctx, pat, k - 1, m, x0)))
+                out.append((tgt, lambda j=j, m=m: both(j, m)))
     return out
 
 
-def lower_step_terms(ctx, pat, k, u=None):
+def lower_step_terms(pat, k, u=None):
     """Expansion of the mixed lowering generator at level k.
 
     With u None this is the plain generator F(k-1,-k); with a parameter u
     each term gains the resolvent denominator evaluated on its target (all
     targets sit one eigenvalue step above the source, so the three
     denominator shapes match the source-side normal forms). Yields
-    (raw target array, coeff thunk); thunks are only called for targets
-    that survive the caller's validity filter, so branches whose targets
-    all drop never evaluate their (possibly singular) prefactors.
+    (raw target array, thunk returning (num, den, c)); thunks are only
+    called for targets that survive the caller's validity filter, so
+    branches whose targets all drop never evaluate their (possibly
+    singular) prefactors.
     """
+    u2 = None if u is None else 2 * u
     terms = []
-    for tgt, thunk in _sig_case_terms(ctx, pat, k):
+    for tgt, thunk in _sig_case_terms(pat, k):
         def coeff(tgt=tgt, thunk=thunk):
-            c = mid_row_prefactor(ctx, pat, k, 0) * thunk()
-            if u is not None:
-                c = c / (ctx.const(u) + _wt(ctx, tgt, k) - Fraction(3, 2))
-            return c
+            num, den, c = thunk()
+            den += mid_row_prefactor(pat, k, 0)[1]
+            if u2 is not None:
+                # u + w_k - 3/2
+                den.append((u2 + tgt.doubled_weight(k) - 3, 1))
+            return num, den, c
         terms.append((tgt, coeff))
     for i in range(1, k):
+        li = _lu(pat, k - 1, i)
         tgt = pat.shifted([("u", k - 1, i, -1)])
 
-        def coeff_minus(i=i, tgt=tgt):
-            li = _lu(ctx, pat, k - 1, i)
-            c = -mid_row_prefactor(ctx, pat, k, i) / (li - HALF)
-            if u is not None:
-                c = c / (ctx.const(u) - li + _wt(ctx, tgt, k) - 1)
-            return c
+        def coeff_minus(i=i, li=li, tgt=tgt):
+            num, den = mid_row_prefactor(pat, k, i)
+            den.append((li - 1, 1))  # l_i - 1/2
+            if u2 is not None:
+                # u - l_i + w_k - 1
+                den.append((u2 - li + tgt.doubled_weight(k) - 2, 0))
+            return num, den, -1
         terms.append((tgt, coeff_minus))
 
         for j in range(1, k + 1):
@@ -180,28 +189,32 @@ def lower_step_terms(ctx, pat, k, u=None):
                 tgt = pat.shifted([("p", k, j, +1), ("u", k - 1, i, +1),
                                    ("p", k - 1, m, +1)])
 
-                def coeff_plus(i=i, j=j, m=m, tgt=tgt):
-                    li = _lu(ctx, pat, k - 1, i)
-                    c = (mid_row_prefactor(ctx, pat, k, i)
-                         * prime_shift_weight(ctx, pat, k, j, li)
-                         * prime_shift_weight(ctx, pat, k - 1, m, li)
-                         / (li + HALF))
-                    if u is not None:
-                        c = c / (ctx.const(u) + li + _wt(ctx, tgt, k) - 1)
-                    return c
+                def coeff_plus(i=i, li=li, j=j, m=m, tgt=tgt):
+                    num, den = mid_row_prefactor(pat, k, i)
+                    for n2, d2 in (prime_shift_weight(pat, k, j, (li, 1)),
+                                   prime_shift_weight(pat, k - 1, m, (li, 1))):
+                        num += n2
+                        den += d2
+                    den.append((li + 1, 1))  # l_i + 1/2
+                    if u2 is not None:
+                        # u + l_i + w_k - 1
+                        den.append((u2 + li + tgt.doubled_weight(k) - 2, 2))
+                    return num, den, 1
                 terms.append((tgt, coeff_plus))
     return terms
 
 
-def prime_drop_terms(ctx, pat, k):
+def prime_drop_terms(pat, k):
     """Expansion of the primed-entry lowering step at level k."""
     terms = []
     for i in range(1, k + 1):
         tgt = pat.shifted([("p", k, i, -1)])
 
         def coeff(i=i, tgt=tgt):
-            return (prime_drop_weight(ctx, pat, k, i)
-                    * (_wt(ctx, tgt, k) - _lp(ctx, pat, k, i) + 1))
+            num, den = prime_drop_weight(pat, k, i)
+            # w_k - l'_i + 1
+            num.append((tgt.doubled_weight(k) - _lp(pat, k, i) + 2, 0))
+            return num, den, 1
         terms.append((tgt, coeff))
     return terms
 
@@ -221,12 +234,12 @@ def _single_step(basis, k, term_fn):
     coefficients, so one is a construction failure naming its location."""
     op = Operator(basis.dim)
     for c, pat in enumerate(basis.patterns):
-        for tgt, thunk in term_fn(PLAIN, pat, k):
+        for tgt, thunk in term_fn(pat, k):
             if not tgt.full_valid():
                 continue
             r = basis.index[tgt]
             try:
-                v = thunk()
+                v = PLAIN.value(*thunk())
             except ZeroDivisionError:
                 raise ConstructionError(
                     "zero denominator at level %d column %d target %d"
@@ -247,7 +260,7 @@ def build_phi_minus(basis, k):
 def build_phi_u(basis, k, u):
     """The parametric lowering step as an explicit matrix."""
     return _single_step(
-        basis, k, lambda ctx, pat, kk: lower_step_terms(ctx, pat, kk, u))
+        basis, k, lambda pat, kk: lower_step_terms(pat, kk, u))
 
 
 def raise_column_terms(basis, k, pat, ctx):
@@ -257,33 +270,34 @@ def raise_column_terms(basis, k, pat, ctx):
     members."""
     acc = {}
     zero = LaurentSum() if ctx.deformed else F0
+    value = ctx.value
 
     def add(tgt, v):
         if v:
             acc[tgt] = acc.get(tgt, zero) + v
 
     # first composite term: primed drop, then parametric step at u = 2
-    for mid, thunk1 in prime_drop_terms(ctx, pat, k):
+    for mid, thunk1 in prime_drop_terms(pat, k):
         if not mid.generic_valid():
             continue
-        c1 = thunk1()
+        c1 = value(*thunk1())
         if not c1:
             continue
-        for tgt, thunk2 in lower_step_terms(ctx, mid, k, 2):
+        for tgt, thunk2 in lower_step_terms(mid, k, 2):
             if not tgt.full_valid():
                 continue
-            add(tgt, thunk2() * c1)
+            add(tgt, value(*thunk2()) * c1)
     # second composite term: parametric step at u = 0, then primed drop
-    for mid, thunk1 in lower_step_terms(ctx, pat, k, 0):
+    for mid, thunk1 in lower_step_terms(pat, k, 0):
         if not mid.generic_valid():
             continue
-        c1 = thunk1()
+        c1 = value(*thunk1())
         if not c1:
             continue
-        for tgt, thunk2 in prime_drop_terms(ctx, mid, k):
+        for tgt, thunk2 in prime_drop_terms(mid, k):
             if not tgt.full_valid():
                 continue
-            add(tgt, -(thunk2() * c1))
+            add(tgt, -(value(*thunk2()) * c1))
     return acc
 
 

@@ -7,13 +7,25 @@ import pytest
 from conftest import A_CORPUS, gl_rep
 from gtrep import (
     Operator,
+    PatternA,
+    build_gl,
     capelli_det,
     contravariant_gram,
     g_highest_vectors,
     mu_vector_index,
+    run_verification,
+    weyl_dim,
     z_lower,
     z_raise,
 )
+
+# integral weights and the common shift c that takes them off the integers
+SHIFTED = [((2, 1, 0), Fraction(-3, 2)), ((1, 0), Fraction(-2, 3))]
+SHIFT_IDS = ["(1/2,-1/2,-3/2)", "(1/3,-2/3)"]
+
+
+def shifted_rep(lam, c):
+    return build_gl(tuple(x + c for x in lam))
 
 
 class TestDefiningSize:
@@ -100,6 +112,13 @@ class TestSeriesOperators:
         assert mu_vector_index(r, (2, 2)) is None
         assert mu_vector_index(r, (3, 0)) is None
 
+    def test_mu_off_the_class_of_lam(self):
+        r = gl_rep((1, 0))
+        assert mu_vector_index(r, (Fraction(1, 2),)) is None
+        r = shifted_rep((1, 0), Fraction(-1, 2))
+        assert mu_vector_index(r, (0,)) is None
+        assert mu_vector_index(r, (Fraction(1, 2),)) == r.highest_index()
+
 
 class TestHighestVectorsUnderSubalgebra:
     def test_counts_for_eight_dim_module(self):
@@ -134,3 +153,28 @@ class TestContravariantForm:
         for i in range(1, r.n + 1):
             for j in range(1, r.n + 1):
                 assert r.gen(i, j).transpose() @ g == g @ r.gen(j, i)
+
+
+@pytest.mark.parametrize("lam, c", SHIFTED, ids=SHIFT_IDS)
+class TestNonIntegralWeights:
+    """gl(n) weights off the integers: adding c to every entry of lam
+    gives the same matrices with each E(k,k) moved by c times the
+    identity, over a basis of the same size and order."""
+
+    def test_shift_moves_only_the_diagonal(self, lam, c):
+        base = gl_rep(lam)
+        r = shifted_rep(lam, c)
+        assert r.dim == base.dim == weyl_dim("A", r.lam)
+        assert len(set(r.patterns)) == r.dim
+        shift = Operator.identity(r.dim).scale(c)
+        for (i, j), op in base.gens.items():
+            want = op + shift if i == j else op
+            assert r.gen(i, j) == want, (i, j)
+
+    def test_full_verification_passes(self, lam, c):
+        report = run_verification(shifted_rep(lam, c), "A", level="full")
+        assert report.passed
+
+    def test_patterns_round_trip_through_json(self, lam, c):
+        for p in shifted_rep(lam, c).patterns:
+            assert PatternA.from_json(p.to_json()) == p

@@ -132,6 +132,15 @@ class TestCap:
 
 
 class TestSerialization:
+    def test_gl_entries_off_one_class_raise(self):
+        # entries of one pattern differ by integers; 0 and 1/2 do not
+        with pytest.raises(ValueError):
+            PatternA([[0], [Fraction(1, 2), Fraction(-1, 2)]])
+        with pytest.raises(ValueError):
+            PatternA.from_json({"rows": [["0"], ["1/2", "-1/2"]]})
+        p = PatternA([["1/3"], ["4/3", "-2/3"]])
+        assert p.to_json() == {"rows": [["1/3"], ["4/3", "-2/3"]]}
+
     def test_gl_json_shape(self):
         p = PatternA([[0], [1, 0]])
         assert p.to_json() == {"rows": [["0"], ["1", "0"]]}

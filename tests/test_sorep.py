@@ -16,8 +16,9 @@ from gtrep import (
 )
 from gtrep.exact import LaurentSum
 from gtrep.sorep import (
+    DEFORMED,
+    PLAIN,
     ConstructionError,
-    DeformContext,
     build_f_diag,
     build_f_lower,
     build_f_raise,
@@ -31,9 +32,6 @@ from gtrep.sorep import (
     table_bracket,
 )
 
-PLAIN = DeformContext(False)
-
-
 def basis_of(w):
     lam = check_weight_so(w)
     return Rep(lam, enumerate_patterns_b(lam))
@@ -44,36 +42,40 @@ class TestCoefficients:
     pat2 = PatternB([0, 0], [(-1,), (0, -1)], [(-1,), (0, -1)])
 
     def test_mid_row_prefactor_inner_slot(self):
-        assert mid_row_prefactor(PLAIN, self.pat2, 2, 1) == Fraction(-1, 3)
+        got = PLAIN.value(*mid_row_prefactor(self.pat2, 2, 1))
+        assert got == Fraction(-1, 3)
 
     def test_mid_row_prefactor_zero_slot(self):
-        assert mid_row_prefactor(PLAIN, self.pat2, 2, 0) == Fraction(-1, 2)
+        got = PLAIN.value(*mid_row_prefactor(self.pat2, 2, 0))
+        assert got == Fraction(-1, 2)
 
     def test_mid_row_prefactor_deformed_zero_slot(self):
         # level 1 row (0,) puts the content at -1/2, colliding with the
         # fixed slot; only the deformed value is finite
         pat = PatternB([0, 0], [(0,), (0, 0)], [(0,), (0, 0)])
-        got = LaurentSum() + mid_row_prefactor(DeformContext(True), pat, 2, 0)
+        got = LaurentSum() + DEFORMED.value(*mid_row_prefactor(pat, 2, 0))
         # 1/(t(1-t)) = t^-1 + 1 + O(t)
         assert (got.lo, got.c) == (-1, (1, 1))
 
     def test_prime_shift_rank_one_is_unity(self):
         pat = PatternB([0], [(-1,)], [(-1,)])
-        assert prime_shift_weight(PLAIN, pat, 1, 1, Fraction(7)) == 1
+        # x = 7 as the factor (14, 0)
+        assert PLAIN.value(*prime_shift_weight(pat, 1, 1, (14, 0))) == 1
 
     def test_prime_shift_rank_two_values(self):
-        # primed contents (-1/2, -5/2)
-        x = Fraction(-3, 2)
-        assert prime_shift_weight(PLAIN, self.pat2, 2, 1, x) == Fraction(3, 2)
-        assert prime_shift_weight(PLAIN, self.pat2, 2, 2, x) == Fraction(1, 2)
+        # primed contents (-1/2, -5/2); x = -3/2 as the factor (-3, 0)
+        x = (-3, 0)
+        w1 = PLAIN.value(*prime_shift_weight(self.pat2, 2, 1, x))
+        w2 = PLAIN.value(*prime_shift_weight(self.pat2, 2, 2, x))
+        assert (w1, w2) == (Fraction(3, 2), Fraction(1, 2))
 
     def test_prime_drop_cases(self):
         spinor = PatternB([0], [("-1/2",)], [("-1/2",)])
-        assert prime_drop_weight(PLAIN, spinor, 1, 1) == 0
+        assert PLAIN.value(*prime_drop_weight(spinor, 1, 1)) == 0
         mid = PatternB([0], [(-1,)], [(0,)])
-        assert prime_drop_weight(PLAIN, mid, 1, 1) == 1
+        assert PLAIN.value(*prime_drop_weight(mid, 1, 1)) == 1
         top = PatternB([1], [(-1,)], [(-1,)])
-        assert prime_drop_weight(PLAIN, top, 1, 1) == 0
+        assert PLAIN.value(*prime_drop_weight(top, 1, 1)) == 0
 
 
 class TestVectorModule:
@@ -96,9 +98,9 @@ class TestVectorModule:
         # the deformed route, so this is a hard failure with a location
         b = basis_of(("-1",))
 
-        def ratio(ctx, pat, k):
-            d = ctx.entry(Fraction(1)) - 1
-            return [(pat, lambda: d / d)]
+        def ratio(pat, k):
+            t = (0, 1)  # the factor t, zero at t = 0
+            return [(pat, lambda: ([t], [t], 1))]
         with pytest.raises(ConstructionError,
                            match="level 1 column 0 target 0"):
             _single_step(b, 1, ratio)
