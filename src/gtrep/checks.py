@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import F0
-from .linalg import Operator, nullspace, rank_of
+from .linalg import Operator, nullspace, rank_of, restricted_rows
 from .glrep import InconsistencyError, capelli_det, contravariant_gram
 from .sorep import _canon_slot, build_phi_minus, structure_table
 
@@ -172,15 +172,7 @@ def check_branching(rep):
     counts = {}
     for mu in sorted(groups):
         cols = groups[mu]
-        pos = {c: k for k, c in enumerate(cols)}
-        rows = []
-        for op in raising:
-            byrow = {}
-            for (r, c), v in op.ent.items():
-                if c in pos:
-                    byrow.setdefault(r, {})[pos[c]] = v
-            rows.extend(d for d in byrow.values() if d)
-        got = len(nullspace(rows, len(cols))) if rows else len(cols)
+        got = len(nullspace(restricted_rows(raising, cols), len(cols)))
         want = branching_multiplicity(rep.lam, mu)
         if got:
             counts[mu] = got
@@ -377,16 +369,9 @@ def freudenthal_multiplicities(algebra_type, lam):
 
 def _joint_kernel(rep, k):
     # common kernel of every gen(i,j) with -k < i < j < k
-    rows = []
-    for i in range(-(k - 1), k):
-        for j in range(i + 1, k):
-            byrow = {}
-            for (r, c), v in rep.gens[(i, j)].ent.items():
-                byrow.setdefault(r, {})[c] = v
-            rows.extend(d for d in byrow.values() if d)
-    if not rows:
-        return [{c: Fraction(1)} for c in range(rep.dim)]
-    return nullspace(rows, rep.dim)
+    ops = [rep.gens[(i, j)]
+           for i in range(-(k - 1), k) for j in range(i + 1, k)]
+    return nullspace(restricted_rows(ops, range(rep.dim)), rep.dim)
 
 
 def _phi_witness(rep):

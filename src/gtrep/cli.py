@@ -9,11 +9,12 @@ configuration or an unwritable output path, 3 construction failure,
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from .exact import format_rational, parse_rational
 from .patterns import (DimensionCapError, check_weight_gl, check_weight_so,
@@ -136,16 +137,10 @@ def _build_rep(args, lam):
     return rep
 
 
-def _gen_keys(args, n):
-    if args.algebra == "A":
-        return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return [(i, j) for i in range(-n, n + 1) for j in range(-n, n + 1)]
-
-
 def _rep_json(args, lam, rep):
     letter = "E" if args.algebra == "A" else "F"
     ops = {}
-    for i, j in _gen_keys(args, rep.n):
+    for i, j in sorted(rep.gens):
         op = rep.gens[(i, j)]
         ops["%s(%d,%d)" % (letter, i, j)] = {
             "dim": rep.dim,
@@ -163,7 +158,7 @@ def _rep_csv(args, rep):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["generator", "row", "col", "value"])
-    for i, j in _gen_keys(args, rep.n):
+    for i, j in sorted(rep.gens):
         name = "%s(%d,%d)" % (letter, i, j)
         for (r, c), v in rep.gens[(i, j)].entries_sorted():
             w.writerow([name, r, c, format_rational(v)])
@@ -215,23 +210,11 @@ def cmd_verify(args):
 
 
 def _branch_candidates(lam):
-    # non-increasing tuples in the parity class of lam that can interleave
-    n = len(lam)
-    lo, hi = lam[-1], -lam[0]
-    step = Fraction(1)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n - 1:
-            out.append(tuple(prefix))
-            return
-        v = min(prefix[-1], Fraction(0)) if prefix else min(hi, Fraction(0))
-        while v >= lo:
-            rec(prefix + [v])
-            v -= step
-
-    rec([])
-    return out
+    # non-increasing tuples in the class of lam, from the class maximum (0,
+    # or -1/2 for half-integers) down to lam[-1]
+    top = lam[0] - math.ceil(lam[0])
+    values = [top - i for i in range(int(top - lam[-1]) + 1)]
+    return itertools.combinations_with_replacement(values, len(lam) - 1)
 
 
 def cmd_branch(args):

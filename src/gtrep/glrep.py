@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import F1
-from .linalg import Operator, nullspace
+from .linalg import Operator, nullspace, restricted_rows
 from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -192,16 +192,8 @@ def g_highest_vectors(rep, mu):
     mu = tuple(Fraction(x) for x in mu)
     n = rep.n
     cols = [c for c in range(rep.dim) if rep.weights[c][:n - 1] == mu]
-    if not cols:
-        return []
-    colpos = {c: t for t, c in enumerate(cols)}
-    rows = {}
-    for k in range(1, n - 1):
-        op = rep.gen(k, k + 1)
-        for (r, c), v in op.ent.items():
-            if c in colpos:
-                rows.setdefault((k, r), {})[colpos[c]] = v
-    basis = nullspace([rows[key] for key in sorted(rows)], len(cols))
+    ops = [rep.gen(k, k + 1) for k in range(1, n - 1)]
+    basis = nullspace(restricted_rows(ops, cols), len(cols))
     out = []
     for vec in basis:
         out.append({cols[t]: v for t, v in vec.items()})

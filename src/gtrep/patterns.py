@@ -21,6 +21,7 @@ weight of each basis vector and the generator matrices.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .exact import format_rational, parse_rational
@@ -179,19 +180,9 @@ def enumerate_patterns_a(lam, cap=None):
                 raise DimensionCapError("pattern count exceeds cap %d" % cap)
             return
         # choose the row below `upper`: upper[i] >= v[i] >= upper[i + 1]
-        k = len(upper) - 1
-
-        def rec(i, cur):
-            if i == k:
-                row = tuple(cur)
-                descend(rows_acc + [row], row)
-                return
-            for v in range(upper[i + 1], upper[i] + 1):
-                cur.append(v)
-                rec(i + 1, cur)
-                cur.pop()
-
-        rec(0, [])
+        for row in itertools.product(*(range(lo, hi + 1) for hi, lo
+                                       in zip(upper, upper[1:]))):
+            descend(rows_acc + [row], row)
 
     top = _offsets(lam, base)
     descend([top], top)
@@ -350,21 +341,8 @@ def enumerate_patterns_b(lam, cap=None):
     def choose_row(lo_bounds, hi_bounds):
         # all rows (tuples of doubled ints) with lo[i] <= v[i] <= hi[i],
         # stepping by 2; interleaving within the row is implied by bounds
-        m = len(lo_bounds)
-
-        def rec(i, cur, acc):
-            if i == m:
-                acc.append(tuple(cur))
-                return
-            v = lo_bounds[i]
-            while v <= hi_bounds[i]:
-                cur.append(v)
-                rec(i + 1, cur, acc)
-                cur.pop()
-                v += 2
-        acc = []
-        rec(0, [], acc)
-        return acc
+        return list(itertools.product(*(range(lo, hi + 1, 2) for lo, hi
+                                        in zip(lo_bounds, hi_bounds))))
 
     def descend(k, urow_d, sig_acc, urows_acc, prows_acc):
         # urow_d: doubled entries of unprimed row k
@@ -376,19 +354,13 @@ def enumerate_patterns_b(lam, cap=None):
                 raise DimensionCapError("pattern count exceeds cap %d" % cap)
             return
         # primed row k: lo = urow[i], hi = urow[i-1] (class max for i = 1)
-        lo = list(urow_d)
-        hi = [zero_max] + list(urow_d[:-1])
-        for prow in choose_row(lo, hi):
+        for prow in choose_row(urow_d, (zero_max,) + urow_d[:-1]):
             sig_opts = [0]
             if par == 1 or prow[0] <= -2:
                 sig_opts.append(1)
-            # unprimed row k-1: between-level bounds from primed row k
-            if k >= 2:
-                lo2 = list(prow[1:])
-                hi2 = list(prow[:-1])
-                rows_below = choose_row(lo2, hi2)
-            else:
-                rows_below = [()]
+            # unprimed row k-1: between-level bounds from primed row k (the
+            # empty row when k = 1)
+            rows_below = choose_row(prow[1:], prow[:-1])
             for sig in sig_opts:
                 for urow2 in rows_below:
                     descend(k - 1, urow2, sig_acc + [sig],

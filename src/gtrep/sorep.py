@@ -3,7 +3,9 @@
 Every coefficient is a ratio of products of l-value and weight
 differences. Each term is written once as factor lists (A, b), meaning
 A/2 + b*t, with A read from the doubled pattern ints and b the drift
-under the deformation below, and DeformContext.value evaluates it.
+under the deformation below, and DeformContext.value evaluates it. The
+term functions return plain tuples (target, num, den, c), one for each
+raw target that passes the caller's validity test.
 
 The diagonal and lowering generators evaluate directly. The raising
 generators come from a two-step composite whose individual steps can hit
@@ -17,12 +19,10 @@ F(-j,-i) = -F(i,j), so F(i,-i) = 0.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact import (F0, F1, LaurentSum, PoleError, factor_monomial,
                     factor_value, rf_limit_at)
 from .linalg import Operator, rref
-from .patterns import Rep, check_weight_so, enumerate_patterns_b
+from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
 
 
 class ConstructionError(Exception):
@@ -114,108 +114,96 @@ def prime_drop_weight(pat, k, i):
     return num, den
 
 
-def _sig_case_terms(pat, k):
-    """The sigma-flip branch: list of (raw target, thunk) before the shared
-    prefactor and denominators are applied; a thunk returns (num, den, c)."""
+def _sig_case_terms(pat, k, valid):
+    """The sigma-flip branch: (target, num, den, c) for each raw target
+    that passes valid, before the shared prefactor and denominators."""
     sk = pat.sigma[k - 1]
     skm = pat.sigma[k - 2] if k >= 2 else 0
     base = [("sig", k)] + ([("sig", k - 1)] if k >= 2 else [])
-    out = []
+    # primed raises (level, slot) of each branch, and its sign
     if (sk, skm) == (0, 0):
-        sign = 1 if k % 2 == 0 else -1
-        out.append((pat.shifted(base), lambda: ([], [], sign)))
+        raises, sign = [()], (-1) ** k
     elif (sk, skm) == (1, 0):
-        for j in range(1, k + 1):
-            tgt = pat.shifted(base + [("p", k, j, +1)])
-            out.append((tgt, lambda j=j:
-                        (*prime_shift_weight(pat, k, j, MINUS_HALF), 1)))
+        raises, sign = [((k, j),) for j in range(1, k + 1)], 1
     elif (sk, skm) == (0, 1):
-        for m in range(1, k):
-            tgt = pat.shifted(base + [("p", k - 1, m, +1)])
-            out.append((tgt, lambda m=m:
-                        (*prime_shift_weight(pat, k - 1, m, MINUS_HALF), -1)))
+        raises, sign = [((k - 1, m),) for m in range(1, k)], -1
     else:
-        sign = 1 if (k - 1) % 2 == 0 else -1
-
-        def both(j, m):
-            n1, d1 = prime_shift_weight(pat, k, j, MINUS_HALF)
-            n2, d2 = prime_shift_weight(pat, k - 1, m, MINUS_HALF)
-            return n1 + n2, d1 + d2, sign
-        for j in range(1, k + 1):
-            for m in range(1, k):
-                tgt = pat.shifted(base + [("p", k, j, +1), ("p", k - 1, m, +1)])
-                out.append((tgt, lambda j=j, m=m: both(j, m)))
+        raises = [((k, j), (k - 1, m))
+                  for j in range(1, k + 1) for m in range(1, k)]
+        sign = (-1) ** (k - 1)
+    out = []
+    for moves in raises:
+        tgt = pat.shifted(base + [("p", kk, j, +1) for kk, j in moves])
+        if not valid(tgt):
+            continue
+        num, den = [], []
+        for kk, j in moves:
+            n2, d2 = prime_shift_weight(pat, kk, j, MINUS_HALF)
+            num += n2
+            den += d2
+        out.append((tgt, num, den, sign))
     return out
 
 
-def lower_step_terms(pat, k, u=None):
+def lower_step_terms(pat, k, valid, u=None):
     """Expansion of the mixed lowering generator at level k.
 
     With u None this is the plain generator F(k-1,-k); with a parameter u
     each term gains the resolvent denominator evaluated on its target (all
     targets sit one eigenvalue step above the source, so the three
-    denominator shapes match the source-side normal forms). Yields
-    (raw target array, thunk returning (num, den, c)); thunks are only
-    called for targets that survive the caller's validity filter, so
-    branches whose targets all drop never evaluate their (possibly
-    singular) prefactors.
+    denominator shapes match the source-side normal forms). Returns
+    (target, num, den, c) for each raw target that passes valid; the
+    factor lists of the others are never built.
     """
     u2 = None if u is None else 2 * u
     terms = []
-    for tgt, thunk in _sig_case_terms(pat, k):
-        def coeff(tgt=tgt, thunk=thunk):
-            num, den, c = thunk()
-            den += mid_row_prefactor(pat, k, 0)[1]
-            if u2 is not None:
-                # u + w_k - 3/2
-                den.append((u2 + tgt.doubled_weight(k) - 3, 1))
-            return num, den, c
-        terms.append((tgt, coeff))
+    for tgt, num, den, c in _sig_case_terms(pat, k, valid):
+        den += mid_row_prefactor(pat, k, 0)[1]
+        if u2 is not None:
+            # u + w_k - 3/2
+            den.append((u2 + tgt.doubled_weight(k) - 3, 1))
+        terms.append((tgt, num, den, c))
     for i in range(1, k):
         li = _lu(pat, k - 1, i)
         tgt = pat.shifted([("u", k - 1, i, -1)])
-
-        def coeff_minus(i=i, li=li, tgt=tgt):
+        if valid(tgt):
             num, den = mid_row_prefactor(pat, k, i)
             den.append((li - 1, 1))  # l_i - 1/2
             if u2 is not None:
                 # u - l_i + w_k - 1
                 den.append((u2 - li + tgt.doubled_weight(k) - 2, 0))
-            return num, den, -1
-        terms.append((tgt, coeff_minus))
+            terms.append((tgt, num, den, -1))
 
         for j in range(1, k + 1):
             for m in range(1, k):
                 tgt = pat.shifted([("p", k, j, +1), ("u", k - 1, i, +1),
                                    ("p", k - 1, m, +1)])
-
-                def coeff_plus(i=i, li=li, j=j, m=m, tgt=tgt):
-                    num, den = mid_row_prefactor(pat, k, i)
-                    for n2, d2 in (prime_shift_weight(pat, k, j, (li, 1)),
-                                   prime_shift_weight(pat, k - 1, m, (li, 1))):
-                        num += n2
-                        den += d2
-                    den.append((li + 1, 1))  # l_i + 1/2
-                    if u2 is not None:
-                        # u + l_i + w_k - 1
-                        den.append((u2 + li + tgt.doubled_weight(k) - 2, 2))
-                    return num, den, 1
-                terms.append((tgt, coeff_plus))
+                if not valid(tgt):
+                    continue
+                num, den = mid_row_prefactor(pat, k, i)
+                for n2, d2 in (prime_shift_weight(pat, k, j, (li, 1)),
+                               prime_shift_weight(pat, k - 1, m, (li, 1))):
+                    num += n2
+                    den += d2
+                den.append((li + 1, 1))  # l_i + 1/2
+                if u2 is not None:
+                    # u + l_i + w_k - 1
+                    den.append((u2 + li + tgt.doubled_weight(k) - 2, 2))
+                terms.append((tgt, num, den, 1))
     return terms
 
 
-def prime_drop_terms(pat, k):
-    """Expansion of the primed-entry lowering step at level k."""
+def prime_drop_terms(pat, k, valid):
+    """Expansion of the primed-entry lowering step at level k, as
+    (target, num, den, c) for each raw target that passes valid."""
     terms = []
     for i in range(1, k + 1):
         tgt = pat.shifted([("p", k, i, -1)])
-
-        def coeff(i=i, tgt=tgt):
+        if valid(tgt):
             num, den = prime_drop_weight(pat, k, i)
             # w_k - l'_i + 1
             num.append((tgt.doubled_weight(k) - _lp(pat, k, i) + 2, 0))
-            return num, den, 1
-        terms.append((tgt, coeff))
+            terms.append((tgt, num, den, 1))
     return terms
 
 
@@ -228,18 +216,16 @@ def build_f_diag(basis, k):
     return op
 
 
-def _single_step(basis, k, term_fn):
+def _single_step(basis, k, term_fn, *args):
     """Evaluate a one-step generator in plain arithmetic. There is no
     deformed route here: no tested module meets a zero denominator in these
     coefficients, so one is a construction failure naming its location."""
     op = Operator(basis.dim)
     for c, pat in enumerate(basis.patterns):
-        for tgt, thunk in term_fn(pat, k):
-            if not tgt.full_valid():
-                continue
+        for tgt, num, den, coef in term_fn(pat, k, PatternB.full_valid, *args):
             r = basis.index[tgt]
             try:
-                v = PLAIN.value(*thunk())
+                v = PLAIN.value(num, den, coef)
             except ZeroDivisionError:
                 raise ConstructionError(
                     "zero denominator at level %d column %d target %d"
@@ -259,8 +245,7 @@ def build_phi_minus(basis, k):
 
 def build_phi_u(basis, k, u):
     """The parametric lowering step as an explicit matrix."""
-    return _single_step(
-        basis, k, lambda pat, kk: lower_step_terms(pat, kk, u))
+    return _single_step(basis, k, lower_step_terms, u)
 
 
 def raise_column_terms(basis, k, pat, ctx):
@@ -271,67 +256,58 @@ def raise_column_terms(basis, k, pat, ctx):
     acc = {}
     zero = LaurentSum() if ctx.deformed else F0
     value = ctx.value
+    mid_valid, tgt_valid = PatternB.generic_valid, PatternB.full_valid
 
     def add(tgt, v):
         if v:
             acc[tgt] = acc.get(tgt, zero) + v
 
     # first composite term: primed drop, then parametric step at u = 2
-    for mid, thunk1 in prime_drop_terms(pat, k):
-        if not mid.generic_valid():
-            continue
-        c1 = value(*thunk1())
-        if not c1:
-            continue
-        for tgt, thunk2 in lower_step_terms(mid, k, 2):
-            if not tgt.full_valid():
-                continue
-            add(tgt, value(*thunk2()) * c1)
+    for mid, num, den, c in prime_drop_terms(pat, k, mid_valid):
+        c1 = value(num, den, c)
+        if c1:
+            for tgt, n2, d2, c2 in lower_step_terms(mid, k, tgt_valid, 2):
+                add(tgt, value(n2, d2, c2) * c1)
     # second composite term: parametric step at u = 0, then primed drop
-    for mid, thunk1 in lower_step_terms(pat, k, 0):
-        if not mid.generic_valid():
-            continue
-        c1 = value(*thunk1())
-        if not c1:
-            continue
-        for tgt, thunk2 in prime_drop_terms(mid, k):
-            if not tgt.full_valid():
-                continue
-            add(tgt, -(value(*thunk2()) * c1))
+    for mid, num, den, c in lower_step_terms(pat, k, mid_valid, 0):
+        c1 = value(num, den, c)
+        if c1:
+            for tgt, n2, d2, c2 in prime_drop_terms(mid, k, tgt_valid):
+                add(tgt, -(value(n2, d2, c2) * c1))
     return acc
 
 
-def build_f_raise(basis, k, force_deformed=False, trace=None):
-    """The raising generator at level k from the two-step composite.
+def deformed_column(basis, k, c, pat, trace=None):
+    """Column c (source pat) of the raising generator at level k on the
+    deformed route, as {target: value}: each target's Laurent sum over all
+    composite paths, reduced to its t^0 coefficient after cancellation
+    between paths (per-path limits alone would miss pole pairs that cancel
+    in the sum). A pole surviving the sum is a ConstructionError."""
+    col = {}
+    for tgt, v in raise_column_terms(basis, k, pat, DEFORMED).items():
+        if trace is not None:
+            trace.append((k, c, basis.index[tgt], str(v)))
+        try:
+            lim = rf_limit_at(v)
+        except PoleError as e:
+            raise ConstructionError(
+                "raising generator pole at level %d column %d" % (k, c),
+                witness=e.witness)
+        if lim:
+            col[tgt] = lim
+    return col
 
-    Fast path: plain rational arithmetic per source column. Any division
-    by zero sends the whole column through the deformed route, where the
-    per-target sums are Laurent expansions whose t^0 coefficient is taken
-    after cancellation between paths (per-path limits alone would miss
-    pole pairs that cancel in the sum).
-    """
+
+def build_f_raise(basis, k, trace=None):
+    """The raising generator at level k from the two-step composite: plain
+    rational arithmetic per source column, and any division by zero sends
+    the whole column through deformed_column."""
     op = Operator(basis.dim)
     for c, pat in enumerate(basis.patterns):
-        use_deformed = force_deformed
-        if not use_deformed:
-            try:
-                col = raise_column_terms(basis, k, pat, PLAIN)
-            except ZeroDivisionError:
-                use_deformed = True
-        if use_deformed:
-            dcol = raise_column_terms(basis, k, pat, DEFORMED)
-            col = {}
-            for tgt, v in dcol.items():
-                if trace is not None:
-                    trace.append((k, c, basis.index[tgt], str(v)))
-                try:
-                    lim = rf_limit_at(v)
-                except PoleError as e:
-                    raise ConstructionError(
-                        "raising generator pole at level %d column %d" % (k, c),
-                        witness=e.witness)
-                if lim:
-                    col[tgt] = lim
+        try:
+            col = raise_column_terms(basis, k, pat, PLAIN)
+        except ZeroDivisionError:
+            col = deformed_column(basis, k, c, pat, trace)
         for tgt, v in col.items():
             op.add_to(basis.index[tgt], c, v)
     return op
@@ -368,44 +344,24 @@ def _canon_slot(p, q):
     return alt, -1
 
 
-def table_bracket(a, b, c, d):
-    """[F(a,b), F(c,d)] as {canonical slot: coefficient}."""
-    raw = []
-    if b == c:
-        raw.append(((a, d), 1))
-    if d == a:
-        raw.append(((c, b), -1))
-    if b == -d:
-        raw.append(((c, -a), 1))
-    if a == -c:
-        raw.append(((-d, b), 1))
-    out = {}
-    for slot, coef in raw:
-        cs, sgn = _canon_slot(*slot)
-        if cs is None:
-            continue
-        out[cs] = out.get(cs, 0) + sgn * coef
-    return {s: Fraction(v) for s, v in out.items() if v}
-
-
 def structure_table(n, _cache={}):
-    """The full bracket table for slots -n..n, revalidated against the
-    elementary-matrix commutators rather than trusted as written."""
+    """The full bracket table for slots -n..n: [F(a,b), F(c,d)] as
+    {canonical slot: coefficient}, read off the defining module. There the
+    operators of distinct canonical slots have disjoint supports and F(p,q)
+    has entry 1 at position (p,q), so each slot's coefficient is the
+    commutator's entry at that slot's own position."""
     if n in _cache:
         return _cache[n]
     defs = defining_operators(n)
     table = {}
-    slots = [(i, j) for i in range(-n, n + 1) for j in range(-n, n + 1)]
-    for ab in slots:
-        for cd in slots:
-            terms = table_bracket(*ab, *cd)
+    for ab, x in defs.items():
+        for cd, y in defs.items():
+            terms = {}
+            for (r, c), v in x.commutator(y).ent.items():
+                slot = (r - n, c - n)
+                if _canon_slot(*slot)[0] == slot:
+                    terms[slot] = v
             table[(ab, cd)] = terms
-            chk = defs[ab].commutator(defs[cd])
-            for slot, coef in terms.items():
-                chk = chk - defs[slot].scale(coef)
-            if chk:
-                raise ConstructionError("structure table mismatch at %s,%s"
-                                        % (ab, cd))
     _cache[n] = table
     return table
 

@@ -1,6 +1,8 @@
 """Shared corpus and cached builds for the test suite."""
 
-from gtrep import build_gl, build_so, check_weight_gl, check_weight_so
+from gtrep import (Operator, build_gl, build_so, check_weight_gl,
+                   check_weight_so)
+from gtrep.sorep import deformed_column
 
 # small integral and half-integral weights at desk scale, covering ranks
 # 1-4 (unitary side) and 1-3 (orthogonal side), both parity classes
@@ -42,3 +44,13 @@ def fresh_so_rep(w):
 
 def fresh_gl_rep(lam):
     return build_gl(check_weight_gl(lam))
+
+
+def deformed_raise(basis, k):
+    # the raising generator at level k with every column on the deformed
+    # route: the reference the plain route must agree with
+    op = Operator(basis.dim)
+    for c, pat in enumerate(basis.patterns):
+        for tgt, v in deformed_column(basis, k, c, pat).items():
+            op.add_to(basis.index[tgt], c, v)
+    return op

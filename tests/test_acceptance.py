@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, B_CORPUS, gl_rep, so_rep
+from conftest import A_CORPUS, B_CORPUS, deformed_raise, gl_rep, so_rep
 from gtrep import (
     Operator,
     Rep,
@@ -221,7 +221,7 @@ class TestDeterminism:
         basis = Rep(lam, enumerate_patterns_b(lam))
         for k in range(1, basis.n + 1):
             plain = build_f_raise(basis, k)
-            deformed = build_f_raise(basis, k, force_deformed=True)
+            deformed = deformed_raise(basis, k)
             assert plain == deformed, (w, k)
 
 

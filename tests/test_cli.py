@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import B_CORPUS
 import gtrep.cli as cli
 from gtrep import build_so
 from gtrep.cli import main
@@ -243,6 +244,20 @@ class TestBranch:
         assert "mu=(-1): 1" in lines
         assert lines[-1] == "2*1+1*3=5 ok"
 
+    def test_half_integer_table(self, capsys):
+        code, out, _ = run(capsys, "branch", "--type", "B", "--rank", "2",
+                           "--weight", "-1/2,-3/2")
+        assert code == 0
+        assert out.splitlines() == ["mu=(-1/2): 4", "mu=(-3/2): 2",
+                                    "4*2+2*4=16 ok"]
+
+    @pytest.mark.parametrize("w", [w for w in B_CORPUS if len(w) >= 2])
+    def test_corpus_tables_close(self, w, capsys):
+        code, out, _ = run(capsys, "branch", "--type", "B", "--rank",
+                           str(len(w)), "--weight", ",".join(w))
+        assert code == 0
+        assert out.splitlines()[-1].endswith(" ok")
+
     def test_gl_betweenness(self, capsys):
         code, out, _ = run(capsys, "branch", "--type", "A", "--rank", "2",
                            "--weight", "1,0")
@@ -269,14 +284,33 @@ class TestPatterns:
         assert obj["basis"][0]["sigma"] == [0]
 
 
+# --deform-trace stderr of B (-1/2,-3/2): fourteen raising entries take the
+# deformed route
+SPINOR_TRACE = (
+    "deform: level=1 source=1 target=2 value=-2 + O(t)\n"
+    "deform: level=1 source=5 target=4 value=1/2 + O(t)\n"
+    "deform: level=1 source=7 target=6 value=1/2 + O(t)\n"
+    "deform: level=1 source=9 target=10 value=-2 + O(t)\n"
+    "deform: level=1 source=13 target=12 value=1/2 + O(t)\n"
+    "deform: level=1 source=15 target=14 value=1/2 + O(t)\n"
+    "deform: level=2 source=6 target=13 value=-16/3 + O(t)\n"
+    "deform: level=2 source=6 target=1 value=-10/3 + O(t)\n"
+    "deform: level=2 source=7 target=3 value=-10/3 + O(t)\n"
+    "deform: level=2 source=8 target=2 value=5/6 + O(t)\n"
+    "deform: level=2 source=8 target=12 value=5/3 + O(t)\n"
+    "deform: level=2 source=9 target=3 value=5/6 + O(t)\n"
+    "deform: level=2 source=10 target=1 value=-5/6 + O(t)\n"
+    "deform: level=2 source=10 target=13 value=5/3 + O(t)\n"
+)
+
+
 class TestTrace:
     def test_deformation_trace_goes_to_stderr(self, capsys):
-        code, out, err = run(capsys, "build", "--type", "B", "--rank", "1",
-                             "--weight", "-1", "--deform-trace")
+        code, out, err = run(capsys, "build", "--type", "B", "--rank", "2",
+                             "--weight", "-1/2,-3/2", "--deform-trace")
         assert code == 0
-        assert json.loads(out)["dimension"] == 3
-        for line in err.splitlines():
-            assert line.startswith("deform: level=")
+        assert json.loads(out)["dimension"] == 16
+        assert err == SPINOR_TRACE
 
 
 def test_console_script_roundtrip():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B_CORPUS, so_rep
+from conftest import B_CORPUS, deformed_raise, so_rep
 from gtrep import (
     Operator,
     PatternB,
@@ -19,6 +19,7 @@ from gtrep.sorep import (
     DEFORMED,
     PLAIN,
     ConstructionError,
+    _canon_slot,
     build_f_diag,
     build_f_lower,
     build_f_raise,
@@ -29,8 +30,28 @@ from gtrep.sorep import (
     mid_row_prefactor,
     prime_drop_weight,
     prime_shift_weight,
-    table_bracket,
 )
+
+
+def hand_bracket(a, b, c, d):
+    # [F(a,b), F(c,d)] as {canonical slot: coefficient}, by the rule
+    # F(a,b) = E(a,b) - E(-b,-a) applied to products of matrix units
+    raw = []
+    if b == c:
+        raw.append(((a, d), 1))
+    if d == a:
+        raw.append(((c, b), -1))
+    if b == -d:
+        raw.append(((c, -a), 1))
+    if a == -c:
+        raw.append(((-d, b), 1))
+    out = {}
+    for slot, coef in raw:
+        cs, sgn = _canon_slot(*slot)
+        if cs is None:
+            continue
+        out[cs] = out.get(cs, 0) + sgn * coef
+    return {s: Fraction(v) for s, v in out.items() if v}
 
 def basis_of(w):
     lam = check_weight_so(w)
@@ -98,9 +119,9 @@ class TestVectorModule:
         # the deformed route, so this is a hard failure with a location
         b = basis_of(("-1",))
 
-        def ratio(pat, k):
+        def ratio(pat, k, valid):
             t = (0, 1)  # the factor t, zero at t = 0
-            return [(pat, lambda: ([t], [t], 1))]
+            return [(pat, [t], [t], 1)]
         with pytest.raises(ConstructionError,
                            match="level 1 column 0 target 0"):
             _single_step(b, 1, ratio)
@@ -136,20 +157,31 @@ class TestBrackets:
         r = so_rep(("-1",))
         got = r.gens[(0, 1)].commutator(r.gens[(0, -1)])
         want = Operator(r.dim)
-        for slot, coef in table_bracket(0, 1, 0, -1).items():
+        for slot, coef in structure_table(1)[((0, 1), (0, -1))].items():
             want = want + r.gens[slot].scale(coef)
         assert got == want
 
     def test_table_antisymmetry(self):
+        tab = structure_table(2)
         for a in range(-2, 3):
             for b in range(-2, 3):
-                lhs = table_bracket(a, b, b, a)
-                rhs = table_bracket(b, a, a, b)
+                lhs = tab[((a, b), (b, a))]
+                rhs = tab[((b, a), (a, b))]
                 assert lhs == {s: -v for s, v in rhs.items()}
 
     def test_table_validates_against_elementary_matrices(self):
-        # construction raises on any mismatch, so arrival is the assertion
-        structure_table(3)
+        # the table read off the defining module is the hand rule, and it
+        # rebuilds every commutator of the defining matrices
+        for n in (1, 2, 3):
+            defs = defining_operators(n)
+            tab = structure_table(n)
+            assert set(tab) == {(ab, cd) for ab in defs for cd in defs}
+            for (ab, cd), terms in tab.items():
+                assert terms == hand_bracket(*ab, *cd), (n, ab, cd)
+                want = Operator(2 * n + 1)
+                for slot, coef in terms.items():
+                    want = want + defs[slot].scale(coef)
+                assert defs[ab].commutator(defs[cd]) == want, (n, ab, cd)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closure_runs_one_commutator_per_missing_slot(self, n,
@@ -193,7 +225,7 @@ class TestDeformationAgreement:
         b = basis_of(w)
         for k in range(1, b.n + 1):
             fast = build_f_raise(b, k)
-            slow = build_f_raise(b, k, force_deformed=True)
+            slow = deformed_raise(b, k)
             assert fast == slow, (w, k)
 
 
