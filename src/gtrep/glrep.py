@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import F1
-from .linalg import Operator, nullspace, restricted_rows
+from .exact import F0, F1
+from .linalg import (Operator, nullspace, product_sum, restricted_rows,
+                     rref)
 from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -156,7 +157,14 @@ def z_lower(rep, i):
 
 def capelli_det(rep, u):
     """Column determinant sum_sigma sgn(sigma) prod_j (u + E - j + 1)_{sigma(j), j},
-    factors multiplied left to right (rightmost acts first)."""
+    factors multiplied left to right (rightmost acts first).
+
+    Expanded over row subsets: for a set S of m rows, D_S is the signed
+    sum of the products of the first m factor columns whose rows are S, and
+    D_S = sum_{r in S} (-1)^{#{s in S : s > r}} D_{S - r} (factor r, m).
+    That is n 2^(n-1) products instead of n!(n-1); a zero D_S is skipped.
+    The identity holds for any matrices, so the result does not rely on
+    the generators satisfying any relation."""
     n = rep.n
     u = Fraction(u)
     dim = rep.dim
@@ -170,21 +178,16 @@ def capelli_det(rep, u):
                     for c in range(dim):
                         m.add_to(c, c, shift)
             fac[(r, j)] = m
-    total = Operator(dim)
-    for perm in itertools.permutations(range(1, n + 1)):
-        sgn = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sgn = -sgn
-        prod = fac[(perm[0], 1)]
-        for j in range(2, n + 1):
-            prod = prod @ fac[(perm[j - 1], j)]
-            if not prod:
-                break
-        if prod:
-            total = total + (prod if sgn > 0 else -prod)
-    return total
+    dets = {(r,): fac[(r, 1)] for r in range(1, n + 1)}
+    for m in range(2, n + 1):
+        wider = {}
+        for rows in itertools.combinations(range(1, n + 1), m):
+            # rows[t] has m - 1 - t larger rows beside it in the set
+            terms = [((-1) ** (m - 1 - t), dets[rows[:t] + rows[t + 1:]],
+                      fac[(r, m)]) for t, r in enumerate(rows)]
+            wider[rows] = product_sum(dim, terms)
+        dets = wider
+    return dets[tuple(range(1, n + 1))]
 
 
 def g_highest_vectors(rep, mu):
@@ -202,59 +205,76 @@ def g_highest_vectors(rep, mu):
 
 def contravariant_gram(rep):
     """The symmetric form with <highest, highest> = 1 making E(i,j) and
-    E(j,i) mutually adjoint. Diagonal-generator adjointness already forces
-    the form to vanish across distinct weights, so unknowns live on
-    same-weight pairs only; the rest is a small exact solve."""
-    dim = rep.dim
-    pairs = []
-    pairpos = {}
-    for a in range(dim):
-        for b in range(a, dim):
-            if rep.weights[a] == rep.weights[b]:
-                pairpos[(a, b)] = len(pairs)
-                pairs.append((a, b))
+    E(j,i) mutually adjoint.
 
-    def var(a, b):
-        return pairpos.get((a, b) if a <= b else (b, a))
-
-    eqs = {}
-    for k in range(1, rep.n):
-        up = rep.gen(k, k + 1)
-        dn = rep.gen(k + 1, k)
-        # <up eta, zeta> = <eta, dn zeta> for all basis eta=a, zeta=b
-        for (r, a), v in up.ent.items():
-            for b in range(dim):
-                p = var(r, b)
-                if p is not None:
-                    row = eqs.setdefault((k, a, b), {})
-                    row[p] = row.get(p, Fraction(0)) + v
-        for (r, b), v in dn.ent.items():
-            for a in range(dim):
-                p = var(a, r)
-                if p is not None:
-                    row = eqs.setdefault((k, a, b), {})
-                    row[p] = row.get(p, Fraction(0)) - v
-    rows = []
-    for key in sorted(eqs):
-        row = {p: v for p, v in eqs[key].items() if v}
-        if row:
-            rows.append(row)
-    sols = nullspace(rows, len(pairs))
-    if len(sols) != 1:
-        raise InconsistencyError("form solution space has dimension %d"
-                                 % len(sols))
-    sol = sols[0]
+    Diagonal-generator adjointness forces the form to vanish across
+    distinct weights, so the unknowns are pairs within one weight block.
+    The equation <E(k,k+1) a, b> = <a, E(k+1,k) b>, with a of weight mu,
+    involves only the blocks mu and mu + alpha_k. So the blocks are solved
+    one at a time in decreasing lexicographic order of weight, which
+    refines dominance: each is a small exact solve with the higher blocks
+    as constants. Every block must be consistent and of full column rank;
+    lowering spans each weight space of an irreducible module, so a
+    correct module always passes, and the solution is then unique."""
+    n, dim = rep.n, rep.dim
+    blocks = {}
+    for c, w in enumerate(rep.weights):
+        blocks.setdefault(w, []).append(c)
+    simple = []
+    for k in range(1, n):
+        # each generator as {source column: [(target row, value)]}
+        up, dn = {}, {}
+        for (r, c), v in rep.gen(k, k + 1).ent.items():
+            up.setdefault(c, []).append((r, v))
+        for (r, c), v in rep.gen(k + 1, k).ent.items():
+            dn.setdefault(c, []).append((r, v))
+        simple.append((k, up, dn))
     h = rep.highest_index()
-    norm = sol.get(pairpos[(h, h)], Fraction(0))
-    if not norm:
-        raise InconsistencyError("form degenerates on the highest vector")
-    gram = Operator(dim)
-    for (a, b), p in pairpos.items():
-        v = sol.get(p, Fraction(0)) / norm
-        if v:
-            gram.ent[(a, b)] = v
-            if a != b:
-                gram.ent[(b, a)] = v
+    form = {h: {h: F1}}  # solved blocks, row -> {column: value}
+    # the top block is the highest vector alone
+    for mu in sorted(blocks, reverse=True)[1:]:
+        pos = {}
+        for t, a in enumerate(blocks[mu]):
+            for b in blocks[mu][t:]:
+                pos[(a, b)] = len(pos)
+        const = len(pos)  # the column of the known terms
+        rows = []
+        for k, up, dn in simple:
+            above = blocks.get(mu[:k - 1] + (mu[k - 1] + 1, mu[k] - 1)
+                               + mu[k + 1:])
+            if above is None:
+                continue
+            for a in blocks[mu]:
+                # <E(k,k+1) a, .> from the solved block above
+                image = {}
+                for r, v in up.get(a, ()):
+                    for b, g in form.get(r, {}).items():
+                        image[b] = image.get(b, F0) + v * g
+                for b in above:
+                    row = {}
+                    for r, v in dn.get(b, ()):
+                        p = pos.get((a, r) if a <= r else (r, a))
+                        if p is not None:
+                            row[p] = row.get(p, F0) - v
+                    row[const] = image.get(b, F0)
+                    row = {p: v for p, v in row.items() if v}
+                    if row:
+                        rows.append(row)
+        piv = rref(rows)
+        where = "(%s)" % ",".join(str(x) for x in mu)
+        if const in piv:
+            raise InconsistencyError("form equations are inconsistent at "
+                                     "weight %s" % where)
+        if len(piv) != const:
+            raise InconsistencyError("form is not determined at weight %s: "
+                                     "rank %d of %d" % (where, len(piv), const))
+        for (a, b), p in pos.items():
+            v = -piv[p].get(const, F0)
+            if v:
+                form.setdefault(a, {})[b] = v
+                form.setdefault(b, {})[a] = v
+    gram = Operator(dim, {(a, b): v for a, row in form.items()
+                          for b, v in row.items()})
     # adjointness for every generator pair is a hard postcondition
     for i in range(1, rep.n + 1):
         for j in range(1, rep.n + 1):

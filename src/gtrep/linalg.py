@@ -5,8 +5,10 @@ verification layer needs. Stored entries are Fraction in every build
 Products run on integers: each operand is scaled by the common
 denominator of its entries, the products of numerators are summed as
 Python ints, and each nonzero output entry becomes one reduced
-Fraction(num, den_left * den_right). A commutator sums both products into
-the same int accumulator. Entries that cancel to zero are not stored."""
+Fraction(num, den_left * den_right). A sum of products (a commutator, or
+a column determinant's row-subset expansion) runs on one int accumulator
+over the lcm of its terms' denominators. Entries that cancel to zero are
+not stored."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -81,19 +83,10 @@ class Operator:
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        da, a = self._numerators()
-        db, b = other._numerators()
-        acc = {}
-        _accumulate(acc, a, b, 1)
-        return _from_numerators(self.dim, acc, da * db)
+        return product_sum(self.dim, [(1, self, other)])
 
     def commutator(self, other):
-        da, a = self._numerators()
-        db, b = other._numerators()
-        acc = {}
-        _accumulate(acc, a, b, 1)
-        _accumulate(acc, b, a, -1)
-        return _from_numerators(self.dim, acc, da * db)
+        return product_sum(self.dim, [(1, self, other), (-1, other, self)])
 
     def transpose(self):
         return Operator(self.dim, {(c, r): v for (r, c), v in self.ent.items()})
@@ -120,20 +113,36 @@ class Operator:
         return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
 
 
-def _accumulate(acc, a, b, sign):
-    # acc += sign * (a @ b) on int numerator dicts, grouping a by column
+def product_sum(dim, terms):
+    """sum of s * (a @ b) over the (int s, Operator a, Operator b) in terms,
+    summed on one int accumulator over the lcm of the terms' denominators.
+    Terms with a zero operand are skipped."""
+    nums = {}  # by id: an operand used twice is scaled once
+    parts = []
+    for s, a, b in terms:
+        if a and b:
+            for op in (a, b):
+                if id(op) not in nums:
+                    nums[id(op)] = op._numerators()
+            (da, na), (db, nb) = nums[id(a)], nums[id(b)]
+            parts.append((s, da * db, na, nb))
+    den = lcm(*(d for _, d, _, _ in parts))
+    acc = {}
+    for s, d, na, nb in parts:
+        _accumulate(acc, na, nb, s * (den // d))
+    return Operator(dim, {k: Fraction(v, den) for k, v in acc.items() if v})
+
+
+def _accumulate(acc, a, b, mult):
+    # acc += mult * (a @ b) on int numerator dicts, grouping a by column
     bycol = {}
     for (r, k), v in a.items():
-        bycol.setdefault(k, []).append((r, v if sign > 0 else -v))
+        bycol.setdefault(k, []).append((r, v * mult))
     get = acc.get
     for (k, c), bv in b.items():
         for r, av in bycol.get(k, ()):
             key = (r, c)
             acc[key] = get(key, 0) + av * bv
-
-
-def _from_numerators(dim, acc, den):
-    return Operator(dim, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 
 def rref(rows):

@@ -375,8 +375,9 @@ def close_generators(n, seeds, dim):
       [F(i,0), F(0,j)], where F(i,0) = -F(0,-i).
 
     Each bracket's coefficient is read from structure_table(n), which must
-    give the bracket as a multiple of the target slot alone. One commutator
-    per missing canonical slot, 2n(n-1) in all."""
+    give the bracket as +-1 times the target slot alone, so no commutator
+    is rescaled. One commutator per missing canonical slot, 2n(n-1) in
+    all."""
     table = structure_table(n)
     known = {}
 
@@ -389,10 +390,11 @@ def close_generators(n, seeds, dim):
     def bracket(ab, cd, target):
         cs, _ = _canon_slot(*target)
         terms = table[(ab, cd)]
-        if set(terms) != {cs}:
-            raise ConstructionError("bracket [F%s, F%s] is not a multiple "
-                                    "of F%s alone" % (ab, cd, target))
-        store(cs, known[ab].commutator(known[cd]).scale(1 / terms[cs]))
+        if set(terms) != {cs} or abs(terms[cs]) != 1:
+            raise ConstructionError("bracket [F%s, F%s] is not +-F%s"
+                                    % (ab, cd, target))
+        op = known[ab].commutator(known[cd])
+        store(cs, op if terms[cs] == 1 else -op)
 
     for i in range(-n, n + 1):
         known[(i, -i)] = Operator(dim)

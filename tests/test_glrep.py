@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, gl_rep
+from conftest import A_CORPUS, fresh_gl_rep, gl_rep, global_gram, perm_capelli
 from gtrep import (
+    InconsistencyError,
     Operator,
     PatternA,
     build_gl,
@@ -84,6 +85,66 @@ class TestCentralElement:
         for l in ls:
             want *= u + l
         assert capelli_det(r, Fraction(u)) == Operator.identity(r.dim).scale(want)
+
+
+class TestOraclesAgainstReferences:
+    @pytest.mark.parametrize("u", [0, 1, -1, 7])
+    @pytest.mark.parametrize("lam", A_CORPUS)
+    def test_capelli_is_the_permutation_sum(self, lam, u):
+        r = gl_rep(lam)
+        assert capelli_det(r, u) == perm_capelli(r, u)
+
+    @pytest.mark.parametrize("u", [0, 1, -1, 7])
+    def test_capelli_is_the_permutation_sum_off_a_module(self, u):
+        # the row-subset expansion is an identity for any matrices, so it
+        # agrees with the reference even where the result is not central
+        r = fresh_gl_rep((3, 1, 0, 0))
+        op = r.gen(3, 1)
+        key = min(op.ent)
+        op.ent[key] *= 3
+        got = capelli_det(r, u)
+        assert got == perm_capelli(r, u)
+        want = Fraction(1)
+        for i, x in enumerate(r.lam):
+            want *= u + x - i
+        assert got != Operator.identity(r.dim).scale(want)
+
+    @pytest.mark.parametrize("lam", A_CORPUS)
+    def test_form_is_the_global_solve(self, lam):
+        r = gl_rep(lam)
+        assert contravariant_gram(r) == global_gram(r)
+
+
+def simple_mutants():
+    # one entry of each simple generator doubled, one generator at a time
+    for lam in [(2, 1, 0), (3, 1, 0, 0)]:
+        for k in range(1, len(lam)):
+            for slot in ((k, k + 1), (k + 1, k)):
+                yield lam, slot
+
+
+@pytest.mark.parametrize("lam, slot", list(simple_mutants()))
+class TestOraclesCatchACorruptedEntry:
+    def mutant(self, lam, slot):
+        r = fresh_gl_rep(lam)
+        op = r.gen(*slot)
+        key = min(op.ent)
+        op.ent[key] *= 2
+        return r
+
+    def test_form_raises(self, lam, slot):
+        with pytest.raises(InconsistencyError):
+            contravariant_gram(self.mutant(lam, slot))
+
+    def test_report_flags_both_oracles(self, lam, slot):
+        report = run_verification(self.mutant(lam, slot), "A", level="full")
+        checks = {c["name"]: c for c in report.checks}
+        det = checks["determinant central element acts by the expected "
+                     "scalar"]
+        assert not det["pass"] and det["witness"].startswith("('u', ")
+        assert not checks["contravariant form is diagonal and "
+                          "nondegenerate"]["pass"]
+        assert report.summary() == "fail"
 
 
 class TestSeriesOperators:
@@ -170,6 +231,10 @@ class TestNonIntegralWeights:
         for (i, j), op in base.gens.items():
             want = op + shift if i == j else op
             assert r.gen(i, j) == want, (i, j)
+
+    def test_form_is_the_global_solve(self, lam, c):
+        r = shifted_rep(lam, c)
+        assert contravariant_gram(r) == global_gram(r)
 
     def test_full_verification_passes(self, lam, c):
         report = run_verification(shifted_rep(lam, c), "A", level="full")

@@ -14,6 +14,7 @@ from gtrep import (
     enumerate_patterns_b,
     structure_table,
 )
+from gtrep import sorep
 from gtrep.exact import LaurentSum
 from gtrep.sorep import (
     DEFORMED,
@@ -182,6 +183,22 @@ class TestBrackets:
                 for slot, coef in terms.items():
                     want = want + defs[slot].scale(coef)
                 assert defs[ab].commutator(defs[cd]) == want, (n, ab, cd)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_table_coefficient_is_plus_or_minus_one(self, n):
+        # close_generators stores each commutator, or its negation, unscaled
+        for terms in structure_table(n).values():
+            assert set(terms.values()) <= {1, -1}
+
+    def test_closure_rejects_a_coefficient_other_than_one(self, monkeypatch):
+        tab = dict(structure_table(2))
+        tab[((0, 1), (1, 2))] = {(0, 2): Fraction(2)}
+        monkeypatch.setattr(sorep, "structure_table", lambda n: tab)
+        defs = defining_operators(2)
+        seeds = {s: defs[s] for k in (1, 2)
+                 for s in ((k, k), (k - 1, -k), (k - 1, k))}
+        with pytest.raises(ConstructionError, match=r"is not \+-F\(0, 2\)"):
+            close_generators(2, seeds, 5)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closure_runs_one_commutator_per_missing_slot(self, n,
