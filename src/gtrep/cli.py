@@ -7,12 +7,11 @@ configuration or an unwritable output path, 3 construction failure,
 """
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -96,23 +95,38 @@ def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
         return
+    try:
+        # symlinks are followed, so the link stays and its target changes
+        path = os.path.realpath(out)
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if regular:
+            _replace(path, text)
+        else:
+            # a device or FIFO is written in place, never replaced
+            with open(path, "w") as f:
+                f.write(text)
+    except OSError as e:
+        raise CliError(2, "cannot write %s: %s" % (out, e.strerror or e))
+
+
+def _replace(path, text):
     # a unique temp file in the target directory, renamed over the target;
     # mkstemp makes it private, so give it the mode open() would have
     umask = os.umask(0)
     os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                               prefix=".gtrep-", suffix=".tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
-                                   prefix=".gtrep-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, out)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as e:
-        raise CliError(2, "cannot write %s: %s" % (out, e.strerror or e))
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _json_only(args):
@@ -137,32 +151,95 @@ def _build_rep(args, lam):
     return rep
 
 
+# Build and patterns documents in the layout of json.dumps(indent=2),
+# written from format strings. Their only strings are names and rational
+# literals, which need no escaping.
+
+
+def _object(fields, depth):
+    # (key, encoded value) pairs as a JSON object at nesting depth
+    if not fields:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    return ("{" + pad + ("," + pad).join('"%s": %s' % kv for kv in fields)
+            + "\n" + "  " * depth + "}")
+
+
+def _array(items, depth):
+    # encoded values as a JSON array at nesting depth
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _value(x, depth):
+    # a dict, list, str or int of a pattern or header field
+    if isinstance(x, str):
+        return '"%s"' % x
+    if isinstance(x, int):
+        return "%d" % x
+    if isinstance(x, dict):
+        return _object([(k, _value(v, depth + 1)) for k, v in x.items()],
+                       depth)
+    return _array([_value(v, depth + 1) for v in x], depth)
+
+
+def _document(args, lam, patterns, operators=None):
+    # the header and basis every pattern document has, then the encoded
+    # operators block if given
+    fields = [("algebra", _value({"type": args.algebra, "rank": args.rank},
+                                 1)),
+              ("highest_weight", _value(_weight_strs(lam), 1)),
+              ("dimension", "%d" % len(patterns)),
+              ("basis", _value([p.to_json() for p in patterns], 1))]
+    if operators is not None:
+        fields.append(("operators", operators))
+    return _object(fields, 0) + "\n"
+
+
+def _entries(op, int_row, frac_row):
+    # each entry of op in sorted order, through the template for an integer
+    # value ("%d") or a fraction ("%d/%d"), as Fraction.__str__ prints it
+    ent = op.ent
+    out = []
+    for key in sorted(ent):
+        v = ent[key]
+        if v.denominator == 1:
+            out.append(int_row % (key[0], key[1], v.numerator))
+        else:
+            out.append(frac_row % (key[0], key[1], v.numerator,
+                                   v.denominator))
+    return out
+
+
+# one [row, col, "value"] array of an operator's entries, at depth 4
+_IN, _OUT = "\n" + "  " * 5, "\n" + "  " * 4
+_JSON_INT = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d"' + _OUT + "]"
+_JSON_FRAC = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d/%d"' + _OUT + "]"
+
+
 def _rep_json(args, lam, rep):
     letter = "E" if args.algebra == "A" else "F"
-    ops = {}
+    dim = "%d" % rep.dim
+    ops = []
     for i, j in sorted(rep.gens):
-        op = rep.gens[(i, j)]
-        ops["%s(%d,%d)" % (letter, i, j)] = {
-            "dim": rep.dim,
-            "entries": [[r, c, format_rational(v)]
-                        for (r, c), v in op.entries_sorted()]}
-    return {"algebra": {"type": args.algebra, "rank": args.rank},
-            "highest_weight": _weight_strs(lam),
-            "dimension": rep.dim,
-            "basis": [p.to_json() for p in rep.patterns],
-            "operators": ops}
+        entries = _entries(rep.gens[(i, j)], _JSON_INT, _JSON_FRAC)
+        ops.append(("%s(%d,%d)" % (letter, i, j),
+                    _object([("dim", dim), ("entries", _array(entries, 3))],
+                            2)))
+    return _document(args, lam, rep.patterns, _object(ops, 1))
 
 
 def _rep_csv(args, rep):
     letter = "E" if args.algebra == "A" else "F"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["generator", "row", "col", "value"])
+    rows = ["generator,row,col,value\n"]
     for i, j in sorted(rep.gens):
-        name = "%s(%d,%d)" % (letter, i, j)
-        for (r, c), v in rep.gens[(i, j)].entries_sorted():
-            w.writerow([name, r, c, format_rational(v)])
-    return buf.getvalue()
+        # the name holds a comma, so it is quoted
+        name = '"%s(%d,%d)",' % (letter, i, j)
+        rows += _entries(rep.gens[(i, j)], name + "%d,%d,%d\n",
+                         name + "%d,%d,%d/%d\n")
+    return "".join(rows)
 
 
 def cmd_dim(args):
@@ -180,11 +257,7 @@ def cmd_patterns(args):
         pats = enumerate_patterns_a(lam, args.cap)
     else:
         pats = enumerate_patterns_b(lam, args.cap)
-    doc = {"algebra": {"type": args.algebra, "rank": args.rank},
-           "highest_weight": _weight_strs(lam),
-           "dimension": len(pats),
-           "basis": [p.to_json() for p in pats]}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_document(args, lam, pats), args.out)
     return 0
 
 
@@ -195,7 +268,7 @@ def cmd_build(args):
     if args.format == "csv":
         _emit(_rep_csv(args, rep), args.out)
     else:
-        _emit(json.dumps(_rep_json(args, lam, rep), indent=2) + "\n", args.out)
+        _emit(_rep_json(args, lam, rep), args.out)
     return 0
 
 

@@ -194,8 +194,9 @@ def enumerate_patterns_a(lam, cap=None):
 
 
 def _values(rows):
-    # doubled ints back to rational literals
-    return [[format_rational(Fraction(d, 2)) for d in r] for r in rows]
+    # doubled ints back to rational literals, as format_rational prints them
+    return [["%d" % (d // 2) if d % 2 == 0 else "%d/2" % d for d in r]
+            for r in rows]
 
 
 class PatternB:

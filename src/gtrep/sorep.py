@@ -5,7 +5,9 @@ differences. Each term is written once as factor lists (A, b), meaning
 A/2 + b*t, with A read from the doubled pattern ints and b the drift
 under the deformation below, and DeformContext.value evaluates it. The
 term functions return plain tuples (target, num, den, c), one for each
-raw target that passes the caller's validity test.
+raw target that passes the caller's validity test. A raw target whose
+moved entries pass one of their interleaving neighbours fails either
+test, so it is never built.
 
 The diagonal and lowering generators evaluate directly. The raising
 generators come from a two-step composite whose individual steps can hit
@@ -18,6 +20,8 @@ Index convention: generator slots are pairs (i, j) with -n <= i, j <= n;
 F(-j,-i) = -F(i,j), so F(i,-i) = 0.
 """
 from __future__ import annotations
+
+from math import lcm
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_monomial,
                     factor_value, rf_limit_at)
@@ -114,6 +118,16 @@ def prime_drop_weight(pat, k, i):
     return num, den
 
 
+def _primed_rises(pat, k, j):
+    """Whether primed entry (k, j) can rise by one and stay at or below its
+    upper neighbours, entry j-1 of the unprimed rows k and k-1 (slot 1 has
+    none). Only a precondition of interleaving."""
+    if j == 1:
+        return True
+    p = pat.primed[k - 1][j - 1] + 2
+    return p <= pat.rows[k - 1][j - 2] and p <= pat.rows[k - 2][j - 2]
+
+
 def _sig_case_terms(pat, k, valid):
     """The sigma-flip branch: (target, num, den, c) for each raw target
     that passes valid, before the shared prefactor and denominators."""
@@ -133,6 +147,8 @@ def _sig_case_terms(pat, k, valid):
         sign = (-1) ** (k - 1)
     out = []
     for moves in raises:
+        if not all(_primed_rises(pat, kk, j) for kk, j in moves):
+            continue
         tgt = pat.shifted(base + [("p", kk, j, +1) for kk, j in moves])
         if not valid(tgt):
             continue
@@ -163,19 +179,45 @@ def lower_step_terms(pat, k, valid, u=None):
             # u + w_k - 3/2
             den.append((u2 + tgt.doubled_weight(k) - 3, 1))
         terms.append((tgt, num, den, c))
+    if k == 1:
+        return terms  # the sigma branch is the whole level 1 step
+    # doubled entries: primed rows k and k-1, unprimed rows k, k-1, k-2
+    pk, pm = pat.primed[k - 1], pat.primed[k - 2]
+    rk, rm = pat.rows[k - 1], pat.rows[k - 2]
+    rl = pat.rows[k - 3] if k >= 3 else ()
     for i in range(1, k):
         li = _lu(pat, k - 1, i)
-        tgt = pat.shifted([("u", k - 1, i, -1)])
-        if valid(tgt):
-            num, den = mid_row_prefactor(pat, k, i)
-            den.append((li - 1, 1))  # l_i - 1/2
-            if u2 is not None:
-                # u - l_i + w_k - 1
-                den.append((u2 - li + tgt.doubled_weight(k) - 2, 0))
-            terms.append((tgt, num, den, -1))
+        # unprimed entry (k-1, i) drops, staying at or above primed entry
+        # i+1 of levels k and k-1
+        low = rm[i - 1] - 2
+        if low >= pk[i] and (i == k - 1 or low >= pm[i]):
+            tgt = pat.shifted([("u", k - 1, i, -1)])
+            if valid(tgt):
+                num, den = mid_row_prefactor(pat, k, i)
+                den.append((li - 1, 1))  # l_i - 1/2
+                if u2 is not None:
+                    # u - l_i + w_k - 1
+                    den.append((u2 - li + tgt.doubled_weight(k) - 2, 0))
+                terms.append((tgt, num, den, -1))
 
+        # primed (k, j), unprimed (k-1, i) and primed (k-1, m) rise
+        # together: each stays at or below its upper neighbours, counting
+        # the ones that rise with it
+        up = rm[i - 1] + 2
         for j in range(1, k + 1):
+            p = pk[j - 1] + 2
+            if j >= 2 and (p > rk[j - 2]
+                           or p > rm[j - 2] + (2 if j - 1 == i else 0)):
+                continue
+            if up > pk[i - 1] + (2 if j == i else 0):
+                continue
             for m in range(1, k):
+                q = pm[m - 1] + 2
+                if m >= 2 and (q > rm[m - 2] + (2 if m - 1 == i else 0)
+                               or q > rl[m - 2]):
+                    continue
+                if up > pm[i - 1] + (2 if m == i else 0):
+                    continue
                 tgt = pat.shifted([("p", k, j, +1), ("u", k - 1, i, +1),
                                    ("p", k - 1, m, +1)])
                 if not valid(tgt):
@@ -197,7 +239,13 @@ def prime_drop_terms(pat, k, valid):
     """Expansion of the primed-entry lowering step at level k, as
     (target, num, den, c) for each raw target that passes valid."""
     terms = []
+    pk, rk = pat.primed[k - 1], pat.rows[k - 1]
     for i in range(1, k + 1):
+        # primed entry (k, i) drops, staying at or above entry i of the
+        # unprimed rows k and k-1
+        low = pk[i - 1] - 2
+        if low < rk[i - 1] or (i < k and low < pat.rows[k - 2][i - 1]):
+            continue
         tgt = pat.shifted([("p", k, i, -1)])
         if valid(tgt):
             num, den = prime_drop_weight(pat, k, i)
@@ -426,6 +474,10 @@ def build_so(lam, cap=None, trace=None):
     return rep
 
 
+# a fixed prime, 2^61 - 1, for the span rank taken mod p first
+SPAN_PRIME = (1 << 61) - 1
+
+
 def _check_span_rank(rep):
     # the built generators must span a Lie algebra of the right dimension
     rows = []
@@ -441,7 +493,23 @@ def _check_span_rank(rep):
             if row:
                 rows.append(row)
     want = rep.n * (2 * rep.n + 1)
-    got = len(rref(rows))
+    got = span_rank(rows)
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))
+
+
+def span_rank(rows):
+    """Exact rank of sparse Fraction rows. Each row is scaled to integers
+    and the rank taken mod SPAN_PRIME; the rank mod p never exceeds the
+    rank over Q, so when it equals the row count it is the rank. Otherwise
+    the exact rref decides."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        scaled.append({c: v.numerator * (den // v.denominator)
+                       for c, v in row.items()})
+    got = len(rref(scaled, modulus=SPAN_PRIME))
+    if got == len(rows):
+        return got
+    return len(rref(rows))

@@ -1,12 +1,18 @@
 """Shared corpus, cached builds and reference implementations for the
 test suite."""
 
+import csv
+import io
 import itertools
+import json
 from fractions import Fraction
 
-from gtrep import (InconsistencyError, Operator, build_gl, build_so,
+from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
                    check_weight_gl, check_weight_so, nullspace)
-from gtrep.sorep import deformed_column
+from gtrep.exact import format_rational
+from gtrep.sorep import (MINUS_HALF, _lp, _lu, deformed_column,
+                         mid_row_prefactor, prime_drop_weight,
+                         prime_shift_weight)
 
 # small integral and half-integral weights at desk scale, covering ranks
 # 1-4 (unitary side) and 1-3 (orthogonal side), both parity classes
@@ -23,6 +29,11 @@ B_CORPUS = [
     ("0", "-2"), ("-1", "-2"), ("-1/2", "-3/2"),
     ("0", "0", "-1"), ("-1/2", "-1/2", "-1/2"), ("0", "-1", "-1"),
 ]
+
+# integral gl weights and the common shift c that takes them off the
+# integers
+SHIFTED = [((2, 1, 0), Fraction(-3, 2)), ((1, 0), Fraction(-2, 3))]
+SHIFT_IDS = ["(1/2,-1/2,-3/2)", "(1/3,-2/3)"]
 
 _reps = {}
 
@@ -153,3 +164,136 @@ def global_gram(rep):
                 raise InconsistencyError("adjointness fails for (%d,%d)"
                                          % (i, j))
     return gram
+
+
+# ----------------------------------------------- output by json and csv
+
+
+def ref_pattern_json(p):
+    # a basis pattern's JSON value, every entry through format_rational
+    if isinstance(p, PatternB):
+        def vals(rows):
+            return [[format_rational(Fraction(d, 2)) for d in r]
+                    for r in rows]
+        return {"sigma": list(p.sigma), "rows": vals(p.rows),
+                "primed_rows": vals(p.primed)}
+    return {"rows": [[format_rational(p.base + d) for d in r]
+                     for r in p.rows]}
+
+
+def _ref_header(algebra, lam, patterns):
+    return {"algebra": {"type": algebra, "rank": len(lam)},
+            "highest_weight": [format_rational(x) for x in lam],
+            "dimension": len(patterns),
+            "basis": [ref_pattern_json(p) for p in patterns]}
+
+
+def ref_patterns_json(algebra, lam, patterns):
+    # `gtrep patterns` output by json.dumps: the reference the template
+    # writer must match byte for byte
+    return json.dumps(_ref_header(algebra, lam, patterns), indent=2) + "\n"
+
+
+def ref_rep_json(algebra, lam, rep):
+    # `gtrep build` JSON output as a dict tree through json.dumps
+    letter = "E" if algebra == "A" else "F"
+    doc = _ref_header(algebra, lam, rep.patterns)
+    doc["operators"] = {
+        "%s(%d,%d)" % (letter, i, j): {
+            "dim": rep.dim,
+            "entries": [[r, c, format_rational(v)]
+                        for (r, c), v in rep.gens[(i, j)].entries_sorted()]}
+        for i, j in sorted(rep.gens)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def ref_rep_csv(algebra, rep):
+    # `gtrep build --format csv` output through csv.writer
+    letter = "E" if algebra == "A" else "F"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["generator", "row", "col", "value"])
+    for i, j in sorted(rep.gens):
+        name = "%s(%d,%d)" % (letter, i, j)
+        for (r, c), v in rep.gens[(i, j)].entries_sorted():
+            w.writerow([name, r, c, format_rational(v)])
+    return buf.getvalue()
+
+
+# ------------------------------------- type B terms, built then filtered
+
+
+def ref_sig_case_terms(pat, k, valid):
+    # every raw target of the sigma-flip branch is built, then tested
+    sk = pat.sigma[k - 1]
+    skm = pat.sigma[k - 2] if k >= 2 else 0
+    base = [("sig", k)] + ([("sig", k - 1)] if k >= 2 else [])
+    if (sk, skm) == (0, 0):
+        raises, sign = [()], (-1) ** k
+    elif (sk, skm) == (1, 0):
+        raises, sign = [((k, j),) for j in range(1, k + 1)], 1
+    elif (sk, skm) == (0, 1):
+        raises, sign = [((k - 1, m),) for m in range(1, k)], -1
+    else:
+        raises = [((k, j), (k - 1, m))
+                  for j in range(1, k + 1) for m in range(1, k)]
+        sign = (-1) ** (k - 1)
+    out = []
+    for moves in raises:
+        tgt = pat.shifted(base + [("p", kk, j, +1) for kk, j in moves])
+        if not valid(tgt):
+            continue
+        num, den = [], []
+        for kk, j in moves:
+            n2, d2 = prime_shift_weight(pat, kk, j, MINUS_HALF)
+            num += n2
+            den += d2
+        out.append((tgt, num, den, sign))
+    return out
+
+
+def ref_lower_step_terms(pat, k, valid, u=None):
+    # the reference lower_step_terms must match term for term, in order
+    u2 = None if u is None else 2 * u
+    terms = []
+    for tgt, num, den, c in ref_sig_case_terms(pat, k, valid):
+        den += mid_row_prefactor(pat, k, 0)[1]
+        if u2 is not None:
+            den.append((u2 + tgt.doubled_weight(k) - 3, 1))
+        terms.append((tgt, num, den, c))
+    for i in range(1, k):
+        li = _lu(pat, k - 1, i)
+        tgt = pat.shifted([("u", k - 1, i, -1)])
+        if valid(tgt):
+            num, den = mid_row_prefactor(pat, k, i)
+            den.append((li - 1, 1))
+            if u2 is not None:
+                den.append((u2 - li + tgt.doubled_weight(k) - 2, 0))
+            terms.append((tgt, num, den, -1))
+        for j in range(1, k + 1):
+            for m in range(1, k):
+                tgt = pat.shifted([("p", k, j, +1), ("u", k - 1, i, +1),
+                                   ("p", k - 1, m, +1)])
+                if not valid(tgt):
+                    continue
+                num, den = mid_row_prefactor(pat, k, i)
+                for n2, d2 in (prime_shift_weight(pat, k, j, (li, 1)),
+                               prime_shift_weight(pat, k - 1, m, (li, 1))):
+                    num += n2
+                    den += d2
+                den.append((li + 1, 1))
+                if u2 is not None:
+                    den.append((u2 + li + tgt.doubled_weight(k) - 2, 2))
+                terms.append((tgt, num, den, 1))
+    return terms
+
+
+def ref_prime_drop_terms(pat, k, valid):
+    terms = []
+    for i in range(1, k + 1):
+        tgt = pat.shifted([("p", k, i, -1)])
+        if valid(tgt):
+            num, den = prime_drop_weight(pat, k, i)
+            num.append((tgt.doubled_weight(k) - _lp(pat, k, i) + 2, 0))
+            terms.append((tgt, num, den, 1))
+    return terms

@@ -1,16 +1,23 @@
 """Command surface: output shapes, exit codes, files."""
 
+import errno
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import B_CORPUS
+from conftest import (A_CORPUS, B_CORPUS, SHIFTED, gl_rep, ref_patterns_json,
+                      ref_rep_csv, ref_rep_json, so_rep)
 import gtrep.cli as cli
 from gtrep import build_so
 from gtrep.cli import main
+from gtrep.exact import format_rational
 
 
 def run(capsys, *argv):
@@ -153,6 +160,46 @@ class TestBuildCsv:
         assert out1 == out2
 
 
+# every corpus module, the trivial ones (empty operators) and the
+# non-integral gl weights
+WRITER_MODULES = ([("A", lam) for lam in A_CORPUS + [(0,)]]
+                  + [("A", tuple(x + c for x in lam)) for lam, c in SHIFTED]
+                  + [("B", w) for w in B_CORPUS])
+
+
+def _writer_case(algebra, w):
+    rep = gl_rep(w) if algebra == "A" else so_rep(w)
+    return SimpleNamespace(algebra=algebra, rank=rep.n), rep
+
+
+def _module_id(case):
+    return "%s(%s)" % (case[0], ",".join(format_rational(Fraction(x))
+                                         for x in case[1]))
+
+
+@pytest.mark.parametrize("algebra, w", WRITER_MODULES,
+                         ids=[_module_id(c) for c in WRITER_MODULES])
+class TestTemplateWriter:
+    """The format-string writers against json.dumps and csv.writer."""
+
+    def test_build_json_matches_json_dumps(self, algebra, w):
+        args, rep = _writer_case(algebra, w)
+        assert (cli._rep_json(args, rep.lam, rep)
+                == ref_rep_json(algebra, rep.lam, rep))
+
+    def test_build_csv_matches_csv_writer(self, algebra, w):
+        args, rep = _writer_case(algebra, w)
+        assert cli._rep_csv(args, rep) == ref_rep_csv(algebra, rep)
+
+    def test_patterns_matches_json_dumps(self, algebra, w, capsys):
+        args, rep = _writer_case(algebra, w)
+        code, out, _ = run(capsys, "patterns", "--type", algebra, "--rank",
+                           str(rep.n), "--weight",
+                           ",".join(map(format_rational, rep.lam)))
+        assert code == 0
+        assert out == ref_patterns_json(algebra, rep.lam, rep.patterns)
+
+
 class TestOutFile:
     def test_atomic_write_and_determinism(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"
@@ -179,6 +226,57 @@ class TestOutFile:
         assert code == 2 and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
         assert not list(target.iterdir())
+
+    def test_symlink_is_kept_and_its_target_written(self, tmp_path, capsys):
+        argv = ["build", "--type", "B", "--rank", "1", "--weight", "-1/2"]
+        _, want, _ = run(capsys, *argv)
+        target = tmp_path / "target.json"
+        target.write_text("stale")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        dangling = tmp_path / "dangling.json"
+        dangling.symlink_to(tmp_path / "new.json")
+        for path in (link, dangling):
+            code, out, _ = run(capsys, *argv, "--out", str(path))
+            assert code == 0 and out == ""
+            assert path.is_symlink() and path.read_text() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dangling.json", "link.json", "new.json", "target.json"]
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        argv = ["build", "--type", "B", "--rank", "1", "--weight", "-1/2"]
+        _, want, _ = run(capsys, *argv)
+        # the output fits the pipe buffer, so the write never blocks on
+        # the reader opened here
+        assert len(want) < 4096
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, *argv, "--out", str(fifo))
+            got = os.read(fd, 1 << 16).decode()
+        finally:
+            os.close(fd)
+        assert code == 0 and out == "" and got == want
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+    def test_write_error_on_a_special_file_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(cli, "open", lambda path, mode: Full(),
+                            raising=False)
+        code, out, err = run(capsys, "dim", "--type", "A", "--rank", "1",
+                             "--weight", "0", "--out", str(fifo))
+        assert (code, out) == (2, "")
+        assert err == "cannot write %s: %s\n" % (fifo,
+                                                 os.strerror(errno.ENOSPC))
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_patterns_to_file(self, tmp_path, capsys):
         p = tmp_path / "pats.json"

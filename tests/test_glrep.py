@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, fresh_gl_rep, gl_rep, global_gram, perm_capelli
+from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, fresh_gl_rep, gl_rep,
+                      global_gram, perm_capelli)
 from gtrep import (
     InconsistencyError,
     Operator,
@@ -19,10 +20,6 @@ from gtrep import (
     z_lower,
     z_raise,
 )
-
-# integral weights and the common shift c that takes them off the integers
-SHIFTED = [((2, 1, 0), Fraction(-3, 2)), ((1, 0), Fraction(-2, 3))]
-SHIFT_IDS = ["(1/2,-1/2,-3/2)", "(1/3,-2/3)"]
 
 
 def shifted_rep(lam, c):

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B_CORPUS, deformed_raise, so_rep
+from conftest import (B_CORPUS, deformed_raise, fresh_so_rep,
+                      ref_lower_step_terms, ref_prime_drop_terms,
+                      ref_sig_case_terms, so_rep)
 from gtrep import (
     Operator,
     PatternB,
@@ -28,9 +30,13 @@ from gtrep.sorep import (
     build_phi_u,
     close_generators,
     _single_step,
+    _sig_case_terms,
+    lower_step_terms,
     mid_row_prefactor,
+    prime_drop_terms,
     prime_drop_weight,
     prime_shift_weight,
+    span_rank,
 )
 
 
@@ -285,3 +291,96 @@ class TestWholeModules:
         r = so_rep(w)
         assert r.dim == len(r.patterns)
         assert r.weights[r.highest_index()] == r.lam
+
+
+def _term_sources(rep):
+    # every basis pattern, then every interleaving intermediate the
+    # raising composite passes through
+    sources = list(rep.patterns)
+    seen = set(sources)
+    for pat in rep.patterns:
+        for k in range(1, rep.n + 1):
+            for terms in (ref_prime_drop_terms(pat, k, PatternB.generic_valid),
+                          ref_lower_step_terms(pat, k, PatternB.generic_valid,
+                                               0)):
+                for mid, _, _, _ in terms:
+                    if mid not in seen:
+                        seen.add(mid)
+                        sources.append(mid)
+    return sources
+
+
+@pytest.mark.parametrize("w", B_CORPUS)
+def test_term_functions_match_build_then_filter(w):
+    # the in-bounds enumeration drops only targets the validity test would
+    # drop: same terms, same order, under both tests
+    rep = so_rep(w)
+    for pat in _term_sources(rep):
+        for k in range(1, rep.n + 1):
+            for valid in (PatternB.generic_valid, PatternB.full_valid):
+                assert (_sig_case_terms(pat, k, valid)
+                        == ref_sig_case_terms(pat, k, valid))
+                assert (prime_drop_terms(pat, k, valid)
+                        == ref_prime_drop_terms(pat, k, valid))
+                for u in (None, 0, 2):
+                    assert (lower_step_terms(pat, k, valid, u)
+                            == ref_lower_step_terms(pat, k, valid, u))
+
+
+@pytest.mark.parametrize("w", B_CORPUS)
+def test_term_functions_build_only_interleaving_targets(w, monkeypatch):
+    # from an interleaving source, a raw target that would fail the
+    # interleaving test is never built
+    rep = so_rep(w)
+    sources = _term_sources(rep)
+    built = []
+    real = PatternB.shifted
+
+    def shifted(self, moves):
+        built.append(real(self, moves))
+        return built[-1]
+    monkeypatch.setattr(PatternB, "shifted", shifted)
+    for pat in sources:
+        for k in range(1, rep.n + 1):
+            prime_drop_terms(pat, k, PatternB.full_valid)
+            lower_step_terms(pat, k, PatternB.full_valid)
+    assert built and all(t.interleaves() for t in built)
+
+
+class TestSpanRank:
+    def _count_exact(self, monkeypatch):
+        calls = []
+        real = sorep.rref
+
+        def rref(rows, modulus=None):
+            if modulus is None:
+                calls.append(len(rows))
+            return real(rows, modulus)
+        monkeypatch.setattr(sorep, "rref", rref)
+        return calls
+
+    def test_full_rank_mod_p_skips_the_exact_rref(self, monkeypatch):
+        calls = self._count_exact(monkeypatch)
+        rows = [{0: Fraction(1, 2), 3: Fraction(2)}, {3: Fraction(-1, 3)}]
+        assert span_rank(rows) == 2 and calls == []
+
+    def test_numerators_vanishing_mod_p_fall_back_to_exact(self,
+                                                           monkeypatch):
+        calls = self._count_exact(monkeypatch)
+        p = sorep.SPAN_PRIME
+        r1 = {0: Fraction(p), 1: Fraction(p, 3)}
+        r2 = {1: Fraction(2 * p, 7), 2: Fraction(p)}
+        r3 = {0: Fraction(p), 1: Fraction(p, 3) + Fraction(2 * p, 7),
+              2: Fraction(p)}
+        assert span_rank([r1, r2]) == 2
+        assert span_rank([r1, r2, r3]) == 2
+        assert calls == [2, 3]
+
+    def test_rank_deficient_generators_raise(self):
+        r = fresh_so_rep(("0", "-1"))
+        slots = sorted({_canon_slot(*s)[0] for s in r.gens} - {None})
+        sorep._check_span_rank(r)
+        r.gens[slots[1]] = r.gens[slots[0]].copy()
+        with pytest.raises(ConstructionError,
+                           match="generator span has rank 9, expected 10"):
+            sorep._check_span_rank(r)
