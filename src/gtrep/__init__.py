@@ -12,8 +12,8 @@ from .patterns import (DimensionCapError, PatternA, PatternB, Rep,
                        check_weight_gl, check_weight_so, enumerate_patterns_a,
                        enumerate_patterns_b)
 from .glrep import (InconsistencyError, build_gl, capelli_det,
-                    contravariant_gram, g_highest_vectors, mu_vector_index,
-                    z_lower, z_raise)
+                    contravariant_gram, g_highest_vectors, gl_structure_table,
+                    mu_vector_index, z_lower, z_raise)
 from .sorep import (ConstructionError, build_phi_minus, build_phi_u,
                     build_so, defining_operators, structure_table)
 from .checks import (NonScalarError, VerificationReport,
@@ -31,7 +31,8 @@ __all__ = [
     "DimensionCapError", "PatternA", "PatternB", "Rep", "check_weight_gl",
     "check_weight_so", "enumerate_patterns_a", "enumerate_patterns_b",
     "InconsistencyError", "build_gl", "capelli_det", "contravariant_gram",
-    "g_highest_vectors", "mu_vector_index", "z_lower", "z_raise",
+    "g_highest_vectors", "gl_structure_table", "mu_vector_index", "z_lower",
+    "z_raise",
     "ConstructionError", "build_phi_minus", "build_phi_u", "build_so",
     "defining_operators", "structure_table",
     "NonScalarError", "VerificationReport", "branching_multiplicity",

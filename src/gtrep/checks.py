@@ -8,10 +8,13 @@ matrices is evidence rather than circular bookkeeping.
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import F0
-from .linalg import Operator, nullspace, rank_of, restricted_rows
-from .glrep import InconsistencyError, capelli_det, contravariant_gram
+from .linalg import (Operator, nullspace, product_sum, rank_of,
+                     restricted_rows)
+from .glrep import (InconsistencyError, capelli_det, contravariant_gram,
+                    gl_structure_table)
 from .sorep import _canon_slot, build_phi_minus, structure_table
 
 
@@ -48,45 +51,174 @@ class VerificationReport:
 # ------------------------------------------- structure constants
 
 
-def _structure_witness(rep, algebra_type):
-    """First failing relation, or None. Type B first compares every slot
-    with its canonical form (F(i,j) = -F(-j,-i), F(i,-i) = 0); both types
-    then bracket each unordered pair of distinct canonical slots once,
-    which covers every ordered pair by bilinearity and antisymmetry."""
+class Presentation(NamedTuple):
+    """The Chevalley–Serre data of gl(n) (type A) or o(2n+1) (type B),
+    read off the bracket table of the defining module: table, the
+    table itself; cartan, the slots F(k,k) or E(k,k); pairs, the
+    Chevalley pairs (e_k, f_k) = (F(k-1,k), F(k,k-1)); cartan_matrix,
+    a[i][j] = 2 alpha_j(h_i) / alpha_i(h_i) with h_i = [e_i, f_i] (the
+    ratio does not depend on how e_i and f_i are scaled); plan, one step
+    (x, y, target) per remaining canonical slot, whose table entry
+    [x, y] is +-target alone, with x reached before (by an earlier step
+    or as a Cartan or Chevalley slot) and y a Chevalley slot."""
+
+    table: dict
+    cartan: list
+    pairs: list
+    cartan_matrix: list
+    plan: list
+
+
+def presentation(algebra_type, n, _cache={}):
+    """The Presentation of gl(n) or o(2n+1), computed once per (type, n)."""
+    key = (algebra_type, n)
+    if key in _cache:
+        return _cache[key]
+    cartan = [(k, k) for k in range(1, n + 1)]
     if algebra_type == "A":
-        keys = sorted(rep.gens)
+        table = gl_structure_table(n)
+        pairs = [((k - 1, k), (k, k - 1)) for k in range(2, n + 1)]
+        slots = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
 
-        def expected(ab, cd):
-            (a, b), (c, d) = ab, cd
-            out = Operator(rep.dim)
-            if b == c:
-                out = out + rep.gens[(a, d)]
-            if d == a:
-                out = out - rep.gens[(c, b)]
-            return out
+        def canon(slot):
+            return slot, 1
     else:
-        zero = Operator(rep.dim)
-        for slot in sorted(rep.gens):
-            cs, sgn = _canon_slot(*slot)
-            want = zero if cs is None else rep.gens[cs].scale(sgn)
-            if rep.gens[slot] != want:
-                return ("antisymmetry", slot)
-        keys = [s for s in sorted(rep.gens) if _canon_slot(*s)[0] == s]
-        table = structure_table(rep.n)
+        table = structure_table(n)
+        pairs = [((k - 1, k), (k, k - 1)) for k in range(1, n + 1)]
+        slots = {_canon_slot(i, j)[0] for i in range(-n, n + 1)
+                 for j in range(-n, n + 1)} - {None}
 
-        def expected(ab, cd):
-            out = Operator(rep.dim)
-            for slot, coef in table[(ab, cd)].items():
-                out = out + rep.gens[slot].scale(coef)
-            return out
-    for idx, ab in enumerate(keys):
-        for cd in keys[idx + 1:]:
-            if rep.gens[ab].commutator(rep.gens[cd]) != expected(ab, cd):
-                return (ab, cd)
+        def canon(slot):
+            return _canon_slot(*slot)
+
+    simple = [s for pair in pairs for s in pair]
+
+    def root(h_terms, e):
+        # alpha(h): the coefficient of e in [h, e], h a sum of slots
+        cs, sgn = canon(e)
+        return sum(c * table[(h, e)].get(cs, 0) * sgn
+                   for h, c in h_terms.items())
+
+    matrix = []
+    for e, f in pairs:
+        h = table[(e, f)]
+        matrix.append([int(2 * root(h, ej) / root(h, e)) for ej, _ in pairs])
+    # breadth first: each layer brackets the slots reached so far with
+    # the Chevalley slots
+    reached = sorted({canon(s)[0] for s in cartan + simple})
+    todo = slots - set(reached)
+    plan = []
+    while todo:
+        layer = []
+        for x in reached:
+            for y in simple:
+                terms = table[(x, y)]
+                if len(terms) == 1:
+                    (target, c), = terms.items()
+                    if target in todo and c in (1, -1):
+                        todo.discard(target)
+                        layer.append(target)
+                        plan.append((x, y, target))
+        if not layer:
+            raise ValueError("slots %s are not reached from the Chevalley "
+                             "generators" % sorted(todo))
+        reached += layer
+    _cache[key] = Presentation(table, cartan, pairs, matrix, plan)
+    return _cache[key]
+
+
+def _is_multiple(got, c, want):
+    # entry dicts: got == c * want for an int c != 0, compared on
+    # numerators and denominators without building c * want
+    if len(got) != len(want):
+        return False
+    for k, v in want.items():
+        g = got.get(k)
+        if g is None or (g.numerator * v.denominator
+                         != c * v.numerator * g.denominator):
+            return False
+    return True
+
+
+def _structure_witness(rep, algebra_type):
+    """First failing relation of the Chevalley–Serre presentation, or
+    None. By Serre's theorem the Chevalley images that satisfy these
+    relations extend to a homomorphism from the algebra (for gl(n), with
+    the trace element central), and the remaining checks show that every
+    built slot is that homomorphism's value, so every bracket of the
+    table holds. In order, each witness naming the relation that failed:
+
+      ("antisymmetry", slot)  type B: slot differs from its canonical
+                              form, F(i,j) = -F(-j,-i), F(i,-i) = 0;
+      ("cartan", h, h')       two Cartan slots do not commute;
+      ("root", h, x)          [h, x] is not the table's multiple of x,
+                              for x every e_j and f_j;
+      ("chevalley", e, f)     [e_i, f_j] is not the table's value:
+                              0 for i != j, h_i for i = j;
+      ("serre", x, y)         ad(x)^(1 - a_ij) y is not 0, for (x, y) =
+                              (e_i, e_j) and (f_i, f_j), i != j;
+      ("closure", x, y)       the plan's target slot is not the table's
+                              +-[x, y].
+
+    That is O(n^2) commutators instead of one per pair of slots."""
+    gens = rep.gens
+    if algebra_type == "B":
+        for slot in sorted(gens):
+            cs, sgn = _canon_slot(*slot)
+            if cs == slot:
+                continue
+            if not (_is_multiple(gens[slot].ent, sgn, gens[cs].ent)
+                    if cs is not None else not gens[slot]):
+                return ("antisymmetry", slot)
+    p = presentation(algebra_type, rep.n)
+
+    def holds(x, y):
+        # [x, y] against the table, without building the expected sum
+        # when it is one slot or none
+        got = gens[x].commutator(gens[y]).ent
+        terms = p.table[(x, y)]
+        if len(terms) == 1:
+            (slot, c), = terms.items()
+            return _is_multiple(got, c, gens[slot].ent)
+        want = Operator(rep.dim)
+        for slot, c in sorted(terms.items()):
+            want = want + gens[slot].scale(c)
+        return got == want.ent
+
+    for idx, h in enumerate(p.cartan):
+        for h2 in p.cartan[idx + 1:]:
+            if not holds(h, h2):
+                return ("cartan", h, h2)
+    for h in p.cartan:
+        for pair in p.pairs:
+            for x in pair:
+                if not holds(h, x):
+                    return ("root", h, x)
+    for e, _ in p.pairs:
+        for _, f in p.pairs:
+            if not holds(e, f):
+                return ("chevalley", e, f)
+    for i, row in enumerate(p.cartan_matrix):
+        for j, a in enumerate(row):
+            # [x_i, x_j] = 0 is checked once, for i < j
+            if i == j or (not a and i > j):
+                continue
+            for x, y in zip(p.pairs[i], p.pairs[j]):
+                acc = gens[y]
+                for _ in range(1 - a):
+                    if not acc:
+                        break
+                    acc = gens[x].commutator(acc)
+                if acc:
+                    return ("serre", x, y)
+    for x, y, _ in p.plan:
+        if not holds(x, y):
+            return ("closure", x, y)
     return None
 
 
 def check_structure_constants(rep, algebra_type):
+    """One report line; its witness is _structure_witness's, if any."""
     report = VerificationReport()
     w = _structure_witness(rep, algebra_type)
     report.add("all generator commutators match the bracket table",
@@ -190,10 +322,10 @@ def check_branching(rep):
 
 
 def casimir_scalar(rep):
-    """Sum of all products gen(i,j)gen(j,i); raises unless exactly scalar."""
-    acc = Operator(rep.dim)
-    for (i, j) in sorted(rep.gens):
-        acc = acc + rep.gens[(i, j)] @ rep.gens[(j, i)]
+    """Sum of all products gen(i,j)gen(j,i), on one accumulator; raises
+    unless exactly scalar."""
+    acc = product_sum(rep.dim, [(1, rep.gens[(i, j)], rep.gens[(j, i)])
+                                for (i, j) in sorted(rep.gens)])
     val = acc.ent.get((0, 0), F0)
     rem = acc - Operator.identity(rep.dim).scale(val)
     if rem:

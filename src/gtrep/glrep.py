@@ -90,6 +90,28 @@ def build_gl(lam, cap=None):
     return rep
 
 
+def gl_structure_table(n, _cache={}):
+    """The gl(n) bracket table: [E(a,b), E(c,d)] as {slot: coefficient},
+    read off the elementary matrices, where E(p,q) is the single entry 1
+    at (p-1,q-1). So each slot's coefficient is the commutator's entry at
+    that slot's own position. The n^4 commutators of n x n matrix units
+    are taken with product_sum; Operator.commutator is left to brackets
+    of module generators, whose calls the structure oracle's cost is
+    counted in."""
+    if n in _cache:
+        return _cache[n]
+    units = {(i, j): Operator(n, {(i - 1, j - 1): F1})
+             for i in range(1, n + 1) for j in range(1, n + 1)}
+    table = {}
+    for ab, x in units.items():
+        for cd, y in units.items():
+            comm = product_sum(n, [(1, x, y), (-1, y, x)])
+            table[(ab, cd)] = {(r + 1, c + 1): v
+                               for (r, c), v in comm.ent.items()}
+    _cache[n] = table
+    return table
+
+
 def _scaled_chain_sum(rep, chains, hsource):
     """Sum over chains of (matrix product) x (diagonal complement product).
 
@@ -275,12 +297,12 @@ def contravariant_gram(rep):
                 form.setdefault(b, {})[a] = v
     gram = Operator(dim, {(a, b): v for a, row in form.items()
                           for b, v in row.items()})
-    # adjointness for every generator pair is a hard postcondition
+    # adjointness for every generator pair is a hard postcondition:
+    # E(i,j)^T G - G E(j,i) = 0 on one accumulator
     for i in range(1, rep.n + 1):
         for j in range(1, rep.n + 1):
-            left = rep.gen(i, j).transpose() @ gram
-            right = gram @ rep.gen(j, i)
-            if left != right:
+            if product_sum(dim, [(1, rep.gen(i, j).transpose(), gram),
+                                 (-1, gram, rep.gen(j, i))]):
                 raise InconsistencyError("adjointness fails for (%d,%d)"
                                          % (i, j))
     return gram

@@ -10,9 +10,9 @@ from fractions import Fraction
 from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
                    check_weight_gl, check_weight_so, nullspace)
 from gtrep.exact import format_rational
-from gtrep.sorep import (MINUS_HALF, _lp, _lu, deformed_column,
+from gtrep.sorep import (MINUS_HALF, _canon_slot, _lp, _lu, deformed_column,
                          mid_row_prefactor, prime_drop_weight,
-                         prime_shift_weight)
+                         prime_shift_weight, structure_table)
 
 # small integral and half-integral weights at desk scale, covering ranks
 # 1-4 (unitary side) and 1-3 (orthogonal side), both parity classes
@@ -164,6 +164,61 @@ def global_gram(rep):
                 raise InconsistencyError("adjointness fails for (%d,%d)"
                                          % (i, j))
     return gram
+
+
+def pairwise_structure_witness(rep, algebra_type):
+    # every unordered pair of distinct canonical slots bracketed once,
+    # after the type B canonical-form comparison: the reference the
+    # Chevalley-Serre oracle must agree with, pass or fail
+    if algebra_type == "A":
+        keys = sorted(rep.gens)
+
+        def expected(ab, cd):
+            (a, b), (c, d) = ab, cd
+            out = Operator(rep.dim)
+            if b == c:
+                out = out + rep.gens[(a, d)]
+            if d == a:
+                out = out - rep.gens[(c, b)]
+            return out
+    else:
+        zero = Operator(rep.dim)
+        for slot in sorted(rep.gens):
+            cs, sgn = _canon_slot(*slot)
+            want = zero if cs is None else rep.gens[cs].scale(sgn)
+            if rep.gens[slot] != want:
+                return ("antisymmetry", slot)
+        keys = [s for s in sorted(rep.gens) if _canon_slot(*s)[0] == s]
+        table = structure_table(rep.n)
+
+        def expected(ab, cd):
+            out = Operator(rep.dim)
+            for slot, coef in table[(ab, cd)].items():
+                out = out + rep.gens[slot].scale(coef)
+            return out
+    for idx, ab in enumerate(keys):
+        for cd in keys[idx + 1:]:
+            if rep.gens[ab].commutator(rep.gens[cd]) != expected(ab, cd):
+                return (ab, cd)
+    return None
+
+
+def single_entry_mutants(rep, slot):
+    # every stored entry of the slot doubled, and one entry added where
+    # the slot has none (1/3 at the first free diagonal or first-row
+    # position): each as a fresh Operator
+    op = rep.gens[slot]
+    for key, v in sorted(op.ent.items()):
+        bad = op.copy()
+        bad.ent[key] = 2 * v
+        yield bad
+    free = next((k for k in [(c, c) for c in range(rep.dim)]
+                 + [(0, c) for c in range(rep.dim)] if k not in op.ent),
+                None)
+    if free is not None:
+        bad = op.copy()
+        bad.ent[free] = Fraction(1, 3)
+        yield bad
 
 
 # ----------------------------------------------- output by json and csv

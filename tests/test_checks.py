@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from types import SimpleNamespace
+
 from conftest import (A_CORPUS, B_CORPUS, fresh_gl_rep, fresh_so_rep, gl_rep,
-                      so_rep)
+                      pairwise_structure_witness, single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -22,7 +24,8 @@ from gtrep import (
     run_verification,
     weyl_dim,
 )
-from gtrep.checks import _phi_witness
+from gtrep.checks import _phi_witness, _structure_witness, presentation
+from gtrep.sorep import _canon_slot
 
 
 class TestWeylDim:
@@ -101,6 +104,24 @@ class TestCasimir:
     def test_so_matches_highest_vector_evaluation(self, w):
         r = so_rep(w)
         assert casimir_scalar(r) == casimir_highest_value("B", r.lam)
+
+    @pytest.mark.parametrize("algebra, w, slot", [
+        ("B", ("-1",), (0, 1)), ("B", ("0", "-1"), (-1, 2)),
+        ("A", (2, 1, 0), (1, 3))])
+    def test_witness_is_the_smallest_off_scalar_entry(self, algebra, w,
+                                                      slot):
+        # the reference sums the products one Operator at a time
+        r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
+        r.gens[slot].ent[(0, 1)] = Fraction(7)
+        acc = Operator(r.dim)
+        for (i, j) in sorted(r.gens):
+            acc = acc + r.gens[(i, j)] @ r.gens[(j, i)]
+        rem = acc - Operator.identity(r.dim).scale(
+            acc.ent.get((0, 0), Fraction(0)))
+        key = min(rem.ent)
+        with pytest.raises(NonScalarError) as e:
+            casimir_scalar(r)
+        assert e.value.witness == (*key, rem.ent[key])
 
     def test_nonscalar_raises_with_witness(self):
         r = fresh_so_rep(("-1",))
@@ -184,6 +205,180 @@ class TestStructure:
         report = run_verification(r, "B", "fast")
         assert not report.passed
         assert report.checks[0]["witness"] == str(("antisymmetry", (1, -1)))
+
+
+def _hand_cartan(algebra, n):
+    # Cartan matrices written out: A_(n-1) for gl(n); B_n with the short
+    # simple root F(0,1) first, so a[0][1] = -2
+    r = n - 1 if algebra == "A" else n
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)]
+         for i in range(r)]
+    if algebra == "B" and n >= 2:
+        a[0][1] = -2
+    return a
+
+
+def _defining_module(algebra, n):
+    # the defining module wrapped as a module: o(2n+1) on 2n+1 vectors,
+    # gl(n) on the elementary matrices
+    if algebra == "B":
+        return SimpleNamespace(n=n, dim=2 * n + 1, gens=defining_operators(n))
+    gens = {(i, j): Operator(n, {(i - 1, j - 1): Fraction(1)})
+            for i in range(1, n + 1) for j in range(1, n + 1)}
+    return SimpleNamespace(n=n, dim=n, gens=gens)
+
+
+def _count_commutators(monkeypatch):
+    calls = []
+    commutator = Operator.commutator
+
+    def counted(a, b):
+        calls.append(1)
+        return commutator(a, b)
+
+    monkeypatch.setattr(Operator, "commutator", counted)
+    return calls
+
+
+class TestStructurePresentation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("algebra", ["A", "B"])
+    def test_cartan_matrix_read_off_the_defining_module(self, algebra, n):
+        assert presentation(algebra, n).cartan_matrix == \
+            _hand_cartan(algebra, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("algebra", ["A", "B"])
+    def test_plan_reaches_every_other_canonical_slot_once(self, algebra, n):
+        p = presentation(algebra, n)
+        if algebra == "A":
+            slots = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+
+            def canon(s):
+                return s
+        else:
+            slots = {_canon_slot(i, j)[0] for i in range(-n, n + 1)
+                     for j in range(-n, n + 1)} - {None}
+
+            def canon(s):
+                return _canon_slot(*s)[0]
+        given = {canon(s) for s in p.cartan} | {
+            canon(s) for pair in p.pairs for s in pair}
+        targets = [t for _, _, t in p.plan]
+        assert len(set(targets)) == len(targets)
+        assert given.isdisjoint(targets)
+        assert given | set(targets) == slots
+        simple = {s for pair in p.pairs for s in pair}
+        reached = set(given)
+        for x, y, target in p.plan:
+            assert x in reached and y in simple
+            terms = p.table[(x, y)]
+            assert list(terms) == [target] and abs(terms[target]) == 1
+            reached.add(target)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("algebra", ["A", "B"])
+    def test_passes_on_the_defining_module(self, algebra, n):
+        rep = _defining_module(algebra, n)
+        assert _structure_witness(rep, algebra) is None
+        assert check_structure_constants(rep, algebra).passed
+
+    def test_no_serre_pairs_or_extra_slots_at_rank_one(self):
+        for algebra in ("A", "B"):
+            p = presentation(algebra, 1)
+            assert p.plan == []
+            assert all(len(row) <= 1 for row in p.cartan_matrix)
+        assert presentation("A", 1).pairs == []
+
+    @pytest.mark.parametrize("algebra, w", [
+        ("B", ("-1",)), ("B", ("-1/2",)), ("B", ("0",)), ("B", ("0", "0")),
+        ("B", ("0", "0", "0")), ("A", (3,)), ("A", (0,)), ("A", (0, 0, 0))])
+    def test_passes_on_rank_one_and_trivial_modules(self, algebra, w):
+        rep = gl_rep(w) if algebra == "A" else so_rep(w)
+        assert _structure_witness(rep, algebra) is None
+
+    @pytest.mark.parametrize("lam", A_CORPUS)
+    def test_agrees_with_pairwise_on_gl_corpus(self, lam):
+        r = gl_rep(lam)
+        assert _structure_witness(r, "A") is None
+        assert pairwise_structure_witness(r, "A") is None
+
+    @pytest.mark.parametrize("w", B_CORPUS)
+    def test_agrees_with_pairwise_on_so_corpus(self, w):
+        r = so_rep(w)
+        assert _structure_witness(r, "B") is None
+        assert pairwise_structure_witness(r, "B") is None
+
+    @pytest.mark.parametrize("algebra, w", [
+        ("B", ("0", "-1")), ("B", ("-1/2", "-3/2")), ("A", (2, 1, 0))])
+    def test_agrees_with_pairwise_on_single_entry_mutants(self, algebra, w):
+        # each entry doubled and one entry added, slot by slot; type B
+        # also applies each mutant of a canonical slot to its mirror
+        # F(-j,-i) = -F(i,j), which the canonical-form comparison passes
+        r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
+        flagged = 0
+        for slot in sorted(r.gens):
+            orig = r.gens[slot]
+            mirror = None
+            if algebra == "B" and _canon_slot(*slot)[0] == slot:
+                mirror = (-slot[1], -slot[0])
+            for bad in single_entry_mutants(r, slot):
+                for both in (False, True) if mirror else (False,):
+                    saved = r.gens[mirror] if both else None
+                    r.gens[slot] = bad
+                    if both:
+                        r.gens[mirror] = -bad
+                    new = _structure_witness(r, algebra)
+                    old = pairwise_structure_witness(r, algebra)
+                    assert (new is None) == (old is None), (slot, new, old)
+                    flagged += new is not None
+                    if both:
+                        r.gens[mirror] = saved
+            r.gens[slot] = orig
+        assert flagged
+        assert _structure_witness(r, algebra) is None
+
+    @pytest.mark.parametrize("algebra, n", [("A", 3), ("A", 5), ("B", 2),
+                                            ("B", 4)])
+    def test_fewer_commutators_than_pairs(self, algebra, n, monkeypatch):
+        # O(n^2) commutators, against O(n^4) for every pair
+        rep = _defining_module(algebra, n)
+        presentation(algebra, n)
+        calls = _count_commutators(monkeypatch)
+        assert _structure_witness(rep, algebra) is None
+        new = len(calls)
+        del calls[:]
+        assert pairwise_structure_witness(rep, algebra) is None
+        assert new <= 7 * n * n and new < len(calls)
+
+    def test_witness_names_the_failed_relation(self):
+        def fails(mutate):
+            r = fresh_gl_rep((2, 1, 0))
+            mutate(r)
+            w = _structure_witness(r, "A")
+            assert check_structure_constants(r, "A").checks[0]["witness"] \
+                == str(w)
+            return w
+
+        def doubled(slot):
+            def mutate(r):
+                r.gens[slot] = r.gens[slot].scale(2)
+            return mutate
+
+        def off_diagonal_cartan(r):
+            # an entry of E(1,1) between weights that E(2,2) tells apart
+            wt = r.weights
+            rc = next((a, b) for a in range(r.dim) for b in range(r.dim)
+                      if wt[a][1] != wt[b][1])
+            r.gens[(1, 1)].ent[rc] = Fraction(1)
+
+        def diagonal_in_raising(r):
+            r.gens[(1, 2)].ent[(0, 0)] = Fraction(1)
+
+        assert fails(off_diagonal_cartan)[:1] == ("cartan",)
+        assert fails(diagonal_in_raising) == ("root", (1, 1), (1, 2))
+        assert fails(doubled((1, 2))) == ("chevalley", (1, 2), (2, 1))
+        assert fails(doubled((1, 3)))[0] == "closure"
 
 
 class TestPhiIdentity:

@@ -14,6 +14,7 @@ from gtrep import (
     capelli_det,
     contravariant_gram,
     g_highest_vectors,
+    gl_structure_table,
     mu_vector_index,
     run_verification,
     weyl_dim,
@@ -38,6 +39,28 @@ class TestDefiningSize:
         r = gl_rep((1, 0))
         c = r.gen(1, 2).commutator(r.gen(2, 1))
         assert c == r.gen(1, 1) - r.gen(2, 2)
+
+
+class TestBracketTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_is_the_matrix_unit_rule(self, n):
+        # [E(a,b), E(c,d)] = delta_bc E(a,d) - delta_da E(c,b), and the
+        # table rebuilds every commutator of the elementary matrices
+        units = {(i, j): Operator(n, {(i - 1, j - 1): Fraction(1)})
+                 for i in range(1, n + 1) for j in range(1, n + 1)}
+        tab = gl_structure_table(n)
+        assert set(tab) == {(ab, cd) for ab in units for cd in units}
+        for ((a, b), (c, d)), terms in tab.items():
+            want = {}
+            if b == c:
+                want[(a, d)] = want.get((a, d), 0) + 1
+            if d == a:
+                want[(c, b)] = want.get((c, b), 0) - 1
+            assert terms == {s: v for s, v in want.items() if v}
+            got = Operator(n)
+            for slot, coef in terms.items():
+                got = got + units[slot].scale(coef)
+            assert units[(a, b)].commutator(units[(c, d)]) == got
 
 
 class TestWeights:
@@ -194,6 +217,15 @@ class TestHighestVectorsUnderSubalgebra:
 
 
 class TestContravariantForm:
+    def test_adjointness_postcondition_names_the_pair(self):
+        # the blocks are solved from the simple generators alone, so a
+        # corrupted E(1,3) passes the solve and fails the postcondition
+        r = fresh_gl_rep((2, 1, 0))
+        r.gens[(1, 3)] = r.gens[(1, 3)].scale(2)
+        with pytest.raises(InconsistencyError,
+                           match=r"^adjointness fails for \(1,3\)$"):
+            contravariant_gram(r)
+
     def test_defining_gram_is_identity(self):
         r = gl_rep((1, 0))
         assert contravariant_gram(r) == Operator.identity(2)
