@@ -7,6 +7,7 @@ configuration or an unwritable output path, 3 construction failure,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -91,9 +92,11 @@ def _cap_guard(args, lam):
     return dim
 
 
-def _emit(text, out):
+def _emit(produce, out):
+    # produce(write) writes the output piece by piece, to stdout or to the
+    # --out target; sys.stdout is looked up now, since callers swap it
     if out is None:
-        sys.stdout.write(text)
+        produce(sys.stdout.write)
         return
     try:
         # symlinks are followed, so the link stays and its target changes
@@ -103,16 +106,16 @@ def _emit(text, out):
         except FileNotFoundError:
             regular = True
         if regular:
-            _replace(path, text)
+            _replace(path, produce)
         else:
             # a device or FIFO is written in place, never replaced
             with open(path, "w") as f:
-                f.write(text)
+                produce(f.write)
     except OSError as e:
         raise CliError(2, "cannot write %s: %s" % (out, e.strerror or e))
 
 
-def _replace(path, text):
+def _replace(path, produce):
     # a unique temp file in the target directory, renamed over the target;
     # mkstemp makes it private, so give it the mode open() would have
     umask = os.umask(0)
@@ -121,12 +124,17 @@ def _replace(path, text):
                                prefix=".gtrep-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            produce(f.write)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _text(text):
+    # a producer that writes one prepared string
+    return lambda write: write(text)
 
 
 def _json_only(args):
@@ -156,13 +164,18 @@ def _build_rep(args, lam):
 # literals, which need no escaping.
 
 
+def _fields(fields, depth):
+    # (key, encoded value) pairs, one to a line, as the inside of a JSON
+    # object at nesting depth
+    pad = "\n" + "  " * (depth + 1)
+    return pad + ("," + pad).join('"%s": %s' % kv for kv in fields)
+
+
 def _object(fields, depth):
     # (key, encoded value) pairs as a JSON object at nesting depth
     if not fields:
         return "{}"
-    pad = "\n" + "  " * (depth + 1)
-    return ("{" + pad + ("," + pad).join('"%s": %s' % kv for kv in fields)
-            + "\n" + "  " * depth + "}")
+    return "{" + _fields(fields, depth) + "\n" + "  " * depth + "}"
 
 
 def _array(items, depth):
@@ -185,17 +198,17 @@ def _value(x, depth):
     return _array([_value(v, depth + 1) for v in x], depth)
 
 
-def _document(args, lam, patterns, operators=None):
-    # the header and basis every pattern document has, then the encoded
-    # operators block if given
-    fields = [("algebra", _value({"type": args.algebra, "rank": args.rank},
-                                 1)),
-              ("highest_weight", _value(_weight_strs(lam), 1)),
-              ("dimension", "%d" % len(patterns)),
-              ("basis", _value([p.to_json() for p in patterns], 1))]
-    if operators is not None:
-        fields.append(("operators", operators))
-    return _object(fields, 0) + "\n"
+def _header(args, lam, patterns):
+    # the encoded fields every pattern document opens with
+    return [("algebra", _value({"type": args.algebra, "rank": args.rank},
+                               1)),
+            ("highest_weight", _value(_weight_strs(lam), 1)),
+            ("dimension", "%d" % len(patterns)),
+            ("basis", _value([p.to_json() for p in patterns], 1))]
+
+
+def _document(args, lam, patterns):
+    return _object(_header(args, lam, patterns), 0) + "\n"
 
 
 def _entries(op, int_row, frac_row):
@@ -219,33 +232,38 @@ _JSON_INT = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d"' + _OUT + "]"
 _JSON_FRAC = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d/%d"' + _OUT + "]"
 
 
-def _rep_json(args, lam, rep):
+def _rep_json(args, lam, rep, write):
+    # the header and basis, one write per operator block, then the footer;
+    # every module has at least one generator slot
     letter = "E" if args.algebra == "A" else "F"
     dim = "%d" % rep.dim
-    ops = []
+    write("{" + _fields(_header(args, lam, rep.patterns), 0)
+          + ',\n  "operators": {')
+    sep = "\n    "
     for i, j in sorted(rep.gens):
         entries = _entries(rep.gens[(i, j)], _JSON_INT, _JSON_FRAC)
-        ops.append(("%s(%d,%d)" % (letter, i, j),
-                    _object([("dim", dim), ("entries", _array(entries, 3))],
-                            2)))
-    return _document(args, lam, rep.patterns, _object(ops, 1))
+        write('%s"%s(%d,%d)": %s' % (
+            sep, letter, i, j,
+            _object([("dim", dim), ("entries", _array(entries, 3))], 2)))
+        sep = ",\n    "
+    write("\n  }\n}\n")
 
 
-def _rep_csv(args, rep):
+def _rep_csv(args, rep, write):
+    # the header row, then one write per operator's rows
     letter = "E" if args.algebra == "A" else "F"
-    rows = ["generator,row,col,value\n"]
+    write("generator,row,col,value\n")
     for i, j in sorted(rep.gens):
         # the name holds a comma, so it is quoted
         name = '"%s(%d,%d)",' % (letter, i, j)
-        rows += _entries(rep.gens[(i, j)], name + "%d,%d,%d\n",
-                         name + "%d,%d,%d/%d\n")
-    return "".join(rows)
+        write("".join(_entries(rep.gens[(i, j)], name + "%d,%d,%d\n",
+                               name + "%d,%d,%d/%d\n")))
 
 
 def cmd_dim(args):
     _json_only(args)
     lam = _weight_of(args)
-    _emit("%d\n" % weyl_dim(args.algebra, lam), args.out)
+    _emit(_text("%d\n" % weyl_dim(args.algebra, lam)), args.out)
     return 0
 
 
@@ -257,7 +275,7 @@ def cmd_patterns(args):
         pats = enumerate_patterns_a(lam, args.cap)
     else:
         pats = enumerate_patterns_b(lam, args.cap)
-    _emit(_document(args, lam, pats), args.out)
+    _emit(_text(_document(args, lam, pats)), args.out)
     return 0
 
 
@@ -265,10 +283,11 @@ def cmd_build(args):
     lam = _weight_of(args)
     _cap_guard(args, lam)
     rep = _build_rep(args, lam)
+    # nothing is written until the build has returned
     if args.format == "csv":
-        _emit(_rep_csv(args, rep), args.out)
+        _emit(functools.partial(_rep_csv, args, rep), args.out)
     else:
-        _emit(_rep_json(args, lam, rep), args.out)
+        _emit(functools.partial(_rep_json, args, lam, rep), args.out)
     return 0
 
 
@@ -278,7 +297,7 @@ def cmd_verify(args):
     _cap_guard(args, lam)
     rep = _build_rep(args, lam)
     report = run_verification(rep, args.algebra, args.level)
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+    _emit(_text(json.dumps(report.to_json(), indent=2) + "\n"), args.out)
     return 0 if report.passed else 1
 
 
@@ -335,7 +354,7 @@ def cmd_branch(args):
                                    "ok" if ok else "MISMATCH"))
         if not ok:
             code = 1
-    _emit("".join(l + "\n" for l in lines), args.out)
+    _emit(_text("".join(l + "\n" for l in lines)), args.out)
     return code
 
 

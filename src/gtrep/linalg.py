@@ -5,10 +5,11 @@ verification layer needs. Stored entries are Fraction in every build
 Products run on integers: each operand is scaled by the common
 denominator of its entries, the products of numerators are summed as
 Python ints, and each nonzero output entry becomes one reduced
-Fraction(num, den_left * den_right). A sum of products (a commutator, or
-a column determinant's row-subset expansion) runs on one int accumulator
-over the lcm of its terms' denominators. Entries that cancel to zero are
-not stored."""
+Fraction(num, den_left * den_right), made once per distinct value. A sum
+of products (a commutator, or a column determinant's row-subset
+expansion) runs on one int accumulator over the lcm of its terms'
+denominators. Entries that cancel to zero are not stored. Negation
+negates each distinct entry object once."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -52,7 +53,16 @@ class Operator:
         return self.dim == other.dim and self.ent == other.ent
 
     def __neg__(self):
-        return Operator(self.dim, {k: -v for k, v in self.ent.items()})
+        # each distinct entry object is negated once, keyed by id: self
+        # holds the objects, so their ids stay fixed meanwhile
+        neg = {}
+        out = {}
+        for k, v in self.ent.items():
+            m = neg.get(id(v))
+            if m is None:
+                m = neg[id(v)] = -v
+            out[k] = m
+        return Operator(self.dim, out)
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -116,7 +126,8 @@ class Operator:
 def product_sum(dim, terms):
     """sum of s * (a @ b) over the (int s, Operator a, Operator b) in terms,
     summed on one int accumulator over the lcm of the terms' denominators.
-    Terms with a zero operand are skipped."""
+    Terms with a zero operand are skipped. Equal entries of the result
+    share one Fraction."""
     nums = {}  # by id: an operand used twice is scaled once
     parts = []
     for s, a, b in terms:
@@ -130,7 +141,15 @@ def product_sum(dim, terms):
     acc = {}
     for s, d, na, nb in parts:
         _accumulate(acc, na, nb, s * (den // d))
-    return Operator(dim, {k: Fraction(v, den) for k, v in acc.items() if v})
+    vals = {}  # int numerator over den -> its one Fraction
+    ent = {}
+    for k, v in acc.items():
+        if v:
+            f = vals.get(v)
+            if f is None:
+                f = vals[v] = Fraction(v, den)
+            ent[k] = f
+    return Operator(dim, ent)
 
 
 def _accumulate(acc, a, b, mult):

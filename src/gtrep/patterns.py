@@ -239,6 +239,16 @@ class PatternB:
                 out.extend(Fraction(d, 2) for d in self.rows[k - 2])
         return tuple(out)
 
+    def doubled_key(self):
+        # key() with every entry doubled: the same order, on ints
+        out = []
+        for k in range(self.n, 0, -1):
+            out.append(self.sigma[k - 1])
+            out.extend(self.primed[k - 1])
+            if k >= 2:
+                out.extend(self.rows[k - 2])
+        return tuple(out)
+
     def doubled_weight(self, k):
         # twice the F(k,k) eigenvalue, an int
         d = 2 * self.sigma[k - 1] + 2 * sum(self.primed[k - 1])
@@ -369,7 +379,7 @@ def enumerate_patterns_b(lam, cap=None):
                             prows_acc + [prow])
 
     descend(n, top, [], [top], [])
-    out.sort(key=PatternB.key)
+    out.sort(key=PatternB.doubled_key)
     return tuple(out)
 
 

@@ -21,11 +21,12 @@ F(-j,-i) = -F(i,j), so F(i,-i) = 0.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from math import lcm
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_monomial,
                     factor_value, rf_limit_at)
-from .linalg import Operator, rref
+from .linalg import Operator, product_sum, rref
 from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
 
 
@@ -269,8 +270,11 @@ def _single_step(basis, k, term_fn, *args):
     deformed route here: no tested module meets a zero denominator in these
     coefficients, so one is a construction failure naming its location."""
     op = Operator(basis.dim)
+    # targets are tested by basis membership, which the lookup below needs
+    # anyway; no move touches the top row, so it agrees with full_valid
+    member = basis.index.__contains__
     for c, pat in enumerate(basis.patterns):
-        for tgt, num, den, coef in term_fn(pat, k, PatternB.full_valid, *args):
+        for tgt, num, den, coef in term_fn(pat, k, member, *args):
             r = basis.index[tgt]
             try:
                 v = PLAIN.value(num, den, coef)
@@ -304,7 +308,7 @@ def raise_column_terms(basis, k, pat, ctx):
     acc = {}
     zero = LaurentSum() if ctx.deformed else F0
     value = ctx.value
-    mid_valid, tgt_valid = PatternB.generic_valid, PatternB.full_valid
+    mid_valid, tgt_valid = PatternB.generic_valid, basis.index.__contains__
 
     def add(tgt, v):
         if v:
@@ -392,26 +396,49 @@ def _canon_slot(p, q):
     return alt, -1
 
 
-def structure_table(n, _cache={}):
-    """The full bracket table for slots -n..n: [F(a,b), F(c,d)] as
-    {canonical slot: coefficient}, read off the defining module. There the
-    operators of distinct canonical slots have disjoint supports and F(p,q)
-    has entry 1 at position (p,q), so each slot's coefficient is the
-    commutator's entry at that slot's own position."""
-    if n in _cache:
-        return _cache[n]
-    defs = defining_operators(n)
-    table = {}
-    for ab, x in defs.items():
-        for cd, y in defs.items():
+class _BracketTable(Mapping):
+    """[F(a,b), F(c,d)] as {canonical slot: coefficient}, keyed by
+    ((a, b), (c, d)) for all slots -n..n, each entry read off the defining
+    module when first asked for and then kept. There the operators of
+    distinct canonical slots have disjoint supports and F(p,q) has entry 1
+    at position (p,q), so each slot's coefficient is the commutator's
+    entry at that slot's own position. The commutators are taken with
+    product_sum; Operator.commutator is left to brackets of module
+    generators."""
+
+    def __init__(self, n):
+        self.n = n
+        self.defs = defining_operators(n)
+        self.known = {}
+
+    def __getitem__(self, key):
+        terms = self.known.get(key)
+        if terms is None:
+            ab, cd = key
+            x, y = self.defs[ab], self.defs[cd]
+            n = self.n
             terms = {}
-            for (r, c), v in x.commutator(y).ent.items():
+            comm = product_sum(2 * n + 1, [(1, x, y), (-1, y, x)])
+            for (r, c), v in comm.ent.items():
                 slot = (r - n, c - n)
                 if _canon_slot(*slot)[0] == slot:
                     terms[slot] = v
-            table[(ab, cd)] = terms
-    _cache[n] = table
-    return table
+            self.known[key] = terms
+        return terms
+
+    def __iter__(self):
+        return ((ab, cd) for ab in self.defs for cd in self.defs)
+
+    def __len__(self):
+        return len(self.defs) ** 2
+
+
+def structure_table(n, _cache={}):
+    """The bracket table for slots -n..n (see _BracketTable), one per n;
+    only the entries asked for are computed."""
+    if n not in _cache:
+        _cache[n] = _BracketTable(n)
+    return _cache[n]
 
 
 def close_generators(n, seeds, dim):

@@ -18,6 +18,7 @@ import gtrep.cli as cli
 from gtrep import build_so
 from gtrep.cli import main
 from gtrep.exact import format_rational
+from gtrep.sorep import ConstructionError
 
 
 def run(capsys, *argv):
@@ -172,6 +173,13 @@ def _writer_case(algebra, w):
     return SimpleNamespace(algebra=algebra, rank=rep.n), rep
 
 
+def _writes(produce, *args):
+    # the pieces a streaming writer passes to write, in order
+    parts = []
+    produce(*args, parts.append)
+    return parts
+
+
 def _module_id(case):
     return "%s(%s)" % (case[0], ",".join(format_rational(Fraction(x))
                                          for x in case[1]))
@@ -180,16 +188,18 @@ def _module_id(case):
 @pytest.mark.parametrize("algebra, w", WRITER_MODULES,
                          ids=[_module_id(c) for c in WRITER_MODULES])
 class TestTemplateWriter:
-    """The format-string writers against json.dumps and csv.writer."""
+    """The format-string writers, their writes joined, against json.dumps
+    and csv.writer."""
 
     def test_build_json_matches_json_dumps(self, algebra, w):
         args, rep = _writer_case(algebra, w)
-        assert (cli._rep_json(args, rep.lam, rep)
+        assert ("".join(_writes(cli._rep_json, args, rep.lam, rep))
                 == ref_rep_json(algebra, rep.lam, rep))
 
     def test_build_csv_matches_csv_writer(self, algebra, w):
         args, rep = _writer_case(algebra, w)
-        assert cli._rep_csv(args, rep) == ref_rep_csv(algebra, rep)
+        assert ("".join(_writes(cli._rep_csv, args, rep))
+                == ref_rep_csv(algebra, rep))
 
     def test_patterns_matches_json_dumps(self, algebra, w, capsys):
         args, rep = _writer_case(algebra, w)
@@ -198,6 +208,69 @@ class TestTemplateWriter:
                            ",".join(map(format_rational, rep.lam)))
         assert code == 0
         assert out == ref_patterns_json(algebra, rep.lam, rep.patterns)
+
+
+class Recorder:
+    """A stand-in stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedBuild:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("algebra, weight, gens",
+                             [("B", "-1,-2", 25), ("A", "2,1,0", 9)])
+    def test_written_generator_by_generator(self, algebra, weight, gens, fmt,
+                                            monkeypatch):
+        # sys.stdout is looked up when the command runs, so the recorder
+        # sees every write
+        rec = Recorder()
+        monkeypatch.setattr(sys, "stdout", rec)
+        code = main(["build", "--type", algebra, "--rank",
+                     str(weight.count(",") + 1), "--weight", weight,
+                     "--format", fmt])
+        assert code == 0
+        assert len(rec.parts) >= gens
+        assert 2 * max(map(len, rec.parts)) < len("".join(rec.parts))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("algebra, weight",
+                             [("B", "-1/2,-3/2"), ("A", "2,1,0")])
+    def test_out_file_equals_stdout(self, algebra, weight, fmt, tmp_path,
+                                    capsys):
+        argv = ["build", "--type", algebra, "--rank",
+                str(weight.count(",") + 1), "--weight", weight,
+                "--format", fmt]
+        _, want, _ = run(capsys, *argv)
+        target = tmp_path / "out"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == want.encode()
+
+    def test_construction_failure_writes_nothing(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def fail(lam, cap=None, trace=None):
+            raise ConstructionError("pole", witness=(1, 2))
+
+        monkeypatch.setattr(cli, "build_so", fail)
+        target = tmp_path / "old.json"
+        target.write_text("previous")
+        argv = ["build", "--type", "B", "--rank", "2", "--weight", "-1,-2"]
+        for fmt in ("json", "csv"):
+            for extra in ([], ["--out", str(target)]):
+                code, out, err = run(capsys, *argv, "--format", fmt, *extra)
+                assert (code, out) == (3, "")
+                assert err == "construction failed: pole [witness: (1, 2)]\n"
+        assert target.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
 
 
 class TestOutFile:

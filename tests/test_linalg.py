@@ -77,3 +77,30 @@ def test_cancelling_products_are_not_stored():
     assert (a @ b).ent == {}
     assert a.commutator(a).ent == {}
     assert Operator(2) @ a == Operator(2)
+
+
+def _objects(op):
+    return {id(v) for v in op.ent.values()}
+
+
+@given(operator_pairs)
+def test_equal_product_entries_are_one_object(pair):
+    a, b = pair
+    for op in (a @ b, a.commutator(b)):
+        assert len(_objects(op)) == len(set(op.ent.values()))
+
+
+@given(operator_pairs)
+def test_negation_negates_each_source_object_once(pair):
+    a, _ = pair
+    # two keys on one object and a third on an equal but distinct object
+    half = Fraction(1, 2)
+    shared = Operator(3, {(0, 0): half, (1, 1): half,
+                          (2, 2): Fraction(2, 4)})
+    for op in (a, shared, a @ a):
+        neg = -op
+        assert neg.ent == {k: -v for k, v in op.ent.items()}
+        assert len(_objects(neg)) == len(_objects(op))
+        for k, v in op.ent.items():
+            for k2, v2 in op.ent.items():
+                assert (v is v2) == (neg.ent[k] is neg.ent[k2])

@@ -190,6 +190,15 @@ class TestBrackets:
                     want = want + defs[slot].scale(coef)
                 assert defs[ab].commutator(defs[cd]) == want, (n, ab, cd)
 
+    def test_table_entries_are_computed_on_demand(self):
+        tab = sorep._BracketTable(3)
+        assert len(tab) == 7 ** 4 and not tab.known
+        key = ((0, 1), (1, 2))
+        assert tab[key] == hand_bracket(0, 1, 1, 2)
+        assert list(tab.known) == [key]
+        assert dict(tab) == dict(structure_table(3))
+        assert len(tab.known) == len(tab)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_table_coefficient_is_plus_or_minus_one(self, n):
         # close_generators stores each commutator, or its negation, unscaled
@@ -345,6 +354,27 @@ def test_term_functions_build_only_interleaving_targets(w, monkeypatch):
             prime_drop_terms(pat, k, PatternB.full_valid)
             lower_step_terms(pat, k, PatternB.full_valid)
     assert built and all(t.interleaves() for t in built)
+
+
+@pytest.mark.parametrize("w", B_CORPUS)
+def test_basis_membership_agrees_with_full_valid(w):
+    # the builders test final targets by basis membership: on every raw
+    # target the term functions build from a basis pattern or an
+    # intermediate, it gives the same answer as full_valid
+    rep = so_rep(w)
+    built = []
+
+    def record(tgt):
+        built.append(tgt)
+        return False
+    for pat in _term_sources(rep):
+        for k in range(1, rep.n + 1):
+            prime_drop_terms(pat, k, record)
+            for u in (None, 0, 2):
+                lower_step_terms(pat, k, record, u)
+    assert built
+    for tgt in built:
+        assert (tgt in rep.index) == tgt.full_valid(), tgt
 
 
 class TestSpanRank:
