@@ -8,10 +8,10 @@ products of factors (A, b), each standing for A/2 + b*t with int A and b:
 A is a doubled pattern value, b its drift when every pattern entry is
 shifted by a formal t. factor_value evaluates such a ratio at t = 0 as
 one Fraction. The deformed route needs only the limit at t = 0 of sums of
-such ratios: factor_monomial gives one term in factored form (Monomial),
-and the per-target sums are expanded exactly to t^0 (LaurentSum).
-rf_limit_at reads off the t^0 coefficient; a surviving negative power
-raises PoleError, which is exactly the "no finite limit" case.
+such ratios: factor_laurent expands one ratio exactly to t^0 (a
+LaurentSum), and the per-target sums add those expansions. rf_limit_at
+reads off the t^0 coefficient; a surviving negative power raises
+PoleError, which is exactly the "no finite limit" case.
 """
 from __future__ import annotations
 
@@ -45,15 +45,6 @@ def format_rational(x):
     return str(Fraction(x))
 
 
-def _monomial(x):
-    # x as a Monomial, or None for an operand outside the field
-    if isinstance(x, Monomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Monomial(x)
-    return None
-
-
 def factor_value(num, den, c=1):
     """c * prod(num) / prod(den) at t = 0, where a factor (A, b) stands for
     A/2 + b*t: the products run on the A's as ints and one Fraction is
@@ -70,107 +61,58 @@ def factor_value(num, den, c=1):
     return Fraction(p, q * 2 ** -e)
 
 
-def factor_monomial(num, den, c=1):
-    """The same ratio as factor_value, as a Monomial in t: a factor with
-    A != 0 is A/2 * (1 + (2b/A)*t), one with A == 0 is b*t. A factor
-    (0, 0) in den raises ZeroDivisionError; one in num makes the zero
-    Monomial."""
-    p, q, v, f = c, 1, 0, {}
-    zero = False
+def factor_laurent(num, den, c=1):
+    """The same ratio as factor_value, expanded in t to t^0 as a LaurentSum.
+    A factor with A != 0 is A/2 * (1 + (2b/A)*t), one with A == 0 is b*t;
+    the latter fix the pole order v. A term with v > 0 vanishes at t = 0,
+    one with v = 0 is its constant, and only for v < 0 are the unit
+    factors expanded, to exactly their first -v terms past the constant.
+    A factor (0, 0) in den raises ZeroDivisionError; one in num makes the
+    empty sum."""
+    p, q, v = c, 1, 0
     for a, b in num:
         if a:
             p *= a
             q *= 2
-            if b:
-                beta = Fraction(2 * b, a)
-                f[beta] = f.get(beta, 0) + 1
-        elif b:
+        else:
             p *= b
             v += 1
-        else:
-            zero = True
     for a, b in den:
         if a:
             p *= 2
             q *= a
-            if b:
-                beta = Fraction(2 * b, a)
-                f[beta] = f.get(beta, 0) - 1
         elif b:
             q *= b
             v -= 1
         else:
             raise ZeroDivisionError("division by an exactly zero factor")
-    if zero:
-        return Monomial(0)
-    return Monomial(Fraction(p, q), v, {x: e for x, e in f.items() if e})
-
-
-class Monomial:
-    """c * t^v * prod (1 + beta*t)^e, the factors kept as {beta: e}.
-
-    factor_monomial builds one per coefficient term; products stay exact
-    in this shape, and c == 0 is an exact zero test. There is no addition:
-    sums of products only happen in a LaurentSum."""
-
-    __slots__ = ("c", "v", "f")
-
-    def __init__(self, c, v=0, f=None):
-        self.c = Fraction(c)
-        if self.c:
-            self.v = v
-            self.f = f or {}
-        else:
-            self.v = 0
-            self.f = {}
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __neg__(self):
-        return Monomial(-self.c, self.v, self.f)
-
-    def __mul__(self, other):
-        o = _monomial(other)
-        if o is None:
-            return NotImplemented
-        f = dict(self.f)
-        for beta, e in o.f.items():
-            e += f.get(beta, 0)
-            if e:
-                f[beta] = e
-            else:
-                del f[beta]
-        return Monomial(self.c * o.c, self.v + o.v, f)
-
-    __rmul__ = __mul__
-
-    def expand(self):
-        """Coefficients of t^v ... t^0, empty when v > 0. The unit part
-        needs exactly its first -v terms past the constant, so the pole
-        order fixes the work and nothing is guessed."""
-        n = 1 - self.v
-        if n <= 1:
-            return [self.c] if n == 1 else []
-        s = [self.c] + [F0] * (n - 1)
-        for beta, e in self.f.items():
-            for _ in range(abs(e)):
-                if e > 0:
-                    for i in range(n - 1, 0, -1):
-                        s[i] += beta * s[i - 1]
-                else:
-                    for i in range(1, n):
-                        s[i] -= beta * s[i - 1]
-        return s
+    if v > 0 or not p:
+        return LaurentSum()
+    c0 = Fraction(p, q)
+    if v == 0:
+        return LaurentSum(0, (c0,))
+    s = [c0] + [F0] * -v
+    n = len(s)
+    for a, b in num:
+        if a and b:
+            beta = Fraction(2 * b, a)
+            for i in range(n - 1, 0, -1):
+                s[i] += beta * s[i - 1]
+    for a, b in den:
+        if a and b:
+            beta = Fraction(2 * b, a)
+            for i in range(1, n):
+                s[i] -= beta * s[i - 1]
+    return LaurentSum(v, s)
 
 
 class LaurentSum:
-    """A sum of monomials, kept as its coefficients of t^lo ... t^0.
+    """A sum of terms in t, kept as its coefficients of t^lo ... t^0.
 
-    Each term is expanded exactly to t^0, so the pole part and the constant
-    term are exact; higher powers cannot reach the limit at t = 0 and are
-    not kept. Monomials and scalars can be added in; any other arithmetic
-    raises TypeError."""
+    Each term is expanded exactly to t^0 (factor_laurent), so the pole part
+    and the constant term are exact; higher powers cannot reach the limit
+    at t = 0 and are not kept. Only another LaurentSum can be added; any
+    other arithmetic raises TypeError."""
 
     __slots__ = ("lo", "c")
 
@@ -179,15 +121,11 @@ class LaurentSum:
         self.c = tuple(coeffs)
 
     def __add__(self, other):
-        m = _monomial(other)
-        if m is None:
+        if not isinstance(other, LaurentSum):
             return NotImplemented
-        terms = m.expand()
-        if not terms:
-            return self
-        lo = min(self.lo, m.v)
+        lo = min(self.lo, other.lo)
         c = [F0] * (self.lo - lo) + list(self.c)
-        for i, x in enumerate(terms, m.v - lo):
+        for i, x in enumerate(other.c, other.lo - lo):
             c[i] += x
         return LaurentSum(lo, c)
 
@@ -201,12 +139,9 @@ class LaurentSum:
 
 
 def rf_limit_at(f):
-    """Exact limit at t = 0 of a LaurentSum (a monomial or scalar is
-    summed into an empty one first). A surviving negative power
+    """Exact limit at t = 0 of a LaurentSum. A surviving negative power
     is a genuine pole and raises PoleError with the expansion as witness.
     """
-    if not isinstance(f, LaurentSum):
-        f = LaurentSum() + f
     if any(f.c[:-1]):
         raise PoleError("pole at t = 0", witness=str(f))
     return f.c[-1]

@@ -231,16 +231,8 @@ class PatternB:
         return len(self.sigma)
 
     def key(self):
-        out = []
-        for k in range(self.n, 0, -1):
-            out.append(self.sigma[k - 1])
-            out.extend(Fraction(d, 2) for d in self.primed[k - 1])
-            if k >= 2:
-                out.extend(Fraction(d, 2) for d in self.rows[k - 2])
-        return tuple(out)
-
-    def doubled_key(self):
-        # key() with every entry doubled: the same order, on ints
+        # the canonical order: level by level from the top, sigma, then
+        # the doubled primed and unprimed rows
         out = []
         for k in range(self.n, 0, -1):
             out.append(self.sigma[k - 1])
@@ -379,7 +371,7 @@ def enumerate_patterns_b(lam, cap=None):
                             prows_acc + [prow])
 
     descend(n, top, [], [top], [])
-    out.sort(key=PatternB.doubled_key)
+    out.sort(key=PatternB.key)
     return tuple(out)
 
 

@@ -10,11 +10,13 @@ moved entries pass one of their interleaving neighbours fails either
 test, so it is never built.
 
 The diagonal and lowering generators evaluate directly. The raising
-generators come from a two-step composite whose individual steps can hit
-removable poles; those columns are recomputed with every pattern entry
-shifted by a formal parameter (the top row included, which amounts to
-working in a nearby generic module) and the limit taken at zero. A pole
-surviving the limit is a construction failure, never silently dropped.
+generators come from a two-step composite; each path through it is one
+ratio, the factor lists of its two steps joined. A path can hit a
+removable pole; a column with such a path is recomputed with every
+pattern entry shifted by a formal parameter (the top row included, which
+amounts to working in a nearby generic module) and the limit taken at
+zero. A pole surviving the limit is a construction failure, never
+silently dropped.
 
 Index convention: generator slots are pairs (i, j) with -n <= i, j <= n;
 F(-j,-i) = -F(i,j), so F(i,-i) = 0.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import lcm
 
-from .exact import (F0, F1, LaurentSum, PoleError, factor_monomial,
+from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
 from .linalg import Operator, product_sum, rref
 from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
@@ -39,7 +41,7 @@ class ConstructionError(Exception):
 class DeformContext:
     """Evaluates coefficient terms, each given as c * prod(num) / prod(den)
     over factors (A, b) = A/2 + b*t (see exact.py): plain, as one Fraction
-    at t = 0; deformed, as one Monomial in t, every pattern entry shifted
+    at t = 0; deformed, as one LaurentSum in t, every pattern entry shifted
     by t."""
 
     __slots__ = ("deformed",)
@@ -49,7 +51,7 @@ class DeformContext:
 
     def value(self, num, den, c=1):
         if self.deformed:
-            return factor_monomial(num, den, c)
+            return factor_laurent(num, den, c)
         return factor_value(num, den, c)
 
 
@@ -302,7 +304,9 @@ def build_phi_u(basis, k, u):
 
 def raise_column_terms(basis, k, pat, ctx):
     """All composite paths from one source pattern: returns {target: value}
-    in ctx arithmetic, a LaurentSum per target when deformed. Intermediates
+    in ctx arithmetic, a LaurentSum per target when deformed. Each path is
+    one ratio, the two steps' factor lists joined and their constants
+    multiplied, so only a complete path can divide by zero. Intermediates
     pass the interleaving-only filter; final targets must be basis
     members."""
     acc = {}
@@ -316,16 +320,12 @@ def raise_column_terms(basis, k, pat, ctx):
 
     # first composite term: primed drop, then parametric step at u = 2
     for mid, num, den, c in prime_drop_terms(pat, k, mid_valid):
-        c1 = value(num, den, c)
-        if c1:
-            for tgt, n2, d2, c2 in lower_step_terms(mid, k, tgt_valid, 2):
-                add(tgt, value(n2, d2, c2) * c1)
+        for tgt, n2, d2, c2 in lower_step_terms(mid, k, tgt_valid, 2):
+            add(tgt, value(num + n2, den + d2, c * c2))
     # second composite term: parametric step at u = 0, then primed drop
     for mid, num, den, c in lower_step_terms(pat, k, mid_valid, 0):
-        c1 = value(num, den, c)
-        if c1:
-            for tgt, n2, d2, c2 in prime_drop_terms(mid, k, tgt_valid):
-                add(tgt, -(value(n2, d2, c2) * c1))
+        for tgt, n2, d2, c2 in prime_drop_terms(mid, k, tgt_valid):
+            add(tgt, value(num + n2, den + d2, -c * c2))
     return acc
 
 
@@ -352,8 +352,8 @@ def deformed_column(basis, k, c, pat, trace=None):
 
 def build_f_raise(basis, k, trace=None):
     """The raising generator at level k from the two-step composite: plain
-    rational arithmetic per source column, and any division by zero sends
-    the whole column through deformed_column."""
+    rational arithmetic per source column, and a path that divides by zero
+    sends the whole column through deformed_column."""
     op = Operator(basis.dim)
     for c, pat in enumerate(basis.patterns):
         try:

@@ -466,7 +466,6 @@ SPINOR_TRACE = (
     "deform: level=1 source=15 target=14 value=1/2 + O(t)\n"
     "deform: level=2 source=6 target=13 value=-16/3 + O(t)\n"
     "deform: level=2 source=6 target=1 value=-10/3 + O(t)\n"
-    "deform: level=2 source=7 target=3 value=-10/3 + O(t)\n"
     "deform: level=2 source=8 target=2 value=5/6 + O(t)\n"
     "deform: level=2 source=8 target=12 value=5/3 + O(t)\n"
     "deform: level=2 source=9 target=3 value=5/6 + O(t)\n"

@@ -11,7 +11,7 @@ from gtrep import (
     parse_rational,
     rf_limit_at,
 )
-from gtrep.exact import LaurentSum
+from gtrep.exact import F0, F1, LaurentSum, factor_laurent
 from gtrep.sorep import DEFORMED, PLAIN
 
 # factors (A, b) stand for A/2 + b*t
@@ -34,8 +34,8 @@ def total(*terms):
     return acc
 
 
-def shape(m):
-    return (m.c, m.v, m.f)
+def laurent(f):
+    return (f.lo, f.c)
 
 
 class TestLimits:
@@ -51,7 +51,7 @@ class TestLimits:
 
     def test_common_factor_cancels(self):
         f = ratio([lin(0, 2)], [T])
-        assert shape(f) == (2, 0, {})
+        assert laurent(f) == (0, (2,))
         assert rf_limit_at(f) == 2
 
     def test_plain_point_is_evaluation(self):
@@ -62,7 +62,7 @@ class TestLimits:
         # the order-2 parts cancel and an order-1 pole survives:
         # 1/(t^2 (1+t)) - 1/t^2 = -1/(t (1+t))
         s = total(ratio([], [T, T, lin(1)]), ratio([], [T, T], -1))
-        assert (s.lo, s.c) == (-2, (0, -1, 1))
+        assert laurent(s) == (-2, (0, -1, 1))
         with pytest.raises(PoleError):
             rf_limit_at(s)
 
@@ -79,13 +79,16 @@ class TestLimits:
                                  ratio([], [T], -2))) == 3
 
     def test_positive_powers_are_dropped(self):
-        s = total(ratio([T, lin(1)]), 7)
-        assert (s.lo, s.c) == (0, (7,))
+        # t(1 + t) vanishes at t = 0: the empty sum
+        assert laurent(ratio([T, lin(1)])) == (0, (0,))
+        s = total(ratio([T, lin(1)]), ratio([lin(7)]))
+        assert laurent(s) == (0, (7,))
 
 
 class TestRationalFunctionArithmetic:
-    """Rational functions of t as the deformed route builds them:
-    ratios of products of linear factors, in factored form."""
+    """Rational functions of t as the deformed route builds them: one
+    ratio of products of linear factors per composite path, expanded to
+    t^0."""
 
     def test_sum_over_distinct_poles(self):
         # poles away from t = 0 leave the limit a plain sum of values
@@ -93,53 +96,95 @@ class TestRationalFunctionArithmetic:
                                  ratio([], [lin(1)]))) == 0
 
     def test_self_division_is_one(self):
-        assert shape(ratio([T], [T])) == (1, 0, {})
-        assert shape(ratio([lin(2)], [lin(2)])) == (1, 0, {})
+        assert laurent(ratio([T], [T])) == (0, (1,))
+        assert laurent(ratio([lin(2)], [lin(2)])) == (0, (1,))
 
     def test_product_cancels(self):
-        f = ratio([T, lin(1)]) * ratio([], [T])
-        assert shape(f) == (1, 0, {1: 1})
+        # the steps t(1 + t) and 1/t of a path, their factor lists joined:
+        # the zero factors cancel and the constant is left
+        (num1, den1), (num2, den2) = ([T, lin(1)], []), ([], [T])
+        assert laurent(ratio(num1 + num2, den1 + den2)) == (0, (1,))
 
     def test_zero_denominator_rejected(self):
         zero = lin(0, 0)
-        assert not ratio([zero])
+        assert laurent(ratio([zero])) == (0, (0,))
         with pytest.raises(ZeroDivisionError):
             ratio([lin(1)], [zero])
         with pytest.raises(ZeroDivisionError):
             ratio([T, T], [zero, T])
-        assert not (ratio([zero]) * ratio([lin(3)]))
-
-    def test_scalar_mixing(self):
-        g = ratio([lin(1, -1)])
-        assert shape(g) == (1, 0, {-1: 1})
-        assert shape(3 * (ratio([T]) * g)) == (3, 1, {-1: 1})
+        assert laurent(ratio([zero, lin(3)])) == (0, (0,))
 
     def test_sums_outside_the_accumulator_raise(self):
-        m = ratio([T, lin(1)])
-        s = total(m)
-        for bad in (lambda: m + m, lambda: ratio([lin(1)]) + m,
-                    lambda: m - 1, lambda: s * m, lambda: s + s,
-                    lambda: m * s, lambda: s / 2):
+        s = total(ratio([T, lin(1)], [T]))
+        assert laurent(s + s) == (0, (2,))
+        for bad in (lambda: s + 1, lambda: 1 + s, lambda: s + F1,
+                    lambda: s - 1, lambda: s * s, lambda: 2 * s,
+                    lambda: s / 2, lambda: -s):
             with pytest.raises(TypeError):
                 bad()
 
 
-small_fracs = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6
-).filter(lambda x: x != 0)
+def poly(factors):
+    # (number of zero factors, coefficients of the product of the factors
+    # A/2 + b*t with those zero factors t divided out)
+    v, p = 0, [F1]
+    for a, b in factors:
+        f = [Fraction(a, 2), Fraction(b)] if a else [Fraction(b)]
+        v += not a
+        q = [F0] * (len(p) + len(f) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(f):
+                q[i + j] += x * y
+        p = q
+    return v, p
 
 
-@given(small_fracs, small_fracs, small_fracs)
-def test_chain_product_telescopes(p, q, r):
-    # (p/q)*(q/r) == p/r with the symbols replaced by shifted variables
-    a = ratio([lin(p)], [lin(q)])
-    b = ratio([lin(q)], [lin(r)])
-    assert shape(a * b) == shape(ratio([lin(p)], [lin(r)]))
+def series(num, den, c, n):
+    # reference: c * prod(num) / prod(den) as (v, its first n coefficients
+    # from t^v), by long division of the factor polynomials
+    vt, top = poly(num)
+    vb, bot = poly(den)
+    top = [c * x for x in top] + [F0] * n
+    out = []
+    for i in range(n):
+        acc = top[i] - sum(out[j] * bot[i - j]
+                           for j in range(max(0, i - len(bot) + 1), i))
+        out.append(acc / bot[0])
+    return vt - vb, out
+
+
+def truncated_product(f, g):
+    # the product of two (v, coefficients) series, to t^0, as
+    # {power: coefficient} with zeros dropped
+    v = f[0] + g[0]
+    out = {}
+    for i, x in enumerate(f[1]):
+        for j, y in enumerate(g[1]):
+            p = v + i + j
+            if p <= 0 and x * y:
+                out[p] = out.get(p, F0) + x * y
+    return {p: x for p, x in out.items() if x}
 
 
 # factors (A, b) as the builders make them: doubled ints, small drifts
 factor_lists = st.lists(st.tuples(st.integers(-6, 6), st.integers(-2, 2)),
                         max_size=5)
+
+
+@given(factor_lists, factor_lists, st.integers(-3, 3),
+       factor_lists, factor_lists, st.integers(-3, 3))
+def test_path_ratio_is_product_of_step_series(num1, den1, c1,
+                                              num2, den2, c2):
+    # one ratio over the joined factor lists expands to the truncated
+    # product of the two steps' series
+    assume((0, 0) not in den1 + den2)
+    f = factor_laurent(num1 + num2, den1 + den2, c1 * c2)
+    got = {p: x for p, x in enumerate(f.c, f.lo) if x}
+    # each step's series needs as many terms as the path's pole order
+    n = 1 + sum(1 for a, _ in den1 + den2 if a == 0)
+    want = truncated_product(series(num1, den1, c1, n),
+                             series(num2, den2, c2, n))
+    assert got == want
 
 
 @given(factor_lists, factor_lists, st.integers(-3, 3))

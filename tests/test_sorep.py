@@ -17,7 +17,6 @@ from gtrep import (
     structure_table,
 )
 from gtrep import sorep
-from gtrep.exact import LaurentSum
 from gtrep.sorep import (
     DEFORMED,
     PLAIN,
@@ -81,7 +80,7 @@ class TestCoefficients:
         # level 1 row (0,) puts the content at -1/2, colliding with the
         # fixed slot; only the deformed value is finite
         pat = PatternB([0, 0], [(0,), (0, 0)], [(0,), (0, 0)])
-        got = LaurentSum() + DEFORMED.value(*mid_row_prefactor(pat, 2, 0))
+        got = DEFORMED.value(*mid_row_prefactor(pat, 2, 0))
         # 1/(t(1-t)) = t^-1 + 1 + O(t)
         assert (got.lo, got.c) == (-1, (1, 1))
 
@@ -259,6 +258,21 @@ class TestDeformationAgreement:
             fast = build_f_raise(b, k)
             slow = deformed_raise(b, k)
             assert fast == slow, (w, k)
+
+
+# integer-class weights: in B (-1,-1,-2), 43 raising columns have a first
+# step that divides by zero, but none of those steps reaches a basis member
+INTEGER_CLASS = [w for w in B_CORPUS if "/" not in "".join(w)]
+
+
+class TestRouting:
+    @pytest.mark.parametrize("w", INTEGER_CLASS + [("-1", "-1", "-2")])
+    def test_no_complete_path_divides_by_zero(self, w):
+        # a column takes the deformed route only when a complete path
+        # divides by zero, and none does here: the trace stays empty
+        trace = []
+        sorep.build_so(w, trace=trace)
+        assert trace == []
 
 
 class TestDefiningModule:
