@@ -231,8 +231,8 @@ class PatternB:
         return len(self.sigma)
 
     def key(self):
-        # the canonical order: level by level from the top, sigma, then
-        # the doubled primed and unprimed rows
+        # the canonical order, on the stored ints: for k = n down to 1,
+        # sigma_k, primed row k, then unprimed row k-1
         out = []
         for k in range(self.n, 0, -1):
             out.append(self.sigma[k - 1])
