@@ -2,8 +2,9 @@
 construction, verification suites, branching tables.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid weight or
-configuration or an unwritable output path, 3 construction failure,
-4 internal error (any other exception, reported as one stderr line).
+configuration or an unwritable output path or standard output,
+3 construction failure, 4 internal error (any other exception, reported
+as one stderr line).
 """
 
 import argparse
@@ -96,7 +97,17 @@ def _emit(produce, out):
     # produce(write) writes the output piece by piece, to stdout or to the
     # --out target; sys.stdout is looked up now, since callers swap it
     if out is None:
-        produce(sys.stdout.write)
+        try:
+            produce(sys.stdout.write)
+            sys.stdout.flush()
+        except OSError as e:
+            # the interpreter flushes stdout again at exit; with fd 1 on
+            # /dev/null that flush cannot fail a second time
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise CliError(2, "cannot write standard output: %s"
+                           % (e.strerror or e))
         return
     try:
         # symlinks are followed, so the link stays and its target changes
@@ -142,10 +153,6 @@ def _json_only(args):
         raise CliError(2, "csv format only applies to build output")
 
 
-def _weight_strs(lam):
-    return [format_rational(x) for x in lam]
-
-
 def _build_rep(args, lam):
     trace = [] if args.deform_trace else None
     if args.algebra == "A":
@@ -159,56 +166,31 @@ def _build_rep(args, lam):
     return rep
 
 
-# Build and patterns documents in the layout of json.dumps(indent=2),
-# written from format strings. Their only strings are names and rational
-# literals, which need no escaping.
+# Build and patterns documents in the layout of json.dumps(indent=2). One
+# encoder writes every JSON structure; only the entry rows of `build`, its
+# bulk, are written from format strings. The encoder escapes newlines inside
+# strings, so every raw newline it emits is layout.
+_ENCODE = json.JSONEncoder(indent=2).encode
 
 
-def _fields(fields, depth):
-    # (key, encoded value) pairs, one to a line, as the inside of a JSON
-    # object at nesting depth
-    pad = "\n" + "  " * (depth + 1)
-    return pad + ("," + pad).join('"%s": %s' % kv for kv in fields)
+def _json_at(x, depth):
+    # x encoded as a value at nesting depth
+    return _ENCODE(x).replace("\n", "\n" + "  " * depth)
 
 
-def _object(fields, depth):
-    # (key, encoded value) pairs as a JSON object at nesting depth
-    if not fields:
-        return "{}"
-    return "{" + _fields(fields, depth) + "\n" + "  " * depth + "}"
-
-
-def _array(items, depth):
-    # encoded values as a JSON array at nesting depth
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
-def _value(x, depth):
-    # a dict, list, str or int of a pattern or header field
-    if isinstance(x, str):
-        return '"%s"' % x
-    if isinstance(x, int):
-        return "%d" % x
-    if isinstance(x, dict):
-        return _object([(k, _value(v, depth + 1)) for k, v in x.items()],
-                       depth)
-    return _array([_value(v, depth + 1) for v in x], depth)
-
-
-def _header(args, lam, patterns):
-    # the encoded fields every pattern document opens with
-    return [("algebra", _value({"type": args.algebra, "rank": args.rank},
-                               1)),
-            ("highest_weight", _value(_weight_strs(lam), 1)),
-            ("dimension", "%d" % len(patterns)),
-            ("basis", _value([p.to_json() for p in patterns], 1))]
-
-
-def _document(args, lam, patterns):
-    return _object(_header(args, lam, patterns), 0) + "\n"
+def _head(args, lam, patterns, write):
+    # the header fields, then the basis one pattern per write, leaving the
+    # top-level object open; every module has at least one pattern
+    head = _ENCODE({"algebra": {"type": args.algebra, "rank": args.rank},
+                    "highest_weight": [format_rational(x) for x in lam],
+                    "dimension": len(patterns)})
+    # the header object without its closing "\n}"
+    write(head[:-2] + ',\n  "basis": [')
+    sep = "\n    "
+    for p in patterns:
+        write(sep + _json_at(p.to_json(), 2))
+        sep = ",\n    "
+    write("\n  ]")
 
 
 def _entries(op, int_row, frac_row):
@@ -230,21 +212,23 @@ def _entries(op, int_row, frac_row):
 _IN, _OUT = "\n" + "  " * 5, "\n" + "  " * 4
 _JSON_INT = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d"' + _OUT + "]"
 _JSON_FRAC = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d/%d"' + _OUT + "]"
+# one operator block at depth 2, after its separator; the last field is the
+# entries array
+_BLOCK = '%s"%s(%d,%d)": {\n      "dim": %d,\n      "entries": %s\n    }'
 
 
 def _rep_json(args, lam, rep, write):
     # the header and basis, one write per operator block, then the footer;
     # every module has at least one generator slot
     letter = "E" if args.algebra == "A" else "F"
-    dim = "%d" % rep.dim
-    write("{" + _fields(_header(args, lam, rep.patterns), 0)
-          + ',\n  "operators": {')
+    _head(args, lam, rep.patterns, write)
+    write(',\n  "operators": {')
     sep = "\n    "
     for i, j in sorted(rep.gens):
-        entries = _entries(rep.gens[(i, j)], _JSON_INT, _JSON_FRAC)
-        write('%s"%s(%d,%d)": %s' % (
-            sep, letter, i, j,
-            _object([("dim", dim), ("entries", _array(entries, 3))], 2)))
+        rows = ",\n        ".join(_entries(rep.gens[(i, j)], _JSON_INT,
+                                            _JSON_FRAC))
+        write(_BLOCK % (sep, letter, i, j, rep.dim,
+                        "[\n        %s\n      ]" % rows if rows else "[]"))
         sep = ",\n    "
     write("\n  }\n}\n")
 
@@ -275,7 +259,12 @@ def cmd_patterns(args):
         pats = enumerate_patterns_a(lam, args.cap)
     else:
         pats = enumerate_patterns_b(lam, args.cap)
-    _emit(_text(_document(args, lam, pats)), args.out)
+
+    def produce(write):
+        _head(args, lam, pats, write)
+        write("\n}\n")
+
+    _emit(produce, args.out)
     return 0
 
 

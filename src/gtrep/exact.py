@@ -37,7 +37,11 @@ def parse_rational(s):
     s = s.strip()
     if not _RAT_RE.match(s):
         raise ValueError("bad rational literal: %r" % (s,))
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("bad rational literal: %r (zero denominator)"
+                         % (s,)) from None
 
 
 def format_rational(x):

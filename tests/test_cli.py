@@ -60,6 +60,12 @@ class TestBadInput:
                          "--weight", "x")
         assert code == 2
 
+    def test_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "dim", "--type", "A", "--rank", "1",
+                             "--weight", "1/0")
+        assert (code, out) == (2, "")
+        assert err == "bad rational literal: '1/0' (zero denominator)\n"
+
     def test_increasing_gl_weight(self, capsys):
         code, _, _ = run(capsys, "dim", "--type", "A", "--rank", "2",
                          "--weight", "0,1")
@@ -224,31 +230,38 @@ class Recorder:
         pass
 
 
+def _argv(output, algebra, weight):
+    # "json" and "csv" name a build output, "patterns" the basis document
+    cmd = (["patterns"] if output == "patterns"
+           else ["build", "--format", output])
+    return cmd + ["--type", algebra, "--rank", str(weight.count(",") + 1),
+                  "--weight", weight]
+
+
 class TestStreamedBuild:
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("output", ["json", "csv", "patterns"])
     @pytest.mark.parametrize("algebra, weight, gens",
                              [("B", "-1,-2", 25), ("A", "2,1,0", 9)])
-    def test_written_generator_by_generator(self, algebra, weight, gens, fmt,
-                                            monkeypatch):
-        # sys.stdout is looked up when the command runs, so the recorder
-        # sees every write
+    def test_written_generator_by_generator(self, algebra, weight, gens,
+                                            output, monkeypatch):
+        # a build is written at least one write per generator, a patterns
+        # document one per pattern; sys.stdout is looked up when the
+        # command runs, so the recorder sees every write
         rec = Recorder()
         monkeypatch.setattr(sys, "stdout", rec)
-        code = main(["build", "--type", algebra, "--rank",
-                     str(weight.count(",") + 1), "--weight", weight,
-                     "--format", fmt])
+        code = main(_argv(output, algebra, weight))
         assert code == 0
-        assert len(rec.parts) >= gens
-        assert 2 * max(map(len, rec.parts)) < len("".join(rec.parts))
+        doc = "".join(rec.parts)
+        least = json.loads(doc)["dimension"] if output == "patterns" else gens
+        assert len(rec.parts) >= least
+        assert 2 * max(map(len, rec.parts)) < len(doc)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("output", ["json", "csv", "patterns"])
     @pytest.mark.parametrize("algebra, weight",
                              [("B", "-1/2,-3/2"), ("A", "2,1,0")])
-    def test_out_file_equals_stdout(self, algebra, weight, fmt, tmp_path,
+    def test_out_file_equals_stdout(self, algebra, weight, output, tmp_path,
                                     capsys):
-        argv = ["build", "--type", algebra, "--rank",
-                str(weight.count(",") + 1), "--weight", weight,
-                "--format", fmt]
+        argv = _argv(output, algebra, weight)
         _, want, _ = run(capsys, *argv)
         target = tmp_path / "out"
         code, out, _ = run(capsys, *argv, "--out", str(target))
@@ -360,6 +373,38 @@ class TestOutFile:
         assert obj["dimension"] == 8 and len(obj["basis"]) == 8
 
 
+class TestStdoutWriteError:
+    """Write errors on the real stdout, in a child process, so that the
+    interpreter's flush at exit runs too: exit 2 and one stderr line, as
+    through --out."""
+
+    def test_reader_closes_early(self):
+        # the document (605 KB) outgrows the pipe buffer, so the child
+        # is still writing when the reader goes away
+        p = subprocess.Popen([sys.executable, "-m", "gtrep", "patterns",
+                              "--type", "B", "--rank", "3",
+                              "--weight", "-2,-2,-3"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert p.stdout.read(20) == b'{\n  "algebra": {\n   '
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        p.stderr.close()
+        assert p.wait() == 2
+        assert err == ("cannot write standard output: %s\n"
+                       % os.strerror(errno.EPIPE))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            r = subprocess.run([sys.executable, "-m", "gtrep", "dim",
+                                "--type", "A", "--rank", "1",
+                                "--weight", "0"],
+                               stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (r.returncode, r.stderr) == (
+            2, "cannot write standard output: %s\n" % os.strerror(errno.ENOSPC))
+
+
 class TestVerify:
     def test_fast_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "1",
@@ -455,7 +500,7 @@ class TestPatterns:
         assert obj["basis"][0]["sigma"] == [0]
 
 
-# --deform-trace stderr of B (-1/2,-3/2): fourteen raising entries take the
+# --deform-trace stderr of B (-1/2,-3/2): thirteen raising entries take the
 # deformed route
 SPINOR_TRACE = (
     "deform: level=1 source=1 target=2 value=-2 + O(t)\n"
