@@ -93,6 +93,24 @@ def _cap_guard(args, lam):
     return dim
 
 
+def _to_devnull(stream):
+    # after a write error: the interpreter flushes the stream again at
+    # exit, and with its fd on /dev/null that flush cannot fail again
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _say(text):
+    # a message line on stderr; a stderr that cannot take it changes no
+    # exit code
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def _emit(produce, out):
     # produce(write) writes the output piece by piece, to stdout or to the
     # --out target; sys.stdout is looked up now, since callers swap it
@@ -101,11 +119,7 @@ def _emit(produce, out):
             produce(sys.stdout.write)
             sys.stdout.flush()
         except OSError as e:
-            # the interpreter flushes stdout again at exit; with fd 1 on
-            # /dev/null that flush cannot fail a second time
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            _to_devnull(sys.stdout)
             raise CliError(2, "cannot write standard output: %s"
                            % (e.strerror or e))
         return
@@ -160,9 +174,16 @@ def _build_rep(args, lam):
     else:
         rep = build_so(lam, cap=args.cap, trace=trace)
     if trace:
-        for k, src, tgt, val in trace:
-            sys.stderr.write("deform: level=%d source=%d target=%d value=%s\n"
-                             % (k, src, tgt, val))
+        # requested output, like stdout: a write error on it exits 2
+        try:
+            for k, src, tgt, val in trace:
+                sys.stderr.write("deform: level=%d source=%d target=%d "
+                                 "value=%s\n" % (k, src, tgt, val))
+            sys.stderr.flush()
+        except OSError as e:
+            _to_devnull(sys.stderr)
+            raise CliError(2, "cannot write standard error: %s"
+                           % (e.strerror or e))
     return rep
 
 
@@ -373,19 +394,19 @@ def main(argv=None):
             raise CliError(2, "--cap must be at least 1")
         return handlers[args.command](args)
     except CliError as e:
-        sys.stderr.write(e.message + "\n")
+        _say(e.message + "\n")
         return e.code
     except DimensionCapError as e:
-        sys.stderr.write(str(e) + "\n")
+        _say(str(e) + "\n")
         return 2
     except ConstructionError as e:
         msg = str(e)
         if e.witness is not None:
             msg += " [witness: %s]" % (e.witness,)
-        sys.stderr.write("construction failed: %s\n" % msg)
+        _say("construction failed: %s\n" % msg)
         return 3
     except Exception as e:
-        sys.stderr.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        _say("internal error: %s: %s\n" % (type(e).__name__, e))
         return 4
 
 

@@ -18,6 +18,17 @@ amounts to working in a nearby generic module) and the limit taken at
 zero. A pole surviving the limit is a construction failure, never
 silently dropped.
 
+The lowering and raising steps of level k are evaluated once per
+level-k slice of the basis, not once per column. The slice of a pattern
+is sigma[k-1], sigma[k-2], primed[k-1], primed[k-2], rows[k-1],
+rows[k-2] and rows[k-3] (the entries of levels k, k-1 and k-2 that
+exist). A level-k move writes only sigma[k-1], sigma[k-2], primed[k-1],
+primed[k-2] and rows[k-2]. Every coefficient factor, every interleaving
+or class bound on a moved entry and the plain/deformed routing read
+nothing outside the slice, and the rest of a basis pattern is valid
+already. So two basis patterns with equal slices have the same column,
+shifted onto each pattern.
+
 Index convention: generator slots are pairs (i, j) with -n <= i, j <= n;
 F(-j,-i) = -F(i,j), so F(i,-i) = 0.
 """
@@ -260,10 +271,57 @@ def prime_drop_terms(pat, k, valid):
 
 def build_f_diag(basis, k):
     op = Operator(basis.dim)
+    shared = {}  # equal eigenvalues as one object
     for c in range(basis.dim):
         w = basis.weights[c][k - 1]
         if w:
-            op.ent[(c, c)] = w
+            op.ent[(c, c)] = shared.setdefault(w, w)
+    return op
+
+
+def _slice_columns(basis, k, column, trace=None):
+    """A level-k step generator, evaluated once per level-k slice (see the
+    module docstring).
+
+    column(c, pat, notes) gives column c (source pat) as {target: value}.
+    It is called for the lowest column of each slice only; every later
+    column with that slice takes the same values at the same moved
+    entries, set into its own pattern, so equal-slice columns share their
+    value objects. Zero values are dropped. When trace is a list, notes
+    is one too, and each (k, c, target index, text) the column appends to
+    it is emitted again for every column of the slice, under that
+    column's own indices."""
+    op = Operator(basis.dim)
+    index, patterns = basis.index, basis.patterns
+    lo = max(k - 2, 0)
+
+    def moved(pat):
+        # the entries a level-k move can write
+        return pat.sigma[lo:k], pat.primed[lo:k], pat.rows[lo:k - 1]
+
+    def target(pat, m):
+        # the basis index of pat with its moved entries replaced by m
+        s, p, r = m
+        return index[PatternB._from_doubled(
+            pat.sigma[:lo] + s + pat.sigma[k:],
+            pat.rows[:lo] + r + pat.rows[k - 1:],
+            pat.primed[:lo] + p + pat.primed[k:])]
+
+    done = {}
+    for c, pat in enumerate(patterns):
+        key = (pat.sigma[lo:k], pat.primed[lo:k],
+               pat.rows[max(k - 3, 0):k])
+        if key not in done:
+            notes = None if trace is None else []
+            col = column(c, pat, notes)
+            done[key] = (
+                [(moved(t), v) for t, v in col.items() if v],
+                [(moved(patterns[r]), text) for _, _, r, text in notes or ()])
+        values, texts = done[key]
+        for m, v in values:
+            op.ent[(target(pat, m), c)] = v
+        if trace is not None:
+            trace.extend((k, c, target(pat, m), text) for m, text in texts)
     return op
 
 
@@ -271,22 +329,22 @@ def _single_step(basis, k, term_fn, *args):
     """Evaluate a one-step generator in plain arithmetic. There is no
     deformed route here: no tested module meets a zero denominator in these
     coefficients, so one is a construction failure naming its location."""
-    op = Operator(basis.dim)
-    # targets are tested by basis membership, which the lookup below needs
+    # targets are tested by basis membership, which the index lookup needs
     # anyway; no move touches the top row, so it agrees with full_valid
     member = basis.index.__contains__
-    for c, pat in enumerate(basis.patterns):
+
+    def column(c, pat, notes):
+        col = {}
         for tgt, num, den, coef in term_fn(pat, k, member, *args):
-            r = basis.index[tgt]
             try:
                 v = PLAIN.value(num, den, coef)
             except ZeroDivisionError:
                 raise ConstructionError(
                     "zero denominator at level %d column %d target %d"
-                    % (k, c, r))
-            if v:
-                op.add_to(r, c, v)
-    return op
+                    % (k, c, basis.index[tgt]))
+            col[tgt] = col.get(tgt, F0) + v
+        return col
+    return _slice_columns(basis, k, column)
 
 
 def build_f_lower(basis, k):
@@ -352,17 +410,14 @@ def deformed_column(basis, k, c, pat, trace=None):
 
 def build_f_raise(basis, k, trace=None):
     """The raising generator at level k from the two-step composite: plain
-    rational arithmetic per source column, and a path that divides by zero
-    sends the whole column through deformed_column."""
-    op = Operator(basis.dim)
-    for c, pat in enumerate(basis.patterns):
+    rational arithmetic per slice, and a path that divides by zero sends
+    the slice through deformed_column."""
+    def column(c, pat, notes):
         try:
-            col = raise_column_terms(basis, k, pat, PLAIN)
+            return raise_column_terms(basis, k, pat, PLAIN)
         except ZeroDivisionError:
-            col = deformed_column(basis, k, c, pat, trace)
-        for tgt, v in col.items():
-            op.add_to(basis.index[tgt], c, v)
-    return op
+            return deformed_column(basis, k, c, pat, notes)
+    return _slice_columns(basis, k, column, trace)
 
 
 # ------------------------------------------------------------- closure

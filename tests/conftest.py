@@ -10,9 +10,10 @@ from fractions import Fraction
 from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
                    check_weight_gl, check_weight_so, nullspace)
 from gtrep.exact import format_rational
-from gtrep.sorep import (MINUS_HALF, _canon_slot, _lp, _lu, deformed_column,
-                         mid_row_prefactor, prime_drop_weight,
-                         prime_shift_weight, structure_table)
+from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _canon_slot,
+                         _lp, _lu, deformed_column, mid_row_prefactor,
+                         prime_drop_weight, prime_shift_weight,
+                         raise_column_terms, structure_table)
 
 # small integral and half-integral weights at desk scale, covering ranks
 # 1-4 (unitary side) and 1-3 (orthogonal side), both parity classes
@@ -67,6 +68,38 @@ def deformed_raise(basis, k):
     op = Operator(basis.dim)
     for c, pat in enumerate(basis.patterns):
         for tgt, v in deformed_column(basis, k, c, pat).items():
+            op.add_to(basis.index[tgt], c, v)
+    return op
+
+
+def ref_single_step(basis, k, term_fn, *args):
+    # a one-step generator with every column's terms generated from its
+    # own pattern: the reference the once-per-slice evaluation must match
+    op = Operator(basis.dim)
+    member = basis.index.__contains__
+    for c, pat in enumerate(basis.patterns):
+        for tgt, num, den, coef in term_fn(pat, k, member, *args):
+            r = basis.index[tgt]
+            try:
+                v = PLAIN.value(num, den, coef)
+            except ZeroDivisionError:
+                raise ConstructionError(
+                    "zero denominator at level %d column %d target %d"
+                    % (k, c, r))
+            if v:
+                op.add_to(r, c, v)
+    return op
+
+
+def ref_build_f_raise(basis, k, trace=None):
+    # the raising generator column by column, each routed on its own
+    op = Operator(basis.dim)
+    for c, pat in enumerate(basis.patterns):
+        try:
+            col = raise_column_terms(basis, k, pat, PLAIN)
+        except ZeroDivisionError:
+            col = deformed_column(basis, k, c, pat, trace)
+        for tgt, v in col.items():
             op.add_to(basis.index[tgt], c, v)
     return op
 

@@ -405,6 +405,38 @@ class TestStdoutWriteError:
             2, "cannot write standard output: %s\n" % os.strerror(errno.ENOSPC))
 
 
+class TestStderrWriteError:
+    """Write errors on the real stderr, in a child process. The deform
+    trace is requested output, so losing it exits 2 as on stdout, never
+    1 (failed verification); a lost message line changes no exit code."""
+
+    TRACE = ["build", "--type", "B", "--rank", "3",
+             "--weight", "-1/2,-3/2,-5/2", "--deform-trace"]
+
+    def test_trace_reader_gone(self):
+        # the reader closes before the build ends, so every trace line
+        # meets a closed pipe
+        p = subprocess.Popen([sys.executable, "-m", "gtrep"] + self.TRACE,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        p.stderr.close()
+        out = p.stdout.read()
+        p.stdout.close()
+        assert (p.wait(), out) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, code", [
+        (TRACE, 2),
+        (["dim", "--type", "B", "--rank", "1", "--weight", "1"], 2),
+        (["build", "--type", "B", "--rank", "1", "--weight", "-1/2"], 0),
+    ], ids=["trace", "message", "quiet"])
+    def test_full_device(self, argv, code):
+        with open("/dev/full", "w") as full:
+            r = subprocess.run([sys.executable, "-m", "gtrep"] + argv,
+                               stdout=subprocess.DEVNULL, stderr=full)
+        assert r.returncode == code
+
+
 class TestVerify:
     def test_fast_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "1",

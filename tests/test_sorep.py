@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (B_CORPUS, deformed_raise, fresh_so_rep,
-                      ref_lower_step_terms, ref_prime_drop_terms,
-                      ref_sig_case_terms, so_rep)
+                      ref_build_f_raise, ref_lower_step_terms,
+                      ref_prime_drop_terms, ref_sig_case_terms,
+                      ref_single_step, so_rep)
 from gtrep import (
     Operator,
     PatternB,
@@ -35,6 +36,7 @@ from gtrep.sorep import (
     prime_drop_terms,
     prime_drop_weight,
     prime_shift_weight,
+    raise_column_terms,
     span_rank,
 )
 
@@ -273,6 +275,135 @@ class TestRouting:
         trace = []
         sorep.build_so(w, trace=trace)
         assert trace == []
+
+
+# the spinor-type modules of the build-deformed benchmark workload
+BENCH_SPINOR = [("-1/2", "-3/2", "-5/2"), ("-1/2", "-1/2", "-1/2", "-3/2")]
+
+
+def level_slice(pat, k):
+    # what a level-k column reads: sigma and primed rows of levels k and
+    # k-1, unprimed rows of levels k, k-1 and k-2 (level j at index j-1)
+    up = [j for j in (k, k - 1) if j >= 1]
+    rows = [j for j in (k, k - 1, k - 2) if j >= 1]
+    return (tuple(pat.sigma[j - 1] for j in up),
+            tuple(pat.primed[j - 1] for j in up),
+            tuple(pat.rows[j - 1] for j in rows))
+
+
+def moved_entries(pat, k):
+    # what a level-k move may write: sigma and primed rows of levels k and
+    # k-1, the unprimed row of level k-1
+    up = [j for j in (k, k - 1) if j >= 1]
+    return (tuple(pat.sigma[j - 1] for j in up),
+            tuple(pat.primed[j - 1] for j in up),
+            tuple(pat.rows[j - 1] for j in up[1:]))
+
+
+def kept_entries(pat, k):
+    # everything else
+    lo = max(k - 2, 0)
+    return (pat.sigma[:lo], pat.sigma[k:], pat.primed[:lo],
+            pat.primed[k:], pat.rows[:lo], pat.rows[k - 1:])
+
+
+def local_column(basis, k, pat):
+    # the lowering column and the raising route and column of one source,
+    # keyed by each target's moved entries; every target keeps the rest
+    # of the source
+    def keyed(col):
+        for tgt in col:
+            assert kept_entries(tgt, k) == kept_entries(pat, k)
+        return {moved_entries(tgt, k): v for tgt, v in col.items()}
+
+    lower = {}
+    for tgt, num, den, c in lower_step_terms(pat, k,
+                                             basis.index.__contains__):
+        lower[tgt] = lower.get(tgt, 0) + PLAIN.value(num, den, c)
+    try:
+        route = "plain"
+        col = raise_column_terms(basis, k, pat, PLAIN)
+    except ZeroDivisionError:
+        route = "deformed"
+        col = {tgt: str(v) for tgt, v
+               in raise_column_terms(basis, k, pat, DEFORMED).items()}
+    return keyed(lower), route, keyed(col)
+
+
+class TestSliceColumns:
+    """The lowering and raising generators are evaluated once per level-k
+    slice and shifted onto every column that shares it."""
+
+    @pytest.mark.parametrize("w", B_CORPUS + BENCH_SPINOR)
+    def test_matches_the_per_column_loops(self, w):
+        b = basis_of(w)
+        for k in range(1, b.n + 1):
+            assert build_f_lower(b, k) == ref_single_step(
+                b, k, lower_step_terms), (w, k)
+            assert build_phi_minus(b, k) == ref_single_step(
+                b, k, prime_drop_terms), (w, k)
+            got, want = [], []
+            assert build_f_raise(b, k, got) == ref_build_f_raise(
+                b, k, want), (w, k)
+            assert got == want, (w, k)
+
+    @pytest.mark.parametrize("w", B_CORPUS + [("-1", "-1", "-2"),
+                                              BENCH_SPINOR[0]])
+    def test_equal_slices_give_the_same_column_shifted(self, w):
+        # the premise, column by column: two basis patterns with equal
+        # level-k slices take the same route and have equal values at
+        # equal moved entries, with the rest of each target its source's
+        b = basis_of(w)
+        for k in range(1, b.n + 1):
+            first = {}
+            for pat in b.patterns:
+                col = local_column(b, k, pat)
+                assert first.setdefault(level_slice(pat, k), col) == col, \
+                    (w, k, pat)
+
+    def test_zero_denominator_on_a_shared_slice_names_its_lowest_column(
+            self):
+        b = basis_of(("0", "-1", "-1"))
+        k = 2
+        cols = {}
+        for c, pat in enumerate(b.patterns):
+            cols.setdefault(level_slice(pat, k), []).append(c)
+        # a slice of several columns, the lowest of them not column 0
+        low = next(cs for cs in cols.values() if len(cs) > 1 and cs[0])
+        bad = level_slice(b.patterns[low[0]], k)
+
+        def ratio(pat, k, valid):
+            t = (0, 1)  # t/t, 0/0 in plain arithmetic
+            return [(pat, [t], [t], 1)] if level_slice(pat, k) == bad else []
+        msg = "level 2 column %d target %d$" % (low[0], low[0])
+        with pytest.raises(ConstructionError, match=msg):
+            _single_step(b, k, ratio)
+        with pytest.raises(ConstructionError, match=msg):
+            ref_single_step(b, k, ratio)
+
+    @pytest.mark.parametrize("build", [build_f_lower, build_f_raise])
+    def test_equal_slice_columns_share_value_objects(self, build):
+        b = basis_of(BENCH_SPINOR[0])
+        for k in range(1, b.n + 1):
+            ids = {}
+            for (r, c), v in build(b, k).ent.items():
+                ids.setdefault(c, []).append(id(v))
+            first, shared = {}, 0
+            for c, pat in enumerate(b.patterns):
+                col = sorted(ids.get(c, ()))
+                key = level_slice(pat, k)
+                if key in first:
+                    assert col == first[key], (k, c)
+                    shared += bool(col)
+                else:
+                    first[key] = col
+            assert shared, k
+
+    def test_equal_diagonal_entries_are_one_object(self):
+        b = basis_of(BENCH_SPINOR[0])
+        for k in range(1, b.n + 1):
+            vals = list(build_f_diag(b, k).ent.values())
+            assert len({id(v) for v in vals}) == len(set(vals)), k
 
 
 class TestDefiningModule:
