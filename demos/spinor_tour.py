@@ -20,7 +20,7 @@ def show(rep, title):
         op = rep.gens[slot]
         if op:
             ent = ", ".join("(%d,%d)=%s" % (r, c, v)
-                            for (r, c), v in op.entries_sorted())
+                            for (r, c), v in sorted(op.ent.items()))
             print("  F%s: %s" % (slot, ent))
     print()
 

@@ -6,6 +6,7 @@ brute-force interval counts), so agreement with the constructed
 matrices is evidence rather than circular bookkeeping.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
@@ -15,7 +16,7 @@ from .linalg import (Operator, nullspace, product_sum, rank_of,
                      restricted_rows)
 from .glrep import (InconsistencyError, capelli_det, contravariant_gram,
                     gl_structure_table)
-from .sorep import _canon_slot, build_phi_minus, structure_table
+from .sorep import build_phi_minus, structure_table
 
 
 class NonScalarError(Exception):
@@ -69,28 +70,19 @@ class Presentation(NamedTuple):
     plan: list
 
 
-def presentation(algebra_type, n, _cache={}):
+@functools.cache
+def presentation(algebra_type, n):
     """The Presentation of gl(n) or o(2n+1), computed once per (type, n)."""
-    key = (algebra_type, n)
-    if key in _cache:
-        return _cache[key]
     cartan = [(k, k) for k in range(1, n + 1)]
     if algebra_type == "A":
         table = gl_structure_table(n)
-        pairs = [((k - 1, k), (k, k - 1)) for k in range(2, n + 1)]
-        slots = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-
-        def canon(slot):
-            return slot, 1
+        first = 2
     else:
         table = structure_table(n)
-        pairs = [((k - 1, k), (k, k - 1)) for k in range(1, n + 1)]
-        slots = {_canon_slot(i, j)[0] for i in range(-n, n + 1)
-                 for j in range(-n, n + 1)} - {None}
-
-        def canon(slot):
-            return _canon_slot(*slot)
-
+        first = 1
+    pairs = [((k - 1, k), (k, k - 1)) for k in range(first, n + 1)]
+    slots = set(table.slot_at.values())
+    canon = table.canonical
     simple = [s for pair in pairs for s in pair]
 
     def root(h_terms, e):
@@ -123,8 +115,7 @@ def presentation(algebra_type, n, _cache={}):
             raise ValueError("slots %s are not reached from the Chevalley "
                              "generators" % sorted(todo))
         reached += layer
-    _cache[key] = Presentation(table, cartan, pairs, matrix, plan)
-    return _cache[key]
+    return Presentation(table, cartan, pairs, matrix, plan)
 
 
 def _is_multiple(got, c, want):
@@ -162,15 +153,14 @@ def _structure_witness(rep, algebra_type):
 
     That is O(n^2) commutators instead of one per pair of slots."""
     gens = rep.gens
-    if algebra_type == "B":
-        for slot in sorted(gens):
-            cs, sgn = _canon_slot(*slot)
-            if cs == slot:
-                continue
-            if not (_is_multiple(gens[slot].ent, sgn, gens[cs].ent)
-                    if cs is not None else not gens[slot]):
-                return ("antisymmetry", slot)
     p = presentation(algebra_type, rep.n)
+    for slot in sorted(gens):
+        cs, sgn = p.table.canonical(slot)
+        if cs == slot:
+            continue
+        if not (_is_multiple(gens[slot].ent, sgn, gens[cs].ent)
+                if cs is not None else not gens[slot]):
+            return ("antisymmetry", slot)
 
     def holds(x, y):
         # [x, y] against the table, without building the expected sum
@@ -226,31 +216,50 @@ def check_structure_constants(rep, algebra_type):
     return report
 
 
-# ------------------------------------------------- Weyl dimension
+# ------------------------------------ root data and Weyl dimension
+
+
+def _reflect(w):
+    # type B weights to the dominant side and back: w -> (-w_n, ..., -w_1)
+    return tuple(-x for x in reversed(w))
+
+
+def _root_datum(algebra_type, lam):
+    """The input of the Weyl and Freudenthal oracles for gl(n) (type A)
+    or o(2n+1) (type B), on the dominant side (entries non-increasing):
+    (top, roots, rho, signed). top is lam there; roots are the positive
+    roots e_i - e_j (i < j), for type B also e_i + e_j and e_i; rho is
+    half their sum; signed says the Weyl group changes signs as well as
+    permuting entries (type B). Without sign changes every root sums to
+    0, so every weight keeps the entry sum of top."""
+    lam = _as_fracs(lam)
+    n = len(lam)
+    signed = algebra_type == "B"
+    e = [[int(i == k) for k in range(n)] for i in range(n)]
+    roots = [tuple(a + s * b for a, b in zip(e[i], e[j])) for i in range(n)
+             for j in range(i + 1, n) for s in ((-1, 1) if signed else (-1,))]
+    if signed:
+        roots += map(tuple, e)
+    rho = tuple(Fraction(sum(al[i] for al in roots), 2) for i in range(n))
+    return _reflect(lam) if signed else lam, roots, rho, signed
+
+
+def _dot(x, y):
+    # y a root: at most two nonzero entries
+    return sum(a * b for a, b in zip(x, y) if b)
 
 
 def weyl_dim(algebra_type, lam):
-    lam = _as_fracs(lam)
-    n = len(lam)
-    if algebra_type == "A":
-        ls = [lam[i] - i for i in range(n)]
-        acc = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc *= Fraction(ls[i] - ls[j], j - i)
-    else:
-        # reflect to the dominant-positive side first
-        lt = [-lam[n - 1 - i] for i in range(n)]
-        half = Fraction(1, 2)
-        ls = [lt[i] + (n - 1 - i) + half for i in range(n)]
-        rs = [(n - 1 - i) + half for i in range(n)]
-        acc = Fraction(1)
-        for i in range(n):
-            acc *= ls[i] / rs[i]
-            for j in range(i + 1, n):
-                acc *= (ls[i] ** 2 - ls[j] ** 2) / (rs[i] ** 2 - rs[j] ** 2)
+    """Weyl's product over the positive roots of (top + rho, alpha) /
+    (rho, alpha)."""
+    top, roots, rho, _ = _root_datum(algebra_type, lam)
+    shifted = tuple(a + b for a, b in zip(top, rho))
+    acc = Fraction(1)
+    for al in roots:
+        acc *= _dot(shifted, al) / _dot(rho, al)
     if acc.denominator != 1 or acc <= 0:
-        raise ValueError("dimension formula gave %s for %s" % (acc, lam))
+        raise ValueError("dimension formula gave %s for %s"
+                         % (acc, _as_fracs(lam)))
     return int(acc)
 
 
@@ -360,22 +369,71 @@ def casimir_highest_value(algebra_type, lam):
                     total += coef * eig(p)
                 elif p > q:
                     # lowering terms never appear in these brackets
-                    raise NonScalarError("unexpected slot %s" % (slot,))
+                    raise ValueError("unexpected slot %s" % (slot,))
     return total
 
 
 # -------------------------------------------------- Freudenthal
 
 
-def _freudenthal(lam, dominants, roots, rho, dom_of, bound):
+def _dominants(top, signed):
+    """The dominant weights below top: non-increasing, in the class of
+    top mod 1, partial sums bounded by those of top, and (without sign
+    changes) the same entry sum, so no entry is below the last of top;
+    with sign changes no entry is below 0 or 1/2, by class."""
+    n = len(top)
+    bounds = list(itertools.accumulate(top))
+    total = bounds[-1]
+    floor_v = top[0] % 1 if signed else top[-1]
+    out = []
+
+    def rec(prefix, psum):
+        i = len(prefix)
+        if i == n:
+            out.append(tuple(prefix))
+            return
+        # v runs down from the largest value the bounds allow, and stops
+        # once the entries left cannot make up the fixed total
+        left = n - 1 - i
+        v = min(prefix[-1] if prefix else top[0], bounds[i] - psum)
+        if not signed:
+            v = min(v, total - psum - left * floor_v)
+        while v >= floor_v and (signed or total - psum - v <= left * v):
+            rec(prefix + [v], psum + v)
+            v -= 1
+
+    rec([], Fraction(0))
+    return out
+
+
+def _orbit(mu, signed):
+    """The Weyl group orbit of mu, each member once: the distinct
+    permutations of mu, each entry also negated when signed and nonzero.
+    The first entry is each distinct value (and its negative) once, and
+    the rest is the orbit of the remaining entries."""
+    if not mu:
+        yield ()
+        return
+    for x in sorted(set(mu)):
+        rest = list(mu)
+        rest.remove(x)
+        for tail in _orbit(rest, signed):
+            yield (x,) + tail
+            if signed and x:
+                yield (-x,) + tail
+
+
+def _freudenthal(top, roots, rho, signed):
+    # multiplicities of the dominant weights, highest first
+    dominants = _dominants(top, signed)
     dset = set(dominants)
-    lam = tuple(lam)
-    nlam = sum((a + b) ** 2 for a, b in zip(lam, rho))
+    bound = max(abs(x) for x in top)
+    nlam = sum((a + b) ** 2 for a, b in zip(top, rho))
     order = sorted(dominants,
                    key=lambda m: (-sum((a + b) ** 2 for a, b in zip(m, rho)), m))
     mult = {}
     for mu in order:
-        if mu == lam:
+        if mu == top:
             mult[mu] = 1
             continue
         den = nlam - sum((a + b) ** 2 for a, b in zip(mu, rho))
@@ -386,10 +444,11 @@ def _freudenthal(lam, dominants, roots, rho, dom_of, bound):
                 nu = tuple(m + t * a for m, a in zip(mu, al))
                 if max(abs(x) for x in nu) > bound:
                     break
-                d = dom_of(nu)
+                d = tuple(sorted((abs(x) if signed else x for x in nu),
+                                 reverse=True))
                 m = mult.get(d, 0) if d in dset else 0
                 if m:
-                    num += m * sum(x * y for x, y in zip(nu, al))
+                    num += m * _dot(nu, al)
                 t += 1
         val = 2 * num / den
         if val.denominator != 1 or val < 0:
@@ -399,101 +458,13 @@ def _freudenthal(lam, dominants, roots, rho, dom_of, bound):
     return mult
 
 
-def _dominants_a(lam):
-    n = len(lam)
-    total = sum(lam)
-    out = []
-
-    def rec(prefix, psum):
-        i = len(prefix)
-        if i == n:
-            if psum == total:
-                out.append(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else lam[0]
-        v = hi
-        while v >= lam[-1]:
-            ps = psum + v
-            rest = total - ps
-            if (ps <= sum(lam[:i + 1])
-                    and rest <= (n - 1 - i) * v
-                    and rest >= (n - 1 - i) * lam[-1]):
-                rec(prefix + [v], ps)
-            v -= 1
-
-    rec([], Fraction(0))
-    return out
-
-
-def _dominants_b(lt):
-    # dominant-positive side: non-increasing, lowest entry 0 or 1/2 by
-    # parity class, partial sums bounded by those of lt
-    n = len(lt)
-    floor_v = lt[0] % 1
-    out = []
-
-    def rec(prefix, psum):
-        i = len(prefix)
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else lt[0]
-        v = hi
-        while v >= floor_v:
-            if psum + v <= sum(lt[:i + 1]):
-                rec(prefix + [v], psum + v)
-            v -= 1
-
-    rec([], Fraction(0))
-    return out
-
-
 def freudenthal_multiplicities(algebra_type, lam):
     """Exact weight multiplicities by the recursion over positive roots;
     independent of the pattern enumeration."""
-    lam = _as_fracs(lam)
-    n = len(lam)
-    out = {}
-    if algebra_type == "A":
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                al = [0] * n
-                al[i], al[j] = 1, -1
-                roots.append(tuple(al))
-        rho = tuple(Fraction(n - 1 - i) for i in range(n))
-        bound = max(abs(lam[0]), abs(lam[-1]))
-        mult = _freudenthal(lam, _dominants_a(lam), roots, rho,
-                            lambda nu: tuple(sorted(nu, reverse=True)), bound)
-        for mu, m in mult.items():
-            for w in set(itertools.permutations(mu)):
-                out[w] = m
-    else:
-        lt = tuple(-lam[n - 1 - i] for i in range(n))
-        roots = []
-        for i in range(n):
-            al = [0] * n
-            al[i] = 1
-            roots.append(tuple(al))
-            for j in range(i + 1, n):
-                for s in (1, -1):
-                    al = [0] * n
-                    al[i], al[j] = 1, s
-                    roots.append(tuple(al))
-        rho = tuple(Fraction(2 * (n - i) - 1, 2) for i in range(n))
-        mult = _freudenthal(lt, _dominants_b(lt), roots, rho,
-                            lambda nu: tuple(sorted((abs(x) for x in nu),
-                                                    reverse=True)), lt[0])
-        for mu, m in mult.items():
-            for p in set(itertools.permutations(mu)):
-                nz = [i for i, x in enumerate(p) if x]
-                for signs in itertools.product((1, -1), repeat=len(nz)):
-                    w = list(p)
-                    for i, s in zip(nz, signs):
-                        w[i] *= s
-                    # back to the non-positive convention
-                    out[tuple(-w[n - 1 - j] for j in range(n))] = m
-    return out
+    top, roots, rho, signed = _root_datum(algebra_type, lam)
+    back = _reflect if signed else tuple
+    mult = _freudenthal(top, roots, rho, signed)
+    return {back(w): m for mu, m in mult.items() for w in _orbit(mu, signed)}
 
 
 # ------------------------------------- quadratic lowering identity
@@ -593,11 +564,11 @@ def run_verification(rep, algebra_type, level="fast"):
                witness is None, witness)
 
     if level == "full":
-        if algebra_type == "B" and rep.n >= 1:
+        if algebra_type == "B":
             report.extend(check_branching(rep))
+        want = casimir_highest_value(algebra_type, rep.lam)
         try:
             val = casimir_scalar(rep)
-            want = casimir_highest_value(algebra_type, rep.lam)
             report.add("Casimir sum is the scalar dictated by the top weight",
                        val == want, None if val == want else (val, want))
         except NonScalarError as e:

@@ -8,12 +8,13 @@ for the subalgebra chain, and the contravariant form.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from .exact import F0, F1
-from .linalg import (Operator, nullspace, product_sum, restricted_rows,
-                     rref)
+from .linalg import (BracketTable, Operator, nullspace, product_sum,
+                     restricted_rows, rref)
 from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -90,26 +91,15 @@ def build_gl(lam, cap=None):
     return rep
 
 
-def gl_structure_table(n, _cache={}):
-    """The gl(n) bracket table: [E(a,b), E(c,d)] as {slot: coefficient},
-    read off the elementary matrices, where E(p,q) is the single entry 1
-    at (p-1,q-1). So each slot's coefficient is the commutator's entry at
-    that slot's own position. The n^4 commutators of n x n matrix units
-    are taken with product_sum; Operator.commutator is left to brackets
-    of module generators, whose calls the structure oracle's cost is
-    counted in."""
-    if n in _cache:
-        return _cache[n]
+@functools.cache
+def gl_structure_table(n):
+    """The gl(n) bracket table (linalg.BracketTable) over the elementary
+    matrices, one per n: E(p,q) is the single entry 1 at (p-1,q-1), so
+    every position is read as its own slot. Only the entries asked for
+    are computed."""
     units = {(i, j): Operator(n, {(i - 1, j - 1): F1})
              for i in range(1, n + 1) for j in range(1, n + 1)}
-    table = {}
-    for ab, x in units.items():
-        for cd, y in units.items():
-            comm = product_sum(n, [(1, x, y), (-1, y, x)])
-            table[(ab, cd)] = {(r + 1, c + 1): v
-                               for (r, c), v in comm.ent.items()}
-    _cache[n] = table
-    return table
+    return BracketTable(units, {(i - 1, j - 1): (i, j) for i, j in units})
 
 
 def _scaled_chain_sum(rep, chains, hsource):

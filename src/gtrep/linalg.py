@@ -12,6 +12,7 @@ denominators. Entries that cancel to zero are not stored. Negation
 negates each distinct entry object once."""
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -116,9 +117,6 @@ class Operator:
     def column(self, c):
         return {r: v for (r, cc), v in self.ent.items() if cc == c}
 
-    def entries_sorted(self):
-        return sorted(self.ent.items())
-
     def __repr__(self):
         return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
 
@@ -162,6 +160,50 @@ def _accumulate(acc, a, b, mult):
         for r, av in bycol.get(k, ()):
             key = (r, c)
             acc[key] = get(key, 0) + av * bv
+
+
+class BracketTable(Mapping):
+    """[X(a), X(b)] as {slot: coefficient}, keyed by (a, b) for every key
+    of defs, the defining matrices X, each entry read off them when first
+    asked for and then kept. slot_at maps a matrix position to the slot
+    whose coefficient is read there: the defining matrices of those slots
+    have disjoint supports and entry 1 at their own position, and every
+    other defining matrix is one of them negated, or 0. The commutators
+    are taken with product_sum; Operator.commutator is left to brackets
+    of module generators."""
+
+    def __init__(self, defs, slot_at):
+        self.defs = defs
+        self.slot_at = slot_at
+        self.known = {}
+
+    def canonical(self, key):
+        """(slot, sign) with X(key) = sign * X(slot), or (None, 0) when
+        X(key) = 0."""
+        for pos, v in self.defs[key].ent.items():
+            slot = self.slot_at.get(pos)
+            if slot is not None:
+                return slot, int(v)
+        return None, 0
+
+    def __getitem__(self, key):
+        terms = self.known.get(key)
+        if terms is None:
+            x, y = self.defs[key[0]], self.defs[key[1]]
+            comm = product_sum(x.dim, [(1, x, y), (-1, y, x)])
+            terms = {}
+            for pos, v in comm.ent.items():
+                slot = self.slot_at.get(pos)
+                if slot is not None:
+                    terms[slot] = v
+            self.known[key] = terms
+        return terms
+
+    def __iter__(self):
+        return ((a, b) for a in self.defs for b in self.defs)
+
+    def __len__(self):
+        return len(self.defs) ** 2
 
 
 def rref(rows, modulus=None):

@@ -34,12 +34,12 @@ F(-j,-i) = -F(i,j), so F(i,-i) = 0.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+import functools
 from math import lcm
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
-from .linalg import Operator, product_sum, rref
+from .linalg import BracketTable, Operator, rref
 from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
 
 
@@ -451,49 +451,15 @@ def _canon_slot(p, q):
     return alt, -1
 
 
-class _BracketTable(Mapping):
-    """[F(a,b), F(c,d)] as {canonical slot: coefficient}, keyed by
-    ((a, b), (c, d)) for all slots -n..n, each entry read off the defining
-    module when first asked for and then kept. There the operators of
-    distinct canonical slots have disjoint supports and F(p,q) has entry 1
-    at position (p,q), so each slot's coefficient is the commutator's
-    entry at that slot's own position. The commutators are taken with
-    product_sum; Operator.commutator is left to brackets of module
-    generators."""
-
-    def __init__(self, n):
-        self.n = n
-        self.defs = defining_operators(n)
-        self.known = {}
-
-    def __getitem__(self, key):
-        terms = self.known.get(key)
-        if terms is None:
-            ab, cd = key
-            x, y = self.defs[ab], self.defs[cd]
-            n = self.n
-            terms = {}
-            comm = product_sum(2 * n + 1, [(1, x, y), (-1, y, x)])
-            for (r, c), v in comm.ent.items():
-                slot = (r - n, c - n)
-                if _canon_slot(*slot)[0] == slot:
-                    terms[slot] = v
-            self.known[key] = terms
-        return terms
-
-    def __iter__(self):
-        return ((ab, cd) for ab in self.defs for cd in self.defs)
-
-    def __len__(self):
-        return len(self.defs) ** 2
-
-
-def structure_table(n, _cache={}):
-    """The bracket table for slots -n..n (see _BracketTable), one per n;
-    only the entries asked for are computed."""
-    if n not in _cache:
-        _cache[n] = _BracketTable(n)
-    return _cache[n]
+@functools.cache
+def structure_table(n):
+    """The o(2n+1) bracket table (linalg.BracketTable) over the slots
+    -n..n, read off the defining module, one per n; a slot's coefficient
+    is read at its own position when the slot is canonical. Only the
+    entries asked for are computed."""
+    slot_at = {(p + n, q + n): (p, q) for p in range(-n, n + 1)
+               for q in range(-n, n + 1) if _canon_slot(p, q)[0] == (p, q)}
+    return BracketTable(defining_operators(n), slot_at)
 
 
 def close_generators(n, seeds, dim):

@@ -290,7 +290,7 @@ def ref_rep_json(algebra, lam, rep):
         "%s(%d,%d)" % (letter, i, j): {
             "dim": rep.dim,
             "entries": [[r, c, format_rational(v)]
-                        for (r, c), v in rep.gens[(i, j)].entries_sorted()]}
+                        for (r, c), v in sorted(rep.gens[(i, j)].ent.items())]}
         for i, j in sorted(rep.gens)}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -303,7 +303,7 @@ def ref_rep_csv(algebra, rep):
     w.writerow(["generator", "row", "col", "value"])
     for i, j in sorted(rep.gens):
         name = "%s(%d,%d)" % (letter, i, j)
-        for (r, c), v in rep.gens[(i, j)].entries_sorted():
+        for (r, c), v in sorted(rep.gens[(i, j)].ent.items()):
             w.writerow([name, r, c, format_rational(v)])
     return buf.getvalue()
 

@@ -244,3 +244,19 @@ class TestVerifySuiteOverCorpus:
         out, _ = capsys.readouterr()
         assert code == 0, out
         assert json.loads(out)["summary"] == "pass"
+
+    @pytest.mark.parametrize("algebra, weight, dim", [
+        ("B", ["0"] * 11 + ["-1"], 25), ("B", ["0"] * 12, 1),
+        ("A", ["1"] + ["0"] * 11, 12)],
+        ids=["B-vector-rank12", "B-trivial-rank12", "A-vector-rank12"])
+    def test_high_rank_small_module_full_suite(self, algebra, weight, dim,
+                                               capsys):
+        # the Freudenthal orbits are distinct permutations, not a set of
+        # all 12! orderings, so these finish in about a second
+        argv = ["--type", algebra, "--rank", "12", "--weight", ",".join(weight)]
+        assert main(["dim"] + argv) == 0
+        assert capsys.readouterr()[0] == "%d\n" % dim
+        code = main(["verify"] + argv + ["--level", "full"])
+        out, _ = capsys.readouterr()
+        assert code == 0, out
+        assert json.loads(out)["summary"] == "pass"

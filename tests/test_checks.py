@@ -1,9 +1,11 @@
 """Independent oracles: dimensions, branching, Casimir, multiplicities."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
@@ -24,7 +26,8 @@ from gtrep import (
     run_verification,
     weyl_dim,
 )
-from gtrep.checks import _phi_witness, _structure_witness, presentation
+from gtrep.checks import (_orbit, _phi_witness, _structure_witness,
+                          presentation)
 from gtrep.sorep import _canon_slot
 
 
@@ -132,6 +135,23 @@ class TestCasimir:
 
 
 class TestFreudenthal:
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-1, 2), max_size=6).map(tuple))
+    def test_orbit_is_each_distinct_permutation_once(self, t):
+        got = list(_orbit(t, False))
+        assert len(got) == len(set(got))
+        assert set(got) == set(itertools.permutations(t))
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(0, 2), max_size=5).map(tuple))
+    def test_signed_orbit_is_each_signed_permutation_once(self, t):
+        got = list(_orbit(t, True))
+        assert len(got) == len(set(got))
+        assert set(got) == {tuple(s * x for s, x in zip(signs, p))
+                            for p in itertools.permutations(t)
+                            for signs in itertools.product((1, -1),
+                                                           repeat=len(t))}
+
     def test_vector_module_weights(self):
         got = freudenthal_multiplicities("B", (Fraction(0), Fraction(-1)))
         want = {

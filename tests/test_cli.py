@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (A_CORPUS, B_CORPUS, SHIFTED, gl_rep, ref_patterns_json,
                       ref_rep_csv, ref_rep_json, so_rep)
+import gtrep.checks as checks
 import gtrep.cli as cli
 from gtrep import build_so
 from gtrep.cli import main
@@ -466,6 +467,20 @@ class TestVerify:
             return rep
 
         monkeypatch.setattr(cli, "build_so", build)
+
+    def test_fault_in_the_casimir_reference_is_exit_4(self, capsys,
+                                                       monkeypatch):
+        # a lowering slot in a bracket the reference value reads is a
+        # fault of the oracle, not a failed check of the module
+        checks.presentation("B", 1)  # cached with the true table
+        tab = dict(checks.structure_table(1))
+        tab[((-1, 0), (0, -1))] = dict(tab[((-1, 0), (0, -1))])
+        tab[((-1, 0), (0, -1))][(0, -1)] = Fraction(1)
+        monkeypatch.setattr(checks, "structure_table", lambda n: tab)
+        code, out, err = run(capsys, "verify", "--type", "B", "--rank", "1",
+                             "--weight", "-1", "--level", "full")
+        assert (code, out) == (4, "")
+        assert err == "internal error: ValueError: unexpected slot (0, -1)\n"
 
     def test_corruption_hook_trips(self, capsys, monkeypatch):
         self.corrupting(monkeypatch, (1, 2), (0, 0), Fraction(1, 3))
