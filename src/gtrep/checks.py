@@ -9,13 +9,14 @@ matrices is evidence rather than circular bookkeeping.
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .exact import F0
 from .linalg import (Operator, nullspace, product_sum, rank_of,
                      restricted_rows)
-from .glrep import (InconsistencyError, capelli_det, contravariant_gram,
-                    gl_structure_table)
+from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
+                    gl_structure_table, int_forms)
 from .sorep import build_phi_minus, structure_table
 
 
@@ -119,8 +120,11 @@ def presentation(algebra_type, n):
 
 
 def _is_multiple(got, c, want):
-    # entry dicts: got == c * want for an int c != 0, compared on
-    # numerators and denominators without building c * want
+    # entry dicts: got == c * want for an integer c != 0, compared on
+    # numerators and denominators without building c * want. c is a sign
+    # or a bracket-table coefficient, an entry of a commutator of the
+    # integer defining matrices, and is made an int once
+    c = int(c)
     if len(got) != len(want):
         return False
     for k, v in want.items():
@@ -224,23 +228,36 @@ def _reflect(w):
     return tuple(-x for x in reversed(w))
 
 
+@functools.cache
+def _positive_roots(algebra_type, n):
+    """The positive roots of gl(n) (type A) or o(2n+1) (type B), once
+    per (type, n): (roots, supports, rho2). roots are int tuples, e_i -
+    e_j (i < j), for type B also e_i + e_j and e_i; supports has one
+    (i, j, s) per root, the root being e_i + s e_j (for e_i, j = i and
+    s = 0); rho2 is 2 rho, the sum of the roots."""
+    signed = algebra_type == "B"
+    supports = [(i, j, s) for i in range(n) for j in range(i + 1, n)
+                for s in ((-1, 1) if signed else (-1,))]
+    if signed:
+        supports += [(i, i, 0) for i in range(n)]
+    roots = [tuple(int(k == i) + s * (k == j) for k in range(n))
+             for i, j, s in supports]
+    rho2 = tuple(sum(al[i] for al in roots) for i in range(n))
+    return tuple(roots), tuple(supports), rho2
+
+
 def _root_datum(algebra_type, lam):
     """The input of the Weyl and Freudenthal oracles for gl(n) (type A)
     or o(2n+1) (type B), on the dominant side (entries non-increasing):
     (top, roots, rho, signed). top is lam there; roots are the positive
-    roots e_i - e_j (i < j), for type B also e_i + e_j and e_i; rho is
-    half their sum; signed says the Weyl group changes signs as well as
-    permuting entries (type B). Without sign changes every root sums to
-    0, so every weight keeps the entry sum of top."""
+    roots (_positive_roots); rho is half their sum; signed says the Weyl
+    group changes signs as well as permuting entries (type B). Without
+    sign changes every root sums to 0, so every weight keeps the entry
+    sum of top."""
     lam = _as_fracs(lam)
-    n = len(lam)
     signed = algebra_type == "B"
-    e = [[int(i == k) for k in range(n)] for i in range(n)]
-    roots = [tuple(a + s * b for a, b in zip(e[i], e[j])) for i in range(n)
-             for j in range(i + 1, n) for s in ((-1, 1) if signed else (-1,))]
-    if signed:
-        roots += map(tuple, e)
-    rho = tuple(Fraction(sum(al[i] for al in roots), 2) for i in range(n))
+    roots, _, rho2 = _positive_roots(algebra_type, len(lam))
+    rho = tuple(Fraction(x, 2) for x in rho2)
     return _reflect(lam) if signed else lam, roots, rho, signed
 
 
@@ -251,16 +268,27 @@ def _dot(x, y):
 
 def weyl_dim(algebra_type, lam):
     """Weyl's product over the positive roots of (top + rho, alpha) /
-    (rho, alpha)."""
-    top, roots, rho, _ = _root_datum(algebra_type, lam)
-    shifted = tuple(a + b for a, b in zip(top, rho))
-    acc = Fraction(1)
-    for al in roots:
-        acc *= _dot(shifted, al) / _dot(rho, al)
-    if acc.denominator != 1 or acc <= 0:
+    (rho, alpha), on ints: top + rho and rho are scaled by the lcm d of
+    2 and the denominators of top (d = 2 on integral and half-integral
+    weights), and the product of the factors' numerators is divided
+    once by the product of their denominators."""
+    lam = _as_fracs(lam)
+    top = _reflect(lam) if algebra_type == "B" else lam
+    _, supports, rho2 = _positive_roots(algebra_type, len(lam))
+    d = lcm(2, *(x.denominator for x in top))
+    h = d // 2
+    shifted = [x.numerator * (d // x.denominator) + h * r
+               for x, r in zip(top, rho2)]
+    rho = [h * r for r in rho2]
+    num = den = 1
+    for i, j, s in supports:
+        num *= shifted[i] + s * shifted[j]
+        den *= rho[i] + s * rho[j]
+    q, rem = divmod(num, den)
+    if rem or q <= 0:
         raise ValueError("dimension formula gave %s for %s"
-                         % (acc, _as_fracs(lam)))
-    return int(acc)
+                         % (Fraction(num, den), lam))
+    return q
 
 
 # ----------------------------------------------------- branching
@@ -539,6 +567,15 @@ def equivalence_intertwiner(rep, target):
 # ------------------------------------------------- report driver
 
 
+def _is_scalar(form, dim, s):
+    # the int form (den, {(row, col): int}) is s times the dim x dim
+    # identity: every diagonal entry is s * den, zeros absent
+    den, nums = form
+    t = s * den
+    return t.denominator == 1 and nums == (
+        {(c, c): int(t) for c in range(dim)} if t else {})
+
+
 def run_verification(rep, algebra_type, level="fast"):
     report = VerificationReport()
     report.extend(check_structure_constants(rep, algebra_type))
@@ -585,12 +622,13 @@ def run_verification(rep, algebra_type, level="fast"):
         if algebra_type == "A":
             cwit = None
             ls = [Fraction(x) - i for i, x in enumerate(rep.lam)]
+            factors = int_forms(rep)
             for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(7)):
-                t = capelli_det(rep, u)
                 scal = Fraction(1)
                 for l in ls:
                     scal *= u + l
-                if t != Operator.identity(rep.dim).scale(scal):
+                if not _is_scalar(capelli_ints(rep, u, factors), rep.dim,
+                                  scal):
                     cwit = ("u", u)
                     break
             report.add("determinant central element acts by the "

@@ -8,13 +8,15 @@ for the subalgebra chain, and the contravariant form.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .exact import F0, F1
-from .linalg import (BracketTable, Operator, nullspace, product_sum,
-                     restricted_rows, rref)
+from .linalg import (BracketTable, Operator, int_form, int_form_operator,
+                     int_product_sum, nullspace, restricted_rows, rref)
 from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -167,6 +169,51 @@ def z_lower(rep, i):
     return _scaled_chain_sum(rep, chains, i)
 
 
+def int_forms(rep):
+    """The int form (linalg.int_form) of every generator, by slot."""
+    return {slot: int_form(op) for slot, op in rep.gens.items()}
+
+
+def capelli_ints(rep, u, factors):
+    """The column determinant of capelli_det as an int form, from
+    factors = int_forms(rep), which any number of values of u can share.
+    Only the diagonal factors depend on u: each gets the shift u - j + 1
+    added to its diagonal."""
+    n = rep.n
+    u = Fraction(u)
+    fac = dict(factors)
+    for j in range(1, n + 1):
+        shift = u - j + 1
+        if shift:
+            den, nums = factors[(j, j)]
+            d = lcm(den, shift.denominator)
+            nums = {k: v * (d // den) for k, v in nums.items()}
+            s = shift.numerator * (d // shift.denominator)
+            for c in range(rep.dim):
+                nums[(c, c)] = nums.get((c, c), 0) + s
+            fac[(j, j)] = d, {k: v for k, v in nums.items() if v}
+    # only the nonzero D_S are kept, and each is carried to the sets one
+    # row larger
+    rows = range(1, n + 1)
+    dets = {(r,): fac[(r, 1)] for r in rows if fac[(r, 1)][1]}
+    for m in range(2, n + 1):
+        terms = {}
+        for sub, d in dets.items():
+            for r in rows:
+                f = fac[(r, m)]
+                if f[1] and r not in sub:
+                    # r has len(sub) - t larger rows beside it in the set
+                    t = bisect.bisect(sub, r)
+                    terms.setdefault(sub[:t] + (r,) + sub[t:], []).append(
+                        ((-1) ** (len(sub) - t), d, f))
+        dets = {}
+        for sub, ts in terms.items():
+            d = int_product_sum(ts)
+            if d[1]:
+                dets[sub] = d
+    return dets.get(tuple(rows), (1, {}))
+
+
 def capelli_det(rep, u):
     """Column determinant sum_sigma sgn(sigma) prod_j (u + E - j + 1)_{sigma(j), j},
     factors multiplied left to right (rightmost acts first).
@@ -174,32 +221,12 @@ def capelli_det(rep, u):
     Expanded over row subsets: for a set S of m rows, D_S is the signed
     sum of the products of the first m factor columns whose rows are S, and
     D_S = sum_{r in S} (-1)^{#{s in S : s > r}} D_{S - r} (factor r, m).
-    That is n 2^(n-1) products instead of n!(n-1); a zero D_S is skipped.
-    The identity holds for any matrices, so the result does not rely on
-    the generators satisfying any relation."""
-    n = rep.n
-    u = Fraction(u)
-    dim = rep.dim
-    fac = {}
-    for r in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = rep.gen(r, j).copy()
-            if r == j:
-                shift = u - j + 1
-                if shift:
-                    for c in range(dim):
-                        m.add_to(c, c, shift)
-            fac[(r, j)] = m
-    dets = {(r,): fac[(r, 1)] for r in range(1, n + 1)}
-    for m in range(2, n + 1):
-        wider = {}
-        for rows in itertools.combinations(range(1, n + 1), m):
-            # rows[t] has m - 1 - t larger rows beside it in the set
-            terms = [((-1) ** (m - 1 - t), dets[rows[:t] + rows[t + 1:]],
-                      fac[(r, m)]) for t, r in enumerate(rows)]
-            wider[rows] = product_sum(dim, terms)
-        dets = wider
-    return dets[tuple(range(1, n + 1))]
+    That is at most n 2^(n-1) products instead of n!(n-1): only nonzero
+    D_S are kept, and each D_S is an int form (capelli_ints). The
+    identity holds for any matrices, so the result does not rely on the
+    generators satisfying any relation."""
+    return int_form_operator(rep.dim,
+                             capelli_ints(rep, u, int_forms(rep)))
 
 
 def g_highest_vectors(rep, mu):
@@ -288,11 +315,13 @@ def contravariant_gram(rep):
     gram = Operator(dim, {(a, b): v for a, row in form.items()
                           for b, v in row.items()})
     # adjointness for every generator pair is a hard postcondition:
-    # E(i,j)^T G - G E(j,i) = 0 on one accumulator
-    for i in range(1, rep.n + 1):
-        for j in range(1, rep.n + 1):
-            if product_sum(dim, [(1, rep.gen(i, j).transpose(), gram),
-                                 (-1, gram, rep.gen(j, i))]):
-                raise InconsistencyError("adjointness fails for (%d,%d)"
-                                         % (i, j))
+    # E(i,j)^T G - G E(j,i) = 0 on one int accumulator, each matrix
+    # scaled once
+    g = int_form(gram)
+    forms = int_forms(rep)
+    for (i, j), (den, nums) in sorted(forms.items()):
+        up = den, {(c, r): v for (r, c), v in nums.items()}
+        if int_product_sum([(1, up, g), (-1, g, forms[(j, i)])])[1]:
+            raise InconsistencyError("adjointness fails for (%d,%d)"
+                                     % (i, j))
     return gram

@@ -2,14 +2,19 @@
 verification layer needs. Stored entries are Fraction in every build
 (deformed columns are reduced to their limits before they are stored).
 
-Products run on integers: each operand is scaled by the common
-denominator of its entries, the products of numerators are summed as
-Python ints, and each nonzero output entry becomes one reduced
-Fraction(num, den_left * den_right), made once per distinct value. A sum
-of products (a commutator, or a column determinant's row-subset
-expansion) runs on one int accumulator over the lcm of its terms'
-denominators. Entries that cancel to zero are not stored. Negation
-negates each distinct entry object once."""
+Products run on integers, through one integer form of a matrix: a pair
+(den, {(row, col): int}) whose entries are the matrix's entries times
+den, zeros absent. int_form scales an Operator by the common denominator
+of its entries. int_product_sum sums signed products of integer forms on
+one int accumulator over the lcm of the terms' denominators and returns
+an integer form again; nothing in it is reduced, so a chain of products
+(a column determinant's row-subset expansion) stays on ints from operand
+to result. int_form_operator turns an integer form back into an
+Operator with one reduced Fraction per distinct value; product_sum is
+int_product_sum between the two. Entries that cancel to zero are not
+stored. Integer forms are made for one call or one verification run and
+never kept on an Operator, so an entry changed in place is always seen.
+Negation negates each distinct entry object once."""
 from __future__ import annotations
 
 from collections.abc import Mapping
@@ -85,12 +90,6 @@ class Operator:
             return Operator(self.dim)
         return Operator(self.dim, {k: v * s for k, v in self.ent.items()})
 
-    def _numerators(self):
-        # (common denominator, {(row, col): int numerator over it})
-        den = lcm(*(v.denominator for v in self.ent.values()))
-        return den, {k: v.numerator * (den // v.denominator)
-                     for k, v in self.ent.items()}
-
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
@@ -121,33 +120,57 @@ class Operator:
         return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
 
 
-def product_sum(dim, terms):
-    """sum of s * (a @ b) over the (int s, Operator a, Operator b) in terms,
-    summed on one int accumulator over the lcm of the terms' denominators.
-    Terms with a zero operand are skipped. Equal entries of the result
-    share one Fraction."""
-    nums = {}  # by id: an operand used twice is scaled once
-    parts = []
-    for s, a, b in terms:
-        if a and b:
-            for op in (a, b):
-                if id(op) not in nums:
-                    nums[id(op)] = op._numerators()
-            (da, na), (db, nb) = nums[id(a)], nums[id(b)]
-            parts.append((s, da * db, na, nb))
+def int_form(op):
+    """op as (den, {(row, col): int numerator over den}), den the lcm of
+    its entries' denominators (1 for the zero operator)."""
+    den = lcm(*(v.denominator for v in op.ent.values()))
+    return den, {k: v.numerator * (den // v.denominator)
+                 for k, v in op.ent.items()}
+
+
+def int_product_sum(terms):
+    """sum of s * (a @ b) over the (int s, int form a, int form b) in
+    terms, as an int form over the lcm of the terms' denominators.
+    Terms with a zero operand are skipped; entries that cancel to zero
+    are dropped."""
+    parts = [(s, da * db, na, nb)
+             for s, (da, na), (db, nb) in terms if na and nb]
     den = lcm(*(d for _, d, _, _ in parts))
     acc = {}
     for s, d, na, nb in parts:
         _accumulate(acc, na, nb, s * (den // d))
+    if 0 in acc.values():
+        # in place: a filtered copy would hold the accumulator twice
+        for k in [k for k, v in acc.items() if not v]:
+            del acc[k]
+    return den, acc
+
+
+def int_form_operator(dim, form):
+    """The Operator of an int form; equal entries share one Fraction."""
+    den, nums = form
     vals = {}  # int numerator over den -> its one Fraction
     ent = {}
-    for k, v in acc.items():
-        if v:
-            f = vals.get(v)
-            if f is None:
-                f = vals[v] = Fraction(v, den)
-            ent[k] = f
+    for k, v in nums.items():
+        f = vals.get(v)
+        if f is None:
+            f = vals[v] = Fraction(v, den)
+        ent[k] = f
     return Operator(dim, ent)
+
+
+def product_sum(dim, terms):
+    """sum of s * (a @ b) over the (int s, Operator a, Operator b) in
+    terms: int_product_sum on the operands' int forms, each operand
+    scaled once however often it occurs. Equal entries of the result
+    share one Fraction."""
+    forms = {}  # by id: the operands are alive for the whole call
+    for _, a, b in terms:
+        for op in (a, b):
+            if id(op) not in forms:
+                forms[id(op)] = int_form(op)
+    return int_form_operator(dim, int_product_sum(
+        [(s, forms[id(a)], forms[id(b)]) for s, a, b in terms]))
 
 
 def _accumulate(acc, a, b, mult):

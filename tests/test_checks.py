@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from conftest import (A_CORPUS, B_CORPUS, fresh_gl_rep, fresh_so_rep, gl_rep,
-                      pairwise_structure_witness, single_entry_mutants, so_rep)
+                      pairwise_structure_witness, perm_capelli,
+                      single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -51,6 +52,58 @@ class TestWeylDim:
     def test_matches_so_basis_size(self, w):
         r = so_rep(w)
         assert weyl_dim("B", r.lam) == r.dim
+
+
+def _weyl_fraction_product(algebra_type, lam):
+    # Weyl's product factor by factor on Fractions, over the positive
+    # roots written out here
+    n = len(lam)
+    top = tuple(-x for x in reversed(lam)) if algebra_type == "B" else lam
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in ((-1, 1) if algebra_type == "B" else (-1,)):
+                roots.append({i: 1, j: s})
+        if algebra_type == "B":
+            roots.append({i: 1})
+    rho = [sum(al.get(i, 0) for al in roots) / Fraction(2) for i in range(n)]
+    acc = Fraction(1)
+    for al in roots:
+        acc *= (sum((top[i] + rho[i]) * a for i, a in al.items())
+                / sum(rho[i] * a for i, a in al.items()))
+    return acc
+
+
+# any tuple of ints shifted by one common class: dominant or not, so the
+# product may be a non-integer, zero or negative
+weyl_cases = st.tuples(
+    st.sampled_from(["A", "B"]),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                     Fraction(1, 3)]))
+
+
+class TestWeylDimOnInts:
+    @settings(max_examples=300)
+    @given(weyl_cases)
+    def test_equals_the_fraction_product(self, case):
+        algebra, ints, shift = case
+        lam = tuple(x + shift for x in ints)
+        want = _weyl_fraction_product(algebra, lam)
+        if want.denominator == 1 and want > 0:
+            assert weyl_dim(algebra, lam) == want
+        else:
+            with pytest.raises(ValueError, match="gave %s for" % want):
+                weyl_dim(algebra, lam)
+
+    @given(st.sampled_from(["A", "B"]),
+           st.lists(st.integers(-4, 0), min_size=1, max_size=5),
+           st.booleans())
+    def test_dominant_weights_are_positive_integers(self, algebra, ints,
+                                                    half):
+        lam = tuple(sorted((x - Fraction(1, 2) if half else Fraction(x)
+                            for x in ints), reverse=True))
+        assert weyl_dim(algebra, lam) == _weyl_fraction_product(algebra, lam)
 
 
 class TestBranchingCount:
@@ -399,6 +452,52 @@ class TestStructurePresentation:
         assert fails(diagonal_in_raising) == ("root", (1, 1), (1, 2))
         assert fails(doubled((1, 2))) == ("chevalley", (1, 2), (2, 1))
         assert fails(doubled((1, 3)))[0] == "closure"
+
+
+STRUCTURE = "all generator commutators match the bracket table"
+CAPELLI = "determinant central element acts by the expected scalar"
+
+
+def _verdicts(r, algebra):
+    return {c["name"]: c["pass"]
+            for c in run_verification(r, algebra, level="full").checks}
+
+
+class TestScaledFormsAreNotKept:
+    # the oracles scale the generators to int forms afresh on every run,
+    # so an entry changed in place after a passing run is seen
+
+    def test_entry_changed_after_a_passing_run_fails(self):
+        r = fresh_gl_rep((3, 1, 0))
+        assert all(_verdicts(r, "A").values())
+        key = min(r.gens[(2, 1)].ent)
+        r.gens[(2, 1)].ent[key] *= 2
+        got = _verdicts(r, "A")
+        assert not got[STRUCTURE] and not got[CAPELLI]
+
+    def test_capelli_verdict_is_the_permutation_sum_test(self):
+        # every single-entry mutant of E(2,1), the added 1/3 entry
+        # included: the verdict of the int-form expansion against the
+        # scalar test on the n! permutation sum
+        r = fresh_gl_rep((2, 1, 0))
+        orig = r.gens[(2, 1)]
+        ls = [Fraction(x) - i for i, x in enumerate(r.lam)]
+        verdicts = set()
+        for bad in single_entry_mutants(r, (2, 1)):
+            r.gens[(2, 1)] = bad
+            want = True
+            for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(7)):
+                scal = Fraction(1)
+                for l in ls:
+                    scal *= u + l
+                if perm_capelli(r, u) != Operator.identity(r.dim).scale(
+                        scal):
+                    want = False
+                    break
+            assert _verdicts(r, "A")[CAPELLI] == want
+            verdicts.add(want)
+        r.gens[(2, 1)] = orig
+        assert False in verdicts
 
 
 class TestPhiIdentity:

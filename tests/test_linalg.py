@@ -5,6 +5,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from gtrep import Operator
+from gtrep.linalg import (int_form, int_form_operator, int_product_sum,
+                          product_sum)
 
 # mixed denominators and both signs, so sums of products cancel often
 values = st.sampled_from([Fraction(v) for v in
@@ -104,3 +106,63 @@ def test_negation_negates_each_source_object_once(pair):
         for k, v in op.ent.items():
             for k2, v2 in op.ent.items():
                 assert (v is v2) == (neg.ent[k] is neg.ent[k2])
+
+
+# ------------------------------------------------ the integer form
+
+
+def _as_fractions(form):
+    den, nums = form
+    return {k: Fraction(v, den) for k, v in nums.items()}
+
+
+@given(st.integers(1, 4).flatmap(operators))
+def test_int_form_scales_by_the_common_denominator(op):
+    den, nums = int_form(op)
+    assert all(type(v) is int and v for v in nums.values())
+    assert all(den % v.denominator == 0 for v in op.ent.values())
+    assert _as_fractions((den, nums)) == op.ent
+    assert int_form_operator(op.dim, (den, nums)) == op
+
+
+# each term is (sign, a, b); a term may be followed by its own negation,
+# so whole products cancel, and either operand may be zero
+signed_terms = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(st.sampled_from([1, -1, 2]),
+                           st.one_of(operators(d), st.just(Operator(d))),
+                           operators(d), st.booleans()),
+                 max_size=4)))
+
+
+@given(signed_terms)
+def test_int_product_sum_matches_reference(case):
+    dim, drawn = case
+    terms = []
+    for s, a, b, cancel in drawn:
+        terms.append((s, a, b))
+        if cancel:
+            terms.append((-s, a, b))
+    want = [[Fraction(0)] * dim for _ in range(dim)]
+    for s, a, b in terms:
+        prod = naive_product(a, b)
+        want = naive_sum(want, prod, s)
+    form = int_product_sum([(s, int_form(a), int_form(b))
+                            for s, a, b in terms])
+    assert all(type(v) is int and v for v in form[1].values())
+    assert _as_fractions(form) == sparse(want)
+    op = product_sum(dim, terms)
+    assert_matches(op, want)
+    assert len(_objects(op)) == len(set(op.ent.values()))
+
+
+def test_int_product_sum_of_nothing_or_zero_operands_is_zero():
+    a = int_form(Operator(2, {(0, 1): Fraction(1, 2)}))
+    zero = int_form(Operator(2))
+    assert zero == (1, {})
+    assert int_product_sum([]) == (1, {})
+    assert int_product_sum([(1, zero, a), (1, a, zero)]) == (1, {})
+    # a product that cancels entry by entry leaves nothing stored
+    b = int_form(Operator(2, {(1, 0): Fraction(2, 3)}))
+    assert int_product_sum([(1, a, b), (-1, a, b)])[1] == {}
