@@ -454,30 +454,43 @@ def _orbit(mu, signed):
 def _freudenthal(top, roots, rho, signed):
     # multiplicities of the dominant weights, highest first
     dominants = _dominants(top, signed)
-    dset = set(dominants)
     bound = max(abs(x) for x in top)
     nlam = sum((a + b) ** 2 for a, b in zip(top, rho))
     order = sorted(dominants,
                    key=lambda m: (-sum((a + b) ** 2 for a, b in zip(m, rho)), m))
     mult = {}
+    # S(nu, al) = sum over t >= 1 of m(nu + t al)(nu + t al, al), the root
+    # string cut at its first weight past the bound; it only reads weights
+    # above nu, whose multiplicities are final once nu is reached, so each
+    # (weight, root) pair is summed once per call
+    sums = {}
+
+    def line_sum(nu, al):
+        # walk up the string to the bound or a known sum, then fill back
+        chain = []
+        while (nu, al) not in sums:
+            up = tuple(x + a for x, a in zip(nu, al))
+            if max(abs(x) for x in up) > bound:
+                sums[nu, al] = 0
+                break
+            chain.append((nu, up))
+            nu = up
+        s = sums[nu, al]
+        for low, up in reversed(chain):
+            d = tuple(sorted((abs(x) if signed else x for x in up),
+                             reverse=True))
+            m = mult.get(d, 0)
+            if m:
+                s += m * _dot(up, al)
+            sums[low, al] = s
+        return s
+
     for mu in order:
         if mu == top:
             mult[mu] = 1
             continue
         den = nlam - sum((a + b) ** 2 for a, b in zip(mu, rho))
-        num = Fraction(0)
-        for al in roots:
-            t = 1
-            while True:
-                nu = tuple(m + t * a for m, a in zip(mu, al))
-                if max(abs(x) for x in nu) > bound:
-                    break
-                d = tuple(sorted((abs(x) if signed else x for x in nu),
-                                 reverse=True))
-                m = mult.get(d, 0) if d in dset else 0
-                if m:
-                    num += m * _dot(nu, al)
-                t += 1
+        num = sum(line_sum(mu, al) for al in roots)
         val = 2 * num / den
         if val.denominator != 1 or val < 0:
             raise ValueError("Freudenthal recursion gave %s at %s" % (val, mu))

@@ -214,25 +214,40 @@ def _head(args, lam, patterns, write):
     write("\n  ]")
 
 
-def _entries(op, int_row, frac_row):
-    # each entry of op in sorted order, through the template for an integer
-    # value ("%d") or a fraction ("%d/%d"), as Fraction.__str__ prints it
+class _Texts(dict):
+    # the text of each index, made from a "%d" template when first asked for
+    def __init__(self, template):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, i):
+        text = self[i] = self.template % i
+        return text
+
+
+def _entries(op, rows, cols, value):
+    # each entry of op in sorted order, as its row index's text (rows[r]),
+    # its column index's text (cols[c]) and its value's text joined; the
+    # value's text comes from the "%s" template value, as Fraction.__str__
+    # prints it, once per value object (op holds them, so ids stay fixed)
     ent = op.ent
+    made = {}
     out = []
     for key in sorted(ent):
         v = ent[key]
-        if v.denominator == 1:
-            out.append(int_row % (key[0], key[1], v.numerator))
-        else:
-            out.append(frac_row % (key[0], key[1], v.numerator,
-                                   v.denominator))
+        text = made.get(id(v))
+        if text is None:
+            text = made[id(v)] = value % v
+        out.append(rows[key[0]] + cols[key[1]] + text)
     return out
 
 
-# one [row, col, "value"] array of an operator's entries, at depth 4
+# one [row, col, "value"] array of an operator's entries, at depth 4, in
+# its row, column and value pieces
 _IN, _OUT = "\n" + "  " * 5, "\n" + "  " * 4
-_JSON_INT = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d"' + _OUT + "]"
-_JSON_FRAC = "[" + _IN + "%d," + _IN + "%d," + _IN + '"%d/%d"' + _OUT + "]"
+_JSON_ROW = "[" + _IN + "%d," + _IN
+_JSON_COL = "%d," + _IN
+_JSON_VALUE = '"%s"' + _OUT + "]"
 # one operator block at depth 2, after its separator; the last field is the
 # entries array
 _BLOCK = '%s"%s(%d,%d)": {\n      "dim": %d,\n      "entries": %s\n    }'
@@ -245,9 +260,10 @@ def _rep_json(args, lam, rep, write):
     _head(args, lam, rep.patterns, write)
     write(',\n  "operators": {')
     sep = "\n    "
+    row_texts, col_texts = _Texts(_JSON_ROW), _Texts(_JSON_COL)
     for i, j in sorted(rep.gens):
-        rows = ",\n        ".join(_entries(rep.gens[(i, j)], _JSON_INT,
-                                            _JSON_FRAC))
+        rows = ",\n        ".join(_entries(rep.gens[(i, j)], row_texts,
+                                            col_texts, _JSON_VALUE))
         write(_BLOCK % (sep, letter, i, j, rep.dim,
                         "[\n        %s\n      ]" % rows if rows else "[]"))
         sep = ",\n    "
@@ -258,11 +274,12 @@ def _rep_csv(args, rep, write):
     # the header row, then one write per operator's rows
     letter = "E" if args.algebra == "A" else "F"
     write("generator,row,col,value\n")
+    col_texts = _Texts("%d,")
     for i, j in sorted(rep.gens):
-        # the name holds a comma, so it is quoted
+        # the name holds a comma, so it is quoted; it leads each row text
         name = '"%s(%d,%d)",' % (letter, i, j)
-        write("".join(_entries(rep.gens[(i, j)], name + "%d,%d,%d\n",
-                               name + "%d,%d,%d/%d\n")))
+        write("".join(_entries(rep.gens[(i, j)], _Texts(name + "%d,"),
+                               col_texts, "%s\n")))
 
 
 def cmd_dim(args):

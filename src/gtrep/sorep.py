@@ -35,6 +35,7 @@ F(-j,-i) = -F(i,j), so F(i,-i) = 0.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import lcm
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
@@ -528,7 +529,7 @@ SPAN_PRIME = (1 << 61) - 1
 
 def _check_span_rank(rep):
     # the built generators must span a Lie algebra of the right dimension
-    rows = []
+    ents = []
     seen = set()
     for i in range(-rep.n, rep.n + 1):
         for j in range(-rep.n, rep.n + 1):
@@ -536,15 +537,54 @@ def _check_span_rank(rep):
             if cs is None or cs in seen:
                 continue
             seen.add(cs)
-            op = rep.gens[cs]
-            row = {r * rep.dim + c: v for (r, c), v in op.ent.items()}
-            if row:
-                rows.append(row)
+            ent = rep.gens[cs].ent
+            if ent:
+                ents.append(ent)
     want = rep.n * (2 * rep.n + 1)
-    got = span_rank(rows)
+    got = _slot_rank(ents, rep.dim)
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))
+
+
+def _slot_rank(ents, dim):
+    """Rank of the slots' entry dicts {(row, col): Fraction}, each taken as
+    one flattened row, first on a certified set of positions: the first m
+    stored positions of every slot, every slot restricted to their union.
+    A restriction never has a larger rank than the full rows, nor a rank
+    mod p than over Q, so a restricted rank mod SPAN_PRIME equal to the
+    row count is the rank. Otherwise m doubles, and once the positions
+    cover every entry span_rank decides on the full rows."""
+    total = sum(map(len, ents))
+    m = 1
+    while True:
+        cols = set()
+        for ent in ents:
+            cols.update(itertools.islice(ent, m))
+        rows = [_restrict(ent, cols, dim) for ent in ents]
+        if sum(map(len, rows)) == total:
+            return span_rank(rows)
+        if _rank_mod_p(rows) == len(rows):
+            return len(rows)
+        m *= 2
+
+
+def _restrict(ent, cols, dim):
+    # the entries of ent at positions in cols, flattened to r * dim + c,
+    # found by walking the smaller of the two
+    if len(ent) <= len(cols):
+        return {k[0] * dim + k[1]: v for k, v in ent.items() if k in cols}
+    return {k[0] * dim + k[1]: ent[k] for k in cols if k in ent}
+
+
+def _rank_mod_p(rows):
+    # the rank mod SPAN_PRIME of Fraction rows, each scaled to integers
+    scaled = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        scaled.append({c: v.numerator * (den // v.denominator)
+                       for c, v in row.items()})
+    return len(rref(scaled, modulus=SPAN_PRIME))
 
 
 def span_rank(rows):
@@ -552,12 +592,7 @@ def span_rank(rows):
     and the rank taken mod SPAN_PRIME; the rank mod p never exceeds the
     rank over Q, so when it equals the row count it is the rank. Otherwise
     the exact rref decides."""
-    scaled = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        scaled.append({c: v.numerator * (den // v.denominator)
-                       for c, v in row.items()})
-    got = len(rref(scaled, modulus=SPAN_PRIME))
+    got = _rank_mod_p(rows)
     if got == len(rows):
         return got
     return len(rref(rows))

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
                    check_weight_gl, check_weight_so, nullspace)
+from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _canon_slot,
                          _lp, _lu, deformed_column, mid_row_prefactor,
@@ -252,6 +253,45 @@ def single_entry_mutants(rep, slot):
         bad = op.copy()
         bad.ent[free] = Fraction(1, 3)
         yield bad
+
+
+# ------------------------------------------------------ Freudenthal
+
+
+def ref_freudenthal(top, roots, rho, signed):
+    # the recursion walking every root string from each dominant weight:
+    # the reference the memoised root-line sums of _freudenthal must match
+    dominants = _dominants(top, signed)
+    dset = set(dominants)
+    bound = max(abs(x) for x in top)
+    nlam = sum((a + b) ** 2 for a, b in zip(top, rho))
+    order = sorted(dominants,
+                   key=lambda m: (-sum((a + b) ** 2 for a, b in zip(m, rho)), m))
+    mult = {}
+    for mu in order:
+        if mu == top:
+            mult[mu] = 1
+            continue
+        den = nlam - sum((a + b) ** 2 for a, b in zip(mu, rho))
+        num = Fraction(0)
+        for al in roots:
+            t = 1
+            while True:
+                nu = tuple(m + t * a for m, a in zip(mu, al))
+                if max(abs(x) for x in nu) > bound:
+                    break
+                d = tuple(sorted((abs(x) if signed else x for x in nu),
+                                 reverse=True))
+                m = mult.get(d, 0) if d in dset else 0
+                if m:
+                    num += m * sum(x * y for x, y in zip(nu, al))
+                t += 1
+        val = 2 * num / den
+        if val.denominator != 1 or val < 0:
+            raise ValueError("Freudenthal recursion gave %s at %s" % (val, mu))
+        if val:
+            mult[mu] = int(val)
+    return mult
 
 
 # ----------------------------------------------- output by json and csv

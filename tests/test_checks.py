@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 from conftest import (A_CORPUS, B_CORPUS, fresh_gl_rep, fresh_so_rep, gl_rep,
                       pairwise_structure_witness, perm_capelli,
-                      single_entry_mutants, so_rep)
+                      ref_freudenthal, single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -27,8 +27,8 @@ from gtrep import (
     run_verification,
     weyl_dim,
 )
-from gtrep.checks import (_orbit, _phi_witness, _structure_witness,
-                          presentation)
+from gtrep.checks import (_freudenthal, _orbit, _phi_witness, _root_datum,
+                          _structure_witness, presentation)
 from gtrep.sorep import _canon_slot
 
 
@@ -239,6 +239,24 @@ class TestFreudenthal:
         for wt in r.weights:
             hist[wt] = hist.get(wt, 0) + 1
         assert freudenthal_multiplicities("B", r.lam) == hist
+
+    # small weights: gl(1..4) entries 0..4, shifted off the integers or
+    # not; o(3..7) entries 0..-3, integral or half-odd
+    small_weights = st.one_of(
+        st.tuples(st.just("A"),
+                  st.lists(st.integers(0, 4), min_size=1, max_size=4),
+                  st.sampled_from([0, Fraction(1, 2), Fraction(-2, 3)])),
+        st.tuples(st.just("B"),
+                  st.lists(st.integers(-3, 0), min_size=1, max_size=3),
+                  st.sampled_from([0, Fraction(-1, 2)])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_weights)
+    def test_memoised_line_sums_match_the_string_walk(self, case):
+        algebra, entries, shift = case
+        lam = tuple(sorted((x + shift for x in entries), reverse=True))
+        datum = _root_datum(algebra, lam)
+        assert _freudenthal(*datum) == ref_freudenthal(*datum)
 
 
 class TestStructure:

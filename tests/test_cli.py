@@ -16,7 +16,7 @@ from conftest import (A_CORPUS, B_CORPUS, SHIFTED, gl_rep, ref_patterns_json,
                       ref_rep_csv, ref_rep_json, so_rep)
 import gtrep.checks as checks
 import gtrep.cli as cli
-from gtrep import build_so
+from gtrep import Operator, build_so
 from gtrep.cli import main
 from gtrep.exact import format_rational
 from gtrep.sorep import ConstructionError
@@ -215,6 +215,45 @@ class TestTemplateWriter:
                            ",".join(map(format_rational, rep.lam)))
         assert code == 0
         assert out == ref_patterns_json(algebra, rep.lam, rep.patterns)
+
+
+class TestSharedEntryText:
+    """Entry text made once per index and once per value object, on an
+    operator where one object fills many entries and equal values sit in
+    distinct objects."""
+
+    def _rep(self):
+        base = so_rep(("-1", "-2"))
+        dim, wide = base.dim, 2 ** 70 + 3
+        shared = Fraction(-3, 7)
+        op = Operator(dim)
+        for r in range(dim):
+            for c in range(dim):
+                if (r + c) % 3 == 0:
+                    op.ent[(r, c)] = shared
+                elif (r * c) % 5 == 1:
+                    # a new object per entry, equal in value
+                    op.ent[(r, c)] = Fraction(-5, 2)
+                elif r == c:
+                    op.ent[(r, c)] = Fraction(wide if r % 2 else -wide)
+                elif r + 1 == c:
+                    op.ent[(r, c)] = Fraction(-wide, 2 ** 65 + 1)
+        neg = -op
+        assert len({id(v) for v in op.ent.values()}) < len(op.ent)
+        rep = SimpleNamespace(lam=base.lam, patterns=base.patterns, dim=dim,
+                              gens={(-1, 1): op, (0, 2): neg,
+                                    (1, 0): Operator(dim), (2, -2): op})
+        return SimpleNamespace(algebra="B", rank=base.n), rep
+
+    def test_json_matches_json_dumps(self):
+        args, rep = self._rep()
+        assert ("".join(_writes(cli._rep_json, args, rep.lam, rep))
+                == ref_rep_json("B", rep.lam, rep))
+
+    def test_csv_matches_csv_writer(self):
+        args, rep = self._rep()
+        assert ("".join(_writes(cli._rep_csv, args, rep))
+                == ref_rep_csv("B", rep))
 
 
 class Recorder:

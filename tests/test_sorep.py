@@ -1,6 +1,7 @@
 """Odd orthogonal generator matrices: coefficients, limits, closure."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -551,6 +552,58 @@ class TestSpanRank:
         assert span_rank([r1, r2]) == 2
         assert span_rank([r1, r2, r3]) == 2
         assert calls == [2, 3]
+
+    # the type B modules of the benchmark workloads
+    BENCH_B = [("-2", "-2", "-3"), ("-1/2", "-3/2", "-5/2"),
+               ("-1/2", "-1/2", "-1/2", "-3/2"), ("-1", "-1", "-2")]
+
+    def _record_rows(self, monkeypatch):
+        # (modulus, row count, entry count) of every rref call
+        calls = []
+        real = sorep.rref
+
+        def rref(rows, modulus=None):
+            calls.append((modulus, len(rows), sum(map(len, rows))))
+            return real(rows, modulus)
+        monkeypatch.setattr(sorep, "rref", rref)
+        return calls
+
+    @pytest.mark.parametrize("w", [w for w in B_CORPUS + BENCH_B
+                                   if any(map(Fraction, w))])
+    def test_built_modules_pass(self, w):
+        sorep._check_span_rank(so_rep(w))
+
+    @pytest.mark.parametrize("w", BENCH_B)
+    def test_ranked_rows_hold_far_fewer_entries_than_the_slots(
+            self, w, monkeypatch):
+        r = so_rep(w)
+        calls = self._record_rows(monkeypatch)
+        sorep._check_span_rank(r)
+        slots = {_canon_slot(*s)[0] for s in r.gens} - {None}
+        nnz = sum(len(r.gens[s].ent) for s in slots)
+        want = r.n * (2 * r.n + 1)
+        # every call is mod p on one row per slot, the last one full rank,
+        # and no call ranks the full rows: at most a third of their entries
+        # (1,152 of 3,872 at dim 128, 170 of 70,932 at dim 1386)
+        assert calls and all(m == sorep.SPAN_PRIME and rows == want
+                             for m, rows, _ in calls)
+        assert max(e for _, _, e in calls) * 3 < nnz
+
+    def test_slots_agreeing_on_their_leading_positions_pass(self,
+                                                             monkeypatch):
+        # the first two slots of o(3) agree on their first two stored
+        # positions and differ at the third, so the positions grow until
+        # they cover every entry and the full rows decide
+        calls = self._record_rows(monkeypatch)
+        one, two = Fraction(1), Fraction(2)
+        a = Operator(3, {(0, 0): one, (0, 1): -one, (1, 2): one})
+        b = Operator(3, {(0, 0): one, (0, 1): -one, (1, 2): two})
+        c = Operator(3, {(2, 2): Fraction(1, 3)})
+        slots = sorted({_canon_slot(i, j)[0] for i in range(-1, 2)
+                        for j in range(-1, 2)} - {None})
+        rep = SimpleNamespace(n=1, dim=3, gens=dict(zip(slots, (a, b, c))))
+        sorep._check_span_rank(rep)
+        assert [e for _, _, e in calls] == [3, 5, 7]
 
     def test_rank_deficient_generators_raise(self):
         r = fresh_so_rep(("0", "-1"))
