@@ -13,7 +13,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exact import F0
-from .linalg import (Operator, nullspace, product_sum, rank_of,
+from .linalg import (Operator, int_product_sum, nullspace, rank_of,
                      restricted_rows)
 from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
                     gl_structure_table, int_forms)
@@ -327,23 +327,34 @@ def branching_multiplicity(lam, mu):
     return count
 
 
+def _raising(rep, k):
+    """The simple raising operators F(m-1,m), m = 1..k-1, of o(2k-1). A
+    vector is highest for o(2k-1) when all of them annihilate it: every
+    positive root vector is an iterated bracket of simple ones
+    (Humphreys, Introduction to Lie Algebras and Representation Theory),
+    so their common kernel is that of all (k-1)(2k-1) raising slots."""
+    return [rep.gens[(m - 1, m)] for m in range(1, k)]
+
+
 def check_branching(rep):
     """Exact highest-vector counts of the rank n-1 subalgebra per weight,
-    against the interval counts, plus the global dimension identity."""
+    against the interval counts, plus the global dimension identity. A
+    count at a weight whose interval count is 0 (on a faulty module, a
+    weight that need not be dominant for o(2n-1)) fails the first line
+    and stays out of the dimension sum."""
     report = VerificationReport()
     n = rep.n
     groups = {}
     for c, w in enumerate(rep.weights):
         groups.setdefault(w[:n - 1], []).append(c)
-    raising = [rep.gens[(i, j)]
-               for i in range(-(n - 1), n) for j in range(i + 1, n)]
+    raising = _raising(rep, n)
     witness = None
     counts = {}
     for mu in sorted(groups):
         cols = groups[mu]
         got = len(nullspace(restricted_rows(raising, cols), len(cols)))
         want = branching_multiplicity(rep.lam, mu)
-        if got:
+        if got and want:
             counts[mu] = got
         if got != want and witness is None:
             witness = (mu, got, want)
@@ -358,18 +369,25 @@ def check_branching(rep):
 # ------------------------------------------------------- Casimir
 
 
-def casimir_scalar(rep):
-    """Sum of all products gen(i,j)gen(j,i), on one accumulator; raises
-    unless exactly scalar."""
-    acc = product_sum(rep.dim, [(1, rep.gens[(i, j)], rep.gens[(j, i)])
-                                for (i, j) in sorted(rep.gens)])
-    val = acc.ent.get((0, 0), F0)
-    rem = acc - Operator.identity(rep.dim).scale(val)
-    if rem:
-        r, c = min(rem.ent)
+def casimir_scalar(rep, forms=None):
+    """Sum of all products gen(i,j)gen(j,i), on one int accumulator over
+    forms = int_forms(rep) (made here when not given); raises unless
+    exactly scalar, with the smallest off-scalar position and the
+    remainder's value there as witness."""
+    if forms is None:
+        forms = int_forms(rep)
+    den, nums = int_product_sum([(1, forms[(i, j)], forms[(j, i)])
+                                 for (i, j) in sorted(rep.gens)])
+    t = nums.get((0, 0), 0)
+    if not _is_scalar((den, nums), rep.dim, Fraction(t, den)):
+        def rem(k):
+            # the numerator of the sum minus its (0, 0) entry times 1
+            return nums.get(k, 0) - t * (k[0] == k[1])
+        key = min(k for k in set(nums) | {(c, c) for c in range(rep.dim)}
+                  if rem(k))
         raise NonScalarError("Casimir sum is not scalar",
-                             witness=(r, c, rem.ent[(r, c)]))
-    return val
+                             witness=(*key, Fraction(rem(key), den)))
+    return Fraction(t, den)
 
 
 def casimir_highest_value(algebra_type, lam):
@@ -512,10 +530,9 @@ def freudenthal_multiplicities(algebra_type, lam):
 
 
 def _joint_kernel(rep, k):
-    # common kernel of every gen(i,j) with -k < i < j < k
-    ops = [rep.gens[(i, j)]
-           for i in range(-(k - 1), k) for j in range(i + 1, k)]
-    return nullspace(restricted_rows(ops, range(rep.dim)), rep.dim)
+    # the o(2k-1) highest vectors: the common kernel of F(m-1,m), m < k
+    return nullspace(restricted_rows(_raising(rep, k), range(rep.dim)),
+                     rep.dim)
 
 
 def _phi_witness(rep):
@@ -617,13 +634,18 @@ def run_verification(rep, algebra_type, level="fast"):
         if algebra_type == "B":
             report.extend(check_branching(rep))
         want = casimir_highest_value(algebra_type, rep.lam)
+        # one int table for the Casimir, Capelli and form checks, made at
+        # its first use and dropped after its last
+        forms = int_forms(rep)
         try:
-            val = casimir_scalar(rep)
+            val = casimir_scalar(rep, forms)
             report.add("Casimir sum is the scalar dictated by the top weight",
                        val == want, None if val == want else (val, want))
         except NonScalarError as e:
             report.add("Casimir sum is the scalar dictated by the top weight",
                        False, e.witness)
+        if algebra_type == "B":
+            del forms
         hist = {}
         for w_ in rep.weights:
             hist[w_] = hist.get(w_, 0) + 1
@@ -635,19 +657,18 @@ def run_verification(rep, algebra_type, level="fast"):
         if algebra_type == "A":
             cwit = None
             ls = [Fraction(x) - i for i, x in enumerate(rep.lam)]
-            factors = int_forms(rep)
             for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(7)):
                 scal = Fraction(1)
                 for l in ls:
                     scal *= u + l
-                if not _is_scalar(capelli_ints(rep, u, factors), rep.dim,
+                if not _is_scalar(capelli_ints(rep, u, forms), rep.dim,
                                   scal):
                     cwit = ("u", u)
                     break
             report.add("determinant central element acts by the "
                        "expected scalar", cwit is None, cwit)
             try:
-                g = contravariant_gram(rep)
+                g = contravariant_gram(rep, forms)
                 ok = all(r == c and v for (r, c), v in g.ent.items()) \
                     and len(g.ent) == rep.dim
                 report.add("contravariant form is diagonal and nondegenerate",
@@ -655,6 +676,7 @@ def run_verification(rep, algebra_type, level="fast"):
             except InconsistencyError as e:
                 report.add("contravariant form is diagonal and nondegenerate",
                            False, str(e))
+            del forms
         else:
             pw = _phi_witness(rep)
             report.add("quadratic form of the primed-lowering operator "

@@ -14,9 +14,10 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .exact import F0, F1
-from .linalg import (BracketTable, Operator, int_form, int_form_operator,
-                     int_product_sum, nullspace, restricted_rows, rref)
+from .exact import F1
+from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
+                     int_form_operator, int_product_sum, nullspace,
+                     restricted_rows, rref)
 from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -242,86 +243,105 @@ def g_highest_vectors(rep, mu):
     return out
 
 
-def contravariant_gram(rep):
-    """The symmetric form with <highest, highest> = 1 making E(i,j) and
-    E(j,i) mutually adjoint.
+def contravariant_gram(rep, forms=None):
+    """The symmetric form G with <highest, highest> = 1 making E(i,j) and
+    E(j,i) mutually adjoint. On the Gelfand–Tsetlin basis it is diagonal
+    (Molev, Yangians and Classical Lie Algebras), and it is read off
+    forms = int_forms(rep) (made here when not given) as such.
 
     Diagonal-generator adjointness forces the form to vanish across
-    distinct weights, so the unknowns are pairs within one weight block.
-    The equation <E(k,k+1) a, b> = <a, E(k+1,k) b>, with a of weight mu,
-    involves only the blocks mu and mu + alpha_k. So the blocks are solved
-    one at a time in decreasing lexicographic order of weight, which
-    refines dominance: each is a small exact solve with the higher blocks
-    as constants. Every block must be consistent and of full column rank;
-    lowering spans each weight space of an irreducible module, so a
-    correct module always passes, and the solution is then unique."""
-    n, dim = rep.n, rep.dim
+    distinct weights. The equation <E(k,k+1) a, b> = <a, E(k+1,k) b>,
+    with a of weight mu, involves only the blocks mu and mu + alpha_k.
+    So the blocks are taken in decreasing lexicographic order of weight,
+    which refines dominance, each with the blocks above it known:
+
+    (a) uniqueness. A block's equations fix the form exactly on the
+        block times the span of the images E(k+1,k) b of the blocks one
+        simple root above, so the form is unique exactly when those
+        images span the block. Lowering spans each weight space of an
+        irreducible module, so a correct module always passes. The rank
+        is taken mod a fixed prime, which never exceeds the rank over Q,
+        and exactly only when it falls short;
+    (b) values. Once (a) holds each basis vector a has some b above it
+        with dn(a,b) = E(k+1,k)[a,b] != 0, and G_a is read off the first
+        one's equation: G_a = up(b,a) G_b / dn(a,b), up = E(k,k+1). Each
+        G_a must be nonzero;
+    (c) postcondition. Every E(i,j) must be adjoint to E(j,i) under G:
+        E(i,j)[b,a] G_b = G_a E(j,i)[a,b], both sides zero together,
+        compared on the table's ints and G's numerators and denominators.
+
+    A G that passes (c) solves every equation, so by (a) it is the form."""
+    if forms is None:
+        forms = int_forms(rep)
     blocks = {}
     for c, w in enumerate(rep.weights):
         blocks.setdefault(w, []).append(c)
     simple = []
-    for k in range(1, n):
-        # each generator as {source column: [(target row, value)]}
-        up, dn = {}, {}
-        for (r, c), v in rep.gen(k, k + 1).ent.items():
-            up.setdefault(c, []).append((r, v))
-        for (r, c), v in rep.gen(k + 1, k).ent.items():
-            dn.setdefault(c, []).append((r, v))
-        simple.append((k, up, dn))
-    h = rep.highest_index()
-    form = {h: {h: F1}}  # solved blocks, row -> {column: value}
+    for k in range(1, rep.n):
+        uden, up = forms[(k, k + 1)]
+        dden, dn = forms[(k + 1, k)]
+        cols = {}  # E(k+1,k) by source column: [(target row, numerator)]
+        for (r, c), v in dn.items():
+            cols.setdefault(c, []).append((r, v))
+        simple.append((k, uden, up, dden, cols))
+    gram = {rep.highest_index(): F1}
     # the top block is the highest vector alone
     for mu in sorted(blocks, reverse=True)[1:]:
-        pos = {}
-        for t, a in enumerate(blocks[mu]):
-            for b in blocks[mu][t:]:
-                pos[(a, b)] = len(pos)
-        const = len(pos)  # the column of the known terms
-        rows = []
-        for k, up, dn in simple:
+        block = blocks[mu]
+        pos = {a: t for t, a in enumerate(block)}
+        rows = []  # each image E(k+1,k) b on the block, as int numerators
+        for k, uden, up, dden, cols in simple:
             above = blocks.get(mu[:k - 1] + (mu[k - 1] + 1, mu[k] - 1)
                                + mu[k + 1:])
             if above is None:
                 continue
-            for a in blocks[mu]:
-                # <E(k,k+1) a, .> from the solved block above
-                image = {}
-                for r, v in up.get(a, ()):
-                    for b, g in form.get(r, {}).items():
-                        image[b] = image.get(b, F0) + v * g
-                for b in above:
-                    row = {}
-                    for r, v in dn.get(b, ()):
-                        p = pos.get((a, r) if a <= r else (r, a))
-                        if p is not None:
-                            row[p] = row.get(p, F0) - v
-                    row[const] = image.get(b, F0)
-                    row = {p: v for p, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-        piv = rref(rows)
+            for b in above:
+                row = {}
+                for a, v in cols.get(b, ()):
+                    t = pos.get(a)
+                    if t is not None:
+                        row[t] = v
+                        if a not in gram:
+                            gram[a] = Fraction(up.get((b, a), 0) * dden,
+                                               uden * v) * gram[b]
+                if row:
+                    rows.append(row)
         where = "(%s)" % ",".join(str(x) for x in mu)
-        if const in piv:
-            raise InconsistencyError("form equations are inconsistent at "
-                                     "weight %s" % where)
-        if len(piv) != const:
-            raise InconsistencyError("form is not determined at weight %s: "
-                                     "rank %d of %d" % (where, len(piv), const))
-        for (a, b), p in pos.items():
-            v = -piv[p].get(const, F0)
-            if v:
-                form.setdefault(a, {})[b] = v
-                form.setdefault(b, {})[a] = v
-    gram = Operator(dim, {(a, b): v for a, row in form.items()
-                          for b, v in row.items()})
-    # adjointness for every generator pair is a hard postcondition:
-    # E(i,j)^T G - G E(j,i) = 0 on one int accumulator, each matrix
-    # scaled once
-    g = int_form(gram)
-    forms = int_forms(rep)
-    for (i, j), (den, nums) in sorted(forms.items()):
-        up = den, {(c, r): v for (r, c), v in nums.items()}
-        if int_product_sum([(1, up, g), (-1, g, forms[(j, i)])])[1]:
+        if not _spans(rows, len(block)):
+            raise InconsistencyError("form is not determined at weight %s"
+                                     % where)
+        if not all(gram[a] for a in block):
+            raise InconsistencyError("form is degenerate at weight %s"
+                                     % where)
+    # E(i,j)^T G = G E(j,i) holds iff its transpose, E(j,i)^T G =
+    # G E(i,j), does; the first failing pair in sorted order has i <= j
+    for (i, j) in sorted(forms):
+        if i <= j and not _adjoint(forms[(i, j)], forms[(j, i)], gram):
             raise InconsistencyError("adjointness fails for (%d,%d)"
                                      % (i, j))
-    return gram
+    return Operator(rep.dim, {(a, a): g for a, g in gram.items()})
+
+
+def _adjoint(form, tform, gram):
+    # int forms E and T with E^T G = G T for the diagonal G of gram:
+    # E[b,a] G_b = G_a T[a,b] at every position, both sides zero together
+    (den, nums), (tden, tnums) = form, tform
+    if len(nums) != len(tnums):
+        return False
+    for (b, a), v in nums.items():
+        w = tnums.get((a, b))
+        gb, ga = gram[b], gram[a]
+        if w is None or (v * gb.numerator * ga.denominator * tden
+                         != w * ga.numerator * gb.denominator * den):
+            return False
+    return True
+
+
+def _spans(rows, size):
+    # sparse int rows span a space of dimension size: their rank mod
+    # RANK_PRIME never exceeds the rank over Q, so the exact rref runs
+    # only when it falls short
+    if len(rref(rows, modulus=RANK_PRIME)) == size:
+        return True
+    return len(rref([{t: Fraction(v) for t, v in row.items()}
+                     for row in rows])) == size

@@ -229,6 +229,10 @@ class BracketTable(Mapping):
         return len(self.defs) ** 2
 
 
+# a fixed prime, 2^61 - 1, for ranks taken mod p before any exact rref
+RANK_PRIME = (1 << 61) - 1
+
+
 def rref(rows, modulus=None):
     """Reduced echelon form of sparse rows (dicts col->Fraction), or of
     rows of ints over GF(modulus) when a prime modulus is given.

@@ -40,7 +40,7 @@ from math import lcm
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
-from .linalg import BracketTable, Operator, rref
+from .linalg import RANK_PRIME, BracketTable, Operator, rref
 from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
 
 
@@ -523,8 +523,8 @@ def build_so(lam, cap=None, trace=None):
     return rep
 
 
-# a fixed prime, 2^61 - 1, for the span rank taken mod p first
-SPAN_PRIME = (1 << 61) - 1
+# the prime of the span rank taken mod p first
+SPAN_PRIME = RANK_PRIME
 
 
 def _check_span_rank(rep):
@@ -549,18 +549,22 @@ def _check_span_rank(rep):
 
 def _slot_rank(ents, dim):
     """Rank of the slots' entry dicts {(row, col): Fraction}, each taken as
-    one flattened row, first on a certified set of positions: the first m
-    stored positions of every slot, every slot restricted to their union.
-    A restriction never has a larger rank than the full rows, nor a rank
-    mod p than over Q, so a restricted rank mod SPAN_PRIME equal to the
-    row count is the rank. Otherwise m doubles, and once the positions
-    cover every entry span_rank decides on the full rows."""
+    one flattened row, first on a certified set of positions: m stored
+    positions of every slot, spread evenly over its entries in stored
+    order, every slot restricted to their union. A restriction never has
+    a larger rank than the full rows, nor a rank mod p than over Q, so a
+    restricted rank mod SPAN_PRIME equal to the row count is the rank.
+    Otherwise m doubles, and once the positions cover every entry
+    span_rank decides on the full rows. Spread positions keep apart the
+    diagonal slots, whose leading entries are the first patterns' shared
+    weights."""
     total = sum(map(len, ents))
     m = 1
     while True:
         cols = set()
         for ent in ents:
-            cols.update(itertools.islice(ent, m))
+            step = max(1, len(ent) // m)
+            cols.update(itertools.islice(ent, 0, step * m, step))
         rows = [_restrict(ent, cols, dim) for ent in ents]
         if sum(map(len, rows)) == total:
             return span_rank(rows)

@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
-                   check_weight_gl, check_weight_so, nullspace)
+                   check_weight_gl, check_weight_so, nullspace, rref)
 from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _canon_slot,
@@ -200,6 +200,83 @@ def global_gram(rep):
     return gram
 
 
+def block_gram(rep):
+    # the contravariant form solved for every symmetric unknown of each
+    # weight block, the blocks from the top weight down: the reference
+    # the diagonal read-off of contravariant_gram must agree with
+    n, dim = rep.n, rep.dim
+    blocks = {}
+    for c, w in enumerate(rep.weights):
+        blocks.setdefault(w, []).append(c)
+    simple = []
+    for k in range(1, n):
+        # each generator as {source column: [(target row, value)]}
+        up, dn = {}, {}
+        for (r, c), v in rep.gen(k, k + 1).ent.items():
+            up.setdefault(c, []).append((r, v))
+        for (r, c), v in rep.gen(k + 1, k).ent.items():
+            dn.setdefault(c, []).append((r, v))
+        simple.append((k, up, dn))
+    h = rep.highest_index()
+    form = {h: {h: Fraction(1)}}  # solved blocks, row -> {column: value}
+    for mu in sorted(blocks, reverse=True)[1:]:
+        pos = {}
+        for t, a in enumerate(blocks[mu]):
+            for b in blocks[mu][t:]:
+                pos[(a, b)] = len(pos)
+        const = len(pos)  # the column of the known terms
+        rows = []
+        for k, up, dn in simple:
+            above = blocks.get(mu[:k - 1] + (mu[k - 1] + 1, mu[k] - 1)
+                               + mu[k + 1:])
+            if above is None:
+                continue
+            for a in blocks[mu]:
+                # <E(k,k+1) a, .> from the solved block above
+                image = {}
+                for r, v in up.get(a, ()):
+                    for b, g in form.get(r, {}).items():
+                        image[b] = image.get(b, Fraction(0)) + v * g
+                for b in above:
+                    row = {}
+                    for r, v in dn.get(b, ()):
+                        p = pos.get((a, r) if a <= r else (r, a))
+                        if p is not None:
+                            row[p] = row.get(p, Fraction(0)) - v
+                    row[const] = image.get(b, Fraction(0))
+                    row = {p: v for p, v in row.items() if v}
+                    if row:
+                        rows.append(row)
+        piv = rref(rows)
+        where = "(%s)" % ",".join(str(x) for x in mu)
+        if const in piv:
+            raise InconsistencyError("form equations are inconsistent at "
+                                     "weight %s" % where)
+        if len(piv) != const:
+            raise InconsistencyError("form is not determined at weight %s: "
+                                     "rank %d of %d" % (where, len(piv), const))
+        for (a, b), p in pos.items():
+            v = -piv[p].get(const, Fraction(0))
+            if v:
+                form.setdefault(a, {})[b] = v
+                form.setdefault(b, {})[a] = v
+    gram = Operator(dim, {(a, b): v for a, row in form.items()
+                          for b, v in row.items()})
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if rep.gen(i, j).transpose() @ gram != gram @ rep.gen(j, i):
+                raise InconsistencyError("adjointness fails for (%d,%d)"
+                                         % (i, j))
+    return gram
+
+
+def all_raising(rep, k):
+    # every raising slot F(i,j), -k < i < j < k, of o(2k-1): the
+    # reference for the simple ones checks._raising gives
+    return [rep.gens[(i, j)]
+            for i in range(-(k - 1), k) for j in range(i + 1, k)]
+
+
 def pairwise_structure_witness(rep, algebra_type):
     # every unordered pair of distinct canonical slots bracketed once,
     # after the type B canonical-form comparison: the reference the
@@ -237,15 +314,20 @@ def pairwise_structure_witness(rep, algebra_type):
     return None
 
 
-def single_entry_mutants(rep, slot):
-    # every stored entry of the slot doubled, and one entry added where
-    # the slot has none (1/3 at the first free diagonal or first-row
-    # position): each as a fresh Operator
+def single_entry_mutants(rep, slot, deleted=False):
+    # every stored entry of the slot doubled (and, when deleted is set,
+    # each one deleted), and one entry added where the slot has none (1/3
+    # at the first free diagonal or first-row position): each as a fresh
+    # Operator
     op = rep.gens[slot]
     for key, v in sorted(op.ent.items()):
         bad = op.copy()
         bad.ent[key] = 2 * v
         yield bad
+        if deleted:
+            bad = op.copy()
+            del bad.ent[key]
+            yield bad
     free = next((k for k in [(c, c) for c in range(rep.dim)]
                  + [(0, c) for c in range(rep.dim)] if k not in op.ent),
                 None)

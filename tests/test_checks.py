@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
-from conftest import (A_CORPUS, B_CORPUS, fresh_gl_rep, fresh_so_rep, gl_rep,
+from conftest import (A_CORPUS, B_CORPUS, all_raising, block_gram,
+                      fresh_gl_rep, fresh_so_rep, gl_rep,
                       pairwise_structure_witness, perm_capelli,
                       ref_freudenthal, single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
+    nullspace,
     VerificationReport,
     branching_multiplicity,
     casimir_highest_value,
@@ -27,8 +29,11 @@ from gtrep import (
     run_verification,
     weyl_dim,
 )
-from gtrep.checks import (_freudenthal, _orbit, _phi_witness, _root_datum,
-                          _structure_witness, presentation)
+from gtrep import checks, glrep
+from gtrep.checks import (_freudenthal, _joint_kernel, _orbit, _phi_witness,
+                          _raising, _root_datum, _structure_witness,
+                          presentation)
+from gtrep.linalg import product_sum, restricted_rows
 from gtrep.sorep import _canon_slot
 
 
@@ -144,6 +149,121 @@ class TestBranchingKernels:
         assert rep.passed
 
 
+# the type B modules of the benchmark's verify-full and build-deformed
+# workloads
+BENCH_B = [("-1", "-1", "-2"), ("-1/2", "-3/2", "-5/2"),
+           ("-1/2", "-1/2", "-1/2", "-3/2")]
+
+
+def _kernel_counts(rep, ops):
+    # the common kernel's dimension on each o(2n-1) weight's columns
+    groups = {}
+    for c, w in enumerate(rep.weights):
+        groups.setdefault(w[:rep.n - 1], []).append(c)
+    return {mu: len(nullspace(restricted_rows(ops, cols), len(cols)))
+            for mu, cols in groups.items()}
+
+
+class TestSimpleRaisingKernels:
+    """The kernels on the simple raising operators F(m-1,m) against the
+    kernels on every raising slot of o(2k-1)."""
+
+    @pytest.mark.parametrize("w", B_CORPUS + BENCH_B)
+    def test_branching_counts_are_the_all_slot_counts(self, w):
+        r = so_rep(w)
+        assert len(_raising(r, r.n)) == r.n - 1
+        assert _kernel_counts(r, _raising(r, r.n)) == _kernel_counts(
+            r, all_raising(r, r.n))
+
+    @pytest.mark.parametrize("w", B_CORPUS + BENCH_B)
+    def test_joint_kernels_are_the_all_slot_kernels(self, w):
+        r = so_rep(w)
+        for k in range(1, r.n + 1):
+            want = nullspace(restricted_rows(all_raising(r, k),
+                                             range(r.dim)), r.dim)
+            assert len(_joint_kernel(r, k)) == len(want), k
+
+    @pytest.mark.parametrize("w, slot, key", [
+        (("-1", "-2"), (0, 1), (1, 4)), (("0", "-1"), (0, 1), (2, 1))])
+    def test_count_at_a_non_dominant_weight_fails_the_line(self, w, slot,
+                                                           key):
+        # the deletion leaves a highest vector at an o(2n-1) weight with
+        # no interleaving tuples, where Weyl's formula gives -1: a failed
+        # line naming that weight, not a ValueError
+        r = fresh_so_rep(w)
+        del r.gens[slot].ent[key]
+        counts = _kernel_counts(r, _raising(r, r.n))
+        bad = [mu for mu, got in counts.items()
+               if got and not branching_multiplicity(r.lam, mu)]
+        assert bad
+        for mu in bad:
+            with pytest.raises(ValueError, match="dimension formula gave -1"):
+                weyl_dim("B", mu)
+        lines = check_branching(r).checks
+        assert not lines[0]["pass"] and lines[0]["witness"]
+        report = run_verification(r, "B", level="full")
+        assert report.summary() == "fail"
+
+
+BRANCHING = ("subalgebra highest-vector counts match the interval counts",
+             "branching dimensions sum to the module dimension")
+PHI = "quadratic form of the primed-lowering operator matches its definition"
+FORM = "contravariant form is diagonal and nondegenerate"
+
+
+def _reference_report(r, algebra, monkeypatch):
+    # run_verification with the all-slot kernels and the block solve
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_raising", all_raising)
+        m.setattr(checks, "contravariant_gram",
+                  lambda rep, forms=None: block_gram(rep))
+        return run_verification(r, algebra, level="full")
+
+
+class TestMutantsAgainstReferences:
+    """Single-entry mutants (each entry doubled, each entry deleted, one
+    entry added) slot by slot: the summary is the reference oracles',
+    the form line's verdict is the block solve's, and on doubled and
+    deleted entries the branching and phi lines flag at least what the
+    all-slot kernels flag. An entry added to a slot that is not a simple
+    raising operator, F(-1,0) or F(-1,1), can fail the reference's
+    branching lines and not these; the structure oracle flags it."""
+
+    @pytest.mark.parametrize("algebra, w, every", [
+        ("B", ("0", "-1"), 1), ("B", ("-1/2", "-3/2"), 3),
+        ("A", (2, 1, 0), 1), ("A", (2, 0, 0), 1)])
+    def test_verdicts(self, algebra, w, every, monkeypatch):
+        r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
+        seen = 0
+        newly = 0
+        for slot in sorted(r.gens):
+            orig = r.gens[slot]
+            added = len(orig.ent) * 2
+            for t, bad in enumerate(single_entry_mutants(r, slot,
+                                                         deleted=True)):
+                if t % every:
+                    continue
+                r.gens[slot] = bad
+                new = run_verification(r, algebra, level="full")
+                ref = _reference_report(r, algebra, monkeypatch)
+                r.gens[slot] = orig
+                seen += 1
+                assert new.summary() == ref.summary() == "fail", slot
+                got = {c["name"]: c["pass"] for c in new.checks}
+                want = {c["name"]: c["pass"] for c in ref.checks}
+                assert got.keys() == want.keys()
+                for name in got:
+                    if name in BRANCHING + (PHI,):
+                        if t < added:
+                            assert got[name] <= want[name], (slot, name)
+                        newly += got[name] < want[name]
+                    else:
+                        assert got[name] == want[name], (slot, name)
+        assert seen
+        if algebra == "B":
+            assert newly
+
+
 class TestCasimir:
     def test_gl_defining_value(self):
         assert casimir_scalar(gl_rep((1, 0))) == 2
@@ -178,6 +298,27 @@ class TestCasimir:
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         assert e.value.witness == (*key, rem.ent[key])
+
+    @pytest.mark.parametrize("algebra, w, slot", [
+        ("B", ("-1/2", "-3/2"), (1, 2)), ("A", (3, 1, 0), (2, 1))])
+    def test_witness_is_the_product_sum_witness(self, algebra, w, slot):
+        # the Operator sum on one product_sum accumulator, minus its (0,0)
+        # entry times the identity, at its smallest remaining position
+        r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
+        key = max(r.gens[slot].ent)
+        r.gens[slot].ent[key] *= 3
+        acc = product_sum(r.dim, [(1, r.gens[(i, j)], r.gens[(j, i)])
+                                  for (i, j) in sorted(r.gens)])
+        rem = acc - Operator.identity(r.dim).scale(
+            acc.ent.get((0, 0), Fraction(0)))
+        pos = min(rem.ent)
+        with pytest.raises(NonScalarError) as e:
+            casimir_scalar(r)
+        assert e.value.witness == (*pos, rem.ent[pos])
+        report = run_verification(r, algebra, level="full")
+        line = {c["name"]: c for c in report.checks}[
+            "Casimir sum is the scalar dictated by the top weight"]
+        assert line["witness"] == str((*pos, rem.ent[pos]))
 
     def test_nonscalar_raises_with_witness(self):
         r = fresh_so_rep(("-1",))
@@ -516,6 +657,27 @@ class TestScaledFormsAreNotKept:
             verdicts.add(want)
         r.gens[(2, 1)] = orig
         assert False in verdicts
+
+
+class TestOneIntTable:
+    @pytest.mark.parametrize("algebra, w", [("A", (2, 1, 0)),
+                                            ("B", ("0", "-1"))])
+    def test_full_verification_scales_the_generators_once(
+            self, algebra, w, monkeypatch):
+        calls = []
+        real = checks.int_forms
+
+        def int_forms(rep):
+            calls.append(rep)
+            return real(rep)
+        monkeypatch.setattr(checks, "int_forms", int_forms)
+        monkeypatch.setattr(glrep, "int_forms", int_forms)
+        r = gl_rep(w) if algebra == "A" else so_rep(w)
+        assert run_verification(r, algebra, level="full").passed
+        assert calls == [r]
+        del calls[:]
+        run_verification(r, algebra)
+        assert calls == []
 
 
 class TestPhiIdentity:

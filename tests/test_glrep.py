@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, fresh_gl_rep, gl_rep,
-                      global_gram, perm_capelli)
+from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, block_gram, fresh_gl_rep,
+                      gl_rep, global_gram, perm_capelli)
 from gtrep import (
     InconsistencyError,
     Operator,
@@ -21,6 +21,8 @@ from gtrep import (
     z_lower,
     z_raise,
 )
+from gtrep.glrep import _spans
+from gtrep.linalg import RANK_PRIME
 
 
 def shifted_rep(lam, c):
@@ -225,6 +227,35 @@ class TestContravariantForm:
         with pytest.raises(InconsistencyError,
                            match=r"^adjointness fails for \(1,3\)$"):
             contravariant_gram(r)
+
+    @pytest.mark.parametrize("lam", A_CORPUS + [(5, 3, 1, 0)])
+    def test_read_off_is_the_block_solve(self, lam):
+        r = gl_rep(lam)
+        assert contravariant_gram(r) == block_gram(r)
+
+    def test_unspanned_block_is_not_determined(self):
+        # without E(2,1) the block below the top is not spanned, so every
+        # symmetric form on it satisfies its equations
+        r = fresh_gl_rep((1, 0))
+        r.gens[(2, 1)] = Operator(2)
+        with pytest.raises(InconsistencyError,
+                           match=r"^form is not determined at weight \(0,1\)$"):
+            contravariant_gram(r)
+
+    def test_zero_value_is_degenerate(self):
+        r = fresh_gl_rep((1, 0))
+        r.gens[(1, 2)] = Operator(2)
+        with pytest.raises(InconsistencyError,
+                           match=r"^form is degenerate at weight \(0,1\)$"):
+            contravariant_gram(r)
+
+    def test_span_falls_back_to_the_exact_rank(self):
+        p = RANK_PRIME
+        assert _spans([{0: 1}, {1: 3}], 2)
+        # numerators that vanish mod p: the exact rank decides
+        assert _spans([{0: p, 1: 2 * p}, {1: p}], 2)
+        assert not _spans([{0: p, 1: 2 * p}, {0: 3, 1: 6}], 2)
+        assert not _spans([], 1)
 
     def test_defining_gram_is_identity(self):
         r = gl_rep((1, 0))

@@ -584,7 +584,7 @@ class TestSpanRank:
         want = r.n * (2 * r.n + 1)
         # every call is mod p on one row per slot, the last one full rank,
         # and no call ranks the full rows: at most a third of their entries
-        # (1,152 of 3,872 at dim 128, 170 of 70,932 at dim 1386)
+        # (288 of 3,872 at dim 128, 46 of 70,932 at dim 1386)
         assert calls and all(m == sorep.SPAN_PRIME and rows == want
                              for m, rows, _ in calls)
         assert max(e for _, _, e in calls) * 3 < nnz
@@ -604,6 +604,23 @@ class TestSpanRank:
         rep = SimpleNamespace(n=1, dim=3, gens=dict(zip(slots, (a, b, c))))
         sorep._check_span_rank(rep)
         assert [e for _, _, e in calls] == [3, 5, 7]
+
+    def test_diagonal_slots_agreeing_on_their_leading_positions(
+            self, monkeypatch):
+        # two diagonal slots equal on their first half and apart on the
+        # second, as F(k,k) are on the first patterns' shared weights:
+        # the first m positions would need every entry, but positions
+        # spread over each slot tell them apart at m = 2, mod p
+        calls = self._record_rows(monkeypatch)
+        a = Operator(8, {(c, c): Fraction(1 + (c >= 4)) for c in range(8)})
+        b = Operator(8, {(c, c): Fraction(1 + 2 * (c >= 4))
+                         for c in range(8)})
+        c = Operator(8, {(0, 1): Fraction(1, 3)})
+        slots = sorted({_canon_slot(i, j)[0] for i in range(-1, 2)
+                        for j in range(-1, 2)} - {None})
+        rep = SimpleNamespace(n=1, dim=8, gens=dict(zip(slots, (a, b, c))))
+        sorep._check_span_rank(rep)
+        assert calls == [(sorep.SPAN_PRIME, 3, 3), (sorep.SPAN_PRIME, 3, 5)]
 
     def test_rank_deficient_generators_raise(self):
         r = fresh_so_rep(("0", "-1"))
