@@ -225,21 +225,31 @@ class _Texts(dict):
         return text
 
 
-def _entries(op, rows, cols, value):
-    # each entry of op in sorted order, as its row index's text (rows[r]),
-    # its column index's text (cols[c]) and its value's text joined; the
-    # value's text comes from the "%s" template value, as Fraction.__str__
-    # prints it, once per value object (op holds them, so ids stay fixed)
+# the most entry rows one write holds: a block's rows go out a piece at a
+# time, so no block is ever held as one string
+ROWS_PER_WRITE = 1024
+
+
+def _entries(op, rows, cols, value, sep):
+    # the entries of op in sorted order, each as its row index's text
+    # (rows[r]), its column index's text (cols[c]) and its value's text
+    # joined, in pieces of at most ROWS_PER_WRITE entries with sep between
+    # any two; an empty op gives one empty piece. The value's text comes
+    # from the "%s" template value, as Fraction.__str__ prints it, once per
+    # value object (op holds them, so ids stay fixed)
     ent = op.ent
+    keys = sorted(ent)
     made = {}
-    out = []
-    for key in sorted(ent):
-        v = ent[key]
-        text = made.get(id(v))
-        if text is None:
-            text = made[id(v)] = value % v
-        out.append(rows[key[0]] + cols[key[1]] + text)
-    return out
+    for start in range(0, len(keys) or 1, ROWS_PER_WRITE):
+        # a leading "" puts sep before the first row of a later piece
+        out = [""] if start else []
+        for key in keys[start:start + ROWS_PER_WRITE]:
+            v = ent[key]
+            text = made.get(id(v))
+            if text is None:
+                text = made[id(v)] = value % v
+            out.append(rows[key[0]] + cols[key[1]] + text)
+        yield sep.join(out)
 
 
 # one [row, col, "value"] array of an operator's entries, at depth 4, in
@@ -248,38 +258,48 @@ _IN, _OUT = "\n" + "  " * 5, "\n" + "  " * 4
 _JSON_ROW = "[" + _IN + "%d," + _IN
 _JSON_COL = "%d," + _IN
 _JSON_VALUE = '"%s"' + _OUT + "]"
-# one operator block at depth 2, after its separator; the last field is the
-# entries array
-_BLOCK = '%s"%s(%d,%d)": {\n      "dim": %d,\n      "entries": %s\n    }'
+_JSON_SEP = ",\n" + "  " * 4
+# one operator block at depth 2, after its separator, up to its entries
+# array; the array's rows follow, then _TAIL
+_HEAD = '%s"%s(%d,%d)": {\n      "dim": %d,\n      "entries": '
+_TAIL = "\n    }"
 
 
 def _rep_json(args, lam, rep, write):
-    # the header and basis, one write per operator block, then the footer;
-    # every module has at least one generator slot
+    # the header and basis, each operator block as its head, its rows a
+    # piece at a time and its tail, then the footer; every module has at
+    # least one generator slot
     letter = "E" if args.algebra == "A" else "F"
     _head(args, lam, rep.patterns, write)
     write(',\n  "operators": {')
     sep = "\n    "
     row_texts, col_texts = _Texts(_JSON_ROW), _Texts(_JSON_COL)
     for i, j in sorted(rep.gens):
-        rows = ",\n        ".join(_entries(rep.gens[(i, j)], row_texts,
-                                            col_texts, _JSON_VALUE))
-        write(_BLOCK % (sep, letter, i, j, rep.dim,
-                        "[\n        %s\n      ]" % rows if rows else "[]"))
+        op = rep.gens[(i, j)]
+        head = _HEAD % (sep, letter, i, j, rep.dim)
         sep = ",\n    "
+        if not op.ent:
+            write(head + "[]" + _TAIL)
+            continue
+        write(head + "[\n" + "  " * 4)
+        for piece in _entries(op, row_texts, col_texts, _JSON_VALUE,
+                              _JSON_SEP):
+            write(piece)
+        write("\n      ]" + _TAIL)
     write("\n  }\n}\n")
 
 
 def _rep_csv(args, rep, write):
-    # the header row, then one write per operator's rows
+    # the header row, then each operator's rows a piece at a time
     letter = "E" if args.algebra == "A" else "F"
     write("generator,row,col,value\n")
     col_texts = _Texts("%d,")
     for i, j in sorted(rep.gens):
         # the name holds a comma, so it is quoted; it leads each row text
         name = '"%s(%d,%d)",' % (letter, i, j)
-        write("".join(_entries(rep.gens[(i, j)], _Texts(name + "%d,"),
-                               col_texts, "%s\n")))
+        for piece in _entries(rep.gens[(i, j)], _Texts(name + "%d,"),
+                              col_texts, "%s\n", ""):
+            write(piece)
 
 
 def cmd_dim(args):

@@ -474,15 +474,20 @@ def close_generators(n, seeds, dim):
     Each bracket's coefficient is read from structure_table(n), which must
     give the bracket as +-1 times the target slot alone, so no commutator
     is rescaled. One commutator per missing canonical slot, 2n(n-1) in
-    all."""
+    all. Every value stored, in a seed, a bracket or a mirror, is the
+    build's one object of that value; the seeds' entry dicts are replaced
+    by dicts of equal values."""
     table = structure_table(n)
     known = {}
+    values = {}
 
-    def store(slot, op):
+    def store(slot, op, sign=1):
+        # sign * op at slot and its mirror -sign * op at F(-j,-i)
+        mirror = _share(op, values, sign)
         known[slot] = op
         alt = (-slot[1], -slot[0])
         if alt != slot:
-            known[alt] = -op
+            known[alt] = Operator(dim, mirror)
 
     def bracket(ab, cd, target):
         cs, _ = _canon_slot(*target)
@@ -490,8 +495,7 @@ def close_generators(n, seeds, dim):
         if set(terms) != {cs} or abs(terms[cs]) != 1:
             raise ConstructionError("bracket [F%s, F%s] is not +-F%s"
                                     % (ab, cd, target))
-        op = known[ab].commutator(known[cd])
-        store(cs, op if terms[cs] == 1 else -op)
+        store(cs, known[ab].commutator(known[cd]), terms[cs])
 
     for i in range(-n, n + 1):
         known[(i, -i)] = Operator(dim)
@@ -505,6 +509,35 @@ def close_generators(n, seeds, dim):
             if i and j and (i, j) not in known:
                 bracket((i, 0), (0, j), (i, j))
     return known
+
+
+def _share(op, values, sign):
+    """Make op sign * op and return the entry dict of -sign * op, every
+    value the one object of it in values, which maps a denominator to
+    {numerator: that object} and gains the values it lacks: ints hash far
+    faster than a Fraction, and no pair is kept per value. Each distinct
+    value object of op is looked up once, keyed by its id, which stays
+    fixed while op holds the object; op's old dict is released before
+    the negated one is built."""
+    vals = op.ent.values()
+    same, neg = {}, {}
+    for i, v in dict(zip(map(id, vals), vals)).items():
+        num = v.numerator
+        nums = values.get(v.denominator)
+        if nums is None:
+            nums = values[v.denominator] = {}
+        s = nums.setdefault(num, v)
+        m = nums.get(-num)
+        if m is None:
+            m = -v
+            nums[m.numerator] = m
+        if sign == -1:
+            s, m = m, s
+        same[i] = s
+        neg[id(s)] = m
+    op.ent = dict(zip(op.ent, map(same.__getitem__, map(id, vals))))
+    vals = op.ent.values()
+    return dict(zip(op.ent, map(neg.__getitem__, map(id, vals))))
 
 
 def build_so(lam, cap=None, trace=None):

@@ -256,6 +256,61 @@ class TestSharedEntryText:
                 == ref_rep_csv("B", rep))
 
 
+# a JSON entry row opens with "[" and a newline at depth 5, a CSV row ends
+# with a newline; in the operators no other text does
+_JSON_ROW_OPEN = "[\n" + "  " * 5
+
+
+def _most_rows(parts, row):
+    # the most rows one write holds, after the JSON basis or CSV header
+    start = next(i for i, p in enumerate(parts)
+                 if '"operators"' in p or p.startswith("generator,"))
+    return max(p.count(row) for p in parts[start + 1:])
+
+
+class TestRowPieces:
+    """Each block's rows written ROWS_PER_WRITE entries at a time: pieces
+    that split a block, exactly fill one, or hold an empty slot."""
+
+    def _sizes(self):
+        args, rep = TestSharedEntryText()._rep()
+        n = max(len(op.ent) for op in rep.gens.values())
+        # several pieces, all full or the last one short; exactly one
+        # piece; one piece with room to spare
+        return args, rep, n, [1, 3, n - 1, n, n + 1]
+
+    def test_json_matches_json_dumps_at_every_piece_size(self, monkeypatch):
+        args, rep, n, sizes = self._sizes()
+        want = ref_rep_json("B", rep.lam, rep)
+        for size in sizes:
+            monkeypatch.setattr(cli, "ROWS_PER_WRITE", size)
+            parts = _writes(cli._rep_json, args, rep.lam, rep)
+            assert "".join(parts) == want
+            assert _most_rows(parts, _JSON_ROW_OPEN) == min(size, n)
+
+    def test_csv_matches_csv_writer_at_every_piece_size(self, monkeypatch):
+        args, rep, n, sizes = self._sizes()
+        want = ref_rep_csv("B", rep)
+        for size in sizes:
+            monkeypatch.setattr(cli, "ROWS_PER_WRITE", size)
+            parts = _writes(cli._rep_csv, args, rep)
+            assert "".join(parts) == want
+            assert _most_rows(parts, "\n") == min(size, n)
+
+    @pytest.mark.parametrize("output, row", [("json", _JSON_ROW_OPEN),
+                                             ("csv", "\n")])
+    def test_no_write_holds_more_than_one_piece(self, output, row,
+                                                monkeypatch, capsys):
+        argv = _argv(output, "B", "-1,-2")
+        _, want, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "ROWS_PER_WRITE", 4)
+        rec = Recorder()
+        monkeypatch.setattr(sys, "stdout", rec)
+        assert main(argv) == 0
+        assert "".join(rec.parts) == want
+        assert _most_rows(rec.parts, row) == 4
+
+
 class Recorder:
     """A stand-in stdout that keeps each write apart."""
 
@@ -403,6 +458,46 @@ class TestOutFile:
         assert err == "cannot write %s: %s\n" % (fifo,
                                                  os.strerror(errno.ENOSPC))
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_write_error_inside_a_block_keeps_the_old_file(
+            self, tmp_path, capsys, monkeypatch):
+        # the k-th write to the temp file is a later piece of an operator
+        # block, after the block's head and first rows went out
+        monkeypatch.setattr(cli, "ROWS_PER_WRITE", 4)
+        args, rep = _writer_case("B", ("-1", "-2"))
+        parts = _writes(cli._rep_json, args, rep.lam, rep)
+        k = 1 + next(i for i, p in enumerate(parts)
+                     if p.startswith(",\n        [") and i > 0
+                     and parts[i - 1].startswith(",\n        ["))
+        fdopen = os.fdopen
+
+        class FullAfter:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == k:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.f.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, mode: FullAfter(fdopen(fd, mode)))
+        target = tmp_path / "old.json"
+        target.write_bytes(b"previous\n")
+        code, out, err = run(capsys, "build", "--type", "B", "--rank", "2",
+                             "--weight", "-1,-2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == "cannot write %s: %s\n" % (target,
+                                                 os.strerror(errno.ENOSPC))
+        assert target.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
 
     def test_patterns_to_file(self, tmp_path, capsys):
         p = tmp_path / "pats.json"

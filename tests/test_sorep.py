@@ -241,6 +241,60 @@ class TestBrackets:
         assert len(calls) == 2 * n * (n - 1)
         assert got == defs
 
+    @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
+                                   ("-1/2", "-3/2", "-5/2")])
+    def test_closure_keeps_one_object_per_value(self, w):
+        # every value the closure stores, in the seeds, the bracketed
+        # slots and their mirrors, is the build's one object of it
+        r = so_rep(w)
+        stored = [v for op in r.gens.values() for v in op.ent.values()]
+        assert len({id(v) for v in stored}) == len(set(stored))
+
+    @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
+                                   ("-1/2", "-3/2", "-5/2")])
+    def test_shared_values_keep_the_bracket_plan(self, w):
+        # each bracketed slot, its values taken from the shared objects,
+        # is still the bracket of the plan that made it
+        r = so_rep(w)
+        n, tab = r.n, structure_table(r.n)
+        seeds = {s for k in range(1, n + 1)
+                 for s in ((k, k), (k - 1, -k), (k - 1, k))}
+        plan = [((0, k - 1), (k - 1, k), (0, k)) for k in range(2, n + 1)]
+        plan += [((0, k - 1), (k - 1, -k), (0, -k)) for k in range(2, n + 1)]
+        plan += [((i, 0), (0, j), (i, j)) for i in range(-n, n + 1)
+                 for j in range(-n, n + 1) if i and j
+                 and _canon_slot(i, j)[0] == (i, j) and (i, j) not in seeds]
+        for ab, cd, target in plan:
+            # [F(ab), F(cd)] = coef * F(cs), cs the canonical slot
+            ((cs, coef),) = tab[(ab, cd)].items()
+            got = r.gens[ab].commutator(r.gens[cd])
+            assert got == r.gens[cs].scale(coef), target
+
+    @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
+                                   ("-1/2", "-3/2", "-5/2")])
+    def test_mirror_slots_are_negated_entry_by_entry(self, w):
+        r = so_rep(w)
+        for (i, j), op in r.gens.items():
+            mirror = r.gens[(-j, -i)].ent
+            assert mirror == {k: -v for k, v in op.ent.items()}
+            assert list(mirror) == list(op.ent)
+
+    def test_closure_shares_values_across_seeds(self):
+        # equal seed values held by distinct objects end as one object,
+        # and each mirror value is that of its negation
+        n = 2
+        defs = defining_operators(n)
+        seeds = {}
+        for k in range(1, n + 1):
+            for slot in ((k, k), (k - 1, -k), (k - 1, k)):
+                seeds[slot] = Operator(defs[slot].dim, {
+                    pos: Fraction(v.numerator, v.denominator)
+                    for pos, v in defs[slot].ent.items()})
+        got = close_generators(n, seeds, 2 * n + 1)
+        assert got == defs
+        stored = {id(v): v for op in got.values() for v in op.ent.values()}
+        assert sorted(stored.values()) == [-1, 1]
+
     @pytest.mark.parametrize("w", [("-1",), ("0", "-1"), ("-1/2", "-1/2")])
     def test_all_commutators_close(self, w):
         r = so_rep(w)
