@@ -19,8 +19,8 @@ from .sorep import (ConstructionError, build_phi_minus, build_phi_u,
 from .checks import (NonScalarError, VerificationReport,
                      branching_multiplicity, casimir_highest_value,
                      casimir_scalar, check_branching,
-                     check_structure_constants, equivalence_intertwiner,
-                     freudenthal_multiplicities, run_verification, weyl_dim)
+                     check_structure_constants, freudenthal_multiplicities,
+                     run_verification, weyl_dim)
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "defining_operators", "structure_table",
     "NonScalarError", "VerificationReport", "branching_multiplicity",
     "casimir_highest_value", "casimir_scalar", "check_branching",
-    "check_structure_constants", "equivalence_intertwiner",
-    "freudenthal_multiplicities", "run_verification", "weyl_dim",
+    "check_structure_constants", "freudenthal_multiplicities",
+    "run_verification", "weyl_dim",
 ]

@@ -1,9 +1,9 @@
 """Independent consistency oracles for built representations.
 
 Every reference value here is recomputed from scratch (elementary
-matrices, closed-form dimension products, the Freudenthal recursion,
-brute-force interval counts), so agreement with the constructed
-matrices is evidence rather than circular bookkeeping.
+matrices, closed-form dimension products and Casimir values, the
+Freudenthal recursion, brute-force interval counts), so agreement with
+the constructed matrices is evidence rather than circular bookkeeping.
 """
 
 import functools
@@ -12,11 +12,12 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exact import F0
+# rank_of is unused here, but bench/tracer.py wraps checks.rank_of by name
 from .linalg import (Operator, int_product_sum, nullspace, rank_of,
                      restricted_rows)
 from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
                     gl_structure_table, int_forms)
+from .patterns import canonical_slots
 from .sorep import build_phi_minus, structure_table
 
 
@@ -370,14 +371,18 @@ def check_branching(rep):
 
 
 def casimir_scalar(rep, forms=None):
-    """Sum of all products gen(i,j)gen(j,i), on one int accumulator over
-    forms = int_forms(rep) (made here when not given); raises unless
-    exactly scalar, with the smallest off-scalar position and the
-    remainder's value there as witness."""
+    """Sum of the products gen(i,j)gen(j,i) over the canonical slots
+    (patterns.canonical_slots), on one int accumulator over forms =
+    int_forms(rep) (made here when not given); raises unless exactly
+    scalar, with the smallest off-scalar position and the remainder's
+    value there as witness. gen(j,i) is canonical along with gen(i,j).
+    For type B the mirror F(-j,-i)F(-i,-j) of each product equals it
+    once antisymmetry holds, which the structure oracle checks first, so
+    this is half the sum over all slots."""
     if forms is None:
         forms = int_forms(rep)
     den, nums = int_product_sum([(1, forms[(i, j)], forms[(j, i)])
-                                 for (i, j) in sorted(rep.gens)])
+                                 for (i, j) in canonical_slots(rep.gens)])
     t = nums.get((0, 0), 0)
     if not _is_scalar((den, nums), rep.dim, Fraction(t, den)):
         def rem(k):
@@ -391,32 +396,11 @@ def casimir_scalar(rep, forms=None):
 
 
 def casimir_highest_value(algebra_type, lam):
-    """The same sum evaluated on the highest vector through the bracket
-    table alone, never touching the built matrices."""
-    lam = _as_fracs(lam)
-    n = len(lam)
-    if algebra_type == "A":
-        return sum(lam[i] * (lam[i] + n + 1 - 2 * (i + 1)) for i in range(n))
-
-    def eig(p):
-        if p > 0:
-            return lam[p - 1]
-        if p < 0:
-            return -lam[-p - 1]
-        return Fraction(0)
-
-    total = sum(2 * lam[k] * lam[k] for k in range(n))
-    table = structure_table(n)
-    for i in range(-n, n + 1):
-        for j in range(i + 1, n + 1):
-            for slot, coef in table[((i, j), (j, i))].items():
-                p, q = slot
-                if p == q:
-                    total += coef * eig(p)
-                elif p > q:
-                    # lowering terms never appear in these brackets
-                    raise ValueError("unexpected slot %s" % (slot,))
-    return total
+    """The value casimir_scalar must take on V(lam): (top, top + 2 rho),
+    with top and rho from _root_datum, never touching the built
+    matrices."""
+    top, _, rho, _ = _root_datum(algebra_type, lam)
+    return sum(a * (a + 2 * r) for a, r in zip(top, rho))
 
 
 # -------------------------------------------------- Freudenthal
@@ -552,46 +536,6 @@ def _phi_witness(rep):
             if diff.apply(v):
                 return (k, sorted(v))
     return None
-
-
-# --------------------------------------------- module equivalence
-
-
-def equivalence_intertwiner(rep, target):
-    """Invertible S with S a = b S for every generator pair (a from rep,
-    b from target); None unless the solution space is a line carrying an
-    invertible matrix."""
-    dim = rep.dim
-    eqs = {}
-    for key in sorted(rep.gens):
-        a, b = rep.gens[key], target[key]
-        if a.dim != dim or b.dim != dim:
-            return None
-        for (m, c), v in a.ent.items():
-            for r in range(dim):
-                d = eqs.setdefault((key, r, c), {})
-                d[r * dim + m] = d.get(r * dim + m, F0) + v
-        for (r, m), v in b.ent.items():
-            for c in range(dim):
-                d = eqs.setdefault((key, r, c), {})
-                d[m * dim + c] = d.get(m * dim + c, F0) - v
-    rows = []
-    for d in eqs.values():
-        d = {k: v for k, v in d.items() if v}
-        if d:
-            rows.append(d)
-    sols = nullspace(rows, dim * dim)
-    if len(sols) != 1:
-        return None
-    s = Operator(dim)
-    for flat, v in sols[0].items():
-        s.ent[(flat // dim, flat % dim)] = v
-    byrow = {}
-    for (r, c), v in s.ent.items():
-        byrow.setdefault(r, {})[c] = v
-    if rank_of(list(byrow.values())) != dim:
-        return None
-    return s
 
 
 # ------------------------------------------------- report driver

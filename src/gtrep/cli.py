@@ -187,31 +187,36 @@ def _build_rep(args, lam):
     return rep
 
 
-# Build and patterns documents in the layout of json.dumps(indent=2). One
+# Build and patterns documents in the layout of json.dumps(indent=2). The
 # encoder writes every JSON structure; only the entry rows of `build`, its
 # bulk, are written from format strings. The encoder escapes newlines inside
 # strings, so every raw newline it emits is layout.
 _ENCODE = json.JSONEncoder(indent=2).encode
 
 
-def _json_at(x, depth):
-    # x encoded as a value at nesting depth
-    return _ENCODE(x).replace("\n", "\n" + "  " * depth)
-
-
 def _head(args, lam, patterns, write):
-    # the header fields, then the basis one pattern per write, leaving the
-    # top-level object open; every module has at least one pattern
+    # the header fields, then the basis, leaving the top-level object open;
+    # every module has at least one pattern. One encoder pass writes the
+    # whole basis, since each pass leaves its nested closures as reference
+    # cycles; it asks default for each pattern's JSON when it reaches it,
+    # and the text before that goes out then, shifted to depth 1, so each
+    # write holds one pattern
     head = _ENCODE({"algebra": {"type": args.algebra, "rank": args.rank},
                     "highest_weight": [format_rational(x) for x in lam],
                     "dimension": len(patterns)})
     # the header object without its closing "\n}"
-    write(head[:-2] + ',\n  "basis": [')
-    sep = "\n    "
-    for p in patterns:
-        write(sep + _json_at(p.to_json(), 2))
-        sep = ",\n    "
-    write("\n  ]")
+    write(head[:-2] + ',\n  "basis": ')
+    text = []
+
+    def default(p):
+        write("".join(text).replace("\n", "\n  "))
+        text.clear()
+        return p.to_json()
+
+    for chunk in json.JSONEncoder(indent=2, default=default).iterencode(
+            patterns):
+        text.append(chunk)
+    write("".join(text).replace("\n", "\n  "))
 
 
 class _Texts(dict):

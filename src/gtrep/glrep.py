@@ -18,7 +18,8 @@ from .exact import F1
 from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
                      int_form_operator, int_product_sum, nullspace,
                      restricted_rows, rref)
-from .patterns import PatternA, Rep, check_weight_gl, enumerate_patterns_a
+from .patterns import (PatternA, Rep, canonical_slots, check_weight_gl,
+                       enumerate_patterns_a)
 
 
 class InconsistencyError(Exception):
@@ -171,8 +172,12 @@ def z_lower(rep, i):
 
 
 def int_forms(rep):
-    """The int form (linalg.int_form) of every generator, by slot."""
-    return {slot: int_form(op) for slot, op in rep.gens.items()}
+    """The int form (linalg.int_form) of every canonical slot
+    (patterns.canonical_slots), by slot: every generator of type A, and
+    of type B the slots with i + j <= 0, the only ones the Casimir
+    reads."""
+    return {slot: int_form(rep.gens[slot])
+            for slot in canonical_slots(rep.gens)}
 
 
 def capelli_ints(rep, u, factors):

@@ -17,7 +17,8 @@ regularized, and the interleaving conditions are the ones stable under
 that deformation.
 
 Rep is the one record both builders return: the basis, its index, the
-weight of each basis vector and the generator matrices.
+weight of each basis vector and the generator matrices. canonical_slots
+names the slots of a record that carry the module.
 """
 from __future__ import annotations
 
@@ -398,3 +399,13 @@ class Rep:
 
     def highest_index(self):
         return self.index[type(self.patterns[0]).highest(self.lam)]
+
+
+def canonical_slots(gens):
+    """The slots of gens (a Rep's generators by slot) that carry the
+    module, in sorted order: every slot but an F(i,j) whose mirror
+    F(-j,-i) is a slot too and sorts before it. For type B that keeps
+    i + j <= 0, since F(-j,-i) = -F(i,j); for type A no mirror is a slot,
+    so every slot is kept."""
+    return [(i, j) for (i, j) in sorted(gens)
+            if not (-j, -i) < (i, j) or (-j, -i) not in gens]

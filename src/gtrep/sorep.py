@@ -41,7 +41,8 @@ from math import lcm
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
 from .linalg import RANK_PRIME, BracketTable, Operator, rref
-from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
+from .patterns import (PatternB, Rep, canonical_slots, check_weight_so,
+                       enumerate_patterns_b)
 
 
 class ConstructionError(Exception):
@@ -562,17 +563,8 @@ SPAN_PRIME = RANK_PRIME
 
 def _check_span_rank(rep):
     # the built generators must span a Lie algebra of the right dimension
-    ents = []
-    seen = set()
-    for i in range(-rep.n, rep.n + 1):
-        for j in range(-rep.n, rep.n + 1):
-            cs, _ = _canon_slot(i, j)
-            if cs is None or cs in seen:
-                continue
-            seen.add(cs)
-            ent = rep.gens[cs].ent
-            if ent:
-                ents.append(ent)
+    ents = [rep.gens[cs].ent for cs in canonical_slots(rep.gens)
+            if rep.gens[cs].ent]
     want = rep.n * (2 * rep.n + 1)
     got = _slot_rank(ents, rep.dim)
     if got != want:

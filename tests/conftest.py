@@ -8,7 +8,8 @@ import json
 from fractions import Fraction
 
 from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
-                   check_weight_gl, check_weight_so, nullspace, rref)
+                   check_weight_gl, check_weight_so, defining_operators,
+                   nullspace, rref)
 from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _canon_slot,
@@ -312,6 +313,69 @@ def pairwise_structure_witness(rep, algebra_type):
             if rep.gens[ab].commutator(rep.gens[cd]) != expected(ab, cd):
                 return (ab, cd)
     return None
+
+
+# every dominant o(2n+1) weight of rank 1-4 with entries from 0 down to
+# -3 or from -1/2 down to -7/2: 69 per parity class
+B_WEIGHT_GRID = [
+    w for half in (0, 1) for n in range(1, 5)
+    for w in itertools.combinations_with_replacement(
+        [Fraction(-2 * k - half, 2) for k in range(4)], n)]
+
+
+def ref_casimir_walk(lam):
+    # the sum of all (2n+1)^2 products F(i,j)F(j,i) on the highest vector
+    # of o(2n+1) weight lam, through the bracket table alone: F(i,i)F(i,i)
+    # and F(-i,-i)F(-i,-i) give 2 lam_i^2, and each pair i < j gives
+    # [F(i,j), F(j,i)], the raising factor killing the highest vector.
+    # casimir_highest_value("B", lam), over the canonical slots, is half
+    # of it
+    lam = tuple(Fraction(x) for x in lam)
+    n = len(lam)
+
+    def eig(p):
+        if p > 0:
+            return lam[p - 1]
+        if p < 0:
+            return -lam[-p - 1]
+        return Fraction(0)
+
+    total = sum(2 * lam[k] * lam[k] for k in range(n))
+    table = structure_table(n)
+    for i in range(-n, n + 1):
+        for j in range(i + 1, n + 1):
+            for (p, q), coef in table[((i, j), (j, i))].items():
+                # only Cartan slots appear in these brackets
+                assert p == q, (p, q)
+                total += coef * eig(p)
+    return total
+
+
+def defining_intertwiner(rep):
+    # the monomial S with S F(i,j) = D(i,j) S on the vector module of
+    # o(2n+1), D = defining_operators(n): its weights are those of the
+    # defining basis -n..n, each once, so basis vector c goes to the
+    # defining vector pi(c) of its weight, scaled by s_c. s is 1 on the
+    # highest vector, and each other scale is read off one entry from a
+    # vector already scaled, s_r = D[pi r, pi c] s_c / F[r, c]. Returns
+    # (S, D); the caller compares every slot
+    n = rep.n
+    target = defining_operators(n)
+    pos = {tuple(Fraction(int(k == p) - int(k == -p)) for k in range(1, n + 1)):
+           p + n for p in range(-n, n + 1)}
+    pi = [pos[w] for w in rep.weights]
+    h = rep.highest_index()
+    scale = {h: Fraction(1)}
+    todo = [h]
+    while todo:
+        c = todo.pop()
+        for slot, op in sorted(rep.gens.items()):
+            for (r, cc), v in sorted(op.ent.items()):
+                if cc == c and r not in scale:
+                    scale[r] = (target[slot].ent.get((pi[r], pi[c]), 0)
+                                * scale[c] / v)
+                    todo.append(r)
+    return Operator(2 * n + 1, {(pi[c], c): s for c, s in scale.items()}), target
 
 
 def single_entry_mutants(rep, slot, deleted=False):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, B_CORPUS, deformed_raise, gl_rep, so_rep
+from conftest import (A_CORPUS, B_CORPUS, defining_intertwiner,
+                      deformed_raise, gl_rep, so_rep)
 from gtrep import (
     Operator,
     Rep,
@@ -14,9 +15,7 @@ from gtrep import (
     check_branching,
     check_weight_so,
     contravariant_gram,
-    defining_operators,
     enumerate_patterns_b,
-    equivalence_intertwiner,
     freudenthal_multiplicities,
     mu_vector_index,
     structure_table,
@@ -165,9 +164,11 @@ class TestDefiningEquivalence:
     def test_intertwiner_exists_and_conjugates_exactly(self, n):
         w = tuple(["0"] * (n - 1) + ["-1"])
         r = so_rep(w)
-        target = defining_operators(n)
-        s = equivalence_intertwiner(r, target)
-        assert s is not None
+        s, target = defining_intertwiner(r)
+        # monomial and invertible: one nonzero entry in each row and column
+        assert (sorted(p for p, _ in s.ent) == sorted(c for _, c in s.ent)
+                == list(range(r.dim)))
+        assert all(s.ent.values())
         for key in sorted(r.gens):
             assert s @ r.gens[key] == target[key] @ s, (n, key)
 

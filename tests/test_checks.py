@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
-from conftest import (A_CORPUS, B_CORPUS, all_raising, block_gram,
-                      fresh_gl_rep, fresh_so_rep, gl_rep,
-                      pairwise_structure_witness, perm_capelli,
-                      ref_freudenthal, single_entry_mutants, so_rep)
+from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_raising,
+                      block_gram, defining_intertwiner, fresh_gl_rep,
+                      fresh_so_rep, gl_rep, pairwise_structure_witness,
+                      perm_capelli, ref_casimir_walk, ref_freudenthal,
+                      single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -24,7 +25,6 @@ from gtrep import (
     check_branching,
     check_structure_constants,
     defining_operators,
-    equivalence_intertwiner,
     freudenthal_multiplicities,
     run_verification,
     weyl_dim,
@@ -34,6 +34,7 @@ from gtrep.checks import (_freudenthal, _joint_kernel, _orbit, _phi_witness,
                           _raising, _root_datum, _structure_witness,
                           presentation)
 from gtrep.linalg import product_sum, restricted_rows
+from gtrep.patterns import canonical_slots
 from gtrep.sorep import _canon_slot
 
 
@@ -281,12 +282,38 @@ class TestCasimir:
         r = so_rep(w)
         assert casimir_scalar(r) == casimir_highest_value("B", r.lam)
 
+    @pytest.mark.parametrize("w", B_CORPUS)
+    def test_so_canonical_sum_is_half_the_all_slot_sum(self, w):
+        r = so_rep(w)
+        acc = product_sum(r.dim, [(1, r.gens[(i, j)], r.gens[(j, i)])
+                                  for (i, j) in sorted(r.gens)])
+        assert acc == Operator.identity(r.dim).scale(2 * casimir_scalar(r))
+
+    def test_so_value_is_half_the_bracket_table_walk(self):
+        assert len(B_WEIGHT_GRID) == 138
+        for lam in B_WEIGHT_GRID:
+            assert ref_casimir_walk(lam) == 2 * casimir_highest_value(
+                "B", lam), lam
+
+    def test_canonical_slots_in_sorted_order(self):
+        gens = so_rep(("0", "-1")).gens
+        slots = canonical_slots(gens)
+        assert slots == sorted(s for s in gens if sum(s) <= 0)
+        assert slots == sorted(
+            {_canon_slot(*s)[0] for s in gens} - {None}
+            | {(i, -i) for i in range(-2, 3)})
+        assert sorted(glrep.int_forms(so_rep(("0", "-1")))) == slots
+        gens = gl_rep((2, 1, 0)).gens
+        assert canonical_slots(gens) == sorted(gens)
+
     @pytest.mark.parametrize("algebra, w, slot", [
-        ("B", ("-1",), (0, 1)), ("B", ("0", "-1"), (-1, 2)),
+        ("B", ("-1",), (-1, 0)), ("B", ("0", "-1"), (-2, 1)),
         ("A", (2, 1, 0), (1, 3))])
     def test_witness_is_the_smallest_off_scalar_entry(self, algebra, w,
                                                       slot):
-        # the reference sums the products one Operator at a time
+        # the reference sums the products over all slots, one Operator at
+        # a time; a canonical slot's mutant leaves the remainder of the
+        # canonical sum, the all-slot sum minus its unmutated mirror half
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
         r.gens[slot].ent[(0, 1)] = Fraction(7)
         acc = Operator(r.dim)
@@ -300,7 +327,7 @@ class TestCasimir:
         assert e.value.witness == (*key, rem.ent[key])
 
     @pytest.mark.parametrize("algebra, w, slot", [
-        ("B", ("-1/2", "-3/2"), (1, 2)), ("A", (3, 1, 0), (2, 1))])
+        ("B", ("-1/2", "-3/2"), (-2, -1)), ("A", (3, 1, 0), (2, 1))])
     def test_witness_is_the_product_sum_witness(self, algebra, w, slot):
         # the Operator sum on one product_sum accumulator, minus its (0,0)
         # entry times the identity, at its smallest remaining position
@@ -322,7 +349,7 @@ class TestCasimir:
 
     def test_nonscalar_raises_with_witness(self):
         r = fresh_so_rep(("-1",))
-        r.gens[(0, 1)].ent[(0, 1)] = Fraction(7)
+        r.gens[(-1, 0)].ent[(0, 1)] = Fraction(7)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         assert e.value.witness is not None
@@ -690,19 +717,14 @@ class TestPhiIdentity:
 class TestEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_vector_module_is_the_defining_one(self, n):
-        w = tuple(["0"] * (n - 1) + ["-1"])
-        s = equivalence_intertwiner(so_rep(w), defining_operators(n))
-        assert s is not None
-
-    def test_dimension_mismatch_gives_none(self):
-        assert equivalence_intertwiner(so_rep(("-1",)), defining_operators(2)) is None
-
-    def test_wrong_module_gives_none(self):
-        # spinor and defining module have equal dimension at rank 1? no:
-        # 2 vs 3, so use the adjoint-sized mismatch instead
-        r = so_rep(("-1", "-1"))
-        assert r.dim == 10
-        assert equivalence_intertwiner(r, defining_operators(2)) is None
+        r = so_rep(tuple(["0"] * (n - 1) + ["-1"]))
+        s, target = defining_intertwiner(r)
+        # monomial and invertible: one nonzero entry in each row and column
+        assert (sorted(p for p, _ in s.ent) == sorted(c for _, c in s.ent)
+                == list(range(r.dim)))
+        assert all(s.ent.values())
+        for key in sorted(r.gens):
+            assert s @ r.gens[key] == target[key] @ s, (n, key)
 
 
 class TestReportShape:
