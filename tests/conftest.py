@@ -361,7 +361,8 @@ def defining_intertwiner(rep):
     # (S, D); the caller compares every slot
     n = rep.n
     target = defining_operators(n)
-    pos = {tuple(Fraction(int(k == p) - int(k == -p)) for k in range(1, n + 1)):
+    # the weight of defining vector p: +e_p, -e_-p or 0, at position p + n
+    pos = {tuple(Fraction((k == p) - (k == -p)) for k in range(1, n + 1)):
            p + n for p in range(-n, n + 1)}
     pi = [pos[w] for w in rep.weights]
     h = rep.highest_index()
@@ -375,7 +376,8 @@ def defining_intertwiner(rep):
                     scale[r] = (target[slot].ent.get((pi[r], pi[c]), 0)
                                 * scale[c] / v)
                     todo.append(r)
-    return Operator(2 * n + 1, {(pi[c], c): s for c, s in scale.items()}), target
+    s = Operator(2 * n + 1, {(pi[c], c): v for c, v in scale.items()})
+    return s, target
 
 
 def single_entry_mutants(rep, slot, deleted=False):
