@@ -11,11 +11,10 @@ from .linalg import Operator, nullspace, rank_of, rref
 from .patterns import (DimensionCapError, PatternA, PatternB, Rep,
                        check_weight_gl, check_weight_so, enumerate_patterns_a,
                        enumerate_patterns_b)
-from .glrep import (InconsistencyError, build_gl, capelli_det,
-                    contravariant_gram, g_highest_vectors, gl_structure_table,
-                    mu_vector_index, z_lower, z_raise)
-from .sorep import (ConstructionError, build_phi_minus, build_phi_u,
-                    build_so, defining_operators, structure_table)
+from .glrep import (InconsistencyError, build_gl, contravariant_gram,
+                    gl_structure_table)
+from .sorep import (ConstructionError, build_phi_minus, build_so,
+                    defining_operators, structure_table)
 from .checks import (NonScalarError, VerificationReport,
                      branching_multiplicity, casimir_highest_value,
                      casimir_scalar, check_branching,
@@ -30,10 +29,9 @@ __all__ = [
     "Operator", "nullspace", "rank_of", "rref",
     "DimensionCapError", "PatternA", "PatternB", "Rep", "check_weight_gl",
     "check_weight_so", "enumerate_patterns_a", "enumerate_patterns_b",
-    "InconsistencyError", "build_gl", "capelli_det", "contravariant_gram",
-    "g_highest_vectors", "gl_structure_table", "mu_vector_index", "z_lower",
-    "z_raise",
-    "ConstructionError", "build_phi_minus", "build_phi_u", "build_so",
+    "InconsistencyError", "build_gl", "contravariant_gram",
+    "gl_structure_table",
+    "ConstructionError", "build_phi_minus", "build_so",
     "defining_operators", "structure_table",
     "NonScalarError", "VerificationReport", "branching_multiplicity",
     "casimir_highest_value", "casimir_scalar", "check_branching",

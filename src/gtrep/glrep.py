@@ -2,40 +2,27 @@
 
 Generator matrices come from the closed product formulas for the simple
 generators; the remaining E(i,j) are filled in by commutators. The module
-also exposes the polynomial lowering/raising elements z, the column
-determinant of u + row-shifted generators (Capelli type), highest vectors
-for the subalgebra chain, and the contravariant form.
+also holds what the oracles read: the bracket table, the generators'
+integer table, the column determinant of u + row-shifted generators
+(Capelli type) and the contravariant form.
 """
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 from fractions import Fraction
 from math import lcm
 
 from .exact import F1
+# nullspace is unused here, but bench/tracer.py wraps glrep.nullspace by name
 from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
-                     int_form_operator, int_product_sum, nullspace,
-                     restricted_rows, rref)
-from .patterns import (PatternA, Rep, canonical_slots, check_weight_gl,
+                     int_product_sum, nullspace, rref)
+from .patterns import (Rep, canonical_slots, check_weight_gl,
                        enumerate_patterns_a)
 
 
 class InconsistencyError(Exception):
     """A linear condition that must have a solution does not."""
-
-
-def mu_vector_index(rep, mu):
-    """Index of the weight vector with middle row mu and the rows below
-    frozen to truncations of mu; None when no such basis vector."""
-    mu = tuple(Fraction(x) for x in mu)
-    rows = [mu[:k] for k in range(1, rep.n)] + [rep.lam]
-    try:
-        pat = PatternA(rows)
-    except ValueError:
-        return None  # mu is off the class of lam mod 1
-    return rep.index.get(pat)
 
 
 def _lvals(row):
@@ -106,71 +93,6 @@ def gl_structure_table(n):
     return BracketTable(units, {(i - 1, j - 1): (i, j) for i, j in units})
 
 
-def _scaled_chain_sum(rep, chains, hsource):
-    """Sum over chains of (matrix product) x (diagonal complement product).
-
-    chains: list of (product Operator, complement index tuple). The factor
-    prod_{t in complement} (h_i - h_t) is evaluated on the source column,
-    which makes each summand polynomial: the omitted factors are exactly
-    the ones the series would have divided by.
-    """
-    total = Operator(rep.dim)
-    for prod, comp in chains:
-        for (r, c), v in prod.ent.items():
-            # h_a is the eigenvalue of E_aa - a + 1 on column c
-            w = rep.weights[c]
-            hs = w[hsource - 1] - hsource + 1
-            scale = F1
-            for t in comp:
-                scale *= hs - (w[t - 1] - t + 1)
-            if scale:
-                total.add_to(r, c, v * scale)
-    return total
-
-
-def z_raise(rep, i):
-    """The normalized raising element for the middle row slot i (< n)."""
-    n = rep.n
-    if not 1 <= i < n:
-        raise ValueError("slot out of range")
-    pool = tuple(range(1, i))
-    chains = []
-    for r in range(len(pool) + 1):
-        for sub in itertools.combinations(pool, r):
-            path = (i,) + tuple(sorted(sub, reverse=True)) + (n,)
-            prod = rep.gen(path[0], path[1])
-            for a, b in zip(path[1:], path[2:]):
-                prod = prod @ rep.gen(a, b)
-            comp = tuple(t for t in pool if t not in sub)
-            chains.append((prod, comp))
-    return _scaled_chain_sum(rep, chains, i)
-
-
-def z_lower(rep, i):
-    """The normalized lowering element for the middle row slot i (< n)."""
-    n = rep.n
-    if not 1 <= i < n:
-        raise ValueError("slot out of range")
-    pool = tuple(range(i + 1, n))
-    chains = []
-    for r in range(len(pool) + 1):
-        for sub in itertools.combinations(pool, r):
-            # written product is E(i1,i) E(i2,i1) ... E(n,is), i1<...<is;
-            # assemble right to left so the last factor acts first
-            seq = []
-            prev = i
-            for t in sorted(sub):
-                seq.append((t, prev))
-                prev = t
-            seq.append((n, prev))
-            prod = rep.gen(*seq[-1])
-            for a, b in reversed(seq[:-1]):
-                prod = rep.gen(a, b) @ prod
-            comp = tuple(t for t in pool if t not in sub)
-            chains.append((prod, comp))
-    return _scaled_chain_sum(rep, chains, i)
-
-
 def int_forms(rep):
     """The int form (linalg.int_form) of every canonical slot
     (patterns.canonical_slots), by slot: every generator of type A, and
@@ -181,10 +103,17 @@ def int_forms(rep):
 
 
 def capelli_ints(rep, u, factors):
-    """The column determinant of capelli_det as an int form, from
-    factors = int_forms(rep), which any number of values of u can share.
-    Only the diagonal factors depend on u: each gets the shift u - j + 1
-    added to its diagonal."""
+    """The column determinant sum_sigma sgn(sigma) prod_j
+    (u + E - j + 1)_{sigma(j), j}, factors multiplied left to right, as
+    an int form, from factors = int_forms(rep), which any number of values
+    of u can share. Only the diagonal factors depend on u: each gets the
+    shift u - j + 1 added to its diagonal.
+
+    Expanded over row subsets: for a set S of m rows, D_S is the signed
+    sum of the products of the first m factor columns whose rows are S, and
+    D_S = sum_{r in S} (-1)^{#{s in S : s > r}} D_{S - r} (factor r, m),
+    at most n 2^(n-1) products instead of n!(n-1). The identity holds for
+    any matrices, so the result relies on no relation among the generators."""
     n = rep.n
     u = Fraction(u)
     fac = dict(factors)
@@ -218,34 +147,6 @@ def capelli_ints(rep, u, factors):
             if d[1]:
                 dets[sub] = d
     return dets.get(tuple(rows), (1, {}))
-
-
-def capelli_det(rep, u):
-    """Column determinant sum_sigma sgn(sigma) prod_j (u + E - j + 1)_{sigma(j), j},
-    factors multiplied left to right (rightmost acts first).
-
-    Expanded over row subsets: for a set S of m rows, D_S is the signed
-    sum of the products of the first m factor columns whose rows are S, and
-    D_S = sum_{r in S} (-1)^{#{s in S : s > r}} D_{S - r} (factor r, m).
-    That is at most n 2^(n-1) products instead of n!(n-1): only nonzero
-    D_S are kept, and each D_S is an int form (capelli_ints). The
-    identity holds for any matrices, so the result does not rely on the
-    generators satisfying any relation."""
-    return int_form_operator(rep.dim,
-                             capelli_ints(rep, u, int_forms(rep)))
-
-
-def g_highest_vectors(rep, mu):
-    """Basis of {v : E(k,k+1) v = 0 for k <= n-2, E(k,k) v = mu_k v}."""
-    mu = tuple(Fraction(x) for x in mu)
-    n = rep.n
-    cols = [c for c in range(rep.dim) if rep.weights[c][:n - 1] == mu]
-    ops = [rep.gen(k, k + 1) for k in range(1, n - 1)]
-    basis = nullspace(restricted_rows(ops, cols), len(cols))
-    out = []
-    for vec in basis:
-        out.append({cols[t]: v for t, v in vec.items()})
-    return out
 
 
 def contravariant_gram(rep, forms=None):

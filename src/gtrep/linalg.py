@@ -34,13 +34,6 @@ class Operator:
         self.dim = dim
         self.ent = {} if ent is None else ent
 
-    @staticmethod
-    def identity(dim):
-        return Operator(dim, {(i, i): F1 for i in range(dim)})
-
-    def copy(self):
-        return Operator(self.dim, dict(self.ent))
-
     def add_to(self, r, c, v):
         # accumulate one entry, dropping exact zeros
         key = (r, c)
@@ -97,9 +90,6 @@ class Operator:
 
     def commutator(self, other):
         return product_sum(self.dim, [(1, self, other), (-1, other, self)])
-
-    def transpose(self):
-        return Operator(self.dim, {(c, r): v for (r, c), v in self.ent.items()})
 
     def apply(self, vec):
         # vec: {index: value} -> {index: value}

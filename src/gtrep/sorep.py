@@ -327,7 +327,7 @@ def _slice_columns(basis, k, column, trace=None):
     return op
 
 
-def _single_step(basis, k, term_fn, *args):
+def _single_step(basis, k, term_fn):
     """Evaluate a one-step generator in plain arithmetic. There is no
     deformed route here: no tested module meets a zero denominator in these
     coefficients, so one is a construction failure naming its location."""
@@ -337,7 +337,7 @@ def _single_step(basis, k, term_fn, *args):
 
     def column(c, pat, notes):
         col = {}
-        for tgt, num, den, coef in term_fn(pat, k, member, *args):
+        for tgt, num, den, coef in term_fn(pat, k, member):
             try:
                 v = PLAIN.value(num, den, coef)
             except ZeroDivisionError:
@@ -355,11 +355,6 @@ def build_f_lower(basis, k):
 
 def build_phi_minus(basis, k):
     return _single_step(basis, k, prime_drop_terms)
-
-
-def build_phi_u(basis, k, u):
-    """The parametric lowering step as an explicit matrix."""
-    return _single_step(basis, k, lower_step_terms, u)
 
 
 def raise_column_terms(basis, k, pat, ctx):

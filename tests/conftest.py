@@ -7,11 +7,13 @@ import itertools
 import json
 from fractions import Fraction
 
-from gtrep import (InconsistencyError, Operator, PatternB, build_gl, build_so,
-                   check_weight_gl, check_weight_so, defining_operators,
-                   nullspace, rref)
+from gtrep import (F1, InconsistencyError, Operator, PatternA, PatternB,
+                   build_gl, build_so, check_weight_gl, check_weight_so,
+                   defining_operators, nullspace, rref)
 from gtrep.checks import _dominants
 from gtrep.exact import format_rational
+from gtrep.glrep import capelli_ints, int_forms
+from gtrep.linalg import int_form_operator, restricted_rows
 from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _canon_slot,
                          _lp, _lu, deformed_column, mid_row_prefactor,
                          prime_drop_weight, prime_shift_weight,
@@ -106,16 +108,32 @@ def ref_build_f_raise(basis, k, trace=None):
     return op
 
 
+def scalar_op(dim, s):
+    # s times the identity
+    if not s:
+        return Operator(dim)
+    return Operator(dim, {(i, i): F1 * s for i in range(dim)})
+
+
+def transpose(op):
+    return Operator(op.dim, {(c, r): v for (r, c), v in op.ent.items()})
+
+
+def capelli_det(rep, u):
+    # the column determinant (glrep.capelli_ints) as an Operator
+    return int_form_operator(rep.dim, capelli_ints(rep, u, int_forms(rep)))
+
+
 def perm_capelli(rep, u):
     # the column determinant as a sum over all n! permutations: the
-    # reference the row-subset expansion of capelli_det must agree with
+    # reference the row-subset expansion of capelli_ints must agree with
     n = rep.n
     u = Fraction(u)
     dim = rep.dim
     fac = {}
     for r in range(1, n + 1):
         for j in range(1, n + 1):
-            m = rep.gen(r, j).copy()
+            m = Operator(rep.dim, dict(rep.gen(r, j).ent))
             if r == j:
                 shift = u - j + 1
                 if shift:
@@ -195,7 +213,7 @@ def global_gram(rep):
                 gram.ent[(b, a)] = v
     for i in range(1, rep.n + 1):
         for j in range(1, rep.n + 1):
-            if rep.gen(i, j).transpose() @ gram != gram @ rep.gen(j, i):
+            if transpose(rep.gen(i, j)) @ gram != gram @ rep.gen(j, i):
                 raise InconsistencyError("adjointness fails for (%d,%d)"
                                          % (i, j))
     return gram
@@ -265,7 +283,7 @@ def block_gram(rep):
                           for b, v in row.items()})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if rep.gen(i, j).transpose() @ gram != gram @ rep.gen(j, i):
+            if transpose(rep.gen(i, j)) @ gram != gram @ rep.gen(j, i):
                 raise InconsistencyError("adjointness fails for (%d,%d)"
                                          % (i, j))
     return gram
@@ -387,20 +405,113 @@ def single_entry_mutants(rep, slot, deleted=False):
     # Operator
     op = rep.gens[slot]
     for key, v in sorted(op.ent.items()):
-        bad = op.copy()
+        bad = Operator(op.dim, dict(op.ent))
         bad.ent[key] = 2 * v
         yield bad
         if deleted:
-            bad = op.copy()
+            bad = Operator(op.dim, dict(op.ent))
             del bad.ent[key]
             yield bad
     free = next((k for k in [(c, c) for c in range(rep.dim)]
                  + [(0, c) for c in range(rep.dim)] if k not in op.ent),
                 None)
     if free is not None:
-        bad = op.copy()
+        bad = Operator(op.dim, dict(op.ent))
         bad.ent[free] = Fraction(1, 3)
         yield bad
+
+
+# ------------------------------------------------ gl(n) series operators
+
+
+def mu_vector_index(rep, mu):
+    """Index of the weight vector with middle row mu and the rows below
+    frozen to truncations of mu; None when no such basis vector."""
+    mu = tuple(Fraction(x) for x in mu)
+    rows = [mu[:k] for k in range(1, rep.n)] + [rep.lam]
+    try:
+        pat = PatternA(rows)
+    except ValueError:
+        return None  # mu is off the class of lam mod 1
+    return rep.index.get(pat)
+
+
+def _scaled_chain_sum(rep, chains, hsource):
+    """Sum over chains of (matrix product) x (diagonal complement product).
+
+    chains: list of (product Operator, complement index tuple). The factor
+    prod_{t in complement} (h_i - h_t) is evaluated on the source column,
+    which makes each summand polynomial: the omitted factors are exactly
+    the ones the series would have divided by.
+    """
+    total = Operator(rep.dim)
+    for prod, comp in chains:
+        for (r, c), v in prod.ent.items():
+            # h_a is the eigenvalue of E_aa - a + 1 on column c
+            w = rep.weights[c]
+            hs = w[hsource - 1] - hsource + 1
+            scale = F1
+            for t in comp:
+                scale *= hs - (w[t - 1] - t + 1)
+            if scale:
+                total.add_to(r, c, v * scale)
+    return total
+
+
+def z_raise(rep, i):
+    """The normalized raising element for the middle row slot i (< n)."""
+    n = rep.n
+    if not 1 <= i < n:
+        raise ValueError("slot out of range")
+    pool = tuple(range(1, i))
+    chains = []
+    for r in range(len(pool) + 1):
+        for sub in itertools.combinations(pool, r):
+            path = (i,) + tuple(sorted(sub, reverse=True)) + (n,)
+            prod = rep.gen(path[0], path[1])
+            for a, b in zip(path[1:], path[2:]):
+                prod = prod @ rep.gen(a, b)
+            comp = tuple(t for t in pool if t not in sub)
+            chains.append((prod, comp))
+    return _scaled_chain_sum(rep, chains, i)
+
+
+def z_lower(rep, i):
+    """The normalized lowering element for the middle row slot i (< n)."""
+    n = rep.n
+    if not 1 <= i < n:
+        raise ValueError("slot out of range")
+    pool = tuple(range(i + 1, n))
+    chains = []
+    for r in range(len(pool) + 1):
+        for sub in itertools.combinations(pool, r):
+            # written product is E(i1,i) E(i2,i1) ... E(n,is), i1<...<is;
+            # assemble right to left so the last factor acts first
+            seq = []
+            prev = i
+            for t in sorted(sub):
+                seq.append((t, prev))
+                prev = t
+            seq.append((n, prev))
+            prod = rep.gen(*seq[-1])
+            for a, b in reversed(seq[:-1]):
+                prod = rep.gen(a, b) @ prod
+            comp = tuple(t for t in pool if t not in sub)
+            chains.append((prod, comp))
+    return _scaled_chain_sum(rep, chains, i)
+
+
+def g_highest_vectors(rep, mu):
+    """Basis of {v : E(k,k+1) v = 0 for k <= n-2, E(k,k) v = mu_k v}."""
+    mu = tuple(Fraction(x) for x in mu)
+    n = rep.n
+    cols = [c for c in range(rep.dim) if rep.weights[c][:n - 1] == mu]
+    ops = [rep.gen(k, k + 1) for k in range(1, n - 1)]
+    basis = nullspace(restricted_rows(ops, cols), len(cols))
+    out = []
+    for vec in basis:
+        out.append({cols[t]: v for t, v in vec.items()})
+    return out
 
 
 # ------------------------------------------------------ Freudenthal

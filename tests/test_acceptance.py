@@ -5,22 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (A_CORPUS, B_CORPUS, defining_intertwiner,
-                      deformed_raise, gl_rep, so_rep)
+from conftest import (A_CORPUS, B_CORPUS, capelli_det, defining_intertwiner,
+                      deformed_raise, gl_rep, mu_vector_index, scalar_op,
+                      so_rep, transpose, z_raise)
 from gtrep import (
     Operator,
     Rep,
-    capelli_det,
     casimir_scalar,
     check_branching,
     check_weight_so,
     contravariant_gram,
     enumerate_patterns_b,
     freudenthal_multiplicities,
-    mu_vector_index,
     structure_table,
     weyl_dim,
-    z_raise,
 )
 from gtrep.cli import main
 from gtrep.sorep import build_f_raise, build_phi_minus
@@ -107,7 +105,7 @@ class TestCentralElementPolynomial:
         want = Fraction(1)
         for j, x in enumerate(r.lam, start=1):
             want *= u + Fraction(x) - j + 1
-        assert capelli_det(r, Fraction(u)) == Operator.identity(r.dim).scale(want)
+        assert capelli_det(r, Fraction(u)) == scalar_op(r.dim, want)
 
 
 class TestSeriesRaisingIdentity:
@@ -146,7 +144,7 @@ class TestContravariantForm:
             assert g.ent.get((c, c))
         for i in range(1, r.n + 1):
             for j in range(1, r.n + 1):
-                assert r.gen(i, j).transpose() @ g == g @ r.gen(j, i), (lam, i, j)
+                assert transpose(r.gen(i, j)) @ g == g @ r.gen(j, i), (lam, i, j)
 
 
 class TestCasimirScalarity:

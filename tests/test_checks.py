@@ -13,7 +13,7 @@ from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_raising,
                       block_gram, defining_intertwiner, fresh_gl_rep,
                       fresh_so_rep, gl_rep, pairwise_structure_witness,
                       perm_capelli, ref_casimir_walk, ref_freudenthal,
-                      single_entry_mutants, so_rep)
+                      scalar_op, single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -287,7 +287,7 @@ class TestCasimir:
         r = so_rep(w)
         acc = product_sum(r.dim, [(1, r.gens[(i, j)], r.gens[(j, i)])
                                   for (i, j) in sorted(r.gens)])
-        assert acc == Operator.identity(r.dim).scale(2 * casimir_scalar(r))
+        assert acc == scalar_op(r.dim, 2 * casimir_scalar(r))
 
     def test_so_value_is_half_the_bracket_table_walk(self):
         assert len(B_WEIGHT_GRID) == 138
@@ -319,8 +319,7 @@ class TestCasimir:
         acc = Operator(r.dim)
         for (i, j) in sorted(r.gens):
             acc = acc + r.gens[(i, j)] @ r.gens[(j, i)]
-        rem = acc - Operator.identity(r.dim).scale(
-            acc.ent.get((0, 0), Fraction(0)))
+        rem = acc - scalar_op(r.dim, acc.ent.get((0, 0), Fraction(0)))
         key = min(rem.ent)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
@@ -336,8 +335,7 @@ class TestCasimir:
         r.gens[slot].ent[key] *= 3
         acc = product_sum(r.dim, [(1, r.gens[(i, j)], r.gens[(j, i)])
                                   for (i, j) in sorted(r.gens)])
-        rem = acc - Operator.identity(r.dim).scale(
-            acc.ent.get((0, 0), Fraction(0)))
+        rem = acc - scalar_op(r.dim, acc.ent.get((0, 0), Fraction(0)))
         pos = min(rem.ent)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
@@ -449,7 +447,7 @@ class TestStructure:
         assert check_structure_constants(r, algebra).passed
         for slot in sorted(r.gens):
             orig = r.gens[slot]
-            bad = orig.copy()
+            bad = Operator(orig.dim, dict(orig.ent))
             bad.add_to(*(min(orig.ent) if orig.ent else (0, 0)),
                        Fraction(1, 3))
             r.gens[slot] = bad
@@ -460,7 +458,7 @@ class TestStructure:
         # F(1,-1) = 0 in every module; the identity commutes with all
         # generators, so only the entrywise slot comparison catches it
         r = fresh_so_rep(("0", "-1"))
-        r.gens[(1, -1)] = Operator.identity(r.dim)
+        r.gens[(1, -1)] = scalar_op(r.dim, 1)
         report = run_verification(r, "B", "fast")
         assert not report.passed
         assert report.checks[0]["witness"] == str(("antisymmetry", (1, -1)))
@@ -676,8 +674,7 @@ class TestScaledFormsAreNotKept:
                 scal = Fraction(1)
                 for l in ls:
                     scal *= u + l
-                if perm_capelli(r, u) != Operator.identity(r.dim).scale(
-                        scal):
+                if perm_capelli(r, u) != scalar_op(r.dim, scal):
                     want = False
                     break
             assert _verdicts(r, "A")[CAPELLI] == want

@@ -4,22 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, block_gram, fresh_gl_rep,
-                      gl_rep, global_gram, perm_capelli)
+from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, block_gram, capelli_det,
+                      fresh_gl_rep, g_highest_vectors, gl_rep, global_gram,
+                      mu_vector_index, perm_capelli, scalar_op, transpose,
+                      z_lower, z_raise)
 from gtrep import (
     InconsistencyError,
     Operator,
     PatternA,
     build_gl,
-    capelli_det,
     contravariant_gram,
-    g_highest_vectors,
     gl_structure_table,
-    mu_vector_index,
     run_verification,
     weyl_dim,
-    z_lower,
-    z_raise,
 )
 from gtrep.glrep import _spans
 from gtrep.linalg import RANK_PRIME
@@ -80,7 +77,7 @@ class TestWeights:
         for k in range(1, r.n + 1):
             tot = tot + r.gen(k, k)
         s = sum(lam)
-        want = Operator.identity(r.dim).scale(Fraction(s))
+        want = scalar_op(r.dim, Fraction(s))
         assert tot == want
 
     def test_highest_index_weight(self):
@@ -93,11 +90,11 @@ class TestCentralElement:
     def test_t_at_zero_defining(self):
         r = gl_rep((1, 0))
         # content values 1, -1 so the product at u=0 is -1
-        assert capelli_det(r, Fraction(0)) == Operator.identity(2).scale(Fraction(-1))
+        assert capelli_det(r, Fraction(0)) == scalar_op(2, Fraction(-1))
 
     def test_t_at_one_adjointish(self):
         r = gl_rep((2, 1, 0))
-        assert capelli_det(r, Fraction(1)) == Operator.identity(8).scale(Fraction(-3))
+        assert capelli_det(r, Fraction(1)) == scalar_op(8, Fraction(-3))
 
     @pytest.mark.parametrize("u", [0, 1, -1, 7])
     def test_scalar_value_formula(self, u):
@@ -106,7 +103,7 @@ class TestCentralElement:
         want = Fraction(1)
         for l in ls:
             want *= u + l
-        assert capelli_det(r, Fraction(u)) == Operator.identity(r.dim).scale(want)
+        assert capelli_det(r, Fraction(u)) == scalar_op(r.dim, want)
 
 
 class TestOraclesAgainstReferences:
@@ -129,7 +126,7 @@ class TestOraclesAgainstReferences:
         want = Fraction(1)
         for i, x in enumerate(r.lam):
             want *= u + x - i
-        assert got != Operator.identity(r.dim).scale(want)
+        assert got != scalar_op(r.dim, want)
 
     @pytest.mark.parametrize("lam", A_CORPUS)
     def test_form_is_the_global_solve(self, lam):
@@ -259,7 +256,7 @@ class TestContravariantForm:
 
     def test_defining_gram_is_identity(self):
         r = gl_rep((1, 0))
-        assert contravariant_gram(r) == Operator.identity(2)
+        assert contravariant_gram(r) == scalar_op(2, 1)
 
     def test_adjoint_like_gram_values(self):
         r = gl_rep((2, 1, 0))
@@ -273,7 +270,7 @@ class TestContravariantForm:
         g = contravariant_gram(r)
         for i in range(1, r.n + 1):
             for j in range(1, r.n + 1):
-                assert r.gen(i, j).transpose() @ g == g @ r.gen(j, i)
+                assert transpose(r.gen(i, j)) @ g == g @ r.gen(j, i)
 
 
 @pytest.mark.parametrize("lam, c", SHIFTED, ids=SHIFT_IDS)
@@ -287,7 +284,7 @@ class TestNonIntegralWeights:
         r = shifted_rep(lam, c)
         assert r.dim == base.dim == weyl_dim("A", r.lam)
         assert len(set(r.patterns)) == r.dim
-        shift = Operator.identity(r.dim).scale(c)
+        shift = scalar_op(r.dim, c)
         for (i, j), op in base.gens.items():
             want = op + shift if i == j else op
             assert r.gen(i, j) == want, (i, j)
