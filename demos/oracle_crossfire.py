@@ -35,7 +35,8 @@ print("distinct weights: %d, largest multiplicity: %d"
 print()
 
 print("now corrupt one entry of one generator and re-verify:")
-so.gens[(1, 2)].ent[(0, 0)] = Fraction(1, 3)
+# F(-2,-1) is stored; F(1,2) = -F(-2,-1) is read from it, corrupted too
+so.gens[(-2, -1)].ent[(0, 0)] = Fraction(1, 3)
 report = run_verification(so, "B", level="full")
 for c in report.checks:
     print("  %-55s %s" % (c["name"], "ok" if c["pass"] else "FAIL"))

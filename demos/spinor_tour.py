@@ -16,8 +16,10 @@ def show(rep, title):
         print("  basis[%d]: sigma=%s primed=%s weight=%s"
               % (c, pat.sigma, pat.to_json()["primed_rows"][-1],
                  [str(x) for x in pat.weight()]))
-    for slot in sorted(rep.gens):
-        op = rep.gens[slot]
+    # a build stores F(i,j) for i + j <= 0; gen reads every slot
+    idx = range(-rep.n, rep.n + 1)
+    for slot in [(i, j) for i in idx for j in idx]:
+        op = rep.gen(*slot)
         if op:
             ent = ", ".join("(%d,%d)=%s" % (r, c, v)
                             for (r, c), v in sorted(op.ent.items()))
@@ -29,9 +31,9 @@ spinor = build_so(("-1/2",))
 show(spinor, "spinor module of o(3)")
 
 print("raising applied to the primed vector:",
-      spinor.gens[(0, 1)].column(1))
+      spinor.gen(0, 1).column(1))
 print("raising applied to the plain vector:  ",
-      spinor.gens[(0, 1)].column(0))
+      spinor.gen(0, 1).column(0))
 
 phi = build_phi_minus(spinor, 1)
 print("primed-lowering operator is zero:", phi == Operator(2))

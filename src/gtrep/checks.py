@@ -17,7 +17,6 @@ from .linalg import (Operator, int_product_sum, nullspace, rank_of,
                      restricted_rows)
 from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
                     gl_structure_table, int_forms)
-from .patterns import canonical_slots
 from .sorep import build_phi_minus, structure_table
 
 
@@ -144,8 +143,7 @@ def _structure_witness(rep, algebra_type):
     built slot is that homomorphism's value, so every bracket of the
     table holds. In order, each witness naming the relation that failed:
 
-      ("antisymmetry", slot)  type B: slot differs from its canonical
-                              form, F(i,j) = -F(-j,-i), F(i,-i) = 0;
+      ("antisymmetry", slot)  type B: a stored F(i,-i) is not 0;
       ("cartan", h, h')       two Cartan slots do not commute;
       ("root", h, x)          [h, x] is not the table's multiple of x,
                               for x every e_j and f_j;
@@ -156,28 +154,33 @@ def _structure_witness(rep, algebra_type):
       ("closure", x, y)       the plan's target slot is not the table's
                               +-[x, y].
 
-    That is O(n^2) commutators instead of one per pair of slots."""
-    gens = rep.gens
+    Every slot is read through rep.gen, so a type B slot F(i,j) with
+    i + j > 0 is -F(-j,-i) by construction; each one read is made once
+    per call. That is O(n^2) commutators instead of one per pair of
+    slots."""
     p = presentation(algebra_type, rep.n)
-    for slot in sorted(gens):
-        cs, sgn = p.table.canonical(slot)
-        if cs == slot:
-            continue
-        if not (_is_multiple(gens[slot].ent, sgn, gens[cs].ent)
-                if cs is not None else not gens[slot]):
+    for slot in sorted(rep.gens):
+        if p.table.canonical(slot)[0] is None and rep.gens[slot]:
             return ("antisymmetry", slot)
+    made = {}
+
+    def gen(slot):
+        op = made.get(slot)
+        if op is None:
+            op = made[slot] = rep.gen(*slot)
+        return op
 
     def holds(x, y):
         # [x, y] against the table, without building the expected sum
         # when it is one slot or none
-        got = gens[x].commutator(gens[y]).ent
+        got = gen(x).commutator(gen(y)).ent
         terms = p.table[(x, y)]
         if len(terms) == 1:
             (slot, c), = terms.items()
-            return _is_multiple(got, c, gens[slot].ent)
+            return _is_multiple(got, c, gen(slot).ent)
         want = Operator(rep.dim)
         for slot, c in sorted(terms.items()):
-            want = want + gens[slot].scale(c)
+            want = want + gen(slot).scale(c)
         return got == want.ent
 
     for idx, h in enumerate(p.cartan):
@@ -199,11 +202,11 @@ def _structure_witness(rep, algebra_type):
             if i == j or (not a and i > j):
                 continue
             for x, y in zip(p.pairs[i], p.pairs[j]):
-                acc = gens[y]
+                acc = gen(y)
                 for _ in range(1 - a):
                     if not acc:
                         break
-                    acc = gens[x].commutator(acc)
+                    acc = gen(x).commutator(acc)
                 if acc:
                     return ("serre", x, y)
     for x, y, _ in p.plan:
@@ -334,7 +337,7 @@ def _raising(rep, k):
     positive root vector is an iterated bracket of simple ones
     (Humphreys, Introduction to Lie Algebras and Representation Theory),
     so their common kernel is that of all (k-1)(2k-1) raising slots."""
-    return [rep.gens[(m - 1, m)] for m in range(1, k)]
+    return [rep.gen(m - 1, m) for m in range(1, k)]
 
 
 def check_branching(rep):
@@ -371,18 +374,17 @@ def check_branching(rep):
 
 
 def casimir_scalar(rep, forms=None):
-    """Sum of the products gen(i,j)gen(j,i) over the canonical slots
-    (patterns.canonical_slots), on one int accumulator over forms =
-    int_forms(rep) (made here when not given); raises unless exactly
-    scalar, with the smallest off-scalar position and the remainder's
-    value there as witness. gen(j,i) is canonical along with gen(i,j).
-    For type B the mirror F(-j,-i)F(-i,-j) of each product equals it
-    once antisymmetry holds, which the structure oracle checks first, so
-    this is half the sum over all slots."""
+    """Sum of the products gen(i,j)gen(j,i) over the stored slots, on one
+    int accumulator over forms = int_forms(rep) (made here when not
+    given); raises unless exactly scalar, with the smallest off-scalar
+    position and the remainder's value there as witness. gen(j,i) is
+    stored along with gen(i,j). For type B the mirror F(-j,-i)F(-i,-j)
+    of each product equals it, since F(i,j) = -F(-j,-i) holds by
+    construction (Rep.gen), so this is half the sum over all slots."""
     if forms is None:
         forms = int_forms(rep)
     den, nums = int_product_sum([(1, forms[(i, j)], forms[(j, i)])
-                                 for (i, j) in canonical_slots(rep.gens)])
+                                 for (i, j) in sorted(rep.gens)])
     t = nums.get((0, 0), 0)
     if not _is_scalar((den, nums), rep.dim, Fraction(t, den)):
         def rem(k):
@@ -525,10 +527,10 @@ def _phi_witness(rep):
     highest subspace, with a kernel vector as witness; None when all
     agree."""
     for k in range(1, rep.n + 1):
-        quad = Operator(rep.dim) - (rep.gens[(0, k)]
-                                    @ rep.gens[(0, k)]).scale(Fraction(1, 2))
+        f0k = rep.gen(0, k)
+        quad = Operator(rep.dim) - (f0k @ f0k).scale(Fraction(1, 2))
         for i in range(1, k):
-            quad = quad + rep.gens[(-k, i)] @ rep.gens[(i, k)]
+            quad = quad + rep.gen(-k, i) @ rep.gen(i, k)
         diff = quad - build_phi_minus(rep, k)
         if not diff:
             continue
@@ -559,7 +561,7 @@ def run_verification(rep, algebra_type, level="fast"):
 
     witness = None
     for k in range(1, rep.n + 1):
-        diag = rep.gens[(k, k)]
+        diag = rep.gen(k, k)
         want = {(c, c): w[k - 1] for c, w in enumerate(rep.weights)
                 if w[k - 1]}
         if diag.ent != want:
@@ -567,6 +569,9 @@ def run_verification(rep, algebra_type, level="fast"):
             break
     if witness is None:
         h = rep.highest_index()
+        # a type B F(i,j), i < j, that is not stored is -F(-j,-i), also
+        # raising, stored and sorted before it: the stored slots give the
+        # first failing slot of them all
         for (i, j) in sorted(rep.gens):
             if i < j and rep.gens[(i, j)].column(h):
                 witness = ("highest not annihilated", (i, j))

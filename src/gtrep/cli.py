@@ -235,13 +235,28 @@ class _Texts(dict):
 ROWS_PER_WRITE = 1024
 
 
-def _entries(op, rows, cols, value, sep):
-    # the entries of op in sorted order, each as its row index's text
-    # (rows[r]), its column index's text (cols[c]) and its value's text
-    # joined, in pieces of at most ROWS_PER_WRITE entries with sep between
-    # any two; an empty op gives one empty piece. The value's text comes
-    # from the "%s" template value, as Fraction.__str__ prints it, once per
-    # value object (op holds them, so ids stay fixed)
+def _slots(args, rep):
+    # every slot (i, j) in sorted order, with the stored operator its
+    # entries are written from and whether they are negated: a type B
+    # build stores F(i,j) for i + j <= 0 only, and F(i,j) = -F(-j,-i)
+    idx = range(1 if args.algebra == "A" else -rep.n, rep.n + 1)
+    for i in idx:
+        for j in idx:
+            op = rep.gens.get((i, j))
+            if op is None:
+                yield i, j, rep.gens[(-j, -i)], True
+            else:
+                yield i, j, op, False
+
+
+def _entries(op, negate, rows, cols, value, sep):
+    # the entries of op (of -op when negate is set) in sorted order, each
+    # as its row index's text (rows[r]), its column index's text (cols[c])
+    # and its value's text joined, in pieces of at most ROWS_PER_WRITE
+    # entries with sep between any two; an empty op gives one empty
+    # piece. The value's text is Fraction.__str__'s, negated as text when
+    # negate is set, put into the "%s" template value once per value
+    # object (op holds them, so ids stay fixed)
     ent = op.ent
     keys = sorted(ent)
     made = {}
@@ -252,7 +267,11 @@ def _entries(op, rows, cols, value, sep):
             v = ent[key]
             text = made.get(id(v))
             if text is None:
-                text = made[id(v)] = value % v
+                text = str(v)
+                if negate:
+                    # v is never 0
+                    text = text[1:] if text[0] == "-" else "-" + text
+                text = made[id(v)] = value % text
             out.append(rows[key[0]] + cols[key[1]] + text)
         yield sep.join(out)
 
@@ -279,15 +298,14 @@ def _rep_json(args, lam, rep, write):
     write(',\n  "operators": {')
     sep = "\n    "
     row_texts, col_texts = _Texts(_JSON_ROW), _Texts(_JSON_COL)
-    for i, j in sorted(rep.gens):
-        op = rep.gens[(i, j)]
+    for i, j, op, negate in _slots(args, rep):
         head = _HEAD % (sep, letter, i, j, rep.dim)
         sep = ",\n    "
         if not op.ent:
             write(head + "[]" + _TAIL)
             continue
         write(head + "[\n" + "  " * 4)
-        for piece in _entries(op, row_texts, col_texts, _JSON_VALUE,
+        for piece in _entries(op, negate, row_texts, col_texts, _JSON_VALUE,
                               _JSON_SEP):
             write(piece)
         write("\n      ]" + _TAIL)
@@ -299,11 +317,11 @@ def _rep_csv(args, rep, write):
     letter = "E" if args.algebra == "A" else "F"
     write("generator,row,col,value\n")
     col_texts = _Texts("%d,")
-    for i, j in sorted(rep.gens):
+    for i, j, op, negate in _slots(args, rep):
         # the name holds a comma, so it is quoted; it leads each row text
         name = '"%s(%d,%d)",' % (letter, i, j)
-        for piece in _entries(rep.gens[(i, j)], _Texts(name + "%d,"),
-                              col_texts, "%s\n", ""):
+        for piece in _entries(op, negate, _Texts(name + "%d,"), col_texts,
+                              "%s\n", ""):
             write(piece)
 
 

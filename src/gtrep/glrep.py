@@ -17,8 +17,7 @@ from .exact import F1
 # nullspace is unused here, but bench/tracer.py wraps glrep.nullspace by name
 from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
                      int_product_sum, nullspace, rref)
-from .patterns import (Rep, canonical_slots, check_weight_gl,
-                       enumerate_patterns_a)
+from .patterns import Rep, check_weight_gl, enumerate_patterns_a
 
 
 class InconsistencyError(Exception):
@@ -62,13 +61,17 @@ def build_gl(lam, cap=None):
             below = _lvals(pat.rows[k - 2]) if k >= 2 else []
             for i, li in enumerate(lk):
                 den = _prod_diff(li, lk[:i] + lk[i + 1:])
-                # a shifted array is a basis member iff it interleaves
-                r = index.get(pat.shifted(k, i + 1, +1))
+                # each position is written once; a zero numerator writes
+                # nothing, and a shifted array is a basis member iff it
+                # interleaves
+                num = _prod_diff(li, above)
+                r = index.get(pat.shifted(k, i + 1, +1)) if num else None
                 if r is not None:
-                    up.add_to(r, c, Fraction(-_prod_diff(li, above), den))
-                r = index.get(pat.shifted(k, i + 1, -1))
+                    up.ent[(r, c)] = Fraction(-num, den)
+                num = _prod_diff(li, below)
+                r = index.get(pat.shifted(k, i + 1, -1)) if num else None
                 if r is not None:
-                    down.add_to(r, c, Fraction(_prod_diff(li, below), den))
+                    down.ent[(r, c)] = Fraction(num, den)
         gens[(k, k + 1)] = up
         gens[(k + 1, k)] = down
 
@@ -94,12 +97,10 @@ def gl_structure_table(n):
 
 
 def int_forms(rep):
-    """The int form (linalg.int_form) of every canonical slot
-    (patterns.canonical_slots), by slot: every generator of type A, and
-    of type B the slots with i + j <= 0, the only ones the Casimir
-    reads."""
-    return {slot: int_form(rep.gens[slot])
-            for slot in canonical_slots(rep.gens)}
+    """The int form (linalg.int_form) of every stored slot, by slot:
+    every generator of type A, and of type B the slots with i + j <= 0,
+    the only ones the Casimir reads."""
+    return {slot: int_form(op) for slot, op in sorted(rep.gens.items())}
 
 
 def capelli_ints(rep, u, factors):

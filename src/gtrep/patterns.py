@@ -17,8 +17,7 @@ regularized, and the interleaving conditions are the ones stable under
 that deformation.
 
 Rep is the one record both builders return: the basis, its index, the
-weight of each basis vector and the generator matrices. canonical_slots
-names the slots of a record that carry the module.
+weight of each basis vector and the generator matrices.
 """
 from __future__ import annotations
 
@@ -379,9 +378,10 @@ def enumerate_patterns_b(lam, cap=None):
 class Rep:
     """A module over a pattern basis: the highest weight, the basis in
     canonical order with its index, the weight of each basis vector (a
-    tuple of Fractions) and the generator matrices by slot. The type A
-    builder fills gens with E(i,j), 1 <= i,j <= n; the type B builder
-    with F(i,j), -n <= i,j <= n."""
+    tuple of Fractions) and the stored generator matrices by slot. The
+    type A builder stores every E(i,j), 1 <= i,j <= n. The type B
+    builder stores F(i,j), -n <= i,j <= n, for i + j <= 0 only, F(i,-i)
+    as the zero operator; gen reads the other slots."""
 
     __slots__ = ("lam", "n", "dim", "patterns", "index", "weights", "gens")
 
@@ -395,17 +395,14 @@ class Rep:
         self.gens = {}
 
     def gen(self, i, j):
-        return self.gens[(i, j)]
+        """The generator at slot (i, j). A slot that is not stored, a
+        type B F(i,j) with i + j > 0, is -F(-j,-i): a new Operator on
+        each call, with one negated object per value object of F(-j,-i)
+        (Operator.__neg__)."""
+        op = self.gens.get((i, j))
+        if op is None:
+            return -self.gens[(-j, -i)]
+        return op
 
     def highest_index(self):
         return self.index[type(self.patterns[0]).highest(self.lam)]
-
-
-def canonical_slots(gens):
-    """The slots of gens (a Rep's generators by slot) that carry the
-    module, in sorted order: every slot but an F(i,j) whose mirror
-    F(-j,-i) is a slot too and sorts before it. For type B that keeps
-    i + j <= 0, since F(-j,-i) = -F(i,j); for type A no mirror is a slot,
-    so every slot is kept."""
-    return [(i, j) for (i, j) in sorted(gens)
-            if not (-j, -i) < (i, j) or (-j, -i) not in gens]

@@ -30,7 +30,8 @@ already. So two basis patterns with equal slices have the same column,
 shifted onto each pattern.
 
 Index convention: generator slots are pairs (i, j) with -n <= i, j <= n;
-F(-j,-i) = -F(i,j), so F(i,-i) = 0.
+F(-j,-i) = -F(i,j), so F(i,-i) = 0. A build stores the slots with
+i + j <= 0 only.
 """
 from __future__ import annotations
 
@@ -41,8 +42,7 @@ from math import lcm
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
 from .linalg import RANK_PRIME, BracketTable, Operator, rref
-from .patterns import (PatternB, Rep, canonical_slots, check_weight_so,
-                       enumerate_patterns_b)
+from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
 
 
 class ConstructionError(Exception):
@@ -460,30 +460,39 @@ def structure_table(n):
 
 
 def close_generators(n, seeds, dim):
-    """Extend the seed slots F(k,k), F(k-1,-k), F(k-1,k) to every F(i,j)
-    by a fixed bracket plan:
+    """Extend the seed slots F(k,k), F(k-1,-k), F(k-1,k) to every stored
+    slot F(i,j), i + j <= 0, by a fixed bracket plan:
 
       F(0,k) = [F(0,k-1), F(k-1,k)], F(0,-k) = [F(0,k-1), F(k-1,-k)],
       k = 2..n, then every other missing slot with i, j != 0 from
-      [F(i,0), F(0,j)], where F(i,0) = -F(0,-i).
+      [F(i,0), F(0,j)].
 
-    Each bracket's coefficient is read from structure_table(n), which must
-    give the bracket as +-1 times the target slot alone, so no commutator
-    is rescaled. One commutator per missing canonical slot, 2n(n-1) in
-    all. Every value stored, in a seed, a bracket or a mirror, is the
-    build's one object of that value; the seeds' entry dicts are replaced
-    by dicts of equal values."""
+    Only the slots with i + j <= 0 are stored, F(i,-i) as the zero
+    operator; F(i,j) with i + j > 0 is -F(-j,-i) (Rep.gen). So a seed or
+    bracket operand at such a slot is its stored mirror with the sign
+    carried, F(i,0) = -F(0,-i) for instance, and a bracket lands on the
+    stored slot of its target. Each bracket's coefficient is read from
+    structure_table(n), which must give the bracket as +-1 times the
+    target slot alone, so no commutator is rescaled. One commutator per
+    missing stored slot, 2n(n-1) in all. Every value stored, in a seed or
+    a bracket, is the build's one object of that value; the seeds' entry
+    dicts are replaced by dicts of those objects."""
     table = structure_table(n)
     known = {}
     values = {}
 
+    def operand(slot):
+        # F(slot) as (stored operator, sign)
+        op = known.get(slot)
+        if op is None:
+            return known[(-slot[1], -slot[0])], -1
+        return op, 1
+
     def store(slot, op, sign=1):
-        # sign * op at slot and its mirror -sign * op at F(-j,-i)
-        mirror = _share(op, values, sign)
-        known[slot] = op
-        alt = (-slot[1], -slot[0])
-        if alt != slot:
-            known[alt] = Operator(dim, mirror)
+        # sign * op at slot, or -sign * op at its stored mirror
+        cs, s = _canon_slot(*slot)
+        _share(op, values, sign * s)
+        known[cs] = op
 
     def bracket(ab, cd, target):
         cs, _ = _canon_slot(*target)
@@ -491,7 +500,8 @@ def close_generators(n, seeds, dim):
         if set(terms) != {cs} or abs(terms[cs]) != 1:
             raise ConstructionError("bracket [F%s, F%s] is not +-F%s"
                                     % (ab, cd, target))
-        store(cs, known[ab].commutator(known[cd]), terms[cs])
+        (x, sx), (y, sy) = operand(ab), operand(cd)
+        store(cs, x.commutator(y), terms[cs] * sx * sy)
 
     for i in range(-n, n + 1):
         known[(i, -i)] = Operator(dim)
@@ -502,42 +512,36 @@ def close_generators(n, seeds, dim):
         bracket((0, k - 1), (k - 1, -k), (0, -k))
     for i in range(-n, n + 1):
         for j in range(-n, n + 1):
-            if i and j and (i, j) not in known:
+            if i and j and i + j <= 0 and (i, j) not in known:
                 bracket((i, 0), (0, j), (i, j))
     return known
 
 
 def _share(op, values, sign):
-    """Make op sign * op and return the entry dict of -sign * op, every
-    value the one object of it in values, which maps a denominator to
-    {numerator: that object} and gains the values it lacks: ints hash far
-    faster than a Fraction, and no pair is kept per value. Each distinct
-    value object of op is looked up once, keyed by its id, which stays
-    fixed while op holds the object; op's old dict is released before
-    the negated one is built."""
+    """Make op sign * op, every value the one object of it in values,
+    which maps a denominator to {numerator: that object} and gains the
+    values it lacks: ints hash far faster than a Fraction, and no pair is
+    kept per value. Each distinct value object of op is looked up once,
+    keyed by its id, which stays fixed while op holds the object; op's
+    old dict is released once the new one is built."""
     vals = op.ent.values()
-    same, neg = {}, {}
+    same = {}
     for i, v in dict(zip(map(id, vals), vals)).items():
-        num = v.numerator
         nums = values.get(v.denominator)
         if nums is None:
             nums = values[v.denominator] = {}
-        s = nums.setdefault(num, v)
-        m = nums.get(-num)
-        if m is None:
-            m = -v
-            nums[m.numerator] = m
-        if sign == -1:
-            s, m = m, s
+        s = nums.get(sign * v.numerator)
+        if s is None:
+            s = v if sign == 1 else -v
+            nums[s.numerator] = s
         same[i] = s
-        neg[id(s)] = m
     op.ent = dict(zip(op.ent, map(same.__getitem__, map(id, vals))))
-    vals = op.ent.values()
-    return dict(zip(op.ent, map(neg.__getitem__, map(id, vals))))
 
 
 def build_so(lam, cap=None, trace=None):
-    """All (2n+1)^2 generator matrices over the pattern basis."""
+    """The generator matrices over the pattern basis: rep.gens holds the
+    slots F(i,j) with i + j <= 0, and rep.gen reads every one of the
+    (2n+1)^2 slots (see close_generators)."""
     lam = check_weight_so(lam)
     n = len(lam)
     rep = Rep(lam, enumerate_patterns_b(lam, cap))
@@ -558,8 +562,7 @@ SPAN_PRIME = RANK_PRIME
 
 def _check_span_rank(rep):
     # the built generators must span a Lie algebra of the right dimension
-    ents = [rep.gens[cs].ent for cs in canonical_slots(rep.gens)
-            if rep.gens[cs].ent]
+    ents = [op.ent for _, op in sorted(rep.gens.items()) if op.ent]
     want = rep.n * (2 * rep.n + 1)
     got = _slot_rank(ents, rep.dim)
     if got != want:

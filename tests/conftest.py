@@ -66,6 +66,18 @@ def fresh_gl_rep(lam):
     return build_gl(check_weight_gl(lam))
 
 
+def all_slots(algebra, n):
+    # every generator slot in sorted order, stored or not: E(i,j),
+    # 1 <= i,j <= n, or F(i,j), -n <= i,j <= n
+    idx = range(1, n + 1) if algebra == "A" else range(-n, n + 1)
+    return [(i, j) for i in idx for j in idx]
+
+
+def all_gens(algebra, rep):
+    # every slot's generator read through rep.gen, by slot in sorted order
+    return {s: rep.gen(*s) for s in all_slots(algebra, rep.n)}
+
+
 def deformed_raise(basis, k):
     # the raising generator at level k with every column on the deformed
     # route: the reference the plain route must agree with
@@ -292,14 +304,15 @@ def block_gram(rep):
 def all_raising(rep, k):
     # every raising slot F(i,j), -k < i < j < k, of o(2k-1): the
     # reference for the simple ones checks._raising gives
-    return [rep.gens[(i, j)]
+    return [rep.gen(i, j)
             for i in range(-(k - 1), k) for j in range(i + 1, k)]
 
 
 def pairwise_structure_witness(rep, algebra_type):
     # every unordered pair of distinct canonical slots bracketed once,
-    # after the type B canonical-form comparison: the reference the
-    # Chevalley-Serre oracle must agree with, pass or fail
+    # after the type B canonical-form comparison of every slot read
+    # through rep.gen: the reference the Chevalley-Serre oracle must agree
+    # with, pass or fail
     if algebra_type == "A":
         keys = sorted(rep.gens)
 
@@ -313,10 +326,10 @@ def pairwise_structure_witness(rep, algebra_type):
             return out
     else:
         zero = Operator(rep.dim)
-        for slot in sorted(rep.gens):
+        for slot in all_slots("B", rep.n):
             cs, sgn = _canon_slot(*slot)
-            want = zero if cs is None else rep.gens[cs].scale(sgn)
-            if rep.gens[slot] != want:
+            want = zero if cs is None else rep.gen(*cs).scale(sgn)
+            if rep.gen(*slot) != want:
                 return ("antisymmetry", slot)
         keys = [s for s in sorted(rep.gens) if _canon_slot(*s)[0] == s]
         table = structure_table(rep.n)
@@ -388,8 +401,8 @@ def defining_intertwiner(rep):
     todo = [h]
     while todo:
         c = todo.pop()
-        for slot, op in sorted(rep.gens.items()):
-            for (r, cc), v in sorted(op.ent.items()):
+        for slot in all_slots("B", n):
+            for (r, cc), v in sorted(rep.gen(*slot).ent.items()):
                 if cc == c and r not in scale:
                     scale[r] = (target[slot].ent.get((pi[r], pi[c]), 0)
                                 * scale[c] / v)
@@ -582,27 +595,29 @@ def ref_patterns_json(algebra, lam, patterns):
 
 
 def ref_rep_json(algebra, lam, rep):
-    # `gtrep build` JSON output as a dict tree through json.dumps
+    # `gtrep build` JSON output as a dict tree through json.dumps, every
+    # slot read through rep.gen
     letter = "E" if algebra == "A" else "F"
     doc = _ref_header(algebra, lam, rep.patterns)
     doc["operators"] = {
         "%s(%d,%d)" % (letter, i, j): {
             "dim": rep.dim,
             "entries": [[r, c, format_rational(v)]
-                        for (r, c), v in sorted(rep.gens[(i, j)].ent.items())]}
-        for i, j in sorted(rep.gens)}
+                        for (r, c), v in sorted(rep.gen(i, j).ent.items())]}
+        for i, j in all_slots(algebra, rep.n)}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def ref_rep_csv(algebra, rep):
-    # `gtrep build --format csv` output through csv.writer
+    # `gtrep build --format csv` output through csv.writer, every slot
+    # read through rep.gen
     letter = "E" if algebra == "A" else "F"
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["generator", "row", "col", "value"])
-    for i, j in sorted(rep.gens):
+    for i, j in all_slots(algebra, rep.n):
         name = "%s(%d,%d)" % (letter, i, j)
-        for (r, c), v in sorted(rep.gens[(i, j)].ent.items()):
+        for (r, c), v in sorted(rep.gen(i, j).ent.items()):
             w.writerow([name, r, c, format_rational(v)])
     return buf.getvalue()
 

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
-from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_raising,
-                      block_gram, defining_intertwiner, fresh_gl_rep,
+from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_gens, all_raising,
+                      all_slots, block_gram, defining_intertwiner, fresh_gl_rep,
                       fresh_so_rep, gl_rep, pairwise_structure_witness,
                       perm_capelli, ref_casimir_walk, ref_freudenthal,
                       scalar_op, single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
+    Rep,
     nullspace,
     VerificationReport,
     branching_multiplicity,
@@ -34,7 +35,6 @@ from gtrep.checks import (_freudenthal, _joint_kernel, _orbit, _phi_witness,
                           _raising, _root_datum, _structure_witness,
                           presentation)
 from gtrep.linalg import product_sum, restricted_rows
-from gtrep.patterns import canonical_slots
 from gtrep.sorep import _canon_slot
 
 
@@ -185,12 +185,13 @@ class TestSimpleRaisingKernels:
             assert len(_joint_kernel(r, k)) == len(want), k
 
     @pytest.mark.parametrize("w, slot, key", [
-        (("-1", "-2"), (0, 1), (1, 4)), (("0", "-1"), (0, 1), (2, 1))])
+        (("-1", "-2"), (-1, 0), (1, 4)), (("0", "-1"), (-1, 0), (2, 1))])
     def test_count_at_a_non_dominant_weight_fails_the_line(self, w, slot,
                                                            key):
-        # the deletion leaves a highest vector at an o(2n-1) weight with
-        # no interleaving tuples, where Weyl's formula gives -1: a failed
-        # line naming that weight, not a ValueError
+        # the deletion, from F(-1,0) and so from F(0,1) = -F(-1,0), leaves
+        # a highest vector at an o(2n-1) weight with no interleaving
+        # tuples, where Weyl's formula gives -1: a failed line naming that
+        # weight, not a ValueError
         r = fresh_so_rep(w)
         del r.gens[slot].ent[key]
         counts = _kernel_counts(r, _raising(r, r.n))
@@ -223,12 +224,13 @@ def _reference_report(r, algebra, monkeypatch):
 
 class TestMutantsAgainstReferences:
     """Single-entry mutants (each entry doubled, each entry deleted, one
-    entry added) slot by slot: the summary is the reference oracles',
-    the form line's verdict is the block solve's, and on doubled and
-    deleted entries the branching and phi lines flag at least what the
-    all-slot kernels flag. An entry added to a slot that is not a simple
-    raising operator, F(-1,0) or F(-1,1), can fail the reference's
-    branching lines and not these; the structure oracle flags it."""
+    entry added) stored slot by stored slot, a type B mutant read negated
+    at its mirror: the summary is the reference oracles', the form
+    line's verdict is the block solve's, and on doubled and deleted
+    entries the branching and phi lines' verdicts are the all-slot
+    kernels'. An entry added to a slot that no simple raising operator
+    reads, F(-1,1), can fail the reference's branching lines and not
+    these; the structure oracle flags it."""
 
     @pytest.mark.parametrize("algebra, w, every", [
         ("B", ("0", "-1"), 1), ("B", ("-1/2", "-3/2"), 3),
@@ -236,7 +238,7 @@ class TestMutantsAgainstReferences:
     def test_verdicts(self, algebra, w, every, monkeypatch):
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
         seen = 0
-        newly = 0
+        missed = 0
         for slot in sorted(r.gens):
             orig = r.gens[slot]
             added = len(orig.ent) * 2
@@ -254,15 +256,13 @@ class TestMutantsAgainstReferences:
                 want = {c["name"]: c["pass"] for c in ref.checks}
                 assert got.keys() == want.keys()
                 for name in got:
-                    if name in BRANCHING + (PHI,):
-                        if t < added:
-                            assert got[name] <= want[name], (slot, name)
-                        newly += got[name] < want[name]
+                    if name in BRANCHING + (PHI,) and t >= added:
+                        missed += got[name] > want[name]
                     else:
                         assert got[name] == want[name], (slot, name)
         assert seen
         if algebra == "B":
-            assert newly
+            assert missed
 
 
 class TestCasimir:
@@ -285,8 +285,9 @@ class TestCasimir:
     @pytest.mark.parametrize("w", B_CORPUS)
     def test_so_canonical_sum_is_half_the_all_slot_sum(self, w):
         r = so_rep(w)
-        acc = product_sum(r.dim, [(1, r.gens[(i, j)], r.gens[(j, i)])
-                                  for (i, j) in sorted(r.gens)])
+        gens = all_gens("B", r)
+        acc = product_sum(r.dim, [(1, gens[(i, j)], gens[(j, i)])
+                                  for (i, j) in gens])
         assert acc == scalar_op(r.dim, 2 * casimir_scalar(r))
 
     def test_so_value_is_half_the_bracket_table_walk(self):
@@ -296,54 +297,62 @@ class TestCasimir:
                 "B", lam), lam
 
     def test_canonical_slots_in_sorted_order(self):
-        gens = so_rep(("0", "-1")).gens
-        slots = canonical_slots(gens)
-        assert slots == sorted(s for s in gens if sum(s) <= 0)
+        # the stored slots are the canonical ones, and int_forms holds
+        # them in sorted order
+        r = so_rep(("0", "-1"))
+        slots = sorted(r.gens)
+        assert slots == [s for s in all_slots("B", 2) if sum(s) <= 0]
         assert slots == sorted(
-            {_canon_slot(*s)[0] for s in gens} - {None}
+            {_canon_slot(*s)[0] for s in all_slots("B", 2)} - {None}
             | {(i, -i) for i in range(-2, 3)})
-        assert sorted(glrep.int_forms(so_rep(("0", "-1")))) == slots
-        gens = gl_rep((2, 1, 0)).gens
-        assert canonical_slots(gens) == sorted(gens)
+        assert list(glrep.int_forms(r)) == slots
+        r = gl_rep((2, 1, 0))
+        assert list(glrep.int_forms(r)) == sorted(r.gens) == all_slots("A", 3)
 
     @pytest.mark.parametrize("algebra, w, slot", [
         ("B", ("-1",), (-1, 0)), ("B", ("0", "-1"), (-2, 1)),
         ("A", (2, 1, 0), (1, 3))])
     def test_witness_is_the_smallest_off_scalar_entry(self, algebra, w,
                                                       slot):
-        # the reference sums the products over all slots, one Operator at
-        # a time; a canonical slot's mutant leaves the remainder of the
-        # canonical sum, the all-slot sum minus its unmutated mirror half
+        # the reference sums the products over all slots read through
+        # rep.gen, one Operator at a time; a stored slot's mutant is read
+        # negated at its mirror too, so the type B all-slot sum is twice
+        # the sum over the stored slots
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
         r.gens[slot].ent[(0, 1)] = Fraction(7)
         acc = Operator(r.dim)
-        for (i, j) in sorted(r.gens):
-            acc = acc + r.gens[(i, j)] @ r.gens[(j, i)]
+        for (i, j) in all_slots(algebra, r.n):
+            acc = acc + r.gen(i, j) @ r.gen(j, i)
         rem = acc - scalar_op(r.dim, acc.ent.get((0, 0), Fraction(0)))
         key = min(rem.ent)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
-        assert e.value.witness == (*key, rem.ent[key])
+        half = 2 if algebra == "B" else 1
+        assert e.value.witness == (*key, rem.ent[key] / half)
 
     @pytest.mark.parametrize("algebra, w, slot", [
         ("B", ("-1/2", "-3/2"), (-2, -1)), ("A", (3, 1, 0), (2, 1))])
     def test_witness_is_the_product_sum_witness(self, algebra, w, slot):
-        # the Operator sum on one product_sum accumulator, minus its (0,0)
-        # entry times the identity, at its smallest remaining position
+        # the Operator sum over all slots read through rep.gen, on one
+        # product_sum accumulator, minus its (0,0) entry times the
+        # identity, at its smallest remaining position; halved for type B,
+        # where the all-slot sum is twice the sum over the stored slots
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
         key = max(r.gens[slot].ent)
         r.gens[slot].ent[key] *= 3
-        acc = product_sum(r.dim, [(1, r.gens[(i, j)], r.gens[(j, i)])
-                                  for (i, j) in sorted(r.gens)])
+        gens = all_gens(algebra, r)
+        acc = product_sum(r.dim, [(1, gens[(i, j)], gens[(j, i)])
+                                  for (i, j) in gens])
         rem = acc - scalar_op(r.dim, acc.ent.get((0, 0), Fraction(0)))
         pos = min(rem.ent)
+        want = rem.ent[pos] / (2 if algebra == "B" else 1)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
-        assert e.value.witness == (*pos, rem.ent[pos])
+        assert e.value.witness == (*pos, want)
         report = run_verification(r, algebra, level="full")
         line = {c["name"]: c for c in report.checks}[
             "Casimir sum is the scalar dictated by the top weight"]
-        assert line["witness"] == str((*pos, rem.ent[pos]))
+        assert line["witness"] == str((*pos, want))
 
     def test_nonscalar_raises_with_witness(self):
         r = fresh_so_rep(("-1",))
@@ -436,7 +445,7 @@ class TestStructure:
 
     def test_single_entry_perturbation_detected(self):
         r = fresh_so_rep(("0", "-1"))
-        r.gens[(1, 2)].ent[(0, 0)] = Fraction(1, 3)
+        r.gens[(-2, -1)].ent[(0, 0)] = Fraction(1, 3)
         assert not check_structure_constants(r, "B").passed
 
     @pytest.mark.parametrize("algebra, rep", [
@@ -475,14 +484,21 @@ def _hand_cartan(algebra, n):
     return a
 
 
+class _Module(SimpleNamespace):
+    # n, dim and the stored slots gens, each slot read as a Rep reads it
+    gen = Rep.gen
+
+
 def _defining_module(algebra, n):
     # the defining module wrapped as a module: o(2n+1) on 2n+1 vectors,
-    # gl(n) on the elementary matrices
+    # stored as a build stores it, gl(n) on the elementary matrices
     if algebra == "B":
-        return SimpleNamespace(n=n, dim=2 * n + 1, gens=defining_operators(n))
+        return _Module(n=n, dim=2 * n + 1,
+                       gens={s: op for s, op in defining_operators(n).items()
+                             if sum(s) <= 0})
     gens = {(i, j): Operator(n, {(i - 1, j - 1): Fraction(1)})
             for i in range(1, n + 1) for j in range(1, n + 1)}
-    return SimpleNamespace(n=n, dim=n, gens=gens)
+    return _Module(n=n, dim=n, gens=gens)
 
 
 def _count_commutators(monkeypatch):
@@ -569,28 +585,18 @@ class TestStructurePresentation:
     @pytest.mark.parametrize("algebra, w", [
         ("B", ("0", "-1")), ("B", ("-1/2", "-3/2")), ("A", (2, 1, 0))])
     def test_agrees_with_pairwise_on_single_entry_mutants(self, algebra, w):
-        # each entry doubled and one entry added, slot by slot; type B
-        # also applies each mutant of a canonical slot to its mirror
-        # F(-j,-i) = -F(i,j), which the canonical-form comparison passes
+        # each entry doubled and one entry added, stored slot by stored
+        # slot; a type B mutant is read negated at its mirror F(-j,-i)
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
         flagged = 0
         for slot in sorted(r.gens):
             orig = r.gens[slot]
-            mirror = None
-            if algebra == "B" and _canon_slot(*slot)[0] == slot:
-                mirror = (-slot[1], -slot[0])
             for bad in single_entry_mutants(r, slot):
-                for both in (False, True) if mirror else (False,):
-                    saved = r.gens[mirror] if both else None
-                    r.gens[slot] = bad
-                    if both:
-                        r.gens[mirror] = -bad
-                    new = _structure_witness(r, algebra)
-                    old = pairwise_structure_witness(r, algebra)
-                    assert (new is None) == (old is None), (slot, new, old)
-                    flagged += new is not None
-                    if both:
-                        r.gens[mirror] = saved
+                r.gens[slot] = bad
+                new = _structure_witness(r, algebra)
+                old = pairwise_structure_witness(r, algebra)
+                assert (new is None) == (old is None), (slot, new, old)
+                flagged += new is not None
             r.gens[slot] = orig
         assert flagged
         assert _structure_witness(r, algebra) is None
@@ -720,8 +726,8 @@ class TestEquivalence:
         assert (sorted(p for p, _ in s.ent) == sorted(c for _, c in s.ent)
                 == list(range(r.dim)))
         assert all(s.ent.values())
-        for key in sorted(r.gens):
-            assert s @ r.gens[key] == target[key] @ s, (n, key)
+        for key, op in all_gens("B", r).items():
+            assert s @ op == target[key] @ s, (n, key)
 
 
 class TestReportShape:
@@ -748,6 +754,6 @@ class TestReportShape:
 
     def test_driver_reports_perturbation(self):
         r = fresh_so_rep(("-1",))
-        r.gens[(1, 1)].ent[(0, 0)] = Fraction(5)
+        r.gens[(-1, -1)].ent[(0, 0)] = Fraction(5)
         rep = run_verification(r, "B", level="full")
         assert not rep.passed

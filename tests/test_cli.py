@@ -13,8 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (A_CORPUS, B_CORPUS, SHIFTED, gl_rep, ref_patterns_json,
-                      ref_rep_csv, ref_rep_json, so_rep)
+from conftest import (A_CORPUS, B_CORPUS, SHIFTED, fresh_so_rep, gl_rep,
+                      ref_patterns_json, ref_rep_csv, ref_rep_json, so_rep)
 import gtrep.cli as cli
 from gtrep import (Operator, build_so, check_weight_so,
                    enumerate_patterns_b)
@@ -218,6 +218,24 @@ class TestTemplateWriter:
         assert out == ref_patterns_json(algebra, rep.lam, rep.patterns)
 
 
+class TestMirrorBlocks:
+    """A type B build stores F(i,j) for i + j <= 0 only; the writers emit
+    every slot, a mirror block negated from its stored slot, equal to the
+    references read through rep.gen at every piece size."""
+
+    @pytest.mark.parametrize("w", [("-1/2", "-3/2"), ("0", "-1", "-1")])
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    def test_every_slot_written_at_every_piece_size(self, w, size,
+                                                    monkeypatch):
+        args, rep = _writer_case("B", w)
+        assert all(sum(s) <= 0 for s in rep.gens)
+        monkeypatch.setattr(cli, "ROWS_PER_WRITE", size)
+        assert ("".join(_writes(cli._rep_json, args, rep.lam, rep))
+                == ref_rep_json("B", rep.lam, rep))
+        assert ("".join(_writes(cli._rep_csv, args, rep))
+                == ref_rep_csv("B", rep))
+
+
 class TestBasisGarbage:
     def test_basis_leaves_no_cyclic_garbage_per_pattern(self):
         # with the collector off, every reference cycle the writer leaves
@@ -244,8 +262,10 @@ class TestSharedEntryText:
     distinct objects."""
 
     def _rep(self):
-        base = so_rep(("-1", "-2"))
-        dim, wide = base.dim, 2 ** 70 + 3
+        # a built module with four stored slots replaced: F(0,2) and F(0,1)
+        # are written from F(-2,0) and F(-1,0), negated
+        rep = fresh_so_rep(("-1", "-2"))
+        dim, wide = rep.dim, 2 ** 70 + 3
         shared = Fraction(-3, 7)
         op = Operator(dim)
         for r in range(dim):
@@ -261,10 +281,9 @@ class TestSharedEntryText:
                     op.ent[(r, c)] = Fraction(-wide, 2 ** 65 + 1)
         neg = -op
         assert len({id(v) for v in op.ent.values()}) < len(op.ent)
-        rep = SimpleNamespace(lam=base.lam, patterns=base.patterns, dim=dim,
-                              gens={(-1, 1): op, (0, 2): neg,
-                                    (1, 0): Operator(dim), (2, -2): op})
-        return SimpleNamespace(algebra="B", rank=base.n), rep
+        rep.gens.update({(-1, 1): op, (-2, 0): neg, (-1, 0): Operator(dim),
+                         (2, -2): op})
+        return SimpleNamespace(algebra="B", rank=rep.n), rep
 
     def test_json_matches_json_dumps(self):
         args, rep = self._rep()
@@ -624,14 +643,14 @@ class TestVerify:
         monkeypatch.setattr(cli, "build_so", build)
 
     def test_corruption_hook_trips(self, capsys, monkeypatch):
-        self.corrupting(monkeypatch, (1, 2), (0, 0), Fraction(1, 3))
+        self.corrupting(monkeypatch, (-2, -1), (0, 0), Fraction(1, 3))
         code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "2",
                            "--weight", "0,-1")
         assert code == 1
         assert json.loads(out)["summary"] == "fail"
 
     def test_corruption_hook_zero_removes_entry(self, capsys, monkeypatch):
-        self.corrupting(monkeypatch, (0, 1), (0, 1), 0)
+        self.corrupting(monkeypatch, (-1, 0), (0, 1), 0)
         code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "1",
                            "--weight", "-1/2")
         assert code == 1

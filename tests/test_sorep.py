@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (B_CORPUS, deformed_raise, fresh_so_rep,
-                      ref_build_f_raise, ref_lower_step_terms,
+from conftest import (B_CORPUS, all_gens, all_slots, deformed_raise,
+                      fresh_so_rep, ref_build_f_raise, ref_lower_step_terms,
                       ref_prime_drop_terms, ref_sig_case_terms,
                       ref_single_step, so_rep)
 from gtrep import (
@@ -163,10 +163,10 @@ class TestSpinorModule:
 class TestBrackets:
     def test_raise_lower_bracket_gives_diagonal(self):
         r = so_rep(("-1",))
-        got = r.gens[(0, 1)].commutator(r.gens[(0, -1)])
+        got = r.gen(0, 1).commutator(r.gen(0, -1))
         want = Operator(r.dim)
         for slot, coef in structure_table(1)[((0, 1), (0, -1))].items():
-            want = want + r.gens[slot].scale(coef)
+            want = want + r.gen(*slot).scale(coef)
         assert got == want
 
     def test_table_antisymmetry(self):
@@ -221,7 +221,8 @@ class TestBrackets:
     def test_closure_runs_one_commutator_per_missing_slot(self, n,
                                                           monkeypatch):
         # seeded from the defining module, the fixed bracket plan must
-        # rebuild every slot of it with 2n(n-1) commutators
+        # rebuild every stored slot of it, i + j <= 0, with 2n(n-1)
+        # commutators
         defs = defining_operators(n)
         seeds = {}
         for k in range(1, n + 1):
@@ -238,13 +239,13 @@ class TestBrackets:
         monkeypatch.setattr(Operator, "commutator", counted)
         got = close_generators(n, seeds, 2 * n + 1)
         assert len(calls) == 2 * n * (n - 1)
-        assert got == defs
+        assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
 
     @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
                                    ("-1/2", "-3/2", "-5/2")])
     def test_closure_keeps_one_object_per_value(self, w):
-        # every value the closure stores, in the seeds, the bracketed
-        # slots and their mirrors, is the build's one object of it
+        # every value the closure stores, in the seeds and the bracketed
+        # slots, is the build's one object of it
         r = so_rep(w)
         stored = [v for op in r.gens.values() for v in op.ent.values()]
         assert len({id(v) for v in stored}) == len(set(stored))
@@ -266,21 +267,23 @@ class TestBrackets:
         for ab, cd, target in plan:
             # [F(ab), F(cd)] = coef * F(cs), cs the canonical slot
             ((cs, coef),) = tab[(ab, cd)].items()
-            got = r.gens[ab].commutator(r.gens[cd])
+            got = r.gen(*ab).commutator(r.gen(*cd))
             assert got == r.gens[cs].scale(coef), target
 
     @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
-                                   ("-1/2", "-3/2", "-5/2")])
+                                   ("-1/2", "-3/2", "-5/2")] + B_CORPUS)
     def test_mirror_slots_are_negated_entry_by_entry(self, w):
+        # every slot read through gen, stored or not
         r = so_rep(w)
-        for (i, j), op in r.gens.items():
-            mirror = r.gens[(-j, -i)].ent
-            assert mirror == {k: -v for k, v in op.ent.items()}
-            assert list(mirror) == list(op.ent)
+        for i, j in all_slots("B", r.n):
+            op, mirror = r.gen(i, j).ent, r.gen(-j, -i).ent
+            assert op == {k: -v for k, v in mirror.items()}, (i, j)
+            assert list(op) == list(mirror)
 
     def test_closure_shares_values_across_seeds(self):
         # equal seed values held by distinct objects end as one object,
-        # and each mirror value is that of its negation
+        # and a seed stored at its mirror slot takes the objects of the
+        # negated values
         n = 2
         defs = defining_operators(n)
         seeds = {}
@@ -290,7 +293,7 @@ class TestBrackets:
                     pos: Fraction(v.numerator, v.denominator)
                     for pos, v in defs[slot].ent.items()})
         got = close_generators(n, seeds, 2 * n + 1)
-        assert got == defs
+        assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
         stored = {id(v): v for op in got.values() for v in op.ent.values()}
         assert sorted(stored.values()) == [-1, 1]
 
@@ -298,13 +301,35 @@ class TestBrackets:
     def test_all_commutators_close(self, w):
         r = so_rep(w)
         tab = structure_table(r.n)
-        for ab in r.gens:
-            for cd in r.gens:
-                got = r.gens[ab].commutator(r.gens[cd])
+        gens = all_gens("B", r)
+        for ab in gens:
+            for cd in gens:
+                got = gens[ab].commutator(gens[cd])
                 want = Operator(r.dim)
                 for slot, coef in tab[(ab, cd)].items():
-                    want = want + r.gens[slot].scale(coef)
+                    want = want + gens[slot].scale(coef)
                 assert got == want, (w, ab, cd)
+
+
+class TestStorageRule:
+    """A type B build stores F(i,j) for i + j <= 0 only, F(i,-i) as the
+    zero operator, and reads every other slot as -F(-j,-i)."""
+
+    @pytest.mark.parametrize("w", B_CORPUS)
+    def test_stored_slots_are_exactly_those_with_i_plus_j_at_most_zero(
+            self, w):
+        r = so_rep(w)
+        assert sorted(r.gens) == [s for s in all_slots("B", r.n)
+                                  if sum(s) <= 0]
+        assert all(not r.gens[(i, -i)] for i in range(-r.n, r.n + 1))
+
+    def test_a_read_mirror_negates_each_value_object_once(self):
+        r = so_rep(("-1", "-1", "-2"))
+        for (i, j), op in r.gens.items():
+            got = r.gen(-j, -i)
+            assert got is not op or i + j == 0
+            ids = {id(v) for v in op.ent.values()}
+            assert len({id(v) for v in got.ent.values()}) == len(ids)
 
 
 class TestDeformationAgreement:
@@ -483,9 +508,11 @@ class TestWholeModules:
         assert all(not op for op in r.gens.values())
 
     def test_generator_count(self):
+        # all 25 slots read through gen; 15 of them are stored
         r = so_rep(("0", "-1"))
-        assert set(r.gens) == {(i, j) for i in (-2, -1, 0, 1, 2)
-                               for j in (-2, -1, 0, 1, 2)}
+        slots = all_slots("B", 2)
+        assert len(slots) == 25 and len(r.gens) == 15
+        assert all(r.gen(*s).dim == r.dim for s in slots)
 
     def test_span_rank_is_algebra_dimension(self):
         from gtrep import rank_of
