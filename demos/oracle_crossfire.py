@@ -17,7 +17,7 @@ from gtrep import (build_gl, build_so, casimir_scalar, check_branching,
 
 so = build_so(("-1", "-2"))
 print("o(5) module with highest weight (-1,-2), dim", so.dim)
-print(json.dumps(run_verification(so, "B", level="full").to_json(),
+print(json.dumps(run_verification(so, level="full").to_json(),
                  indent=2))
 print()
 
@@ -37,7 +37,7 @@ print()
 print("now corrupt one entry of one generator and re-verify:")
 # F(-2,-1) is stored; F(1,2) = -F(-2,-1) is read from it, corrupted too
 so.gens[(-2, -1)].ent[(0, 0)] = Fraction(1, 3)
-report = run_verification(so, "B", level="full")
+report = run_verification(so, level="full")
 for c in report.checks:
     print("  %-55s %s" % (c["name"], "ok" if c["pass"] else "FAIL"))
 print("summary:", report.summary())

@@ -135,7 +135,7 @@ def _is_multiple(got, c, want):
     return True
 
 
-def _structure_witness(rep, algebra_type):
+def _structure_witness(rep):
     """First failing relation of the Chevalley–Serre presentation, or
     None. By Serre's theorem the Chevalley images that satisfy these
     relations extend to a homomorphism from the algebra (for gl(n), with
@@ -158,7 +158,7 @@ def _structure_witness(rep, algebra_type):
     i + j > 0 is -F(-j,-i) by construction; each one read is made once
     per call. That is O(n^2) commutators instead of one per pair of
     slots."""
-    p = presentation(algebra_type, rep.n)
+    p = presentation(rep.algebra, rep.n)
     for slot in sorted(rep.gens):
         if p.table.canonical(slot)[0] is None and rep.gens[slot]:
             return ("antisymmetry", slot)
@@ -215,10 +215,10 @@ def _structure_witness(rep, algebra_type):
     return None
 
 
-def check_structure_constants(rep, algebra_type):
+def check_structure_constants(rep):
     """One report line; its witness is _structure_witness's, if any."""
     report = VerificationReport()
-    w = _structure_witness(rep, algebra_type)
+    w = _structure_witness(rep)
     report.add("all generator commutators match the bracket table",
                w is None, w)
     return report
@@ -552,10 +552,11 @@ def _is_scalar(form, dim, s):
         {(c, c): int(t) for c in range(dim)} if t else {})
 
 
-def run_verification(rep, algebra_type, level="fast"):
+def run_verification(rep, level="fast"):
+    """Every check of level "fast" or "full" on rep, for rep.algebra."""
     report = VerificationReport()
-    report.extend(check_structure_constants(rep, algebra_type))
-    dim = weyl_dim(algebra_type, rep.lam)
+    report.extend(check_structure_constants(rep))
+    dim = weyl_dim(rep.algebra, rep.lam)
     report.add("basis size equals the Weyl dimension formula",
                rep.dim == dim, None if rep.dim == dim else (rep.dim, dim))
 
@@ -580,9 +581,9 @@ def run_verification(rep, algebra_type, level="fast"):
                witness is None, witness)
 
     if level == "full":
-        if algebra_type == "B":
+        if rep.algebra == "B":
             report.extend(check_branching(rep))
-        want = casimir_highest_value(algebra_type, rep.lam)
+        want = casimir_highest_value(rep.algebra, rep.lam)
         # one int table for the Casimir, Capelli and form checks, made at
         # its first use and dropped after its last
         forms = int_forms(rep)
@@ -593,17 +594,17 @@ def run_verification(rep, algebra_type, level="fast"):
         except NonScalarError as e:
             report.add("Casimir sum is the scalar dictated by the top weight",
                        False, e.witness)
-        if algebra_type == "B":
+        if rep.algebra == "B":
             del forms
         hist = {}
         for w_ in rep.weights:
             hist[w_] = hist.get(w_, 0) + 1
-        freud = freudenthal_multiplicities(algebra_type, rep.lam)
+        freud = freudenthal_multiplicities(rep.algebra, rep.lam)
         report.add("weight histogram matches the Freudenthal recursion",
                    hist == freud,
                    None if hist == freud else sorted(
                        set(hist.items()) ^ set(freud.items()))[:3])
-        if algebra_type == "A":
+        if rep.algebra == "A":
             cwit = None
             ls = [Fraction(x) - i for i, x in enumerate(rep.lam)]
             for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(7)):

@@ -194,14 +194,14 @@ def _build_rep(args, lam):
 _ENCODE = json.JSONEncoder(indent=2).encode
 
 
-def _head(args, lam, patterns, write):
+def _head(algebra, lam, patterns, write):
     # the header fields, then the basis, leaving the top-level object open;
     # every module has at least one pattern. One encoder pass writes the
     # whole basis, since each pass leaves its nested closures as reference
     # cycles; it asks default for each pattern's JSON when it reaches it,
     # and the text before that goes out then, shifted to depth 1, so each
     # write holds one pattern
-    head = _ENCODE({"algebra": {"type": args.algebra, "rank": args.rank},
+    head = _ENCODE({"algebra": {"type": algebra, "rank": len(lam)},
                     "highest_weight": [format_rational(x) for x in lam],
                     "dimension": len(patterns)})
     # the header object without its closing "\n}"
@@ -235,28 +235,19 @@ class _Texts(dict):
 ROWS_PER_WRITE = 1024
 
 
-def _slots(args, rep):
-    # every slot (i, j) in sorted order, with the stored operator its
-    # entries are written from and whether they are negated: a type B
-    # build stores F(i,j) for i + j <= 0 only, and F(i,j) = -F(-j,-i)
-    idx = range(1 if args.algebra == "A" else -rep.n, rep.n + 1)
-    for i in idx:
-        for j in idx:
-            op = rep.gens.get((i, j))
-            if op is None:
-                yield i, j, rep.gens[(-j, -i)], True
-            else:
-                yield i, j, op, False
+# the letter of each algebra's generator names
+_LETTER = {"A": "E", "B": "F"}
 
 
-def _entries(op, negate, rows, cols, value, sep):
-    # the entries of op (of -op when negate is set) in sorted order, each
-    # as its row index's text (rows[r]), its column index's text (cols[c])
-    # and its value's text joined, in pieces of at most ROWS_PER_WRITE
-    # entries with sep between any two; an empty op gives one empty
-    # piece. The value's text is Fraction.__str__'s, negated as text when
-    # negate is set, put into the "%s" template value once per value
-    # object (op holds them, so ids stay fixed)
+def _entries(op, sign, rows, cols, value, sep):
+    # the entries of sign * op in sorted order, each as its row index's
+    # text (rows[r]), its column index's text (cols[c]) and its value's
+    # text joined, in pieces of at most ROWS_PER_WRITE entries with sep
+    # between any two; an empty op gives one empty piece. The value's text
+    # is Fraction.__str__'s, negated as text when sign is -1, put into the
+    # "%s" template value once per value object (op holds them, so ids
+    # stay fixed). Rep.stored gives op and sign, so no mirror Operator is
+    # ever built
     ent = op.ent
     keys = sorted(ent)
     made = {}
@@ -268,7 +259,7 @@ def _entries(op, negate, rows, cols, value, sep):
             text = made.get(id(v))
             if text is None:
                 text = str(v)
-                if negate:
+                if sign < 0:
                     # v is never 0
                     text = text[1:] if text[0] == "-" else "-" + text
                 text = made[id(v)] = value % text
@@ -289,38 +280,40 @@ _HEAD = '%s"%s(%d,%d)": {\n      "dim": %d,\n      "entries": '
 _TAIL = "\n    }"
 
 
-def _rep_json(args, lam, rep, write):
+def _rep_json(rep, write):
     # the header and basis, each operator block as its head, its rows a
     # piece at a time and its tail, then the footer; every module has at
     # least one generator slot
-    letter = "E" if args.algebra == "A" else "F"
-    _head(args, lam, rep.patterns, write)
+    letter = _LETTER[rep.algebra]
+    _head(rep.algebra, rep.lam, rep.patterns, write)
     write(',\n  "operators": {')
     sep = "\n    "
     row_texts, col_texts = _Texts(_JSON_ROW), _Texts(_JSON_COL)
-    for i, j, op, negate in _slots(args, rep):
+    for i, j in rep.slots():
+        op, sign = rep.stored(i, j)
         head = _HEAD % (sep, letter, i, j, rep.dim)
         sep = ",\n    "
         if not op.ent:
             write(head + "[]" + _TAIL)
             continue
         write(head + "[\n" + "  " * 4)
-        for piece in _entries(op, negate, row_texts, col_texts, _JSON_VALUE,
+        for piece in _entries(op, sign, row_texts, col_texts, _JSON_VALUE,
                               _JSON_SEP):
             write(piece)
         write("\n      ]" + _TAIL)
     write("\n  }\n}\n")
 
 
-def _rep_csv(args, rep, write):
+def _rep_csv(rep, write):
     # the header row, then each operator's rows a piece at a time
-    letter = "E" if args.algebra == "A" else "F"
+    letter = _LETTER[rep.algebra]
     write("generator,row,col,value\n")
     col_texts = _Texts("%d,")
-    for i, j, op, negate in _slots(args, rep):
+    for i, j in rep.slots():
+        op, sign = rep.stored(i, j)
         # the name holds a comma, so it is quoted; it leads each row text
         name = '"%s(%d,%d)",' % (letter, i, j)
-        for piece in _entries(op, negate, _Texts(name + "%d,"), col_texts,
+        for piece in _entries(op, sign, _Texts(name + "%d,"), col_texts,
                               "%s\n", ""):
             write(piece)
 
@@ -342,7 +335,7 @@ def cmd_patterns(args):
         pats = enumerate_patterns_b(lam, args.cap)
 
     def produce(write):
-        _head(args, lam, pats, write)
+        _head(args.algebra, lam, pats, write)
         write("\n}\n")
 
     _emit(produce, args.out)
@@ -354,10 +347,8 @@ def cmd_build(args):
     _cap_guard(args, lam)
     rep = _build_rep(args, lam)
     # nothing is written until the build has returned
-    if args.format == "csv":
-        _emit(functools.partial(_rep_csv, args, rep), args.out)
-    else:
-        _emit(functools.partial(_rep_json, args, lam, rep), args.out)
+    writer = _rep_csv if args.format == "csv" else _rep_json
+    _emit(functools.partial(writer, rep), args.out)
     return 0
 
 
@@ -366,7 +357,7 @@ def cmd_verify(args):
     lam = _weight_of(args)
     _cap_guard(args, lam)
     rep = _build_rep(args, lam)
-    report = run_verification(rep, args.algebra, args.level)
+    report = run_verification(rep, args.level)
     _emit(_text(json.dumps(report.to_json(), indent=2) + "\n"), args.out)
     return 0 if report.passed else 1
 

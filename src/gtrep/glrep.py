@@ -45,11 +45,7 @@ def build_gl(lam, cap=None):
     dim, index, gens = rep.dim, rep.index, rep.gens
 
     for k in range(1, n + 1):
-        op = Operator(dim)
-        for c, w in enumerate(rep.weights):
-            if w[k - 1]:
-                op.ent[(c, c)] = w[k - 1]
-        gens[(k, k)] = op
+        gens[(k, k)] = rep.diagonal(k)
 
     for k in range(1, n):
         up = Operator(dim)

@@ -21,8 +21,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+from .exact import F0, F1
 
 
 class Operator:

@@ -16,15 +16,17 @@ composite operators pass through such arrays while their coefficients are
 regularized, and the interleaving conditions are the ones stable under
 that deformation.
 
-Rep is the one record both builders return: the basis, its index, the
-weight of each basis vector and the generator matrices.
+Rep is the one record both builders return: the algebra, the basis, its
+index, the weight of each basis vector and the generator matrices, with
+the one rule that reads a slot that is not stored from its mirror.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational
+from .linalg import Operator
 
 
 class DimensionCapError(Exception):
@@ -161,10 +163,6 @@ class PatternA:
 
     def to_json(self):
         return {"rows": self._values()}
-
-    @staticmethod
-    def from_json(obj):
-        return PatternA([[parse_rational(x) for x in r] for r in obj["rows"]])
 
 
 def enumerate_patterns_a(lam, cap=None):
@@ -325,13 +323,6 @@ class PatternB:
             "primed_rows": _values(self.primed),
         }
 
-    @staticmethod
-    def from_json(obj):
-        return PatternB(obj["sigma"],
-                        [[parse_rational(x) for x in r] for r in obj["rows"]],
-                        [[parse_rational(x) for x in r]
-                         for r in obj["primed_rows"]])
-
 
 def enumerate_patterns_b(lam, cap=None):
     """All valid B patterns for the highest weight, canonical order."""
@@ -375,33 +366,66 @@ def enumerate_patterns_b(lam, cap=None):
     return tuple(out)
 
 
+def stored_slot(gens, i, j):
+    """(op, sign) with the generator at slot (i, j) equal to sign * op, op
+    held by gens: the slot's own operator when gens holds it, otherwise
+    its mirror's, since F(i,j) = -F(-j,-i) in o(2n+1)."""
+    op = gens.get((i, j))
+    if op is None:
+        return gens[(-j, -i)], -1
+    return op, 1
+
+
 class Rep:
-    """A module over a pattern basis: the highest weight, the basis in
+    """A module over a pattern basis: the highest weight, the algebra ("A"
+    for gl(n), "B" for o(2n+1), read off the pattern class), the basis in
     canonical order with its index, the weight of each basis vector (a
     tuple of Fractions) and the stored generator matrices by slot. The
     type A builder stores every E(i,j), 1 <= i,j <= n. The type B
     builder stores F(i,j), -n <= i,j <= n, for i + j <= 0 only, F(i,-i)
-    as the zero operator; gen reads the other slots."""
+    as the zero operator; stored and gen read the other slots."""
 
-    __slots__ = ("lam", "n", "dim", "patterns", "index", "weights", "gens")
+    __slots__ = ("lam", "n", "algebra", "dim", "patterns", "index",
+                 "weights", "gens")
 
     def __init__(self, lam, patterns):
         self.lam = lam
         self.n = len(lam)
+        self.algebra = "A" if isinstance(patterns[0], PatternA) else "B"
         self.patterns = patterns
         self.dim = len(patterns)
         self.index = {p: i for i, p in enumerate(patterns)}
         self.weights = tuple(p.weight() for p in patterns)
         self.gens = {}
 
+    def slots(self):
+        """Every generator slot (i, j) in sorted order, stored or not:
+        1 <= i,j <= n for type A, -n <= i,j <= n for type B."""
+        idx = range(1 if self.algebra == "A" else -self.n, self.n + 1)
+        return itertools.product(idx, idx)
+
+    def stored(self, i, j):
+        """(op, sign) with the generator at (i, j) equal to sign * op, op a
+        stored matrix (stored_slot): a type B F(i,j) with i + j > 0 is
+        -F(-j,-i)."""
+        return stored_slot(self.gens, i, j)
+
     def gen(self, i, j):
-        """The generator at slot (i, j). A slot that is not stored, a
-        type B F(i,j) with i + j > 0, is -F(-j,-i): a new Operator on
-        each call, with one negated object per value object of F(-j,-i)
-        (Operator.__neg__)."""
-        op = self.gens.get((i, j))
-        if op is None:
-            return -self.gens[(-j, -i)]
+        """The generator at slot (i, j): a stored matrix itself, otherwise
+        a new Operator on each call, with one negated object per value
+        object of the stored mirror (Operator.__neg__)."""
+        op, sign = stored_slot(self.gens, i, j)
+        return op if sign == 1 else -op
+
+    def diagonal(self, k):
+        """E(k,k) or F(k,k), built from the weights: entry k of each basis
+        vector's weight on the diagonal, zeros absent, equal values as one
+        object."""
+        op = Operator(self.dim)
+        shared = {}
+        for c, w in enumerate(self.weights):
+            if w[k - 1]:
+                op.ent[(c, c)] = shared.setdefault(w[k - 1], w[k - 1])
         return op
 
     def highest_index(self):

@@ -42,7 +42,8 @@ from math import lcm
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
 from .linalg import RANK_PRIME, BracketTable, Operator, rref
-from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
+from .patterns import (PatternB, Rep, check_weight_so, enumerate_patterns_b,
+                       stored_slot)
 
 
 class ConstructionError(Exception):
@@ -271,16 +272,6 @@ def prime_drop_terms(pat, k, valid):
     return terms
 
 
-def build_f_diag(basis, k):
-    op = Operator(basis.dim)
-    shared = {}  # equal eigenvalues as one object
-    for c in range(basis.dim):
-        w = basis.weights[c][k - 1]
-        if w:
-            op.ent[(c, c)] = shared.setdefault(w, w)
-    return op
-
-
 def _slice_columns(basis, k, column, trace=None):
     """A level-k step generator, evaluated once per level-k slice (see the
     module docstring).
@@ -438,24 +429,15 @@ def defining_operators(n):
     return ops
 
 
-def _canon_slot(p, q):
-    # F(p,q) and -F(-q,-p) are the same operator; F(p,-p) = 0
-    if p == -q:
-        return None, 0
-    alt = (-q, -p)
-    if (p, q) <= alt:
-        return (p, q), 1
-    return alt, -1
-
-
 @functools.cache
 def structure_table(n):
     """The o(2n+1) bracket table (linalg.BracketTable) over the slots
-    -n..n, read off the defining module, one per n; a slot's coefficient
-    is read at its own position when the slot is canonical. Only the
-    entries asked for are computed."""
+    -n..n, read off the defining module, one per n. The canonical slots
+    are F(p,q) with p + q < 0: F(p,-p) = 0, and every other slot is its
+    mirror negated, F(p,q) = -F(-q,-p). A canonical slot's coefficient is
+    read at its own position. Only the entries asked for are computed."""
     slot_at = {(p + n, q + n): (p, q) for p in range(-n, n + 1)
-               for q in range(-n, n + 1) if _canon_slot(p, q)[0] == (p, q)}
+               for q in range(-n, n + 1) if p + q < 0}
     return BracketTable(defining_operators(n), slot_at)
 
 
@@ -468,11 +450,12 @@ def close_generators(n, seeds, dim):
       [F(i,0), F(0,j)].
 
     Only the slots with i + j <= 0 are stored, F(i,-i) as the zero
-    operator; F(i,j) with i + j > 0 is -F(-j,-i) (Rep.gen). So a seed or
-    bracket operand at such a slot is its stored mirror with the sign
-    carried, F(i,0) = -F(0,-i) for instance, and a bracket lands on the
-    stored slot of its target. Each bracket's coefficient is read from
-    structure_table(n), which must give the bracket as +-1 times the
+    operator; F(i,j) with i + j > 0 is -F(-j,-i). So a bracket operand at
+    such a slot is its stored mirror with the sign carried, read as
+    Rep.gen reads it (patterns.stored_slot), F(i,0) = -F(0,-i) for
+    instance, and a seed or a bracket lands on the canonical slot of its
+    target (structure_table(n).canonical). Each bracket's coefficient is
+    read from that table, which must give the bracket as +-1 times the
     target slot alone, so no commutator is rescaled. One commutator per
     missing stored slot, 2n(n-1) in all. Every value stored, in a seed or
     a bracket, is the build's one object of that value; the seeds' entry
@@ -481,26 +464,19 @@ def close_generators(n, seeds, dim):
     known = {}
     values = {}
 
-    def operand(slot):
-        # F(slot) as (stored operator, sign)
-        op = known.get(slot)
-        if op is None:
-            return known[(-slot[1], -slot[0])], -1
-        return op, 1
-
     def store(slot, op, sign=1):
-        # sign * op at slot, or -sign * op at its stored mirror
-        cs, s = _canon_slot(*slot)
+        # sign * op at slot, or -sign * op at its canonical mirror
+        cs, s = table.canonical(slot)
         _share(op, values, sign * s)
         known[cs] = op
 
     def bracket(ab, cd, target):
-        cs, _ = _canon_slot(*target)
+        cs, _ = table.canonical(target)
         terms = table[(ab, cd)]
         if set(terms) != {cs} or abs(terms[cs]) != 1:
             raise ConstructionError("bracket [F%s, F%s] is not +-F%s"
                                     % (ab, cd, target))
-        (x, sx), (y, sy) = operand(ab), operand(cd)
+        (x, sx), (y, sy) = stored_slot(known, *ab), stored_slot(known, *cd)
         store(cs, x.commutator(y), terms[cs] * sx * sy)
 
     for i in range(-n, n + 1):
@@ -547,17 +523,13 @@ def build_so(lam, cap=None, trace=None):
     rep = Rep(lam, enumerate_patterns_b(lam, cap))
     seeds = {}
     for k in range(1, n + 1):
-        seeds[(k, k)] = build_f_diag(rep, k)
+        seeds[(k, k)] = rep.diagonal(k)
         seeds[(k - 1, -k)] = build_f_lower(rep, k)
         seeds[(k - 1, k)] = build_f_raise(rep, k, trace=trace)
     rep.gens = close_generators(n, seeds, rep.dim)
     if any(lam):
         _check_span_rank(rep)
     return rep
-
-
-# the prime of the span rank taken mod p first
-SPAN_PRIME = RANK_PRIME
 
 
 def _check_span_rank(rep):
@@ -576,7 +548,7 @@ def _slot_rank(ents, dim):
     positions of every slot, spread evenly over its entries in stored
     order, every slot restricted to their union. A restriction never has
     a larger rank than the full rows, nor a rank mod p than over Q, so a
-    restricted rank mod SPAN_PRIME equal to the row count is the rank.
+    restricted rank mod RANK_PRIME equal to the row count is the rank.
     Otherwise m doubles, and once the positions cover every entry
     span_rank decides on the full rows. Spread positions keep apart the
     diagonal slots, whose leading entries are the first patterns' shared
@@ -605,18 +577,18 @@ def _restrict(ent, cols, dim):
 
 
 def _rank_mod_p(rows):
-    # the rank mod SPAN_PRIME of Fraction rows, each scaled to integers
+    # the rank mod RANK_PRIME of Fraction rows, each scaled to integers
     scaled = []
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
         scaled.append({c: v.numerator * (den // v.denominator)
                        for c, v in row.items()})
-    return len(rref(scaled, modulus=SPAN_PRIME))
+    return len(rref(scaled, modulus=RANK_PRIME))
 
 
 def span_rank(rows):
     """Exact rank of sparse Fraction rows. Each row is scaled to integers
-    and the rank taken mod SPAN_PRIME; the rank mod p never exceeds the
+    and the rank taken mod RANK_PRIME; the rank mod p never exceeds the
     rank over Q, so when it equals the row count it is the rank. Otherwise
     the exact rref decides."""
     got = _rank_mod_p(rows)

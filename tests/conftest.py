@@ -14,8 +14,8 @@ from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.glrep import capelli_ints, int_forms
 from gtrep.linalg import int_form_operator, restricted_rows
-from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _canon_slot,
-                         _lp, _lu, deformed_column, mid_row_prefactor,
+from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _lp, _lu,
+                         deformed_column, mid_row_prefactor,
                          prime_drop_weight, prime_shift_weight,
                          raise_column_terms, structure_table)
 
@@ -308,12 +308,12 @@ def all_raising(rep, k):
             for i in range(-(k - 1), k) for j in range(i + 1, k)]
 
 
-def pairwise_structure_witness(rep, algebra_type):
+def pairwise_structure_witness(rep):
     # every unordered pair of distinct canonical slots bracketed once,
     # after the type B canonical-form comparison of every slot read
     # through rep.gen: the reference the Chevalley-Serre oracle must agree
     # with, pass or fail
-    if algebra_type == "A":
+    if rep.algebra == "A":
         keys = sorted(rep.gens)
 
         def expected(ab, cd):
@@ -326,13 +326,13 @@ def pairwise_structure_witness(rep, algebra_type):
             return out
     else:
         zero = Operator(rep.dim)
+        table = structure_table(rep.n)
         for slot in all_slots("B", rep.n):
-            cs, sgn = _canon_slot(*slot)
+            cs, sgn = table.canonical(slot)
             want = zero if cs is None else rep.gen(*cs).scale(sgn)
             if rep.gen(*slot) != want:
                 return ("antisymmetry", slot)
-        keys = [s for s in sorted(rep.gens) if _canon_slot(*s)[0] == s]
-        table = structure_table(rep.n)
+        keys = [s for s in sorted(rep.gens) if table.canonical(s)[0] == s]
 
         def expected(ab, cd):
             out = Operator(rep.dim)

@@ -28,6 +28,7 @@ from gtrep import (
     defining_operators,
     freudenthal_multiplicities,
     run_verification,
+    structure_table,
     weyl_dim,
 )
 from gtrep import checks, glrep
@@ -35,7 +36,6 @@ from gtrep.checks import (_freudenthal, _joint_kernel, _orbit, _phi_witness,
                           _raising, _root_datum, _structure_witness,
                           presentation)
 from gtrep.linalg import product_sum, restricted_rows
-from gtrep.sorep import _canon_slot
 
 
 class TestWeylDim:
@@ -203,7 +203,7 @@ class TestSimpleRaisingKernels:
                 weyl_dim("B", mu)
         lines = check_branching(r).checks
         assert not lines[0]["pass"] and lines[0]["witness"]
-        report = run_verification(r, "B", level="full")
+        report = run_verification(r, level="full")
         assert report.summary() == "fail"
 
 
@@ -219,7 +219,7 @@ def _reference_report(r, algebra, monkeypatch):
         m.setattr(checks, "_raising", all_raising)
         m.setattr(checks, "contravariant_gram",
                   lambda rep, forms=None: block_gram(rep))
-        return run_verification(r, algebra, level="full")
+        return run_verification(r, level="full")
 
 
 class TestMutantsAgainstReferences:
@@ -247,7 +247,7 @@ class TestMutantsAgainstReferences:
                 if t % every:
                     continue
                 r.gens[slot] = bad
-                new = run_verification(r, algebra, level="full")
+                new = run_verification(r, level="full")
                 ref = _reference_report(r, algebra, monkeypatch)
                 r.gens[slot] = orig
                 seen += 1
@@ -302,8 +302,9 @@ class TestCasimir:
         r = so_rep(("0", "-1"))
         slots = sorted(r.gens)
         assert slots == [s for s in all_slots("B", 2) if sum(s) <= 0]
+        canon = structure_table(2).canonical
         assert slots == sorted(
-            {_canon_slot(*s)[0] for s in all_slots("B", 2)} - {None}
+            {canon(s)[0] for s in all_slots("B", 2)} - {None}
             | {(i, -i) for i in range(-2, 3)})
         assert list(glrep.int_forms(r)) == slots
         r = gl_rep((2, 1, 0))
@@ -349,7 +350,7 @@ class TestCasimir:
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         assert e.value.witness == (*pos, want)
-        report = run_verification(r, algebra, level="full")
+        report = run_verification(r, level="full")
         line = {c["name"]: c for c in report.checks}[
             "Casimir sum is the scalar dictated by the top weight"]
         assert line["witness"] == str((*pos, want))
@@ -437,30 +438,30 @@ class TestFreudenthal:
 class TestStructure:
     @pytest.mark.parametrize("w", [("-1",), ("-1/2", "-3/2")])
     def test_so_passes(self, w):
-        assert check_structure_constants(so_rep(w), "B").passed
+        assert check_structure_constants(so_rep(w)).passed
 
     @pytest.mark.parametrize("lam", [(1, 0), (2, 1, 0)])
     def test_gl_passes(self, lam):
-        assert check_structure_constants(gl_rep(lam), "A").passed
+        assert check_structure_constants(gl_rep(lam)).passed
 
     def test_single_entry_perturbation_detected(self):
         r = fresh_so_rep(("0", "-1"))
         r.gens[(-2, -1)].ent[(0, 0)] = Fraction(1, 3)
-        assert not check_structure_constants(r, "B").passed
+        assert not check_structure_constants(r).passed
 
     @pytest.mark.parametrize("algebra, rep", [
         ("B", lambda: fresh_so_rep(("0", "-1"))),
         ("A", lambda: fresh_gl_rep((2, 1, 0)))])
     def test_every_slot_perturbation_detected(self, algebra, rep):
         r = rep()
-        assert check_structure_constants(r, algebra).passed
+        assert check_structure_constants(r).passed
         for slot in sorted(r.gens):
             orig = r.gens[slot]
             bad = Operator(orig.dim, dict(orig.ent))
             bad.add_to(*(min(orig.ent) if orig.ent else (0, 0)),
                        Fraction(1, 3))
             r.gens[slot] = bad
-            assert not check_structure_constants(r, algebra).passed, slot
+            assert not check_structure_constants(r).passed, slot
             r.gens[slot] = orig
 
     def test_scalar_in_vanishing_slot_detected(self):
@@ -468,7 +469,7 @@ class TestStructure:
         # generators, so only the entrywise slot comparison catches it
         r = fresh_so_rep(("0", "-1"))
         r.gens[(1, -1)] = scalar_op(r.dim, 1)
-        report = run_verification(r, "B", "fast")
+        report = run_verification(r, "fast")
         assert not report.passed
         assert report.checks[0]["witness"] == str(("antisymmetry", (1, -1)))
 
@@ -485,7 +486,8 @@ def _hand_cartan(algebra, n):
 
 
 class _Module(SimpleNamespace):
-    # n, dim and the stored slots gens, each slot read as a Rep reads it
+    # algebra, n, dim and the stored slots gens, each slot read as a Rep
+    # reads it
     gen = Rep.gen
 
 
@@ -493,12 +495,12 @@ def _defining_module(algebra, n):
     # the defining module wrapped as a module: o(2n+1) on 2n+1 vectors,
     # stored as a build stores it, gl(n) on the elementary matrices
     if algebra == "B":
-        return _Module(n=n, dim=2 * n + 1,
+        return _Module(algebra=algebra, n=n, dim=2 * n + 1,
                        gens={s: op for s, op in defining_operators(n).items()
                              if sum(s) <= 0})
     gens = {(i, j): Operator(n, {(i - 1, j - 1): Fraction(1)})
             for i in range(1, n + 1) for j in range(1, n + 1)}
-    return _Module(n=n, dim=n, gens=gens)
+    return _Module(algebra=algebra, n=n, dim=n, gens=gens)
 
 
 def _count_commutators(monkeypatch):
@@ -530,11 +532,12 @@ class TestStructurePresentation:
             def canon(s):
                 return s
         else:
-            slots = {_canon_slot(i, j)[0] for i in range(-n, n + 1)
+            table = structure_table(n)
+            slots = {table.canonical((i, j))[0] for i in range(-n, n + 1)
                      for j in range(-n, n + 1)} - {None}
 
             def canon(s):
-                return _canon_slot(*s)[0]
+                return table.canonical(s)[0]
         given = {canon(s) for s in p.cartan} | {
             canon(s) for pair in p.pairs for s in pair}
         targets = [t for _, _, t in p.plan]
@@ -553,8 +556,8 @@ class TestStructurePresentation:
     @pytest.mark.parametrize("algebra", ["A", "B"])
     def test_passes_on_the_defining_module(self, algebra, n):
         rep = _defining_module(algebra, n)
-        assert _structure_witness(rep, algebra) is None
-        assert check_structure_constants(rep, algebra).passed
+        assert _structure_witness(rep) is None
+        assert check_structure_constants(rep).passed
 
     def test_no_serre_pairs_or_extra_slots_at_rank_one(self):
         for algebra in ("A", "B"):
@@ -568,19 +571,19 @@ class TestStructurePresentation:
         ("B", ("0", "0", "0")), ("A", (3,)), ("A", (0,)), ("A", (0, 0, 0))])
     def test_passes_on_rank_one_and_trivial_modules(self, algebra, w):
         rep = gl_rep(w) if algebra == "A" else so_rep(w)
-        assert _structure_witness(rep, algebra) is None
+        assert _structure_witness(rep) is None
 
     @pytest.mark.parametrize("lam", A_CORPUS)
     def test_agrees_with_pairwise_on_gl_corpus(self, lam):
         r = gl_rep(lam)
-        assert _structure_witness(r, "A") is None
-        assert pairwise_structure_witness(r, "A") is None
+        assert _structure_witness(r) is None
+        assert pairwise_structure_witness(r) is None
 
     @pytest.mark.parametrize("w", B_CORPUS)
     def test_agrees_with_pairwise_on_so_corpus(self, w):
         r = so_rep(w)
-        assert _structure_witness(r, "B") is None
-        assert pairwise_structure_witness(r, "B") is None
+        assert _structure_witness(r) is None
+        assert pairwise_structure_witness(r) is None
 
     @pytest.mark.parametrize("algebra, w", [
         ("B", ("0", "-1")), ("B", ("-1/2", "-3/2")), ("A", (2, 1, 0))])
@@ -593,13 +596,13 @@ class TestStructurePresentation:
             orig = r.gens[slot]
             for bad in single_entry_mutants(r, slot):
                 r.gens[slot] = bad
-                new = _structure_witness(r, algebra)
-                old = pairwise_structure_witness(r, algebra)
+                new = _structure_witness(r)
+                old = pairwise_structure_witness(r)
                 assert (new is None) == (old is None), (slot, new, old)
                 flagged += new is not None
             r.gens[slot] = orig
         assert flagged
-        assert _structure_witness(r, algebra) is None
+        assert _structure_witness(r) is None
 
     @pytest.mark.parametrize("algebra, n", [("A", 3), ("A", 5), ("B", 2),
                                             ("B", 4)])
@@ -608,18 +611,18 @@ class TestStructurePresentation:
         rep = _defining_module(algebra, n)
         presentation(algebra, n)
         calls = _count_commutators(monkeypatch)
-        assert _structure_witness(rep, algebra) is None
+        assert _structure_witness(rep) is None
         new = len(calls)
         del calls[:]
-        assert pairwise_structure_witness(rep, algebra) is None
+        assert pairwise_structure_witness(rep) is None
         assert new <= 7 * n * n and new < len(calls)
 
     def test_witness_names_the_failed_relation(self):
         def fails(mutate):
             r = fresh_gl_rep((2, 1, 0))
             mutate(r)
-            w = _structure_witness(r, "A")
-            assert check_structure_constants(r, "A").checks[0]["witness"] \
+            w = _structure_witness(r)
+            assert check_structure_constants(r).checks[0]["witness"] \
                 == str(w)
             return w
 
@@ -648,9 +651,9 @@ STRUCTURE = "all generator commutators match the bracket table"
 CAPELLI = "determinant central element acts by the expected scalar"
 
 
-def _verdicts(r, algebra):
+def _verdicts(r):
     return {c["name"]: c["pass"]
-            for c in run_verification(r, algebra, level="full").checks}
+            for c in run_verification(r, level="full").checks}
 
 
 class TestScaledFormsAreNotKept:
@@ -659,10 +662,10 @@ class TestScaledFormsAreNotKept:
 
     def test_entry_changed_after_a_passing_run_fails(self):
         r = fresh_gl_rep((3, 1, 0))
-        assert all(_verdicts(r, "A").values())
+        assert all(_verdicts(r).values())
         key = min(r.gens[(2, 1)].ent)
         r.gens[(2, 1)].ent[key] *= 2
-        got = _verdicts(r, "A")
+        got = _verdicts(r)
         assert not got[STRUCTURE] and not got[CAPELLI]
 
     def test_capelli_verdict_is_the_permutation_sum_test(self):
@@ -683,7 +686,7 @@ class TestScaledFormsAreNotKept:
                 if perm_capelli(r, u) != scalar_op(r.dim, scal):
                     want = False
                     break
-            assert _verdicts(r, "A")[CAPELLI] == want
+            assert _verdicts(r)[CAPELLI] == want
             verdicts.add(want)
         r.gens[(2, 1)] = orig
         assert False in verdicts
@@ -703,10 +706,10 @@ class TestOneIntTable:
         monkeypatch.setattr(checks, "int_forms", int_forms)
         monkeypatch.setattr(glrep, "int_forms", int_forms)
         r = gl_rep(w) if algebra == "A" else so_rep(w)
-        assert run_verification(r, algebra, level="full").passed
+        assert run_verification(r, level="full").passed
         assert calls == [r]
         del calls[:]
-        run_verification(r, algebra)
+        run_verification(r)
         assert calls == []
 
 
@@ -745,15 +748,15 @@ class TestReportShape:
         assert isinstance(obj["checks"][1]["witness"], str)
 
     def test_driver_fast_and_full(self):
-        fast = run_verification(so_rep(("-1",)), "B", level="fast")
+        fast = run_verification(so_rep(("-1",)), level="fast")
         assert fast.passed and len(fast.checks) == 3
-        full = run_verification(so_rep(("-1",)), "B", level="full")
+        full = run_verification(so_rep(("-1",)), level="full")
         assert full.passed and len(full.checks) == 8
-        full_a = run_verification(gl_rep((2, 1, 0)), "A", level="full")
+        full_a = run_verification(gl_rep((2, 1, 0)), level="full")
         assert full_a.passed and len(full_a.checks) == 7
 
     def test_driver_reports_perturbation(self):
         r = fresh_so_rep(("-1",))
         r.gens[(-1, -1)].ent[(0, 0)] = Fraction(5)
-        rep = run_verification(r, "B", level="full")
+        rep = run_verification(r, level="full")
         assert not rep.passed

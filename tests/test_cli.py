@@ -9,7 +9,6 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -177,8 +176,7 @@ WRITER_MODULES = ([("A", lam) for lam in A_CORPUS + [(0,)]]
 
 
 def _writer_case(algebra, w):
-    rep = gl_rep(w) if algebra == "A" else so_rep(w)
-    return SimpleNamespace(algebra=algebra, rank=rep.n), rep
+    return gl_rep(w) if algebra == "A" else so_rep(w)
 
 
 def _writes(produce, *args):
@@ -200,17 +198,17 @@ class TestTemplateWriter:
     and csv.writer."""
 
     def test_build_json_matches_json_dumps(self, algebra, w):
-        args, rep = _writer_case(algebra, w)
-        assert ("".join(_writes(cli._rep_json, args, rep.lam, rep))
+        rep = _writer_case(algebra, w)
+        assert ("".join(_writes(cli._rep_json, rep))
                 == ref_rep_json(algebra, rep.lam, rep))
 
     def test_build_csv_matches_csv_writer(self, algebra, w):
-        args, rep = _writer_case(algebra, w)
-        assert ("".join(_writes(cli._rep_csv, args, rep))
+        rep = _writer_case(algebra, w)
+        assert ("".join(_writes(cli._rep_csv, rep))
                 == ref_rep_csv(algebra, rep))
 
     def test_patterns_matches_json_dumps(self, algebra, w, capsys):
-        args, rep = _writer_case(algebra, w)
+        rep = _writer_case(algebra, w)
         code, out, _ = run(capsys, "patterns", "--type", algebra, "--rank",
                            str(rep.n), "--weight",
                            ",".join(map(format_rational, rep.lam)))
@@ -227,12 +225,12 @@ class TestMirrorBlocks:
     @pytest.mark.parametrize("size", [1, 7, 1024])
     def test_every_slot_written_at_every_piece_size(self, w, size,
                                                     monkeypatch):
-        args, rep = _writer_case("B", w)
+        rep = _writer_case("B", w)
         assert all(sum(s) <= 0 for s in rep.gens)
         monkeypatch.setattr(cli, "ROWS_PER_WRITE", size)
-        assert ("".join(_writes(cli._rep_json, args, rep.lam, rep))
+        assert ("".join(_writes(cli._rep_json, rep))
                 == ref_rep_json("B", rep.lam, rep))
-        assert ("".join(_writes(cli._rep_csv, args, rep))
+        assert ("".join(_writes(cli._rep_csv, rep))
                 == ref_rep_csv("B", rep))
 
 
@@ -248,8 +246,7 @@ class TestBasisGarbage:
             gc.collect()
             gc.disable()
             try:
-                cli._head(SimpleNamespace(algebra="B", rank=len(lam)), lam,
-                          pats, [].append)
+                cli._head("B", lam, pats, [].append)
                 counts.append(gc.collect())
             finally:
                 gc.enable()
@@ -283,16 +280,16 @@ class TestSharedEntryText:
         assert len({id(v) for v in op.ent.values()}) < len(op.ent)
         rep.gens.update({(-1, 1): op, (-2, 0): neg, (-1, 0): Operator(dim),
                          (2, -2): op})
-        return SimpleNamespace(algebra="B", rank=rep.n), rep
+        return rep
 
     def test_json_matches_json_dumps(self):
-        args, rep = self._rep()
-        assert ("".join(_writes(cli._rep_json, args, rep.lam, rep))
+        rep = self._rep()
+        assert ("".join(_writes(cli._rep_json, rep))
                 == ref_rep_json("B", rep.lam, rep))
 
     def test_csv_matches_csv_writer(self):
-        args, rep = self._rep()
-        assert ("".join(_writes(cli._rep_csv, args, rep))
+        rep = self._rep()
+        assert ("".join(_writes(cli._rep_csv, rep))
                 == ref_rep_csv("B", rep))
 
 
@@ -313,27 +310,27 @@ class TestRowPieces:
     that split a block, exactly fill one, or hold an empty slot."""
 
     def _sizes(self):
-        args, rep = TestSharedEntryText()._rep()
+        rep = TestSharedEntryText()._rep()
         n = max(len(op.ent) for op in rep.gens.values())
         # several pieces, all full or the last one short; exactly one
         # piece; one piece with room to spare
-        return args, rep, n, [1, 3, n - 1, n, n + 1]
+        return rep, n, [1, 3, n - 1, n, n + 1]
 
     def test_json_matches_json_dumps_at_every_piece_size(self, monkeypatch):
-        args, rep, n, sizes = self._sizes()
+        rep, n, sizes = self._sizes()
         want = ref_rep_json("B", rep.lam, rep)
         for size in sizes:
             monkeypatch.setattr(cli, "ROWS_PER_WRITE", size)
-            parts = _writes(cli._rep_json, args, rep.lam, rep)
+            parts = _writes(cli._rep_json, rep)
             assert "".join(parts) == want
             assert _most_rows(parts, _JSON_ROW_OPEN) == min(size, n)
 
     def test_csv_matches_csv_writer_at_every_piece_size(self, monkeypatch):
-        args, rep, n, sizes = self._sizes()
+        rep, n, sizes = self._sizes()
         want = ref_rep_csv("B", rep)
         for size in sizes:
             monkeypatch.setattr(cli, "ROWS_PER_WRITE", size)
-            parts = _writes(cli._rep_csv, args, rep)
+            parts = _writes(cli._rep_csv, rep)
             assert "".join(parts) == want
             assert _most_rows(parts, "\n") == min(size, n)
 
@@ -504,8 +501,8 @@ class TestOutFile:
         # the k-th write to the temp file is a later piece of an operator
         # block, after the block's head and first rows went out
         monkeypatch.setattr(cli, "ROWS_PER_WRITE", 4)
-        args, rep = _writer_case("B", ("-1", "-2"))
-        parts = _writes(cli._rep_json, args, rep.lam, rep)
+        rep = _writer_case("B", ("-1", "-2"))
+        parts = _writes(cli._rep_json, rep)
         k = 1 + next(i for i, p in enumerate(parts)
                      if p.startswith(",\n        [") and i > 0
                      and parts[i - 1].startswith(",\n        ["))

@@ -11,7 +11,6 @@ from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, block_gram, capelli_det,
 from gtrep import (
     InconsistencyError,
     Operator,
-    PatternA,
     build_gl,
     contravariant_gram,
     gl_structure_table,
@@ -156,7 +155,7 @@ class TestOraclesCatchACorruptedEntry:
             contravariant_gram(self.mutant(lam, slot))
 
     def test_report_flags_both_oracles(self, lam, slot):
-        report = run_verification(self.mutant(lam, slot), "A", level="full")
+        report = run_verification(self.mutant(lam, slot), level="full")
         checks = {c["name"]: c for c in report.checks}
         det = checks["determinant central element acts by the expected "
                      "scalar"]
@@ -294,9 +293,5 @@ class TestNonIntegralWeights:
         assert contravariant_gram(r) == global_gram(r)
 
     def test_full_verification_passes(self, lam, c):
-        report = run_verification(shifted_rep(lam, c), "A", level="full")
+        report = run_verification(shifted_rep(lam, c), level="full")
         assert report.passed
-
-    def test_patterns_round_trip_through_json(self, lam, c):
-        for p in shifted_rep(lam, c).patterns:
-            assert PatternA.from_json(p.to_json()) == p

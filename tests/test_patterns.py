@@ -8,7 +8,7 @@ from conftest import A_CORPUS, B_CORPUS, gl_rep, so_rep
 from gtrep import (
     DimensionCapError,
     PatternA,
-    PatternB,
+    Rep,
     check_weight_gl,
     check_weight_so,
     enumerate_patterns_a,
@@ -140,27 +140,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PatternA([[0], [Fraction(1, 2), Fraction(-1, 2)]])
         with pytest.raises(ValueError):
-            PatternA.from_json({"rows": [["0"], ["1/2", "-1/2"]]})
+            PatternA([["0"], ["1/2", "-1/2"]])
         p = PatternA([["1/3"], ["4/3", "-2/3"]])
         assert p.to_json() == {"rows": [["1/3"], ["4/3", "-2/3"]]}
 
     def test_gl_json_shape(self):
         p = PatternA([[0], [1, 0]])
         assert p.to_json() == {"rows": [["0"], ["1", "0"]]}
-        assert PatternA.from_json(p.to_json()) == p
 
     def test_so_json_shape(self):
         p = enumerate_patterns_b(check_weight_so(("-1/2",)))[0]
         obj = p.to_json()
         assert set(obj) == {"sigma", "rows", "primed_rows"}
         assert obj["rows"] == [["-1/2"]]
-        assert PatternB.from_json(obj) == p
-
-    def test_roundtrip_over_basis(self):
-        for p in enumerate_patterns_b(check_weight_so(("-1/2", "-3/2"))):
-            assert PatternB.from_json(p.to_json()) == p
-        for p in enumerate_patterns_a((2, 1, 0)):
-            assert PatternA.from_json(p.to_json()) == p
 
 
 class TestWeights:
@@ -181,3 +173,13 @@ class TestWeights:
         values = list(r.lam) + [x for w in r.weights for x in w]
         assert all(type(x) is Fraction for x in values)
         assert r.weights[r.highest_index()] == r.lam
+
+    def test_rep_algebra_is_read_off_the_pattern_class(self):
+        # on both builders' records and on a bare record with no generators
+        assert gl_rep((2, 1, 0)).algebra == "A"
+        assert so_rep(("0", "-1")).algebra == "B"
+        lam = check_weight_so(("-1", "-2"))
+        bare = Rep(lam, enumerate_patterns_b(lam))
+        assert (bare.algebra, bare.gens) == ("B", {})
+        lam = check_weight_gl((2, 0))
+        assert Rep(lam, enumerate_patterns_a(lam)).algebra == "A"

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (B_CORPUS, all_gens, all_slots, deformed_raise,
-                      fresh_so_rep, ref_build_f_raise, ref_lower_step_terms,
-                      ref_prime_drop_terms, ref_sig_case_terms,
-                      ref_single_step, so_rep)
+from conftest import (A_CORPUS, B_CORPUS, all_gens, all_slots, deformed_raise,
+                      fresh_so_rep, gl_rep, ref_build_f_raise,
+                      ref_lower_step_terms, ref_prime_drop_terms,
+                      ref_sig_case_terms, ref_single_step, so_rep)
 from gtrep import (
     Operator,
     PatternB,
@@ -19,12 +19,11 @@ from gtrep import (
     structure_table,
 )
 from gtrep import sorep
+from gtrep.linalg import BracketTable
 from gtrep.sorep import (
     DEFORMED,
     PLAIN,
     ConstructionError,
-    _canon_slot,
-    build_f_diag,
     build_f_lower,
     build_f_raise,
     build_phi_minus,
@@ -41,9 +40,9 @@ from gtrep.sorep import (
 )
 
 
-def hand_bracket(a, b, c, d):
-    # [F(a,b), F(c,d)] as {canonical slot: coefficient}, by the rule
-    # F(a,b) = E(a,b) - E(-b,-a) applied to products of matrix units
+def hand_bracket(n, a, b, c, d):
+    # [F(a,b), F(c,d)] in o(2n+1) as {canonical slot: coefficient}, by the
+    # rule F(a,b) = E(a,b) - E(-b,-a) applied to products of matrix units
     raw = []
     if b == c:
         raw.append(((a, d), 1))
@@ -54,8 +53,9 @@ def hand_bracket(a, b, c, d):
     if a == -c:
         raw.append(((-d, b), 1))
     out = {}
+    canon = structure_table(n).canonical
     for slot, coef in raw:
-        cs, sgn = _canon_slot(*slot)
+        cs, sgn = canon(slot)
         if cs is None:
             continue
         out[cs] = out.get(cs, 0) + sgn * coef
@@ -110,7 +110,7 @@ class TestCoefficients:
 class TestVectorModule:
     def test_diagonal_eigenvalues(self):
         b = basis_of(("-1",))
-        assert dict(build_f_diag(b, 1).ent) == {
+        assert dict(b.diagonal(1).ent) == {
             (0, 0): Fraction(-1), (1, 1): Fraction(1)}
 
     def test_primed_drop_matrix(self):
@@ -156,7 +156,7 @@ class TestSpinorModule:
 
     def test_diagonal(self):
         b = basis_of(("-1/2",))
-        assert dict(build_f_diag(b, 1).ent) == {
+        assert dict(b.diagonal(1).ent) == {
             (0, 0): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
 
 
@@ -185,7 +185,7 @@ class TestBrackets:
             tab = structure_table(n)
             assert set(tab) == {(ab, cd) for ab in defs for cd in defs}
             for (ab, cd), terms in tab.items():
-                assert terms == hand_bracket(*ab, *cd), (n, ab, cd)
+                assert terms == hand_bracket(n, *ab, *cd), (n, ab, cd)
                 want = Operator(2 * n + 1)
                 for slot, coef in terms.items():
                     want = want + defs[slot].scale(coef)
@@ -196,7 +196,7 @@ class TestBrackets:
         tab = structure_table.__wrapped__(3)
         assert len(tab) == 7 ** 4 and not tab.known
         key = ((0, 1), (1, 2))
-        assert tab[key] == hand_bracket(0, 1, 1, 2)
+        assert tab[key] == hand_bracket(3, 0, 1, 1, 2)
         assert list(tab.known) == [key]
         assert dict(tab) == dict(structure_table(3))
         assert len(tab.known) == len(tab)
@@ -208,8 +208,11 @@ class TestBrackets:
             assert set(terms.values()) <= {1, -1}
 
     def test_closure_rejects_a_coefficient_other_than_one(self, monkeypatch):
-        tab = dict(structure_table(2))
-        tab[((0, 1), (1, 2))] = {(0, 2): Fraction(2)}
+        # a fresh table over the same defining matrices and canonical
+        # slots, with one bracket's entry replaced
+        real = structure_table(2)
+        tab = BracketTable(real.defs, real.slot_at)
+        tab.known[((0, 1), (1, 2))] = {(0, 2): Fraction(2)}
         monkeypatch.setattr(sorep, "structure_table", lambda n: tab)
         defs = defining_operators(2)
         seeds = {s: defs[s] for k in (1, 2)
@@ -263,7 +266,8 @@ class TestBrackets:
         plan += [((0, k - 1), (k - 1, -k), (0, -k)) for k in range(2, n + 1)]
         plan += [((i, 0), (0, j), (i, j)) for i in range(-n, n + 1)
                  for j in range(-n, n + 1) if i and j
-                 and _canon_slot(i, j)[0] == (i, j) and (i, j) not in seeds]
+                 and tab.canonical((i, j))[0] == (i, j)
+                 and (i, j) not in seeds]
         for ab, cd, target in plan:
             # [F(ab), F(cd)] = coef * F(cs), cs the canonical slot
             ((cs, coef),) = tab[(ab, cd)].items()
@@ -271,11 +275,21 @@ class TestBrackets:
             assert got == r.gens[cs].scale(coef), target
 
     @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
-                                   ("-1/2", "-3/2", "-5/2")] + B_CORPUS)
+                                   ("-1/2", "-3/2", "-5/2")] + B_CORPUS
+                             + A_CORPUS)
     def test_mirror_slots_are_negated_entry_by_entry(self, w):
-        # every slot read through gen, stored or not
-        r = so_rep(w)
-        for i, j in all_slots("B", r.n):
+        # every slot read through gen, stored or not, and through the slot
+        # iterator and the stored-or-mirror lookup the writers read; a
+        # type A module (int weight entries) stores every slot
+        r = so_rep(w) if isinstance(w[0], str) else gl_rep(w)
+        assert list(r.slots()) == all_slots(r.algebra, r.n)
+        for i, j in r.slots():
+            op, sign = r.stored(i, j)
+            assert r.gens[(i, j) if sign == 1 else (-j, -i)] is op
+            assert r.gen(i, j) == (op if sign == 1 else -op), (i, j)
+            if r.algebra == "A":
+                assert sign == 1
+                continue
             op, mirror = r.gen(i, j).ent, r.gen(-j, -i).ent
             assert op == {k: -v for k, v in mirror.items()}, (i, j)
             assert list(op) == list(mirror)
@@ -482,7 +496,7 @@ class TestSliceColumns:
     def test_equal_diagonal_entries_are_one_object(self):
         b = basis_of(BENCH_SPINOR[0])
         for k in range(1, b.n + 1):
-            vals = list(build_f_diag(b, k).ent.values())
+            vals = list(b.diagonal(k).ent.values())
             assert len({id(v) for v in vals}) == len(set(vals)), k
 
 
@@ -624,7 +638,7 @@ class TestSpanRank:
     def test_numerators_vanishing_mod_p_fall_back_to_exact(self,
                                                            monkeypatch):
         calls = self._count_exact(monkeypatch)
-        p = sorep.SPAN_PRIME
+        p = sorep.RANK_PRIME
         r1 = {0: Fraction(p), 1: Fraction(p, 3)}
         r2 = {1: Fraction(2 * p, 7), 2: Fraction(p)}
         r3 = {0: Fraction(p), 1: Fraction(p, 3) + Fraction(2 * p, 7),
@@ -659,13 +673,14 @@ class TestSpanRank:
         r = so_rep(w)
         calls = self._record_rows(monkeypatch)
         sorep._check_span_rank(r)
-        slots = {_canon_slot(*s)[0] for s in r.gens} - {None}
+        canon = structure_table(r.n).canonical
+        slots = {canon(s)[0] for s in r.gens} - {None}
         nnz = sum(len(r.gens[s].ent) for s in slots)
         want = r.n * (2 * r.n + 1)
         # every call is mod p on one row per slot, the last one full rank,
         # and no call ranks the full rows: at most a third of their entries
         # (288 of 3,872 at dim 128, 46 of 70,932 at dim 1386)
-        assert calls and all(m == sorep.SPAN_PRIME and rows == want
+        assert calls and all(m == sorep.RANK_PRIME and rows == want
                              for m, rows, _ in calls)
         assert max(e for _, _, e in calls) * 3 < nnz
 
@@ -679,7 +694,8 @@ class TestSpanRank:
         a = Operator(3, {(0, 0): one, (0, 1): -one, (1, 2): one})
         b = Operator(3, {(0, 0): one, (0, 1): -one, (1, 2): two})
         c = Operator(3, {(2, 2): Fraction(1, 3)})
-        slots = sorted({_canon_slot(i, j)[0] for i in range(-1, 2)
+        canon = structure_table(1).canonical
+        slots = sorted({canon((i, j))[0] for i in range(-1, 2)
                         for j in range(-1, 2)} - {None})
         rep = SimpleNamespace(n=1, dim=3, gens=dict(zip(slots, (a, b, c))))
         sorep._check_span_rank(rep)
@@ -696,15 +712,17 @@ class TestSpanRank:
         b = Operator(8, {(c, c): Fraction(1 + 2 * (c >= 4))
                          for c in range(8)})
         c = Operator(8, {(0, 1): Fraction(1, 3)})
-        slots = sorted({_canon_slot(i, j)[0] for i in range(-1, 2)
+        canon = structure_table(1).canonical
+        slots = sorted({canon((i, j))[0] for i in range(-1, 2)
                         for j in range(-1, 2)} - {None})
         rep = SimpleNamespace(n=1, dim=8, gens=dict(zip(slots, (a, b, c))))
         sorep._check_span_rank(rep)
-        assert calls == [(sorep.SPAN_PRIME, 3, 3), (sorep.SPAN_PRIME, 3, 5)]
+        assert calls == [(sorep.RANK_PRIME, 3, 3), (sorep.RANK_PRIME, 3, 5)]
 
     def test_rank_deficient_generators_raise(self):
         r = fresh_so_rep(("0", "-1"))
-        slots = sorted({_canon_slot(*s)[0] for s in r.gens} - {None})
+        canon = structure_table(r.n).canonical
+        slots = sorted({canon(s)[0] for s in r.gens} - {None})
         sorep._check_span_rank(r)
         r.gens[slots[1]] = Operator(r.dim, dict(r.gens[slots[0]].ent))
         with pytest.raises(ConstructionError,
