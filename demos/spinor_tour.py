@@ -7,7 +7,7 @@ vector to half the plain one, and the primed-lowering operator of the
 spinor module is identically zero.
 """
 
-from gtrep import Operator, build_phi_minus, build_so
+from gtrep import Operator, build_phi_minus, build_so, rowcol
 
 
 def show(rep, title):
@@ -21,8 +21,8 @@ def show(rep, title):
     for slot in [(i, j) for i in idx for j in idx]:
         op = rep.gen(*slot)
         if op:
-            ent = ", ".join("(%d,%d)=%s" % (r, c, v)
-                            for (r, c), v in sorted(op.ent.items()))
+            ent = ", ".join("(%d,%d)=%s" % (*rowcol(p, rep.dim), v)
+                            for p, v in sorted(op.ent.items()))
             print("  F%s: %s" % (slot, ent))
     print()
 

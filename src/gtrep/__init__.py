@@ -7,7 +7,7 @@ enumerated pattern basis, with independent verification oracles.
 
 from .exact import (F0, F1, PoleError, format_rational, parse_rational,
                     rf_limit_at)
-from .linalg import Operator, nullspace, rank_of, rref
+from .linalg import Operator, nullspace, pos, rank_of, rowcol, rref
 from .patterns import (DimensionCapError, PatternA, PatternB, Rep,
                        check_weight_gl, check_weight_so, enumerate_patterns_a,
                        enumerate_patterns_b)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "F0", "F1", "PoleError", "format_rational", "parse_rational",
     "rf_limit_at",
-    "Operator", "nullspace", "rank_of", "rref",
+    "Operator", "nullspace", "pos", "rank_of", "rowcol", "rref",
     "DimensionCapError", "PatternA", "PatternB", "Rep", "check_weight_gl",
     "check_weight_so", "enumerate_patterns_a", "enumerate_patterns_b",
     "InconsistencyError", "build_gl", "contravariant_gram",

@@ -13,8 +13,8 @@ from math import lcm
 from typing import NamedTuple
 
 # rank_of is unused here, but bench/tracer.py wraps checks.rank_of by name
-from .linalg import (Operator, int_product_sum, nullspace, rank_of,
-                     restricted_rows)
+from .linalg import (Operator, int_product_sum, nullspace, pos, rank_of,
+                     restricted_rows, rowcol)
 from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
                     gl_structure_table, int_forms)
 from .sorep import build_phi_minus, structure_table
@@ -383,17 +383,21 @@ def casimir_scalar(rep, forms=None):
     construction (Rep.gen), so this is half the sum over all slots."""
     if forms is None:
         forms = int_forms(rep)
-    den, nums = int_product_sum([(1, forms[(i, j)], forms[(j, i)])
-                                 for (i, j) in sorted(rep.gens)])
-    t = nums.get((0, 0), 0)
-    if not _is_scalar((den, nums), rep.dim, Fraction(t, den)):
-        def rem(k):
+    dim = rep.dim
+    den, nums = int_product_sum(dim, [(1, forms[(i, j)], forms[(j, i)])
+                                      for (i, j) in sorted(rep.gens)])
+    t = nums.get(pos(0, 0, dim), 0)
+    if not _is_scalar((den, nums), dim, Fraction(t, den)):
+        diagonal = {pos(c, c, dim) for c in range(dim)}
+
+        def rem(p):
             # the numerator of the sum minus its (0, 0) entry times 1
-            return nums.get(k, 0) - t * (k[0] == k[1])
-        key = min(k for k in set(nums) | {(c, c) for c in range(rep.dim)}
-                  if rem(k))
+            return nums.get(p, 0) - t * (p in diagonal)
+        # the smallest position is the smallest (row, col)
+        key = min(p for p in set(nums) | diagonal if rem(p))
         raise NonScalarError("Casimir sum is not scalar",
-                             witness=(*key, Fraction(rem(key), den)))
+                             witness=(*rowcol(key, dim),
+                                      Fraction(rem(key), den)))
     return Fraction(t, den)
 
 
@@ -544,12 +548,12 @@ def _phi_witness(rep):
 
 
 def _is_scalar(form, dim, s):
-    # the int form (den, {(row, col): int}) is s times the dim x dim
+    # the int form (den, {position: int}) is s times the dim x dim
     # identity: every diagonal entry is s * den, zeros absent
     den, nums = form
     t = s * den
     return t.denominator == 1 and nums == (
-        {(c, c): int(t) for c in range(dim)} if t else {})
+        {pos(c, c, dim): int(t) for c in range(dim)} if t else {})
 
 
 def run_verification(rep, level="fast"):
@@ -563,8 +567,8 @@ def run_verification(rep, level="fast"):
     witness = None
     for k in range(1, rep.n + 1):
         diag = rep.gen(k, k)
-        want = {(c, c): w[k - 1] for c, w in enumerate(rep.weights)
-                if w[k - 1]}
+        want = {pos(c, c, rep.dim): w[k - 1]
+                for c, w in enumerate(rep.weights) if w[k - 1]}
         if diag.ent != want:
             witness = ("diagonal", k)
             break
@@ -619,8 +623,8 @@ def run_verification(rep, level="fast"):
                        "expected scalar", cwit is None, cwit)
             try:
                 g = contravariant_gram(rep, forms)
-                ok = all(r == c and v for (r, c), v in g.ent.items()) \
-                    and len(g.ent) == rep.dim
+                ok = all(g.ent.values()) and set(g.ent) == {
+                    pos(c, c, rep.dim) for c in range(rep.dim)}
                 report.add("contravariant form is diagonal and nondegenerate",
                            ok, None)
             except InconsistencyError as e:

@@ -21,6 +21,7 @@ from .exact import format_rational, parse_rational
 from .patterns import (DimensionCapError, check_weight_gl, check_weight_so,
                        enumerate_patterns_a, enumerate_patterns_b)
 from .glrep import build_gl
+from .linalg import rowcol
 from .sorep import ConstructionError, build_so
 from .checks import (branching_multiplicity, freudenthal_multiplicities,
                      run_verification, weyl_dim)
@@ -248,7 +249,7 @@ def _entries(op, sign, rows, cols, value, sep):
     # "%s" template value once per value object (op holds them, so ids
     # stay fixed). Rep.stored gives op and sign, so no mirror Operator is
     # ever built
-    ent = op.ent
+    ent, dim = op.ent, op.dim
     keys = sorted(ent)
     made = {}
     for start in range(0, len(keys) or 1, ROWS_PER_WRITE):
@@ -263,7 +264,8 @@ def _entries(op, sign, rows, cols, value, sep):
                     # v is never 0
                     text = text[1:] if text[0] == "-" else "-" + text
                 text = made[id(v)] = value % text
-            out.append(rows[key[0]] + cols[key[1]] + text)
+            r, c = rowcol(key, dim)
+            out.append(rows[r] + cols[c] + text)
         yield sep.join(out)
 
 

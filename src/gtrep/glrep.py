@@ -16,7 +16,7 @@ from math import lcm
 from .exact import F1
 # nullspace is unused here, but bench/tracer.py wraps glrep.nullspace by name
 from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
-                     int_product_sum, nullspace, rref)
+                     int_product_sum, nullspace, pos, rowcol, rref)
 from .patterns import Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -63,11 +63,11 @@ def build_gl(lam, cap=None):
                 num = _prod_diff(li, above)
                 r = index.get(pat.shifted(k, i + 1, +1)) if num else None
                 if r is not None:
-                    up.ent[(r, c)] = Fraction(-num, den)
+                    up.ent[pos(r, c, dim)] = Fraction(-num, den)
                 num = _prod_diff(li, below)
                 r = index.get(pat.shifted(k, i + 1, -1)) if num else None
                 if r is not None:
-                    down.ent[(r, c)] = Fraction(num, den)
+                    down.ent[pos(r, c, dim)] = Fraction(num, den)
         gens[(k, k + 1)] = up
         gens[(k + 1, k)] = down
 
@@ -87,9 +87,10 @@ def gl_structure_table(n):
     matrices, one per n: E(p,q) is the single entry 1 at (p-1,q-1), so
     every position is read as its own slot. Only the entries asked for
     are computed."""
-    units = {(i, j): Operator(n, {(i - 1, j - 1): F1})
+    units = {(i, j): Operator(n, {pos(i - 1, j - 1, n): F1})
              for i in range(1, n + 1) for j in range(1, n + 1)}
-    return BracketTable(units, {(i - 1, j - 1): (i, j) for i, j in units})
+    return BracketTable(units, {pos(i - 1, j - 1, n): (i, j)
+                                for i, j in units})
 
 
 def int_forms(rep):
@@ -122,7 +123,8 @@ def capelli_ints(rep, u, factors):
             nums = {k: v * (d // den) for k, v in nums.items()}
             s = shift.numerator * (d // shift.denominator)
             for c in range(rep.dim):
-                nums[(c, c)] = nums.get((c, c), 0) + s
+                p = pos(c, c, rep.dim)
+                nums[p] = nums.get(p, 0) + s
             fac[(j, j)] = d, {k: v for k, v in nums.items() if v}
     # only the nonzero D_S are kept, and each is carried to the sets one
     # row larger
@@ -140,7 +142,7 @@ def capelli_ints(rep, u, factors):
                         ((-1) ** (len(sub) - t), d, f))
         dets = {}
         for sub, ts in terms.items():
-            d = int_product_sum(ts)
+            d = int_product_sum(rep.dim, ts)
             if d[1]:
                 dets[sub] = d
     return dets.get(tuple(rows), (1, {}))
@@ -184,14 +186,15 @@ def contravariant_gram(rep, forms=None):
         uden, up = forms[(k, k + 1)]
         dden, dn = forms[(k + 1, k)]
         cols = {}  # E(k+1,k) by source column: [(target row, numerator)]
-        for (r, c), v in dn.items():
+        for p, v in dn.items():
+            r, c = rowcol(p, rep.dim)
             cols.setdefault(c, []).append((r, v))
         simple.append((k, uden, up, dden, cols))
     gram = {rep.highest_index(): F1}
     # the top block is the highest vector alone
     for mu in sorted(blocks, reverse=True)[1:]:
         block = blocks[mu]
-        pos = {a: t for t, a in enumerate(block)}
+        at = {a: t for t, a in enumerate(block)}
         rows = []  # each image E(k+1,k) b on the block, as int numerators
         for k, uden, up, dden, cols in simple:
             above = blocks.get(mu[:k - 1] + (mu[k - 1] + 1, mu[k] - 1)
@@ -201,12 +204,13 @@ def contravariant_gram(rep, forms=None):
             for b in above:
                 row = {}
                 for a, v in cols.get(b, ()):
-                    t = pos.get(a)
+                    t = at.get(a)
                     if t is not None:
                         row[t] = v
                         if a not in gram:
-                            gram[a] = Fraction(up.get((b, a), 0) * dden,
-                                               uden * v) * gram[b]
+                            gram[a] = Fraction(
+                                up.get(pos(b, a, rep.dim), 0) * dden,
+                                uden * v) * gram[b]
                 if row:
                     rows.append(row)
         where = "(%s)" % ",".join(str(x) for x in mu)
@@ -219,20 +223,23 @@ def contravariant_gram(rep, forms=None):
     # E(i,j)^T G = G E(j,i) holds iff its transpose, E(j,i)^T G =
     # G E(i,j), does; the first failing pair in sorted order has i <= j
     for (i, j) in sorted(forms):
-        if i <= j and not _adjoint(forms[(i, j)], forms[(j, i)], gram):
+        if i <= j and not _adjoint(forms[(i, j)], forms[(j, i)], gram,
+                                   rep.dim):
             raise InconsistencyError("adjointness fails for (%d,%d)"
                                      % (i, j))
-    return Operator(rep.dim, {(a, a): g for a, g in gram.items()})
+    return Operator(rep.dim, {pos(a, a, rep.dim): g for a, g in gram.items()})
 
 
-def _adjoint(form, tform, gram):
-    # int forms E and T with E^T G = G T for the diagonal G of gram:
-    # E[b,a] G_b = G_a T[a,b] at every position, both sides zero together
+def _adjoint(form, tform, gram, dim):
+    # dim x dim int forms E and T with E^T G = G T for the diagonal G of
+    # gram: E[b,a] G_b = G_a T[a,b] at every position, both sides zero
+    # together
     (den, nums), (tden, tnums) = form, tform
     if len(nums) != len(tnums):
         return False
-    for (b, a), v in nums.items():
-        w = tnums.get((a, b))
+    for p, v in nums.items():
+        b, a = rowcol(p, dim)
+        w = tnums.get(pos(a, b, dim))
         gb, ga = gram[b], gram[a]
         if w is None or (v * gb.numerator * ga.denominator * tden
                          != w * ga.numerator * gb.denominator * den):

@@ -2,8 +2,13 @@
 verification layer needs. Stored entries are Fraction in every build
 (deformed columns are reduced to their limits before they are stored).
 
+An entry of a dim x dim matrix is keyed by one int, its row-major
+position pos(row, col, dim) = row * dim + col, read back by rowcol, so
+sorted keys are in (row, col) order. Only this module reads the
+encoding; every other module goes through these two helpers.
+
 Products run on integers, through one integer form of a matrix: a pair
-(den, {(row, col): int}) whose entries are the matrix's entries times
+(den, {position: int}) whose entries are the matrix's entries times
 den, zeros absent. int_form scales an Operator by the common denominator
 of its entries. int_product_sum sums signed products of integer forms on
 one int accumulator over the lcm of the terms' denominators and returns
@@ -24,8 +29,19 @@ from math import lcm
 from .exact import F0, F1
 
 
+def pos(r, c, dim):
+    """The key of entry (r, c) of a dim x dim matrix."""
+    return r * dim + c
+
+
+def rowcol(p, dim):
+    """The (row, col) of key p of a dim x dim matrix."""
+    return divmod(p, dim)
+
+
 class Operator:
-    """dim x dim matrix stored as {(row, col): value}, zero entries absent."""
+    """dim x dim matrix stored as {pos(row, col, dim): value}, zero
+    entries absent."""
 
     __slots__ = ("dim", "ent")
 
@@ -35,7 +51,7 @@ class Operator:
 
     def add_to(self, r, c, v):
         # accumulate one entry, dropping exact zeros
-        key = (r, c)
+        key = pos(r, c, self.dim)
         nv = self.ent.get(key, F0) + v
         if nv:
             self.ent[key] = nv
@@ -93,7 +109,8 @@ class Operator:
     def apply(self, vec):
         # vec: {index: value} -> {index: value}
         out = {}
-        for (r, c), v in self.ent.items():
+        for p, v in self.ent.items():
+            r, c = rowcol(p, self.dim)
             if c in vec:
                 nv = out.get(r, F0) + v * vec[c]
                 if nv:
@@ -103,31 +120,32 @@ class Operator:
         return out
 
     def column(self, c):
-        return {r: v for (r, cc), v in self.ent.items() if cc == c}
+        dim = self.dim
+        return {p // dim: v for p, v in self.ent.items() if p % dim == c}
 
     def __repr__(self):
         return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
 
 
 def int_form(op):
-    """op as (den, {(row, col): int numerator over den}), den the lcm of
+    """op as (den, {position: int numerator over den}), den the lcm of
     its entries' denominators (1 for the zero operator)."""
     den = lcm(*(v.denominator for v in op.ent.values()))
     return den, {k: v.numerator * (den // v.denominator)
                  for k, v in op.ent.items()}
 
 
-def int_product_sum(terms):
+def int_product_sum(dim, terms):
     """sum of s * (a @ b) over the (int s, int form a, int form b) in
-    terms, as an int form over the lcm of the terms' denominators.
-    Terms with a zero operand are skipped; entries that cancel to zero
-    are dropped."""
+    terms, dim x dim matrices, as an int form over the lcm of the terms'
+    denominators. Terms with a zero operand are skipped; entries that
+    cancel to zero are dropped."""
     parts = [(s, da * db, na, nb)
              for s, (da, na), (db, nb) in terms if na and nb]
     den = lcm(*(d for _, d, _, _ in parts))
     acc = {}
     for s, d, na, nb in parts:
-        _accumulate(acc, na, nb, s * (den // d))
+        _accumulate(acc, na, nb, s * (den // d), dim)
     if 0 in acc.values():
         # in place: a filtered copy would hold the accumulator twice
         for k in [k for k, v in acc.items() if not v]:
@@ -159,28 +177,32 @@ def product_sum(dim, terms):
             if id(op) not in forms:
                 forms[id(op)] = int_form(op)
     return int_form_operator(dim, int_product_sum(
-        [(s, forms[id(a)], forms[id(b)]) for s, a, b in terms]))
+        dim, [(s, forms[id(a)], forms[id(b)]) for s, a, b in terms]))
 
 
-def _accumulate(acc, a, b, mult):
-    # acc += mult * (a @ b) on int numerator dicts, grouping a by column
+def _accumulate(acc, a, b, mult, dim):
+    # acc += mult * (a @ b) on int numerator dicts, grouping a by column:
+    # the product of entry (r, k) of a, at key p, and entry (k, c) of b
+    # lands on (r, c), at key p + c - k
     bycol = {}
-    for (r, k), v in a.items():
-        bycol.setdefault(k, []).append((r, v * mult))
+    for p, v in a.items():
+        bycol.setdefault(p % dim, []).append((p, v * mult))
     get = acc.get
-    for (k, c), bv in b.items():
-        for r, av in bycol.get(k, ()):
-            key = (r, c)
+    for p, bv in b.items():
+        k, c = rowcol(p, dim)
+        shift = c - k
+        for ap, av in bycol.get(k, ()):
+            key = ap + shift
             acc[key] = get(key, 0) + av * bv
 
 
 class BracketTable(Mapping):
     """[X(a), X(b)] as {slot: coefficient}, keyed by (a, b) for every key
     of defs, the defining matrices X, each entry read off them when first
-    asked for and then kept. slot_at maps a matrix position to the slot
-    whose coefficient is read there: the defining matrices of those slots
-    have disjoint supports and entry 1 at their own position, and every
-    other defining matrix is one of them negated, or 0. The commutators
+    asked for and then kept. slot_at maps a matrix position (pos) to the
+    slot whose coefficient is read there: the defining matrices of those
+    slots have disjoint supports and entry 1 at their own position, and
+    every other defining matrix is one of them negated, or 0. The commutators
     are taken with product_sum; Operator.commutator is left to brackets
     of module generators."""
 
@@ -192,8 +214,8 @@ class BracketTable(Mapping):
     def canonical(self, key):
         """(slot, sign) with X(key) = sign * X(slot), or (None, 0) when
         X(key) = 0."""
-        for pos, v in self.defs[key].ent.items():
-            slot = self.slot_at.get(pos)
+        for p, v in self.defs[key].ent.items():
+            slot = self.slot_at.get(p)
             if slot is not None:
                 return slot, int(v)
         return None, 0
@@ -204,8 +226,8 @@ class BracketTable(Mapping):
             x, y = self.defs[key[0]], self.defs[key[1]]
             comm = product_sum(x.dim, [(1, x, y), (-1, y, x)])
             terms = {}
-            for pos, v in comm.ent.items():
-                slot = self.slot_at.get(pos)
+            for p, v in comm.ent.items():
+                slot = self.slot_at.get(p)
                 if slot is not None:
                     terms[slot] = v
             self.known[key] = terms
@@ -305,12 +327,13 @@ def restricted_rows(ops, cols):
     """The rows of every operator in ops restricted to the columns cols,
     each as a sparse row {position in cols: value}: the system whose
     nullspace(rows, len(cols)) is the common kernel on those columns."""
-    pos = {c: t for t, c in enumerate(cols)}
+    at = {c: t for t, c in enumerate(cols)}
     rows = []
     for op in ops:
         byrow = {}
-        for (r, c), v in op.ent.items():
-            t = pos.get(c)
+        for p, v in op.ent.items():
+            r, c = rowcol(p, op.dim)
+            t = at.get(c)
             if t is not None:
                 byrow.setdefault(r, {})[t] = v
         rows.extend(byrow.values())

@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import format_rational
-from .linalg import Operator
+from .linalg import Operator, pos
 
 
 class DimensionCapError(Exception):
@@ -425,7 +425,8 @@ class Rep:
         shared = {}
         for c, w in enumerate(self.weights):
             if w[k - 1]:
-                op.ent[(c, c)] = shared.setdefault(w[k - 1], w[k - 1])
+                op.ent[pos(c, c, self.dim)] = shared.setdefault(w[k - 1],
+                                                                 w[k - 1])
         return op
 
     def highest_index(self):

@@ -41,7 +41,7 @@ from math import lcm
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
-from .linalg import RANK_PRIME, BracketTable, Operator, rref
+from .linalg import RANK_PRIME, BracketTable, Operator, pos, rref
 from .patterns import (PatternB, Rep, check_weight_so, enumerate_patterns_b,
                        stored_slot)
 
@@ -284,7 +284,8 @@ def _slice_columns(basis, k, column, trace=None):
     is one too, and each (k, c, target index, text) the column appends to
     it is emitted again for every column of the slice, under that
     column's own indices."""
-    op = Operator(basis.dim)
+    dim = basis.dim
+    op = Operator(dim)
     index, patterns = basis.index, basis.patterns
     lo = max(k - 2, 0)
 
@@ -312,7 +313,7 @@ def _slice_columns(basis, k, column, trace=None):
                 [(moved(patterns[r]), text) for _, _, r, text in notes or ()])
         values, texts = done[key]
         for m, v in values:
-            op.ent[(target(pat, m), c)] = v
+            op.ent[pos(target(pat, m), c, dim)] = v
         if trace is not None:
             trace.extend((k, c, target(pat, m), text) for m, text in texts)
     return op
@@ -416,15 +417,15 @@ def defining_operators(n):
     -n..-1, 0, 1..n."""
     dim = 2 * n + 1
 
-    def pos(i):
+    def at(i):
         return i + n
 
     ops = {}
     for i in range(-n, n + 1):
         for j in range(-n, n + 1):
             m = Operator(dim)
-            m.add_to(pos(i), pos(j), F1)
-            m.add_to(pos(-j), pos(-i), -F1)
+            m.add_to(at(i), at(j), F1)
+            m.add_to(at(-j), at(-i), -F1)
             ops[(i, j)] = m
     return ops
 
@@ -436,8 +437,9 @@ def structure_table(n):
     are F(p,q) with p + q < 0: F(p,-p) = 0, and every other slot is its
     mirror negated, F(p,q) = -F(-q,-p). A canonical slot's coefficient is
     read at its own position. Only the entries asked for are computed."""
-    slot_at = {(p + n, q + n): (p, q) for p in range(-n, n + 1)
-               for q in range(-n, n + 1) if p + q < 0}
+    slot_at = {pos(p + n, q + n, 2 * n + 1): (p, q)
+               for p in range(-n, n + 1) for q in range(-n, n + 1)
+               if p + q < 0}
     return BracketTable(defining_operators(n), slot_at)
 
 
@@ -536,15 +538,15 @@ def _check_span_rank(rep):
     # the built generators must span a Lie algebra of the right dimension
     ents = [op.ent for _, op in sorted(rep.gens.items()) if op.ent]
     want = rep.n * (2 * rep.n + 1)
-    got = _slot_rank(ents, rep.dim)
+    got = _slot_rank(ents)
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))
 
 
-def _slot_rank(ents, dim):
-    """Rank of the slots' entry dicts {(row, col): Fraction}, each taken as
-    one flattened row, first on a certified set of positions: m stored
+def _slot_rank(ents):
+    """Rank of the slots' entry dicts {position: Fraction} (linalg.pos),
+    each taken as one row, first on a certified set of positions: m stored
     positions of every slot, spread evenly over its entries in stored
     order, every slot restricted to their union. A restriction never has
     a larger rank than the full rows, nor a rank mod p than over Q, so a
@@ -560,7 +562,7 @@ def _slot_rank(ents, dim):
         for ent in ents:
             step = max(1, len(ent) // m)
             cols.update(itertools.islice(ent, 0, step * m, step))
-        rows = [_restrict(ent, cols, dim) for ent in ents]
+        rows = [_restrict(ent, cols) for ent in ents]
         if sum(map(len, rows)) == total:
             return span_rank(rows)
         if _rank_mod_p(rows) == len(rows):
@@ -568,12 +570,12 @@ def _slot_rank(ents, dim):
         m *= 2
 
 
-def _restrict(ent, cols, dim):
-    # the entries of ent at positions in cols, flattened to r * dim + c,
-    # found by walking the smaller of the two
+def _restrict(ent, cols):
+    # the entries of ent at positions in cols, found by walking the
+    # smaller of the two
     if len(ent) <= len(cols):
-        return {k[0] * dim + k[1]: v for k, v in ent.items() if k in cols}
-    return {k[0] * dim + k[1]: ent[k] for k in cols if k in ent}
+        return {k: v for k, v in ent.items() if k in cols}
+    return {k: ent[k] for k in cols if k in ent}
 
 
 def _rank_mod_p(rows):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from gtrep import (F1, InconsistencyError, Operator, PatternA, PatternB,
                    build_gl, build_so, check_weight_gl, check_weight_so,
-                   defining_operators, nullspace, rref)
+                   defining_operators, nullspace, pos, rowcol, rref)
 from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.glrep import capelli_ints, int_forms
@@ -124,11 +124,15 @@ def scalar_op(dim, s):
     # s times the identity
     if not s:
         return Operator(dim)
-    return Operator(dim, {(i, i): F1 * s for i in range(dim)})
+    return Operator(dim, {pos(i, i, dim): F1 * s for i in range(dim)})
 
 
 def transpose(op):
-    return Operator(op.dim, {(c, r): v for (r, c), v in op.ent.items()})
+    out = Operator(op.dim)
+    for p, v in op.ent.items():
+        r, c = rowcol(p, op.dim)
+        out.ent[pos(c, r, op.dim)] = v
+    return out
 
 
 def capelli_det(rep, u):
@@ -190,13 +194,15 @@ def global_gram(rep):
         up = rep.gen(k, k + 1)
         dn = rep.gen(k + 1, k)
         # <up eta, zeta> = <eta, dn zeta> for all basis eta=a, zeta=b
-        for (r, a), v in up.ent.items():
+        for key, v in up.ent.items():
+            r, a = rowcol(key, dim)
             for b in range(dim):
                 p = var(r, b)
                 if p is not None:
                     row = eqs.setdefault((k, a, b), {})
                     row[p] = row.get(p, Fraction(0)) + v
-        for (r, b), v in dn.ent.items():
+        for key, v in dn.ent.items():
+            r, b = rowcol(key, dim)
             for a in range(dim):
                 p = var(a, r)
                 if p is not None:
@@ -220,9 +226,9 @@ def global_gram(rep):
     for (a, b), p in pairpos.items():
         v = sol.get(p, Fraction(0)) / norm
         if v:
-            gram.ent[(a, b)] = v
+            gram.ent[pos(a, b, dim)] = v
             if a != b:
-                gram.ent[(b, a)] = v
+                gram.ent[pos(b, a, dim)] = v
     for i in range(1, rep.n + 1):
         for j in range(1, rep.n + 1):
             if transpose(rep.gen(i, j)) @ gram != gram @ rep.gen(j, i):
@@ -243,19 +249,21 @@ def block_gram(rep):
     for k in range(1, n):
         # each generator as {source column: [(target row, value)]}
         up, dn = {}, {}
-        for (r, c), v in rep.gen(k, k + 1).ent.items():
+        for p, v in rep.gen(k, k + 1).ent.items():
+            r, c = rowcol(p, dim)
             up.setdefault(c, []).append((r, v))
-        for (r, c), v in rep.gen(k + 1, k).ent.items():
+        for p, v in rep.gen(k + 1, k).ent.items():
+            r, c = rowcol(p, dim)
             dn.setdefault(c, []).append((r, v))
         simple.append((k, up, dn))
     h = rep.highest_index()
     form = {h: {h: Fraction(1)}}  # solved blocks, row -> {column: value}
     for mu in sorted(blocks, reverse=True)[1:]:
-        pos = {}
+        unknown = {}
         for t, a in enumerate(blocks[mu]):
             for b in blocks[mu][t:]:
-                pos[(a, b)] = len(pos)
-        const = len(pos)  # the column of the known terms
+                unknown[(a, b)] = len(unknown)
+        const = len(unknown)  # the column of the known terms
         rows = []
         for k, up, dn in simple:
             above = blocks.get(mu[:k - 1] + (mu[k - 1] + 1, mu[k] - 1)
@@ -271,7 +279,7 @@ def block_gram(rep):
                 for b in above:
                     row = {}
                     for r, v in dn.get(b, ()):
-                        p = pos.get((a, r) if a <= r else (r, a))
+                        p = unknown.get((a, r) if a <= r else (r, a))
                         if p is not None:
                             row[p] = row.get(p, Fraction(0)) - v
                     row[const] = image.get(b, Fraction(0))
@@ -286,12 +294,12 @@ def block_gram(rep):
         if len(piv) != const:
             raise InconsistencyError("form is not determined at weight %s: "
                                      "rank %d of %d" % (where, len(piv), const))
-        for (a, b), p in pos.items():
+        for (a, b), p in unknown.items():
             v = -piv[p].get(const, Fraction(0))
             if v:
                 form.setdefault(a, {})[b] = v
                 form.setdefault(b, {})[a] = v
-    gram = Operator(dim, {(a, b): v for a, row in form.items()
+    gram = Operator(dim, {pos(a, b, dim): v for a, row in form.items()
                           for b, v in row.items()})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -393,21 +401,24 @@ def defining_intertwiner(rep):
     n = rep.n
     target = defining_operators(n)
     # the weight of defining vector p: +e_p, -e_-p or 0, at position p + n
-    pos = {tuple(Fraction((k == p) - (k == -p)) for k in range(1, n + 1)):
-           p + n for p in range(-n, n + 1)}
-    pi = [pos[w] for w in rep.weights]
+    at = {tuple(Fraction((k == p) - (k == -p)) for k in range(1, n + 1)):
+          p + n for p in range(-n, n + 1)}
+    pi = [at[w] for w in rep.weights]
+    dim = 2 * n + 1
     h = rep.highest_index()
     scale = {h: Fraction(1)}
     todo = [h]
     while todo:
         c = todo.pop()
         for slot in all_slots("B", n):
-            for (r, cc), v in sorted(rep.gen(*slot).ent.items()):
+            for p, v in sorted(rep.gen(*slot).ent.items()):
+                r, cc = rowcol(p, dim)
                 if cc == c and r not in scale:
-                    scale[r] = (target[slot].ent.get((pi[r], pi[c]), 0)
+                    scale[r] = (target[slot].ent.get(pos(pi[r], pi[c], dim),
+                                                     0)
                                 * scale[c] / v)
                     todo.append(r)
-    s = Operator(2 * n + 1, {(pi[c], c): v for c, v in scale.items()})
+    s = Operator(dim, {pos(pi[c], c, dim): v for c, v in scale.items()})
     return s, target
 
 
@@ -425,9 +436,9 @@ def single_entry_mutants(rep, slot, deleted=False):
             bad = Operator(op.dim, dict(op.ent))
             del bad.ent[key]
             yield bad
-    free = next((k for k in [(c, c) for c in range(rep.dim)]
-                 + [(0, c) for c in range(rep.dim)] if k not in op.ent),
-                None)
+    free = next((k for k in [pos(c, c, rep.dim) for c in range(rep.dim)]
+                 + [pos(0, c, rep.dim) for c in range(rep.dim)]
+                 if k not in op.ent), None)
     if free is not None:
         bad = Operator(op.dim, dict(op.ent))
         bad.ent[free] = Fraction(1, 3)
@@ -459,7 +470,8 @@ def _scaled_chain_sum(rep, chains, hsource):
     """
     total = Operator(rep.dim)
     for prod, comp in chains:
-        for (r, c), v in prod.ent.items():
+        for p, v in prod.ent.items():
+            r, c = rowcol(p, rep.dim)
             # h_a is the eigenvalue of E_aa - a + 1 on column c
             w = rep.weights[c]
             hs = w[hsource - 1] - hsource + 1
@@ -602,8 +614,8 @@ def ref_rep_json(algebra, lam, rep):
     doc["operators"] = {
         "%s(%d,%d)" % (letter, i, j): {
             "dim": rep.dim,
-            "entries": [[r, c, format_rational(v)]
-                        for (r, c), v in sorted(rep.gen(i, j).ent.items())]}
+            "entries": [[*rowcol(p, rep.dim), format_rational(v)]
+                        for p, v in sorted(rep.gen(i, j).ent.items())]}
         for i, j in all_slots(algebra, rep.n)}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -617,8 +629,8 @@ def ref_rep_csv(algebra, rep):
     w.writerow(["generator", "row", "col", "value"])
     for i, j in all_slots(algebra, rep.n):
         name = "%s(%d,%d)" % (letter, i, j)
-        for (r, c), v in sorted(rep.gen(i, j).ent.items()):
-            w.writerow([name, r, c, format_rational(v)])
+        for p, v in sorted(rep.gen(i, j).ent.items()):
+            w.writerow([name, *rowcol(p, rep.dim), format_rational(v)])
     return buf.getvalue()
 
 

@@ -17,6 +17,8 @@ from gtrep import (
     contravariant_gram,
     enumerate_patterns_b,
     freudenthal_multiplicities,
+    pos,
+    rowcol,
     structure_table,
     weyl_dim,
 )
@@ -139,10 +141,11 @@ class TestContravariantForm:
     def test_diagonal_nonzero_and_adjoint(self, lam):
         r = gl_rep(lam)
         g = contravariant_gram(r)
-        for (a, b), v in g.ent.items():
+        for p, v in g.ent.items():
+            a, b = rowcol(p, r.dim)
             assert a == b and v != 0
         for c in range(r.dim):
-            assert g.ent.get((c, c))
+            assert g.ent.get(pos(c, c, r.dim))
         for i in range(1, r.n + 1):
             for j in range(1, r.n + 1):
                 assert transpose(r.gen(i, j)) @ g == g @ r.gen(j, i), (lam, i, j)
@@ -165,7 +168,8 @@ class TestDefiningEquivalence:
         r = so_rep(w)
         s, target = defining_intertwiner(r)
         # monomial and invertible: one nonzero entry in each row and column
-        assert (sorted(p for p, _ in s.ent) == sorted(c for _, c in s.ent)
+        cells = [rowcol(p, r.dim) for p in s.ent]
+        assert (sorted(a for a, _ in cells) == sorted(c for _, c in cells)
                 == list(range(r.dim)))
         assert all(s.ent.values())
         for key, op in all_gens("B", r).items():
@@ -189,6 +193,23 @@ class TestWeightHistogram:
         for wt in r.weights:
             hist[wt] = hist.get(wt, 0) + 1
         assert hist == freudenthal_multiplicities("B", r.lam)
+
+
+class TestEntryKeys:
+    """Every stored entry is keyed by one int, its row-major position
+    pos(row, col, dim) in range(dim * dim)."""
+
+    # B (-1/2,-3/2,-5/2): a third of its raising columns take the deformed
+    # route
+    @pytest.mark.parametrize(
+        "algebra, w", [("A", lam) for lam in A_CORPUS]
+        + [("B", w) for w in B_CORPUS + [("-1/2", "-3/2", "-5/2")]])
+    def test_every_stored_key_is_an_int_position(self, algebra, w):
+        r = gl_rep(w) if algebra == "A" else so_rep(w)
+        for slot, op in r.gens.items():
+            assert op.dim == r.dim, slot
+            for p in op.ent:
+                assert type(p) is int and 0 <= p < r.dim * r.dim, (slot, p)
 
 
 class TestDeterminism:

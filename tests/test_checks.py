@@ -27,6 +27,8 @@ from gtrep import (
     check_structure_constants,
     defining_operators,
     freudenthal_multiplicities,
+    pos,
+    rowcol,
     run_verification,
     structure_table,
     weyl_dim,
@@ -193,7 +195,7 @@ class TestSimpleRaisingKernels:
         # tuples, where Weyl's formula gives -1: a failed line naming that
         # weight, not a ValueError
         r = fresh_so_rep(w)
-        del r.gens[slot].ent[key]
+        del r.gens[slot].ent[pos(*key, r.dim)]
         counts = _kernel_counts(r, _raising(r, r.n))
         bad = [mu for mu, got in counts.items()
                if got and not branching_multiplicity(r.lam, mu)]
@@ -320,16 +322,17 @@ class TestCasimir:
         # negated at its mirror too, so the type B all-slot sum is twice
         # the sum over the stored slots
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
-        r.gens[slot].ent[(0, 1)] = Fraction(7)
+        r.gens[slot].ent[pos(0, 1, r.dim)] = Fraction(7)
         acc = Operator(r.dim)
         for (i, j) in all_slots(algebra, r.n):
             acc = acc + r.gen(i, j) @ r.gen(j, i)
-        rem = acc - scalar_op(r.dim, acc.ent.get((0, 0), Fraction(0)))
+        rem = acc - scalar_op(r.dim, acc.ent.get(pos(0, 0, r.dim),
+                                                 Fraction(0)))
         key = min(rem.ent)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         half = 2 if algebra == "B" else 1
-        assert e.value.witness == (*key, rem.ent[key] / half)
+        assert e.value.witness == (*rowcol(key, r.dim), rem.ent[key] / half)
 
     @pytest.mark.parametrize("algebra, w, slot", [
         ("B", ("-1/2", "-3/2"), (-2, -1)), ("A", (3, 1, 0), (2, 1))])
@@ -344,20 +347,21 @@ class TestCasimir:
         gens = all_gens(algebra, r)
         acc = product_sum(r.dim, [(1, gens[(i, j)], gens[(j, i)])
                                   for (i, j) in gens])
-        rem = acc - scalar_op(r.dim, acc.ent.get((0, 0), Fraction(0)))
-        pos = min(rem.ent)
-        want = rem.ent[pos] / (2 if algebra == "B" else 1)
+        rem = acc - scalar_op(r.dim, acc.ent.get(pos(0, 0, r.dim),
+                                                 Fraction(0)))
+        key = min(rem.ent)
+        want = rem.ent[key] / (2 if algebra == "B" else 1)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
-        assert e.value.witness == (*pos, want)
+        assert e.value.witness == (*rowcol(key, r.dim), want)
         report = run_verification(r, level="full")
         line = {c["name"]: c for c in report.checks}[
             "Casimir sum is the scalar dictated by the top weight"]
-        assert line["witness"] == str((*pos, want))
+        assert line["witness"] == str((*rowcol(key, r.dim), want))
 
     def test_nonscalar_raises_with_witness(self):
         r = fresh_so_rep(("-1",))
-        r.gens[(-1, 0)].ent[(0, 1)] = Fraction(7)
+        r.gens[(-1, 0)].ent[pos(0, 1, r.dim)] = Fraction(7)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         assert e.value.witness is not None
@@ -446,7 +450,7 @@ class TestStructure:
 
     def test_single_entry_perturbation_detected(self):
         r = fresh_so_rep(("0", "-1"))
-        r.gens[(-2, -1)].ent[(0, 0)] = Fraction(1, 3)
+        r.gens[(-2, -1)].ent[pos(0, 0, r.dim)] = Fraction(1, 3)
         assert not check_structure_constants(r).passed
 
     @pytest.mark.parametrize("algebra, rep", [
@@ -458,8 +462,8 @@ class TestStructure:
         for slot in sorted(r.gens):
             orig = r.gens[slot]
             bad = Operator(orig.dim, dict(orig.ent))
-            bad.add_to(*(min(orig.ent) if orig.ent else (0, 0)),
-                       Fraction(1, 3))
+            bad.add_to(*(rowcol(min(orig.ent), r.dim) if orig.ent
+                         else (0, 0)), Fraction(1, 3))
             r.gens[slot] = bad
             assert not check_structure_constants(r).passed, slot
             r.gens[slot] = orig
@@ -498,7 +502,7 @@ def _defining_module(algebra, n):
         return _Module(algebra=algebra, n=n, dim=2 * n + 1,
                        gens={s: op for s, op in defining_operators(n).items()
                              if sum(s) <= 0})
-    gens = {(i, j): Operator(n, {(i - 1, j - 1): Fraction(1)})
+    gens = {(i, j): Operator(n, {pos(i - 1, j - 1, n): Fraction(1)})
             for i in range(1, n + 1) for j in range(1, n + 1)}
     return _Module(algebra=algebra, n=n, dim=n, gens=gens)
 
@@ -636,10 +640,10 @@ class TestStructurePresentation:
             wt = r.weights
             rc = next((a, b) for a in range(r.dim) for b in range(r.dim)
                       if wt[a][1] != wt[b][1])
-            r.gens[(1, 1)].ent[rc] = Fraction(1)
+            r.gens[(1, 1)].ent[pos(*rc, r.dim)] = Fraction(1)
 
         def diagonal_in_raising(r):
-            r.gens[(1, 2)].ent[(0, 0)] = Fraction(1)
+            r.gens[(1, 2)].ent[pos(0, 0, r.dim)] = Fraction(1)
 
         assert fails(off_diagonal_cartan)[:1] == ("cartan",)
         assert fails(diagonal_in_raising) == ("root", (1, 1), (1, 2))
@@ -726,7 +730,8 @@ class TestEquivalence:
         r = so_rep(tuple(["0"] * (n - 1) + ["-1"]))
         s, target = defining_intertwiner(r)
         # monomial and invertible: one nonzero entry in each row and column
-        assert (sorted(p for p, _ in s.ent) == sorted(c for _, c in s.ent)
+        cells = [rowcol(p, r.dim) for p in s.ent]
+        assert (sorted(a for a, _ in cells) == sorted(c for _, c in cells)
                 == list(range(r.dim)))
         assert all(s.ent.values())
         for key, op in all_gens("B", r).items():
@@ -757,6 +762,6 @@ class TestReportShape:
 
     def test_driver_reports_perturbation(self):
         r = fresh_so_rep(("-1",))
-        r.gens[(-1, -1)].ent[(0, 0)] = Fraction(5)
+        r.gens[(-1, -1)].ent[pos(0, 0, r.dim)] = Fraction(5)
         rep = run_verification(r, level="full")
         assert not rep.passed

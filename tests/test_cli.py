@@ -16,7 +16,7 @@ from conftest import (A_CORPUS, B_CORPUS, SHIFTED, fresh_so_rep, gl_rep,
                       ref_patterns_json, ref_rep_csv, ref_rep_json, so_rep)
 import gtrep.cli as cli
 from gtrep import (Operator, build_so, check_weight_so,
-                   enumerate_patterns_b)
+                   enumerate_patterns_b, pos)
 from gtrep.cli import main
 from gtrep.exact import format_rational
 from gtrep.sorep import ConstructionError
@@ -267,15 +267,16 @@ class TestSharedEntryText:
         op = Operator(dim)
         for r in range(dim):
             for c in range(dim):
+                p = pos(r, c, dim)
                 if (r + c) % 3 == 0:
-                    op.ent[(r, c)] = shared
+                    op.ent[p] = shared
                 elif (r * c) % 5 == 1:
                     # a new object per entry, equal in value
-                    op.ent[(r, c)] = Fraction(-5, 2)
+                    op.ent[p] = Fraction(-5, 2)
                 elif r == c:
-                    op.ent[(r, c)] = Fraction(wide if r % 2 else -wide)
+                    op.ent[p] = Fraction(wide if r % 2 else -wide)
                 elif r + 1 == c:
-                    op.ent[(r, c)] = Fraction(-wide, 2 ** 65 + 1)
+                    op.ent[p] = Fraction(-wide, 2 ** 65 + 1)
         neg = -op
         assert len({id(v) for v in op.ent.values()}) < len(op.ent)
         rep.gens.update({(-1, 1): op, (-2, 0): neg, (-1, 0): Operator(dim),
@@ -626,15 +627,16 @@ class TestVerify:
         assert code == 0 and len(json.loads(out)["checks"]) == 7
 
     @staticmethod
-    def corrupting(monkeypatch, slot, pos, value):
+    def corrupting(monkeypatch, slot, cell, value):
         # verify builds through cli.build_so; set (or, for 0, remove) one
-        # entry of one generator before the checks see it
+        # entry, at cell (row, col), of one generator before the checks
+        # see it
         def build(lam, cap=None, trace=None):
             rep = build_so(lam, cap=cap, trace=trace)
             if value:
-                rep.gens[slot].ent[pos] = value
+                rep.gens[slot].ent[pos(*cell, rep.dim)] = value
             else:
-                del rep.gens[slot].ent[pos]
+                del rep.gens[slot].ent[pos(*cell, rep.dim)]
             return rep
 
         monkeypatch.setattr(cli, "build_so", build)

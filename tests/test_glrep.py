@@ -14,6 +14,8 @@ from gtrep import (
     build_gl,
     contravariant_gram,
     gl_structure_table,
+    pos,
+    rowcol,
     run_verification,
     weyl_dim,
 )
@@ -28,10 +30,10 @@ def shifted_rep(lam, c):
 class TestDefiningSize:
     def test_two_dim_matrices_by_hand(self):
         r = gl_rep((1, 0))
-        assert dict(r.gen(1, 2).ent) == {(1, 0): Fraction(1)}
-        assert dict(r.gen(2, 1).ent) == {(0, 1): Fraction(1)}
-        assert dict(r.gen(1, 1).ent) == {(1, 1): Fraction(1)}
-        assert dict(r.gen(2, 2).ent) == {(0, 0): Fraction(1)}
+        assert dict(r.gen(1, 2).ent) == {pos(1, 0, 2): Fraction(1)}
+        assert dict(r.gen(2, 1).ent) == {pos(0, 1, 2): Fraction(1)}
+        assert dict(r.gen(1, 1).ent) == {pos(1, 1, 2): Fraction(1)}
+        assert dict(r.gen(2, 2).ent) == {pos(0, 0, 2): Fraction(1)}
 
     def test_cartan_commutator(self):
         r = gl_rep((1, 0))
@@ -44,7 +46,7 @@ class TestBracketTable:
     def test_table_is_the_matrix_unit_rule(self, n):
         # [E(a,b), E(c,d)] = delta_bc E(a,d) - delta_da E(c,b), and the
         # table rebuilds every commutator of the elementary matrices
-        units = {(i, j): Operator(n, {(i - 1, j - 1): Fraction(1)})
+        units = {(i, j): Operator(n, {pos(i - 1, j - 1, n): Fraction(1)})
                  for i in range(1, n + 1) for j in range(1, n + 1)}
         tab = gl_structure_table(n)
         assert set(tab) == {(ab, cd) for ab in units for cd in units}
@@ -66,7 +68,8 @@ class TestWeights:
     def test_diagonal_generators_are_diagonal(self, lam):
         r = gl_rep(lam)
         for k in range(1, r.n + 1):
-            for (a, b) in r.gen(k, k).ent:
+            for p in r.gen(k, k).ent:
+                a, b = rowcol(p, r.dim)
                 assert a == b
 
     @pytest.mark.parametrize("lam", A_CORPUS)
@@ -260,7 +263,7 @@ class TestContravariantForm:
     def test_adjoint_like_gram_values(self):
         r = gl_rep((2, 1, 0))
         g = contravariant_gram(r)
-        diag = [g.ent.get((i, i)) for i in range(r.dim)]
+        diag = [g.ent.get(pos(i, i, r.dim)) for i in range(r.dim)]
         assert diag == [Fraction(x) for x in (9, 9, 6, 4, 2, 1, 1, 1)]
 
     @pytest.mark.parametrize("lam", [(1, 0), (2, 0), (2, 1, 0), (1, 1, 0)])

@@ -16,6 +16,8 @@ from gtrep import (
     check_weight_so,
     defining_operators,
     enumerate_patterns_b,
+    pos,
+    rowcol,
     structure_table,
 )
 from gtrep import sorep
@@ -111,16 +113,18 @@ class TestVectorModule:
     def test_diagonal_eigenvalues(self):
         b = basis_of(("-1",))
         assert dict(b.diagonal(1).ent) == {
-            (0, 0): Fraction(-1), (1, 1): Fraction(1)}
+            pos(0, 0, 3): Fraction(-1), pos(1, 1, 3): Fraction(1)}
 
     def test_primed_drop_matrix(self):
         b = basis_of(("-1",))
-        assert dict(build_phi_minus(b, 1).ent) == {(0, 1): Fraction(1, 2)}
+        assert dict(build_phi_minus(b, 1).ent) == {
+            pos(0, 1, 3): Fraction(1, 2)}
 
     def test_parametric_drop_matrix(self):
         b = basis_of(("-1",))
         got = ref_single_step(b, 1, lower_step_terms, Fraction(2))
-        assert dict(got.ent) == {(2, 0): Fraction(-2), (1, 2): Fraction(2, 3)}
+        assert dict(got.ent) == {pos(2, 0, 3): Fraction(-2),
+                                 pos(1, 2, 3): Fraction(2, 3)}
 
     def test_single_step_zero_denominator_is_construction_error(self):
         # t/t is 0/0 in plain arithmetic; one-step generators never take
@@ -137,18 +141,19 @@ class TestVectorModule:
     def test_mixed_lowering_matrix(self):
         b = basis_of(("-1",))
         assert dict(build_f_lower(b, 1).ent) == {
-            (2, 0): Fraction(-1), (1, 2): Fraction(1)}
+            pos(2, 0, 3): Fraction(-1), pos(1, 2, 3): Fraction(1)}
 
     def test_raising_matrix(self):
         b = basis_of(("-1",))
         assert dict(build_f_raise(b, 1).ent) == {
-            (2, 1): Fraction(-1), (0, 2): Fraction(1)}
+            pos(2, 1, 3): Fraction(-1), pos(0, 2, 3): Fraction(1)}
 
 
 class TestSpinorModule:
     def test_raising_sends_primed_to_plain(self):
         b = basis_of(("-1/2",))
-        assert dict(build_f_raise(b, 1).ent) == {(0, 1): Fraction(1, 2)}
+        assert dict(build_f_raise(b, 1).ent) == {
+            pos(0, 1, 2): Fraction(1, 2)}
 
     def test_primed_drop_vanishes(self):
         b = basis_of(("-1/2",))
@@ -157,7 +162,7 @@ class TestSpinorModule:
     def test_diagonal(self):
         b = basis_of(("-1/2",))
         assert dict(b.diagonal(1).ent) == {
-            (0, 0): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+            pos(0, 0, 2): Fraction(-1, 2), pos(1, 1, 2): Fraction(1, 2)}
 
 
 class TestBrackets:
@@ -304,8 +309,8 @@ class TestBrackets:
         for k in range(1, n + 1):
             for slot in ((k, k), (k - 1, -k), (k - 1, k)):
                 seeds[slot] = Operator(defs[slot].dim, {
-                    pos: Fraction(v.numerator, v.denominator)
-                    for pos, v in defs[slot].ent.items()})
+                    p: Fraction(v.numerator, v.denominator)
+                    for p, v in defs[slot].ent.items()})
         got = close_generators(n, seeds, 2 * n + 1)
         assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
         stored = {id(v): v for op in got.values() for v in op.ent.values()}
@@ -480,8 +485,8 @@ class TestSliceColumns:
         b = basis_of(BENCH_SPINOR[0])
         for k in range(1, b.n + 1):
             ids = {}
-            for (r, c), v in build(b, k).ent.items():
-                ids.setdefault(c, []).append(id(v))
+            for p, v in build(b, k).ent.items():
+                ids.setdefault(rowcol(p, b.dim)[1], []).append(id(v))
             first, shared = {}, 0
             for c, pat in enumerate(b.patterns):
                 col = sorted(ids.get(c, ()))
@@ -503,8 +508,10 @@ class TestSliceColumns:
 class TestDefiningModule:
     def test_rank_one_matrices(self):
         ops = defining_operators(1)
-        assert dict(ops[(1, 1)].ent) == {(0, 0): Fraction(-1), (2, 2): Fraction(1)}
-        assert dict(ops[(0, 1)].ent) == {(0, 1): Fraction(-1), (1, 2): Fraction(1)}
+        assert dict(ops[(1, 1)].ent) == {pos(0, 0, 3): Fraction(-1),
+                                         pos(2, 2, 3): Fraction(1)}
+        assert dict(ops[(0, 1)].ent) == {pos(0, 1, 3): Fraction(-1),
+                                         pos(1, 2, 3): Fraction(1)}
         assert not ops[(0, 0)]
         assert not ops[(1, -1)]
 
@@ -531,8 +538,7 @@ class TestWholeModules:
     def test_span_rank_is_algebra_dimension(self):
         from gtrep import rank_of
         r = so_rep(("0", "-1"))
-        rows = [{a * r.dim + b: v for (a, b), v in r.gens[slot].ent.items()}
-                for slot in sorted(r.gens)]
+        rows = [dict(r.gens[slot].ent) for slot in sorted(r.gens)]
         rows = [row for row in rows if row]
         assert rank_of(rows) == r.n * (2 * r.n + 1)
 
@@ -691,9 +697,11 @@ class TestSpanRank:
         # they cover every entry and the full rows decide
         calls = self._record_rows(monkeypatch)
         one, two = Fraction(1), Fraction(2)
-        a = Operator(3, {(0, 0): one, (0, 1): -one, (1, 2): one})
-        b = Operator(3, {(0, 0): one, (0, 1): -one, (1, 2): two})
-        c = Operator(3, {(2, 2): Fraction(1, 3)})
+        a = Operator(3, {pos(0, 0, 3): one, pos(0, 1, 3): -one,
+                         pos(1, 2, 3): one})
+        b = Operator(3, {pos(0, 0, 3): one, pos(0, 1, 3): -one,
+                         pos(1, 2, 3): two})
+        c = Operator(3, {pos(2, 2, 3): Fraction(1, 3)})
         canon = structure_table(1).canonical
         slots = sorted({canon((i, j))[0] for i in range(-1, 2)
                         for j in range(-1, 2)} - {None})
@@ -708,10 +716,11 @@ class TestSpanRank:
         # the first m positions would need every entry, but positions
         # spread over each slot tell them apart at m = 2, mod p
         calls = self._record_rows(monkeypatch)
-        a = Operator(8, {(c, c): Fraction(1 + (c >= 4)) for c in range(8)})
-        b = Operator(8, {(c, c): Fraction(1 + 2 * (c >= 4))
+        a = Operator(8, {pos(c, c, 8): Fraction(1 + (c >= 4))
                          for c in range(8)})
-        c = Operator(8, {(0, 1): Fraction(1, 3)})
+        b = Operator(8, {pos(c, c, 8): Fraction(1 + 2 * (c >= 4))
+                         for c in range(8)})
+        c = Operator(8, {pos(0, 1, 8): Fraction(1, 3)})
         canon = structure_table(1).canonical
         slots = sorted({canon((i, j))[0] for i in range(-1, 2)
                         for j in range(-1, 2)} - {None})
