@@ -424,9 +424,9 @@ class Rep:
         op = Operator(self.dim)
         shared = {}
         for c, w in enumerate(self.weights):
-            if w[k - 1]:
-                op.ent[pos(c, c, self.dim)] = shared.setdefault(w[k - 1],
-                                                                 w[k - 1])
+            x = w[k - 1]
+            if x:
+                op.ent[pos(c, c, self.dim)] = shared.setdefault(x, x)
         return op
 
     def highest_index(self):
