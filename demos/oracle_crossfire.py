@@ -12,8 +12,9 @@ exactly that.
 import json
 from fractions import Fraction
 
-from gtrep import (build_gl, build_so, casimir_scalar, check_branching,
-                   freudenthal_multiplicities, pos, run_verification)
+from gtrep import (Operator, build_gl, build_so, casimir_scalar,
+                   check_branching, freudenthal_multiplicities, pos,
+                   run_verification)
 
 so = build_so(("-1", "-2"))
 print("o(5) module with highest weight (-1,-2), dim", so.dim)
@@ -36,7 +37,9 @@ print()
 
 print("now corrupt one entry of one generator and re-verify:")
 # F(-2,-1) is stored; F(1,2) = -F(-2,-1) is read from it, corrupted too
-so.gens[(-2, -1)].ent[pos(0, 0, so.dim)] = Fraction(1, 3)
+bad = dict(so.gens[(-2, -1)].items())
+bad[pos(0, 0, so.dim)] = Fraction(1, 3)
+so.gens[(-2, -1)] = Operator(so.dim, bad)
 report = run_verification(so, level="full")
 for c in report.checks:
     print("  %-55s %s" % (c["name"], "ok" if c["pass"] else "FAIL"))

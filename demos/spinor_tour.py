@@ -22,7 +22,7 @@ def show(rep, title):
         op = rep.gen(*slot)
         if op:
             ent = ", ".join("(%d,%d)=%s" % (*rowcol(p, rep.dim), v)
-                            for p, v in sorted(op.ent.items()))
+                            for p, v in op.items())
             print("  F%s: %s" % (slot, ent))
     print()
 

@@ -120,17 +120,17 @@ def presentation(algebra_type, n):
 
 
 def _is_multiple(got, c, want):
-    # entry dicts: got == c * want for an integer c != 0, compared on
-    # numerators and denominators without building c * want. c is a sign
-    # or a bracket-table coefficient, an entry of a commutator of the
-    # integer defining matrices, and is made an int once
+    # Operators: got == c * want for an integer c != 0, compared pair by
+    # pair in position order, on numerators and denominators, without
+    # building c * want. c is a sign or a bracket-table coefficient, an
+    # entry of a commutator of the integer defining matrices, and is made
+    # an int once
     c = int(c)
     if len(got) != len(want):
         return False
-    for k, v in want.items():
-        g = got.get(k)
-        if g is None or (g.numerator * v.denominator
-                         != c * v.numerator * g.denominator):
+    for (p, g), (k, v) in zip(got.items(), want.items()):
+        if p != k or (g.numerator * v.denominator
+                      != c * v.numerator * g.denominator):
             return False
     return True
 
@@ -173,15 +173,15 @@ def _structure_witness(rep):
     def holds(x, y):
         # [x, y] against the table, without building the expected sum
         # when it is one slot or none
-        got = gen(x).commutator(gen(y)).ent
+        got = gen(x).commutator(gen(y))
         terms = p.table[(x, y)]
         if len(terms) == 1:
             (slot, c), = terms.items()
-            return _is_multiple(got, c, gen(slot).ent)
+            return _is_multiple(got, c, gen(slot))
         want = Operator(rep.dim)
         for slot, c in sorted(terms.items()):
             want = want + gen(slot).scale(c)
-        return got == want.ent
+        return got == want
 
     for idx, h in enumerate(p.cartan):
         for h2 in p.cartan[idx + 1:]:
@@ -384,10 +384,12 @@ def casimir_scalar(rep, forms=None):
     if forms is None:
         forms = int_forms(rep)
     dim = rep.dim
-    den, nums = int_product_sum(dim, [(1, forms[(i, j)], forms[(j, i)])
-                                      for (i, j) in sorted(rep.gens)])
-    t = nums.get(pos(0, 0, dim), 0)
-    if not _is_scalar((den, nums), dim, Fraction(t, den)):
+    form = int_product_sum(dim, [(1, forms[(i, j)], forms[(j, i)])
+                                 for (i, j) in sorted(rep.gens)])
+    den, positions, ints = form
+    t = next((v for p, v in zip(positions, ints) if p == pos(0, 0, dim)), 0)
+    if not _is_scalar(form, dim, Fraction(t, den)):
+        nums = dict(zip(positions, ints))
         diagonal = {pos(c, c, dim) for c in range(dim)}
 
         def rem(p):
@@ -548,12 +550,18 @@ def _phi_witness(rep):
 
 
 def _is_scalar(form, dim, s):
-    # the int form (den, {position: int}) is s times the dim x dim
+    # the int form (den, positions, ints) is s times the dim x dim
     # identity: every diagonal entry is s * den, zeros absent
-    den, nums = form
+    den, positions, nums = form
     t = s * den
-    return t.denominator == 1 and nums == (
-        {pos(c, c, dim): int(t) for c in range(dim)} if t else {})
+    if t.denominator != 1:
+        return False
+    t = int(t)
+    if not t:
+        return not nums
+    return len(nums) == dim and all(
+        p == pos(c, c, dim) and v == t
+        for c, (p, v) in enumerate(zip(positions, nums)))
 
 
 def run_verification(rep, level="fast"):
@@ -567,9 +575,9 @@ def run_verification(rep, level="fast"):
     witness = None
     for k in range(1, rep.n + 1):
         diag = rep.gen(k, k)
-        want = {pos(c, c, rep.dim): w[k - 1]
-                for c, w in enumerate(rep.weights) if w[k - 1]}
-        if diag.ent != want:
+        want = Operator(rep.dim, {pos(c, c, rep.dim): w[k - 1]
+                                  for c, w in enumerate(rep.weights)})
+        if diag != want:
             witness = ("diagonal", k)
             break
     if witness is None:
@@ -623,7 +631,7 @@ def run_verification(rep, level="fast"):
                        "expected scalar", cwit is None, cwit)
             try:
                 g = contravariant_gram(rep, forms)
-                ok = all(g.ent.values()) and set(g.ent) == {
+                ok = all(g.values()) and set(g.keys()) == {
                     pos(c, c, rep.dim) for c in range(rep.dim)}
                 report.add("contravariant form is diagonal and nondegenerate",
                            ok, None)

@@ -241,22 +241,21 @@ _LETTER = {"A": "E", "B": "F"}
 
 
 def _entries(op, sign, rows, cols, value, sep):
-    # the entries of sign * op in sorted order, each as its row index's
-    # text (rows[r]), its column index's text (cols[c]) and its value's
-    # text joined, in pieces of at most ROWS_PER_WRITE entries with sep
-    # between any two; an empty op gives one empty piece. The value's text
-    # is Fraction.__str__'s, negated as text when sign is -1, put into the
-    # "%s" template value once per value object (op holds them, so ids
-    # stay fixed). Rep.stored gives op and sign, so no mirror Operator is
-    # ever built
-    ent, dim = op.ent, op.dim
-    keys = sorted(ent)
+    # the entries of sign * op in their stored (row, col) order, each as
+    # its row index's text (rows[r]), its column index's text (cols[c])
+    # and its value's text joined, in pieces of at most ROWS_PER_WRITE
+    # entries with sep between any two; an empty op gives one empty
+    # piece. The value's text is Fraction.__str__'s, negated as text when
+    # sign is -1, put into the "%s" template value once per value object
+    # (op holds them, so ids stay fixed). Rep.stored gives op and sign, so
+    # no mirror Operator is ever built
+    dim = op.dim
+    pairs = op.items()
     made = {}
-    for start in range(0, len(keys) or 1, ROWS_PER_WRITE):
+    for start in range(0, len(op) or 1, ROWS_PER_WRITE):
         # a leading "" puts sep before the first row of a later piece
         out = [""] if start else []
-        for key in keys[start:start + ROWS_PER_WRITE]:
-            v = ent[key]
+        for key, v in itertools.islice(pairs, ROWS_PER_WRITE):
             text = made.get(id(v))
             if text is None:
                 text = str(v)
@@ -295,7 +294,7 @@ def _rep_json(rep, write):
         op, sign = rep.stored(i, j)
         head = _HEAD % (sep, letter, i, j, rep.dim)
         sep = ",\n    "
-        if not op.ent:
+        if not op:
             write(head + "[]" + _TAIL)
             continue
         write(head + "[\n" + "  " * 4)

@@ -16,7 +16,8 @@ from math import lcm
 from .exact import F1
 # nullspace is unused here, but bench/tracer.py wraps glrep.nullspace by name
 from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
-                     int_product_sum, nullspace, pos, rowcol, rref)
+                     int_product_sum, nullspace, packed_form, pos, rowcol,
+                     rref)
 from .patterns import Rep, check_weight_gl, enumerate_patterns_a
 
 
@@ -48,8 +49,8 @@ def build_gl(lam, cap=None):
         gens[(k, k)] = rep.diagonal(k)
 
     for k in range(1, n):
-        up = Operator(dim)
-        down = Operator(dim)
+        up = {}
+        down = {}
         for c, pat in enumerate(rep.patterns):
             # l-value differences are integers: one Fraction per entry
             lk = _lvals(pat.rows[k - 1])
@@ -63,13 +64,13 @@ def build_gl(lam, cap=None):
                 num = _prod_diff(li, above)
                 r = index.get(pat.shifted(k, i + 1, +1)) if num else None
                 if r is not None:
-                    up.ent[pos(r, c, dim)] = Fraction(-num, den)
+                    up[pos(r, c, dim)] = Fraction(-num, den)
                 num = _prod_diff(li, below)
                 r = index.get(pat.shifted(k, i + 1, -1)) if num else None
                 if r is not None:
-                    down.ent[pos(r, c, dim)] = Fraction(num, den)
-        gens[(k, k + 1)] = up
-        gens[(k + 1, k)] = down
+                    down[pos(r, c, dim)] = Fraction(num, den)
+        gens[(k, k + 1)] = Operator(dim, up)
+        gens[(k + 1, k)] = Operator(dim, down)
 
     # non-simple generators by bracketing outward
     for d in range(2, n):
@@ -118,24 +119,24 @@ def capelli_ints(rep, u, factors):
     for j in range(1, n + 1):
         shift = u - j + 1
         if shift:
-            den, nums = factors[(j, j)]
+            den, positions, ints = factors[(j, j)]
             d = lcm(den, shift.denominator)
-            nums = {k: v * (d // den) for k, v in nums.items()}
+            nums = {k: v * (d // den) for k, v in zip(positions, ints)}
             s = shift.numerator * (d // shift.denominator)
             for c in range(rep.dim):
                 p = pos(c, c, rep.dim)
                 nums[p] = nums.get(p, 0) + s
-            fac[(j, j)] = d, {k: v for k, v in nums.items() if v}
+            fac[(j, j)] = packed_form(d, nums)
     # only the nonzero D_S are kept, and each is carried to the sets one
     # row larger
     rows = range(1, n + 1)
-    dets = {(r,): fac[(r, 1)] for r in rows if fac[(r, 1)][1]}
+    dets = {(r,): fac[(r, 1)] for r in rows if fac[(r, 1)][2]}
     for m in range(2, n + 1):
         terms = {}
         for sub, d in dets.items():
             for r in rows:
                 f = fac[(r, m)]
-                if f[1] and r not in sub:
+                if f[2] and r not in sub:
                     # r has len(sub) - t larger rows beside it in the set
                     t = bisect.bisect(sub, r)
                     terms.setdefault(sub[:t] + (r,) + sub[t:], []).append(
@@ -143,9 +144,9 @@ def capelli_ints(rep, u, factors):
         dets = {}
         for sub, ts in terms.items():
             d = int_product_sum(rep.dim, ts)
-            if d[1]:
+            if d[2]:
                 dets[sub] = d
-    return dets.get(tuple(rows), (1, {}))
+    return dets.get(tuple(rows), packed_form(1, {}))
 
 
 def contravariant_gram(rep, forms=None):
@@ -183,10 +184,11 @@ def contravariant_gram(rep, forms=None):
         blocks.setdefault(w, []).append(c)
     simple = []
     for k in range(1, rep.n):
-        uden, up = forms[(k, k + 1)]
-        dden, dn = forms[(k + 1, k)]
+        uden, upos, uints = forms[(k, k + 1)]
+        dden, dpos, dints = forms[(k + 1, k)]
+        up = dict(zip(upos, uints))  # E(k,k+1) numerators by position
         cols = {}  # E(k+1,k) by source column: [(target row, numerator)]
-        for p, v in dn.items():
+        for p, v in zip(dpos, dints):
             r, c = rowcol(p, rep.dim)
             cols.setdefault(c, []).append((r, v))
         simple.append((k, uden, up, dden, cols))
@@ -234,10 +236,11 @@ def _adjoint(form, tform, gram, dim):
     # dim x dim int forms E and T with E^T G = G T for the diagonal G of
     # gram: E[b,a] G_b = G_a T[a,b] at every position, both sides zero
     # together
-    (den, nums), (tden, tnums) = form, tform
-    if len(nums) != len(tnums):
+    (den, positions, nums), (tden, tpositions, tints) = form, tform
+    if len(nums) != len(tints):
         return False
-    for p, v in nums.items():
+    tnums = dict(zip(tpositions, tints))
+    for p, v in zip(positions, nums):
         b, a = rowcol(p, dim)
         w = tnums.get(pos(a, b, dim))
         gb, ga = gram[b], gram[a]

@@ -2,15 +2,21 @@
 verification layer needs. Stored entries are Fraction in every build
 (deformed columns are reduced to their limits before they are stored).
 
-An entry of a dim x dim matrix is keyed by one int, its row-major
-position pos(row, col, dim) = row * dim + col, read back by rowcol, so
-sorted keys are in (row, col) order. Only this module reads the
-encoding; every other module goes through these two helpers.
+An entry of a dim x dim matrix sits at one int, its row-major position
+pos(row, col, dim) = row * dim + col, read back by rowcol, so increasing
+positions are in (row, col) order. An Operator holds its entries packed:
+an array('q') of strictly increasing positions and a list of the value
+objects in the same order, zeros absent. It is made from a
+{position: value} dict, which it packs, and is never changed after
+that. Readers iterate (position, value) pairs in order (items); a single
+lookup (get) bisects. Only this module reads the encoding or the
+layout; every other module goes through pos, rowcol and those readers.
 
-Products run on integers, through one integer form of a matrix: a pair
-(den, {position: int}) whose entries are the matrix's entries times
-den, zeros absent. int_form scales an Operator by the common denominator
-of its entries. int_product_sum sums signed products of integer forms on
+Products run on integers, through one integer form of a matrix: a
+triple (den, positions, ints) whose ints are the matrix's entries times
+den, at the positions of the same packed layout, zeros absent. int_form
+scales an Operator by the common denominator of its entries and shares
+its positions. int_product_sum sums signed products of integer forms on
 one int accumulator over the lcm of the terms' denominators and returns
 an integer form again; nothing in it is reduced, so a chain of products
 (a column determinant's row-subset expansion) stays on ints from operand
@@ -18,76 +24,114 @@ to result. int_form_operator turns an integer form back into an
 Operator with one reduced Fraction per distinct value; product_sum is
 int_product_sum between the two. Entries that cancel to zero are not
 stored. Integer forms are made for one call or one verification run and
-never kept on an Operator, so an entry changed in place is always seen.
-Negation negates each distinct entry object once."""
+never kept on an Operator. Negation negates each distinct entry object
+once."""
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
+from operator import neg
 
 from .exact import F0, F1
 
 
 def pos(r, c, dim):
-    """The key of entry (r, c) of a dim x dim matrix."""
+    """The position of entry (r, c) of a dim x dim matrix."""
     return r * dim + c
 
 
 def rowcol(p, dim):
-    """The (row, col) of key p of a dim x dim matrix."""
+    """The (row, col) of position p of a dim x dim matrix."""
     return divmod(p, dim)
 
 
-class Operator:
-    """dim x dim matrix stored as {pos(row, col, dim): value}, zero
-    entries absent."""
+def _pack(ent):
+    # the positions of the nonzero entries of a {position: value} dict in
+    # increasing order, as an array('q'), and their values in that order
+    keys = sorted(ent)
+    vals = list(map(ent.__getitem__, keys))
+    if not all(vals):
+        keys = [p for p, v in zip(keys, vals) if v]
+        vals = list(filter(None, vals))
+    return array("q", keys), vals
 
-    __slots__ = ("dim", "ent")
+
+def _distinct(vals):
+    # {id: object} of the distinct objects of vals, which the caller holds
+    return dict(zip(map(id, vals), vals))
+
+
+class Operator:
+    """dim x dim matrix of the nonzero entries of a {pos(row, col, dim):
+    value} dict, packed (see the module docstring)."""
+
+    __slots__ = ("dim", "_pos", "_val")
 
     def __init__(self, dim, ent=None):
         self.dim = dim
-        self.ent = {} if ent is None else ent
+        self._pos, self._val = _pack(ent or {})
 
-    def add_to(self, r, c, v):
-        # accumulate one entry, dropping exact zeros
-        key = pos(r, c, self.dim)
-        nv = self.ent.get(key, F0) + v
-        if nv:
-            self.ent[key] = nv
-        else:
-            self.ent.pop(key, None)
+    @classmethod
+    def _packed(cls, dim, positions, values):
+        # an Operator over increasing positions and their nonzero values
+        op = cls.__new__(cls)
+        op.dim, op._pos, op._val = dim, positions, values
+        return op
+
+    def items(self):
+        """The (position, value) pairs, in increasing position order."""
+        return zip(self._pos, self._val)
+
+    def keys(self):
+        """The positions of the entries, increasing."""
+        return iter(self._pos)
+
+    def values(self):
+        """The value objects, in position order."""
+        return iter(self._val)
+
+    def get(self, p, default=None):
+        """The value at position p, or default when none is stored."""
+        i = bisect_left(self._pos, p)
+        if i < len(self._pos) and self._pos[i] == p:
+            return self._val[i]
+        return default
+
+    def __len__(self):
+        return len(self._val)
 
     def __bool__(self):
-        return bool(self.ent)
+        return bool(self._val)
 
     def __eq__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.dim == other.dim and self.ent == other.ent
+        return (self.dim == other.dim and self._pos == other._pos
+                and self._val == other._val)
+
+    def map(self, f):
+        """The Operator with f(v) at every entry of value v, over the same
+        positions. f is called once per distinct value object (keyed by
+        id: self holds the objects, so their ids stay fixed meanwhile),
+        so entries sharing an object share its image; f(v) must be
+        nonzero."""
+        vals = self._val
+        made = {i: f(v) for i, v in _distinct(vals).items()}
+        return Operator._packed(self.dim, self._pos,
+                                list(map(made.__getitem__, map(id, vals))))
 
     def __neg__(self):
-        # each distinct entry object is negated once, keyed by id: self
-        # holds the objects, so their ids stay fixed meanwhile
-        neg = {}
-        out = {}
-        for k, v in self.ent.items():
-            m = neg.get(id(v))
-            if m is None:
-                m = neg[id(v)] = -v
-            out[k] = m
-        return Operator(self.dim, out)
+        return self.map(neg)
 
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        out = dict(self.ent)
-        for k, v in other.ent.items():
-            nv = out.get(k, F0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        out = dict(self.items())
+        for p, v in other.items():
+            out[p] = out.get(p, F0) + v
         return Operator(self.dim, out)
 
     def __sub__(self, other):
@@ -96,7 +140,7 @@ class Operator:
     def scale(self, s):
         if not s:
             return Operator(self.dim)
-        return Operator(self.dim, {k: v * s for k, v in self.ent.items()})
+        return self.map(lambda v: v * s)
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):
@@ -109,7 +153,7 @@ class Operator:
     def apply(self, vec):
         # vec: {index: value} -> {index: value}
         out = {}
-        for p, v in self.ent.items():
+        for p, v in self.items():
             r, c = rowcol(p, self.dim)
             if c in vec:
                 nv = out.get(r, F0) + v * vec[c]
@@ -121,18 +165,27 @@ class Operator:
 
     def column(self, c):
         dim = self.dim
-        return {p // dim: v for p, v in self.ent.items() if p % dim == c}
+        return {p // dim: v for p, v in self.items() if p % dim == c}
 
     def __repr__(self):
-        return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self.ent))
+        return "Operator(dim=%d, nnz=%d)" % (self.dim, len(self))
 
 
 def int_form(op):
-    """op as (den, {position: int numerator over den}), den the lcm of
-    its entries' denominators (1 for the zero operator)."""
-    den = lcm(*(v.denominator for v in op.ent.values()))
-    return den, {k: v.numerator * (den // v.denominator)
-                 for k, v in op.ent.items()}
+    """op as (den, positions, ints): den the lcm of its entries'
+    denominators (1 for the zero operator), op's own positions, and each
+    entry times den, one int per distinct value object."""
+    vals = op._val
+    objs = _distinct(vals)
+    den = lcm(*{v.denominator for v in objs.values()})
+    nums = {i: v.numerator * (den // v.denominator) for i, v in objs.items()}
+    return den, op._pos, list(map(nums.__getitem__, map(id, vals)))
+
+
+def packed_form(den, nums):
+    """The int form (den, positions, ints) of the nonzero entries of
+    nums, a {position: int} dict."""
+    return (den, *_pack(nums))
 
 
 def int_product_sum(dim, terms):
@@ -140,30 +193,21 @@ def int_product_sum(dim, terms):
     terms, dim x dim matrices, as an int form over the lcm of the terms'
     denominators. Terms with a zero operand are skipped; entries that
     cancel to zero are dropped."""
-    parts = [(s, da * db, na, nb)
-             for s, (da, na), (db, nb) in terms if na and nb]
+    parts = [(s, da * db, (pa, na), (pb, nb))
+             for s, (da, pa, na), (db, pb, nb) in terms if na and nb]
     den = lcm(*(d for _, d, _, _ in parts))
     acc = {}
-    for s, d, na, nb in parts:
-        _accumulate(acc, na, nb, s * (den // d), dim)
-    if 0 in acc.values():
-        # in place: a filtered copy would hold the accumulator twice
-        for k in [k for k, v in acc.items() if not v]:
-            del acc[k]
-    return den, acc
+    for s, d, a, b in parts:
+        _accumulate(acc, a, b, s * (den // d), dim)
+    return packed_form(den, acc)
 
 
 def int_form_operator(dim, form):
     """The Operator of an int form; equal entries share one Fraction."""
-    den, nums = form
-    vals = {}  # int numerator over den -> its one Fraction
-    ent = {}
-    for k, v in nums.items():
-        f = vals.get(v)
-        if f is None:
-            f = vals[v] = Fraction(v, den)
-        ent[k] = f
-    return Operator(dim, ent)
+    den, positions, nums = form
+    # int numerator over den -> its one Fraction
+    vals = {v: Fraction(v, den) for v in set(nums)}
+    return Operator._packed(dim, positions, list(map(vals.__getitem__, nums)))
 
 
 def product_sum(dim, terms):
@@ -181,14 +225,14 @@ def product_sum(dim, terms):
 
 
 def _accumulate(acc, a, b, mult, dim):
-    # acc += mult * (a @ b) on int numerator dicts, grouping a by column:
-    # the product of entry (r, k) of a, at key p, and entry (k, c) of b
-    # lands on (r, c), at key p + c - k
+    # acc += mult * (a @ b) on the (positions, ints) of two int forms,
+    # grouping a by column: the product of entry (r, k) of a, at
+    # position p, and entry (k, c) of b lands on (r, c), at p + c - k
     bycol = {}
-    for p, v in a.items():
+    for p, v in zip(*a):
         bycol.setdefault(p % dim, []).append((p, v * mult))
     get = acc.get
-    for p, bv in b.items():
+    for p, bv in zip(*b):
         k, c = rowcol(p, dim)
         shift = c - k
         for ap, av in bycol.get(k, ()):
@@ -214,7 +258,7 @@ class BracketTable(Mapping):
     def canonical(self, key):
         """(slot, sign) with X(key) = sign * X(slot), or (None, 0) when
         X(key) = 0."""
-        for p, v in self.defs[key].ent.items():
+        for p, v in self.defs[key].items():
             slot = self.slot_at.get(p)
             if slot is not None:
                 return slot, int(v)
@@ -226,7 +270,7 @@ class BracketTable(Mapping):
             x, y = self.defs[key[0]], self.defs[key[1]]
             comm = product_sum(x.dim, [(1, x, y), (-1, y, x)])
             terms = {}
-            for p, v in comm.ent.items():
+            for p, v in comm.items():
                 slot = self.slot_at.get(p)
                 if slot is not None:
                     terms[slot] = v
@@ -331,7 +375,7 @@ def restricted_rows(ops, cols):
     rows = []
     for op in ops:
         byrow = {}
-        for p, v in op.ent.items():
+        for p, v in op.items():
             r, c = rowcol(p, op.dim)
             t = at.get(c)
             if t is not None:

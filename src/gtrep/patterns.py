@@ -421,13 +421,13 @@ class Rep:
         """E(k,k) or F(k,k), built from the weights: entry k of each basis
         vector's weight on the diagonal, zeros absent, equal values as one
         object."""
-        op = Operator(self.dim)
+        ent = {}
         shared = {}
         for c, w in enumerate(self.weights):
             x = w[k - 1]
             if x:
-                op.ent[pos(c, c, self.dim)] = shared.setdefault(x, x)
-        return op
+                ent[pos(c, c, self.dim)] = shared.setdefault(x, x)
+        return Operator(self.dim, ent)
 
     def highest_index(self):
         return self.index[type(self.patterns[0]).highest(self.lam)]

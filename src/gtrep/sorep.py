@@ -280,12 +280,13 @@ def _slice_columns(basis, k, column, trace=None):
     It is called for the lowest column of each slice only; every later
     column with that slice takes the same values at the same moved
     entries, set into its own pattern, so equal-slice columns share their
-    value objects. Zero values are dropped. When trace is a list, notes
-    is one too, and each (k, c, target index, text) the column appends to
-    it is emitted again for every column of the slice, under that
-    column's own indices."""
+    value objects. Zero values are dropped, and the entries are packed
+    into the Operator once every column is set. When trace is a list,
+    notes is one too, and each (k, c, target index, text) the column
+    appends to it is emitted again for every column of the slice, under
+    that column's own indices."""
     dim = basis.dim
-    op = Operator(dim)
+    ent = {}
     index, patterns = basis.index, basis.patterns
     lo = max(k - 2, 0)
 
@@ -313,10 +314,10 @@ def _slice_columns(basis, k, column, trace=None):
                 [(moved(patterns[r]), text) for _, _, r, text in notes or ()])
         values, texts = done[key]
         for m, v in values:
-            op.ent[pos(target(pat, m), c, dim)] = v
+            ent[pos(target(pat, m), c, dim)] = v
         if trace is not None:
             trace.extend((k, c, target(pat, m), text) for m, text in texts)
-    return op
+    return Operator(dim, ent)
 
 
 def _single_step(basis, k, term_fn):
@@ -423,10 +424,11 @@ def defining_operators(n):
     ops = {}
     for i in range(-n, n + 1):
         for j in range(-n, n + 1):
-            m = Operator(dim)
-            m.add_to(at(i), at(j), F1)
-            m.add_to(at(-j), at(-i), -F1)
-            ops[(i, j)] = m
+            # the two entries cancel on F(i,-i)
+            ent = {pos(at(i), at(j), dim): F1}
+            mirror = pos(at(-j), at(-i), dim)
+            ent[mirror] = ent.get(mirror, F0) - F1
+            ops[(i, j)] = Operator(dim, ent)
     return ops
 
 
@@ -460,8 +462,8 @@ def close_generators(n, seeds, dim):
     read from that table, which must give the bracket as +-1 times the
     target slot alone, so no commutator is rescaled. One commutator per
     missing stored slot, 2n(n-1) in all. Every value stored, in a seed or
-    a bracket, is the build's one object of that value; the seeds' entry
-    dicts are replaced by dicts of those objects."""
+    a bracket, is the build's one object of that value: each seed and
+    each commutator is stored as _share remakes it."""
     table = structure_table(n)
     known = {}
     values = {}
@@ -469,8 +471,7 @@ def close_generators(n, seeds, dim):
     def store(slot, op, sign=1):
         # sign * op at slot, or -sign * op at its canonical mirror
         cs, s = table.canonical(slot)
-        _share(op, values, sign * s)
-        known[cs] = op
+        known[cs] = _share(op, values, sign * s)
 
     def bracket(ab, cd, target):
         cs, _ = table.canonical(target)
@@ -496,15 +497,12 @@ def close_generators(n, seeds, dim):
 
 
 def _share(op, values, sign):
-    """Make op sign * op, every value the one object of it in values,
-    which maps a denominator to {numerator: that object} and gains the
-    values it lacks: ints hash far faster than a Fraction, and no pair is
-    kept per value. Each distinct value object of op is looked up once,
-    keyed by its id, which stays fixed while op holds the object; op's
-    old dict is released once the new one is built."""
-    vals = op.ent.values()
-    same = {}
-    for i, v in dict(zip(map(id, vals), vals)).items():
+    """sign * op over op's positions (Operator.map), every value the one
+    object of it in values, which maps a denominator to {numerator: that
+    object} and gains the values it lacks: ints hash far faster than a
+    Fraction, and no pair is kept per value. Each distinct value object
+    of op is looked up once; op's own value list goes with op."""
+    def one(v):
         nums = values.get(v.denominator)
         if nums is None:
             nums = values[v.denominator] = {}
@@ -512,8 +510,8 @@ def _share(op, values, sign):
         if s is None:
             s = v if sign == 1 else -v
             nums[s.numerator] = s
-        same[i] = s
-    op.ent = dict(zip(op.ent, map(same.__getitem__, map(id, vals))))
+        return s
+    return op.map(one)
 
 
 def build_so(lam, cap=None, trace=None):
@@ -536,33 +534,34 @@ def build_so(lam, cap=None, trace=None):
 
 def _check_span_rank(rep):
     # the built generators must span a Lie algebra of the right dimension
-    ents = [op.ent for _, op in sorted(rep.gens.items()) if op.ent]
+    ops = [op for _, op in sorted(rep.gens.items()) if op]
     want = rep.n * (2 * rep.n + 1)
-    got = _slot_rank(ents)
+    got = _slot_rank(ops)
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))
 
 
-def _slot_rank(ents):
-    """Rank of the slots' entry dicts {position: Fraction} (linalg.pos),
-    each taken as one row, first on a certified set of positions: m stored
-    positions of every slot, spread evenly over its entries in stored
-    order, every slot restricted to their union. A restriction never has
-    a larger rank than the full rows, nor a rank mod p than over Q, so a
-    restricted rank mod RANK_PRIME equal to the row count is the rank.
+def _slot_rank(ops):
+    """Rank of the slots' Operators, each taken as one row over the
+    positions (linalg.pos) of its entries, first on a certified set of
+    positions: m positions of every slot, spread evenly over its entries
+    in increasing order, every slot restricted to their union. A
+    restriction never has a larger rank than the full rows, nor a rank
+    mod p than over Q, so a restricted rank mod RANK_PRIME equal to the
+    row count is the rank.
     Otherwise m doubles, and once the positions cover every entry
     span_rank decides on the full rows. Spread positions keep apart the
     diagonal slots, whose leading entries are the first patterns' shared
     weights."""
-    total = sum(map(len, ents))
+    total = sum(map(len, ops))
     m = 1
     while True:
         cols = set()
-        for ent in ents:
-            step = max(1, len(ent) // m)
-            cols.update(itertools.islice(ent, 0, step * m, step))
-        rows = [_restrict(ent, cols) for ent in ents]
+        for op in ops:
+            step = max(1, len(op) // m)
+            cols.update(itertools.islice(op.keys(), 0, step * m, step))
+        rows = [_restrict(op, cols) for op in ops]
         if sum(map(len, rows)) == total:
             return span_rank(rows)
         if _rank_mod_p(rows) == len(rows):
@@ -570,12 +569,14 @@ def _slot_rank(ents):
         m *= 2
 
 
-def _restrict(ent, cols):
-    # the entries of ent at positions in cols, found by walking the
-    # smaller of the two
-    if len(ent) <= len(cols):
-        return {k: v for k, v in ent.items() if k in cols}
-    return {k: ent[k] for k in cols if k in ent}
+def _restrict(op, cols):
+    # the entries of op at positions in cols, as {position: value}: a
+    # walk over op's sorted positions, or one lookup per position of
+    # cols when those are fewer
+    if len(op) <= len(cols):
+        return {k: v for k, v in op.items() if k in cols}
+    got = ((k, op.get(k)) for k in cols)
+    return {k: v for k, v in got if v is not None}
 
 
 def _rank_mod_p(rows):

@@ -7,7 +7,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from gtrep import (F1, InconsistencyError, Operator, PatternA, PatternB,
+from gtrep import (F0, F1, InconsistencyError, Operator, PatternA, PatternB,
                    build_gl, build_so, check_weight_gl, check_weight_so,
                    defining_operators, nullspace, pos, rowcol, rref)
 from gtrep.checks import _dominants
@@ -73,6 +73,23 @@ def all_slots(algebra, n):
     return [(i, j) for i in idx for j in idx]
 
 
+def accumulate(ent, r, c, v, dim):
+    # entry (r, c) of a {position: value} dict plus v; an entry that sums
+    # to zero stays as 0, which the Operator constructor drops
+    p = pos(r, c, dim)
+    ent[p] = ent.get(p, F0) + v
+
+
+def edited(op, changes):
+    # op with the entries at the positions of changes, a {position:
+    # value} dict, set to their values, a value of 0 deleting the entry:
+    # a fresh Operator through the dict constructor, since an Operator is
+    # never changed in place
+    ent = dict(op.items())
+    ent.update(changes)
+    return Operator(op.dim, ent)
+
+
 def all_gens(algebra, rep):
     # every slot's generator read through rep.gen, by slot in sorted order
     return {s: rep.gen(*s) for s in all_slots(algebra, rep.n)}
@@ -81,17 +98,17 @@ def all_gens(algebra, rep):
 def deformed_raise(basis, k):
     # the raising generator at level k with every column on the deformed
     # route: the reference the plain route must agree with
-    op = Operator(basis.dim)
+    ent = {}
     for c, pat in enumerate(basis.patterns):
         for tgt, v in deformed_column(basis, k, c, pat).items():
-            op.add_to(basis.index[tgt], c, v)
-    return op
+            accumulate(ent, basis.index[tgt], c, v, basis.dim)
+    return Operator(basis.dim, ent)
 
 
 def ref_single_step(basis, k, term_fn, *args):
     # a one-step generator with every column's terms generated from its
     # own pattern: the reference the once-per-slice evaluation must match
-    op = Operator(basis.dim)
+    ent = {}
     member = basis.index.__contains__
     for c, pat in enumerate(basis.patterns):
         for tgt, num, den, coef in term_fn(pat, k, member, *args):
@@ -103,21 +120,21 @@ def ref_single_step(basis, k, term_fn, *args):
                     "zero denominator at level %d column %d target %d"
                     % (k, c, r))
             if v:
-                op.add_to(r, c, v)
-    return op
+                accumulate(ent, r, c, v, basis.dim)
+    return Operator(basis.dim, ent)
 
 
 def ref_build_f_raise(basis, k, trace=None):
     # the raising generator column by column, each routed on its own
-    op = Operator(basis.dim)
+    ent = {}
     for c, pat in enumerate(basis.patterns):
         try:
             col = raise_column_terms(basis, k, pat, PLAIN)
         except ZeroDivisionError:
             col = deformed_column(basis, k, c, pat, trace)
         for tgt, v in col.items():
-            op.add_to(basis.index[tgt], c, v)
-    return op
+            accumulate(ent, basis.index[tgt], c, v, basis.dim)
+    return Operator(basis.dim, ent)
 
 
 def scalar_op(dim, s):
@@ -128,11 +145,11 @@ def scalar_op(dim, s):
 
 
 def transpose(op):
-    out = Operator(op.dim)
-    for p, v in op.ent.items():
+    out = {}
+    for p, v in op.items():
         r, c = rowcol(p, op.dim)
-        out.ent[pos(c, r, op.dim)] = v
-    return out
+        out[pos(c, r, op.dim)] = v
+    return Operator(op.dim, out)
 
 
 def capelli_det(rep, u):
@@ -149,13 +166,13 @@ def perm_capelli(rep, u):
     fac = {}
     for r in range(1, n + 1):
         for j in range(1, n + 1):
-            m = Operator(rep.dim, dict(rep.gen(r, j).ent))
+            m = dict(rep.gen(r, j).items())
             if r == j:
                 shift = u - j + 1
                 if shift:
                     for c in range(dim):
-                        m.add_to(c, c, shift)
-            fac[(r, j)] = m
+                        accumulate(m, c, c, shift, dim)
+            fac[(r, j)] = Operator(dim, m)
     total = Operator(dim)
     for perm in itertools.permutations(range(1, n + 1)):
         sgn = 1
@@ -194,14 +211,14 @@ def global_gram(rep):
         up = rep.gen(k, k + 1)
         dn = rep.gen(k + 1, k)
         # <up eta, zeta> = <eta, dn zeta> for all basis eta=a, zeta=b
-        for key, v in up.ent.items():
+        for key, v in up.items():
             r, a = rowcol(key, dim)
             for b in range(dim):
                 p = var(r, b)
                 if p is not None:
                     row = eqs.setdefault((k, a, b), {})
                     row[p] = row.get(p, Fraction(0)) + v
-        for key, v in dn.ent.items():
+        for key, v in dn.items():
             r, b = rowcol(key, dim)
             for a in range(dim):
                 p = var(a, r)
@@ -222,13 +239,14 @@ def global_gram(rep):
     norm = sol.get(pairpos[(h, h)], Fraction(0))
     if not norm:
         raise InconsistencyError("form degenerates on the highest vector")
-    gram = Operator(dim)
+    ent = {}
     for (a, b), p in pairpos.items():
         v = sol.get(p, Fraction(0)) / norm
         if v:
-            gram.ent[pos(a, b, dim)] = v
+            ent[pos(a, b, dim)] = v
             if a != b:
-                gram.ent[pos(b, a, dim)] = v
+                ent[pos(b, a, dim)] = v
+    gram = Operator(dim, ent)
     for i in range(1, rep.n + 1):
         for j in range(1, rep.n + 1):
             if transpose(rep.gen(i, j)) @ gram != gram @ rep.gen(j, i):
@@ -249,10 +267,10 @@ def block_gram(rep):
     for k in range(1, n):
         # each generator as {source column: [(target row, value)]}
         up, dn = {}, {}
-        for p, v in rep.gen(k, k + 1).ent.items():
+        for p, v in rep.gen(k, k + 1).items():
             r, c = rowcol(p, dim)
             up.setdefault(c, []).append((r, v))
-        for p, v in rep.gen(k + 1, k).ent.items():
+        for p, v in rep.gen(k + 1, k).items():
             r, c = rowcol(p, dim)
             dn.setdefault(c, []).append((r, v))
         simple.append((k, up, dn))
@@ -411,11 +429,10 @@ def defining_intertwiner(rep):
     while todo:
         c = todo.pop()
         for slot in all_slots("B", n):
-            for p, v in sorted(rep.gen(*slot).ent.items()):
+            for p, v in sorted(rep.gen(*slot).items()):
                 r, cc = rowcol(p, dim)
                 if cc == c and r not in scale:
-                    scale[r] = (target[slot].ent.get(pos(pi[r], pi[c], dim),
-                                                     0)
+                    scale[r] = (target[slot].get(pos(pi[r], pi[c], dim), 0)
                                 * scale[c] / v)
                     todo.append(r)
     s = Operator(dim, {pos(pi[c], c, dim): v for c, v in scale.items()})
@@ -428,21 +445,16 @@ def single_entry_mutants(rep, slot, deleted=False):
     # at the first free diagonal or first-row position): each as a fresh
     # Operator
     op = rep.gens[slot]
-    for key, v in sorted(op.ent.items()):
-        bad = Operator(op.dim, dict(op.ent))
-        bad.ent[key] = 2 * v
-        yield bad
+    for key, v in sorted(op.items()):
+        yield edited(op, {key: 2 * v})
         if deleted:
-            bad = Operator(op.dim, dict(op.ent))
-            del bad.ent[key]
-            yield bad
+            yield edited(op, {key: 0})
+    stored = set(op.keys())
     free = next((k for k in [pos(c, c, rep.dim) for c in range(rep.dim)]
                  + [pos(0, c, rep.dim) for c in range(rep.dim)]
-                 if k not in op.ent), None)
+                 if k not in stored), None)
     if free is not None:
-        bad = Operator(op.dim, dict(op.ent))
-        bad.ent[free] = Fraction(1, 3)
-        yield bad
+        yield edited(op, {free: Fraction(1, 3)})
 
 
 # ------------------------------------------------ gl(n) series operators
@@ -468,9 +480,9 @@ def _scaled_chain_sum(rep, chains, hsource):
     which makes each summand polynomial: the omitted factors are exactly
     the ones the series would have divided by.
     """
-    total = Operator(rep.dim)
+    total = {}
     for prod, comp in chains:
-        for p, v in prod.ent.items():
+        for p, v in prod.items():
             r, c = rowcol(p, rep.dim)
             # h_a is the eigenvalue of E_aa - a + 1 on column c
             w = rep.weights[c]
@@ -479,8 +491,8 @@ def _scaled_chain_sum(rep, chains, hsource):
             for t in comp:
                 scale *= hs - (w[t - 1] - t + 1)
             if scale:
-                total.add_to(r, c, v * scale)
-    return total
+                accumulate(total, r, c, v * scale, rep.dim)
+    return Operator(rep.dim, total)
 
 
 def z_raise(rep, i):
@@ -615,7 +627,7 @@ def ref_rep_json(algebra, lam, rep):
         "%s(%d,%d)" % (letter, i, j): {
             "dim": rep.dim,
             "entries": [[*rowcol(p, rep.dim), format_rational(v)]
-                        for p, v in sorted(rep.gen(i, j).ent.items())]}
+                        for p, v in sorted(rep.gen(i, j).items())]}
         for i, j in all_slots(algebra, rep.n)}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -629,7 +641,7 @@ def ref_rep_csv(algebra, rep):
     w.writerow(["generator", "row", "col", "value"])
     for i, j in all_slots(algebra, rep.n):
         name = "%s(%d,%d)" % (letter, i, j)
-        for p, v in sorted(rep.gen(i, j).ent.items()):
+        for p, v in sorted(rep.gen(i, j).items()):
             w.writerow([name, *rowcol(p, rep.dim), format_rational(v)])
     return buf.getvalue()
 

@@ -141,11 +141,11 @@ class TestContravariantForm:
     def test_diagonal_nonzero_and_adjoint(self, lam):
         r = gl_rep(lam)
         g = contravariant_gram(r)
-        for p, v in g.ent.items():
+        for p, v in g.items():
             a, b = rowcol(p, r.dim)
             assert a == b and v != 0
         for c in range(r.dim):
-            assert g.ent.get(pos(c, c, r.dim))
+            assert g.get(pos(c, c, r.dim))
         for i in range(1, r.n + 1):
             for j in range(1, r.n + 1):
                 assert transpose(r.gen(i, j)) @ g == g @ r.gen(j, i), (lam, i, j)
@@ -168,10 +168,10 @@ class TestDefiningEquivalence:
         r = so_rep(w)
         s, target = defining_intertwiner(r)
         # monomial and invertible: one nonzero entry in each row and column
-        cells = [rowcol(p, r.dim) for p in s.ent]
+        cells = [rowcol(p, r.dim) for p in s.keys()]
         assert (sorted(a for a, _ in cells) == sorted(c for _, c in cells)
                 == list(range(r.dim)))
-        assert all(s.ent.values())
+        assert all(s.values())
         for key, op in all_gens("B", r).items():
             assert s @ op == target[key] @ s, (n, key)
 
@@ -208,8 +208,30 @@ class TestEntryKeys:
         r = gl_rep(w) if algebra == "A" else so_rep(w)
         for slot, op in r.gens.items():
             assert op.dim == r.dim, slot
-            for p in op.ent:
+            for p in op.keys():
                 assert type(p) is int and 0 <= p < r.dim * r.dim, (slot, p)
+
+    @pytest.mark.parametrize(
+        "algebra, w", [("A", lam) for lam in A_CORPUS]
+        + [("B", w) for w in B_CORPUS + [("-1/2", "-3/2", "-5/2")]])
+    def test_every_stored_slot_is_packed(self, algebra, w):
+        # strictly increasing int positions, one nonzero value per
+        # position, in the same order as the pairs; within a type B build
+        # equal values are one object across every stored slot
+        r = gl_rep(w) if algebra == "A" else so_rep(w)
+        objects = {}
+        for slot, op in r.gens.items():
+            keys, vals = list(op.keys()), list(op.values())
+            assert all(type(p) is int for p in keys), slot
+            assert all(0 <= p < r.dim * r.dim for p in keys), slot
+            assert all(a < b for a, b in zip(keys, keys[1:])), slot
+            assert len(vals) == len(keys) == len(op), slot
+            assert all(v != 0 for v in vals), slot
+            assert list(op.items()) == list(zip(keys, vals)), slot
+            for v in vals:
+                objects.setdefault(v, set()).add(id(v))
+        if algebra == "B":
+            assert all(len(ids) == 1 for ids in objects.values())
 
 
 class TestDeterminism:

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_gens, all_raising,
-                      all_slots, block_gram, defining_intertwiner, fresh_gl_rep,
-                      fresh_so_rep, gl_rep, pairwise_structure_witness,
-                      perm_capelli, ref_casimir_walk, ref_freudenthal,
-                      scalar_op, single_entry_mutants, so_rep)
+                      all_slots, block_gram, defining_intertwiner, edited,
+                      fresh_gl_rep, fresh_so_rep, gl_rep,
+                      pairwise_structure_witness, perm_capelli,
+                      ref_casimir_walk, ref_freudenthal, scalar_op,
+                      single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -195,7 +196,7 @@ class TestSimpleRaisingKernels:
         # tuples, where Weyl's formula gives -1: a failed line naming that
         # weight, not a ValueError
         r = fresh_so_rep(w)
-        del r.gens[slot].ent[pos(*key, r.dim)]
+        r.gens[slot] = edited(r.gens[slot], {pos(*key, r.dim): 0})
         counts = _kernel_counts(r, _raising(r, r.n))
         bad = [mu for mu, got in counts.items()
                if got and not branching_multiplicity(r.lam, mu)]
@@ -243,7 +244,7 @@ class TestMutantsAgainstReferences:
         missed = 0
         for slot in sorted(r.gens):
             orig = r.gens[slot]
-            added = len(orig.ent) * 2
+            added = len(orig) * 2
             for t, bad in enumerate(single_entry_mutants(r, slot,
                                                          deleted=True)):
                 if t % every:
@@ -322,17 +323,17 @@ class TestCasimir:
         # negated at its mirror too, so the type B all-slot sum is twice
         # the sum over the stored slots
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
-        r.gens[slot].ent[pos(0, 1, r.dim)] = Fraction(7)
+        r.gens[slot] = edited(r.gens[slot], {pos(0, 1, r.dim): Fraction(7)})
         acc = Operator(r.dim)
         for (i, j) in all_slots(algebra, r.n):
             acc = acc + r.gen(i, j) @ r.gen(j, i)
-        rem = acc - scalar_op(r.dim, acc.ent.get(pos(0, 0, r.dim),
-                                                 Fraction(0)))
-        key = min(rem.ent)
+        rem = acc - scalar_op(r.dim, acc.get(pos(0, 0, r.dim),
+                                             Fraction(0)))
+        key = min(rem.keys())
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         half = 2 if algebra == "B" else 1
-        assert e.value.witness == (*rowcol(key, r.dim), rem.ent[key] / half)
+        assert e.value.witness == (*rowcol(key, r.dim), rem.get(key) / half)
 
     @pytest.mark.parametrize("algebra, w, slot", [
         ("B", ("-1/2", "-3/2"), (-2, -1)), ("A", (3, 1, 0), (2, 1))])
@@ -342,15 +343,15 @@ class TestCasimir:
         # identity, at its smallest remaining position; halved for type B,
         # where the all-slot sum is twice the sum over the stored slots
         r = fresh_gl_rep(w) if algebra == "A" else fresh_so_rep(w)
-        key = max(r.gens[slot].ent)
-        r.gens[slot].ent[key] *= 3
+        key = max(r.gens[slot].keys())
+        r.gens[slot] = edited(r.gens[slot], {key: r.gens[slot].get(key) * 3})
         gens = all_gens(algebra, r)
         acc = product_sum(r.dim, [(1, gens[(i, j)], gens[(j, i)])
                                   for (i, j) in gens])
-        rem = acc - scalar_op(r.dim, acc.ent.get(pos(0, 0, r.dim),
-                                                 Fraction(0)))
-        key = min(rem.ent)
-        want = rem.ent[key] / (2 if algebra == "B" else 1)
+        rem = acc - scalar_op(r.dim, acc.get(pos(0, 0, r.dim),
+                                             Fraction(0)))
+        key = min(rem.keys())
+        want = rem.get(key) / (2 if algebra == "B" else 1)
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         assert e.value.witness == (*rowcol(key, r.dim), want)
@@ -361,7 +362,8 @@ class TestCasimir:
 
     def test_nonscalar_raises_with_witness(self):
         r = fresh_so_rep(("-1",))
-        r.gens[(-1, 0)].ent[pos(0, 1, r.dim)] = Fraction(7)
+        r.gens[(-1, 0)] = edited(r.gens[(-1, 0)],
+                                 {pos(0, 1, r.dim): Fraction(7)})
         with pytest.raises(NonScalarError) as e:
             casimir_scalar(r)
         assert e.value.witness is not None
@@ -450,7 +452,8 @@ class TestStructure:
 
     def test_single_entry_perturbation_detected(self):
         r = fresh_so_rep(("0", "-1"))
-        r.gens[(-2, -1)].ent[pos(0, 0, r.dim)] = Fraction(1, 3)
+        r.gens[(-2, -1)] = edited(r.gens[(-2, -1)],
+                                  {pos(0, 0, r.dim): Fraction(1, 3)})
         assert not check_structure_constants(r).passed
 
     @pytest.mark.parametrize("algebra, rep", [
@@ -461,10 +464,8 @@ class TestStructure:
         assert check_structure_constants(r).passed
         for slot in sorted(r.gens):
             orig = r.gens[slot]
-            bad = Operator(orig.dim, dict(orig.ent))
-            bad.add_to(*(rowcol(min(orig.ent), r.dim) if orig.ent
-                         else (0, 0)), Fraction(1, 3))
-            r.gens[slot] = bad
+            p = min(orig.keys()) if orig else pos(0, 0, r.dim)
+            r.gens[slot] = edited(orig, {p: orig.get(p, 0) + Fraction(1, 3)})
             assert not check_structure_constants(r).passed, slot
             r.gens[slot] = orig
 
@@ -640,10 +641,12 @@ class TestStructurePresentation:
             wt = r.weights
             rc = next((a, b) for a in range(r.dim) for b in range(r.dim)
                       if wt[a][1] != wt[b][1])
-            r.gens[(1, 1)].ent[pos(*rc, r.dim)] = Fraction(1)
+            r.gens[(1, 1)] = edited(r.gens[(1, 1)],
+                                    {pos(*rc, r.dim): Fraction(1)})
 
         def diagonal_in_raising(r):
-            r.gens[(1, 2)].ent[pos(0, 0, r.dim)] = Fraction(1)
+            r.gens[(1, 2)] = edited(r.gens[(1, 2)],
+                                    {pos(0, 0, r.dim): Fraction(1)})
 
         assert fails(off_diagonal_cartan)[:1] == ("cartan",)
         assert fails(diagonal_in_raising) == ("root", (1, 1), (1, 2))
@@ -667,8 +670,9 @@ class TestScaledFormsAreNotKept:
     def test_entry_changed_after_a_passing_run_fails(self):
         r = fresh_gl_rep((3, 1, 0))
         assert all(_verdicts(r).values())
-        key = min(r.gens[(2, 1)].ent)
-        r.gens[(2, 1)].ent[key] *= 2
+        key = min(r.gens[(2, 1)].keys())
+        r.gens[(2, 1)] = edited(r.gens[(2, 1)],
+                                {key: r.gens[(2, 1)].get(key) * 2})
         got = _verdicts(r)
         assert not got[STRUCTURE] and not got[CAPELLI]
 
@@ -730,10 +734,10 @@ class TestEquivalence:
         r = so_rep(tuple(["0"] * (n - 1) + ["-1"]))
         s, target = defining_intertwiner(r)
         # monomial and invertible: one nonzero entry in each row and column
-        cells = [rowcol(p, r.dim) for p in s.ent]
+        cells = [rowcol(p, r.dim) for p in s.keys()]
         assert (sorted(a for a, _ in cells) == sorted(c for _, c in cells)
                 == list(range(r.dim)))
-        assert all(s.ent.values())
+        assert all(s.values())
         for key, op in all_gens("B", r).items():
             assert s @ op == target[key] @ s, (n, key)
 
@@ -762,6 +766,7 @@ class TestReportShape:
 
     def test_driver_reports_perturbation(self):
         r = fresh_so_rep(("-1",))
-        r.gens[(-1, -1)].ent[pos(0, 0, r.dim)] = Fraction(5)
+        r.gens[(-1, -1)] = edited(r.gens[(-1, -1)],
+                                  {pos(0, 0, r.dim): Fraction(5)})
         rep = run_verification(r, level="full")
         assert not rep.passed

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (A_CORPUS, B_CORPUS, SHIFTED, fresh_so_rep, gl_rep,
-                      ref_patterns_json, ref_rep_csv, ref_rep_json, so_rep)
+from conftest import (A_CORPUS, B_CORPUS, SHIFTED, edited, fresh_so_rep,
+                      gl_rep, ref_patterns_json, ref_rep_csv, ref_rep_json,
+                      so_rep)
 import gtrep.cli as cli
 from gtrep import (Operator, build_so, check_weight_so,
                    enumerate_patterns_b, pos)
@@ -264,21 +265,22 @@ class TestSharedEntryText:
         rep = fresh_so_rep(("-1", "-2"))
         dim, wide = rep.dim, 2 ** 70 + 3
         shared = Fraction(-3, 7)
-        op = Operator(dim)
+        ent = {}
         for r in range(dim):
             for c in range(dim):
                 p = pos(r, c, dim)
                 if (r + c) % 3 == 0:
-                    op.ent[p] = shared
+                    ent[p] = shared
                 elif (r * c) % 5 == 1:
                     # a new object per entry, equal in value
-                    op.ent[p] = Fraction(-5, 2)
+                    ent[p] = Fraction(-5, 2)
                 elif r == c:
-                    op.ent[p] = Fraction(wide if r % 2 else -wide)
+                    ent[p] = Fraction(wide if r % 2 else -wide)
                 elif r + 1 == c:
-                    op.ent[p] = Fraction(-wide, 2 ** 65 + 1)
+                    ent[p] = Fraction(-wide, 2 ** 65 + 1)
+        op = Operator(dim, ent)
         neg = -op
-        assert len({id(v) for v in op.ent.values()}) < len(op.ent)
+        assert len({id(v) for v in op.values()}) < len(op)
         rep.gens.update({(-1, 1): op, (-2, 0): neg, (-1, 0): Operator(dim),
                          (2, -2): op})
         return rep
@@ -312,7 +314,7 @@ class TestRowPieces:
 
     def _sizes(self):
         rep = TestSharedEntryText()._rep()
-        n = max(len(op.ent) for op in rep.gens.values())
+        n = max(len(op) for op in rep.gens.values())
         # several pieces, all full or the last one short; exactly one
         # piece; one piece with room to spare
         return rep, n, [1, 3, n - 1, n, n + 1]
@@ -633,10 +635,8 @@ class TestVerify:
         # see it
         def build(lam, cap=None, trace=None):
             rep = build_so(lam, cap=cap, trace=trace)
-            if value:
-                rep.gens[slot].ent[pos(*cell, rep.dim)] = value
-            else:
-                del rep.gens[slot].ent[pos(*cell, rep.dim)]
+            rep.gens[slot] = edited(rep.gens[slot],
+                                    {pos(*cell, rep.dim): value})
             return rep
 
         monkeypatch.setattr(cli, "build_so", build)

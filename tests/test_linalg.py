@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gtrep import Operator, pos, rowcol
+from gtrep import F1, Operator, pos, rowcol
 from gtrep.linalg import (int_form, int_form_operator, int_product_sum,
                           product_sum)
 
@@ -16,10 +16,15 @@ values = st.sampled_from([Fraction(v) for v in
                            "-7")])
 
 
-def operators(dim):
+def entry_dicts(dim, min_size=0):
+    # {position: value} dicts of a dim x dim matrix, zeros absent
     cells = st.integers(0, dim * dim - 1)
-    return st.dictionaries(cells, values, max_size=dim * dim).map(
-        lambda ent: Operator(dim, ent))
+    return st.dictionaries(cells, values, min_size=min_size,
+                           max_size=dim * dim)
+
+
+def operators(dim):
+    return entry_dicts(dim).map(lambda ent: Operator(dim, ent))
 
 
 operator_pairs = st.integers(1, 4).flatmap(
@@ -27,8 +32,12 @@ operator_pairs = st.integers(1, 4).flatmap(
 
 
 def dense(op):
-    return [[op.ent.get(pos(r, c, op.dim), Fraction(0))
-             for c in range(op.dim)] for r in range(op.dim)]
+    # the reference reads entries in pair order only, never by lookup
+    out = [[Fraction(0)] * op.dim for _ in range(op.dim)]
+    for p, v in op.items():
+        r, c = rowcol(p, op.dim)
+        out[r][c] = v
+    return out
 
 
 def naive_product(a, b):
@@ -52,8 +61,73 @@ def sparse(rows):
 
 
 def assert_matches(op, rows):
-    assert op.ent == sparse(rows)
-    assert all(type(v) is Fraction for v in op.ent.values())
+    # op holds exactly the nonzero entries of rows, in increasing
+    # position order, every value a Fraction
+    want = sparse(rows)
+    assert list(op.items()) == sorted(want.items())
+    assert len(op) == len(want) and bool(op) == bool(want)
+    assert all(type(v) is Fraction for v in op.values())
+
+
+# dicts with zero values too: the constructor drops them
+dicts_with_zeros = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), st.dictionaries(
+        st.integers(0, d * d - 1),
+        st.one_of(values, st.just(Fraction(0)), st.just(0)))))
+
+
+@given(dicts_with_zeros)
+def test_constructor_round_trip(case):
+    # the pairs of Operator(dim, d) are the nonzero entries of d in
+    # increasing position order, and they make the same Operator again
+    dim, ent = case
+    op = Operator(dim, ent)
+    want = sorted((p, v) for p, v in ent.items() if v)
+    assert list(op.items()) == want
+    assert list(op.keys()) == [p for p, _ in want]
+    assert list(op.values()) == [v for _, v in want]
+    assert all(op.values())
+    assert all(a < b for a, b in zip(op.keys(), itertools.islice(
+        op.keys(), 1, None)))
+    assert Operator(dim, dict(op.items())) == op
+    assert dense(op) == [[ent.get(pos(r, c, dim), Fraction(0))
+                          for c in range(dim)] for r in range(dim)]
+    # each value object is the dict's own
+    for p, v in op.items():
+        assert v is ent[p]
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(entry_dicts(d, min_size=1), st.just(d))))
+def test_lookup_at_first_last_and_missing_positions(case):
+    ent, dim = case
+    op = Operator(dim, ent)
+    first, last = min(ent), max(ent)
+    assert op.get(first) is ent[first]
+    assert op.get(last) is ent[last]
+    for p in range(dim * dim):
+        if p in ent:
+            assert op.get(p) is ent[p]
+        else:
+            assert op.get(p) is None and op.get(p, 0) == 0
+    # before the first and after the last position of the whole matrix
+    assert op.get(-1) is None and op.get(dim * dim) is None
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_empty_operator(dim):
+    for op in (Operator(dim), Operator(dim, {}),
+               Operator(dim, {pos(0, 0, dim): Fraction(0)})):
+        assert not op and len(op) == 0
+        assert list(op.items()) == [] and list(op.keys()) == []
+        assert list(op.values()) == []
+        assert op.get(0) is None and op.get(dim * dim - 1, 7) == 7
+        assert op == Operator(dim) and op != Operator(dim + 1)
+        assert -op == op and op + op == op and op - op == op
+        assert op.scale(3) == op and op.scale(0) == op
+        assert op @ op == op and op.commutator(op) == op
+        assert op.apply({0: F1}) == {} and op.column(0) == {}
+        assert dense(op) == [[Fraction(0)] * dim for _ in range(dim)]
 
 
 @given(operator_pairs)
@@ -75,27 +149,22 @@ def test_sum_matches_reference(pair):
     assert_matches(a + b, naive_sum(dense(a), dense(b)))
 
 
-# an operator and cells to add to it, each (row, col, value)
-additions = st.integers(1, 4).flatmap(
-    lambda d: st.tuples(
-        operators(d),
-        st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
-                           values))))
+@given(operator_pairs)
+def test_difference_matches_reference(pair):
+    a, b = pair
+    assert_matches(a - b, naive_sum(dense(a), dense(b), -1))
+    assert_matches(a - a, naive_sum(dense(a), dense(a), -1))
 
 
-@given(additions)
-def test_add_to_matches_reference(case):
-    op, adds = case
-    before = Operator(op.dim, dict(op.ent))
-    want = dense(op)
-    for r, c, v in adds:
-        op.add_to(r, c, v)
-        want[r][c] += v
-        assert_matches(op, want)
-    # undoing every addition cancels to the drawn entries, zeros dropped
-    for r, c, v in reversed(adds):
-        op.add_to(r, c, -v)
-    assert op == before
+@given(st.integers(1, 4).flatmap(operators))
+def test_negation_matches_reference(op):
+    assert_matches(-op, [[-v for v in row] for row in dense(op)])
+
+
+@given(st.integers(1, 4).flatmap(operators),
+       st.one_of(values, st.just(Fraction(0)), st.just(3)))
+def test_scale_matches_reference(op, s):
+    assert_matches(op.scale(s), [[v * s for v in row] for row in dense(op)])
 
 
 vectors = st.integers(1, 4).flatmap(
@@ -149,20 +218,20 @@ def test_cancelling_products_are_not_stored():
                      pos(0, 1, 2): Fraction(1, 3)})
     b = Operator(2, {pos(0, 0, 2): Fraction(2, 3),
                      pos(1, 0, 2): Fraction(-1)})
-    assert (a @ b).ent == {}
-    assert a.commutator(a).ent == {}
+    assert list((a @ b).items()) == []
+    assert list(a.commutator(a).items()) == []
     assert Operator(2) @ a == Operator(2)
 
 
 def _objects(op):
-    return {id(v) for v in op.ent.values()}
+    return {id(v) for v in op.values()}
 
 
 @given(operator_pairs)
 def test_equal_product_entries_are_one_object(pair):
     a, b = pair
     for op in (a @ b, a.commutator(b)):
-        assert len(_objects(op)) == len(set(op.ent.values()))
+        assert len(_objects(op)) == len(set(op.values()))
 
 
 @given(operator_pairs)
@@ -174,28 +243,31 @@ def test_negation_negates_each_source_object_once(pair):
                           pos(2, 2, 3): Fraction(2, 4)})
     for op in (a, shared, a @ a):
         neg = -op
-        assert neg.ent == {k: -v for k, v in op.ent.items()}
+        assert dict(neg.items()) == {k: -v for k, v in op.items()}
         assert len(_objects(neg)) == len(_objects(op))
-        for k, v in op.ent.items():
-            for k2, v2 in op.ent.items():
-                assert (v is v2) == (neg.ent[k] is neg.ent[k2])
+        for k, v in op.items():
+            for k2, v2 in op.items():
+                assert (v is v2) == (neg.get(k) is neg.get(k2))
 
 
 # ------------------------------------------------ the integer form
 
 
 def _as_fractions(form):
-    den, nums = form
-    return {k: Fraction(v, den) for k, v in nums.items()}
+    # the {position: Fraction} of an int form, its positions increasing
+    den, positions, nums = form
+    assert len(positions) == len(nums)
+    assert list(positions) == sorted(set(positions))
+    return {k: Fraction(v, den) for k, v in zip(positions, nums)}
 
 
 @given(st.integers(1, 4).flatmap(operators))
 def test_int_form_scales_by_the_common_denominator(op):
-    den, nums = int_form(op)
-    assert all(type(v) is int and v for v in nums.values())
-    assert all(den % v.denominator == 0 for v in op.ent.values())
-    assert _as_fractions((den, nums)) == op.ent
-    assert int_form_operator(op.dim, (den, nums)) == op
+    den, positions, nums = int_form(op)
+    assert all(type(v) is int and v for v in nums)
+    assert all(den % v.denominator == 0 for v in op.values())
+    assert _as_fractions((den, positions, nums)) == dict(op.items())
+    assert int_form_operator(op.dim, (den, positions, nums)) == op
 
 
 # each term is (sign, a, b); a term may be followed by its own negation,
@@ -223,19 +295,22 @@ def test_int_product_sum_matches_reference(case):
         want = naive_sum(want, prod, s)
     form = int_product_sum(dim, [(s, int_form(a), int_form(b))
                                  for s, a, b in terms])
-    assert all(type(v) is int and v for v in form[1].values())
+    assert all(type(v) is int and v for v in form[2])
     assert _as_fractions(form) == sparse(want)
     op = product_sum(dim, terms)
     assert_matches(op, want)
-    assert len(_objects(op)) == len(set(op.ent.values()))
+    assert len(_objects(op)) == len(set(op.values()))
 
 
 def test_int_product_sum_of_nothing_or_zero_operands_is_zero():
     a = int_form(Operator(2, {pos(0, 1, 2): Fraction(1, 2)}))
     zero = int_form(Operator(2))
-    assert zero == (1, {})
-    assert int_product_sum(2, []) == (1, {})
-    assert int_product_sum(2, [(1, zero, a), (1, a, zero)]) == (1, {})
+    assert _as_fractions(zero) == {} and zero[0] == 1
+    assert _as_fractions(int_product_sum(2, [])) == {}
+    assert int_product_sum(2, [])[0] == 1
+    got = int_product_sum(2, [(1, zero, a), (1, a, zero)])
+    assert _as_fractions(got) == {} and got[0] == 1
     # a product that cancels entry by entry leaves nothing stored
     b = int_form(Operator(2, {pos(1, 0, 2): Fraction(2, 3)}))
-    assert int_product_sum(2, [(1, a, b), (-1, a, b)])[1] == {}
+    got = int_product_sum(2, [(1, a, b), (-1, a, b)])
+    assert list(got[1]) == [] and got[2] == []
