@@ -112,7 +112,7 @@ class Operator:
         return (self.dim == other.dim and self._pos == other._pos
                 and self._val == other._val)
 
-    def map(self, f):
+    def map_values(self, f):
         """The Operator with f(v) at every entry of value v, over the same
         positions. f is called once per distinct value object (keyed by
         id: self holds the objects, so their ids stay fixed meanwhile),
@@ -124,7 +124,7 @@ class Operator:
                                 list(map(made.__getitem__, map(id, vals))))
 
     def __neg__(self):
-        return self.map(neg)
+        return self.map_values(neg)
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -140,7 +140,7 @@ class Operator:
     def scale(self, s):
         if not s:
             return Operator(self.dim)
-        return self.map(lambda v: v * s)
+        return self.map_values(lambda v: v * s)
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):

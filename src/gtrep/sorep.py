@@ -497,11 +497,12 @@ def close_generators(n, seeds, dim):
 
 
 def _share(op, values, sign):
-    """sign * op over op's positions (Operator.map), every value the one
-    object of it in values, which maps a denominator to {numerator: that
-    object} and gains the values it lacks: ints hash far faster than a
-    Fraction, and no pair is kept per value. Each distinct value object
-    of op is looked up once; op's own value list goes with op."""
+    """sign * op over op's positions (Operator.map_values), every value
+    the one object of it in values, which maps a denominator to
+    {numerator: that object} and gains the values it lacks: ints hash far
+    faster than a Fraction, and no pair is kept per value. Each distinct
+    value object of op is looked up once; op's own value list goes with
+    op."""
     def one(v):
         nums = values.get(v.denominator)
         if nums is None:
@@ -511,7 +512,7 @@ def _share(op, values, sign):
             s = v if sign == 1 else -v
             nums[s.numerator] = s
         return s
-    return op.map(one)
+    return op.map_values(one)
 
 
 def build_so(lam, cap=None, trace=None):
@@ -570,13 +571,13 @@ def _slot_rank(ops):
 
 
 def _restrict(op, cols):
-    # the entries of op at positions in cols, as {position: value}: a
-    # walk over op's sorted positions, or one lookup per position of
-    # cols when those are fewer
-    if len(op) <= len(cols):
-        return {k: v for k, v in op.items() if k in cols}
-    got = ((k, op.get(k)) for k in cols)
-    return {k: v for k, v in got if v is not None}
+    # the entries of op at positions in cols, as {position: value}: one
+    # lookup (a bisection) per position of cols when those cost less than
+    # a walk over op's pairs, else that walk
+    if len(cols) * len(op).bit_length() < len(op):
+        got = ((k, op.get(k)) for k in cols)
+        return {k: v for k, v in got if v is not None}
+    return {k: v for k, v in op.items() if k in cols}
 
 
 def _rank_mod_p(rows):
