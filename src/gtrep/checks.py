@@ -576,7 +576,8 @@ def run_verification(rep, level="fast"):
     for k in range(1, rep.n + 1):
         diag = rep.gen(k, k)
         want = Operator(rep.dim, {pos(c, c, rep.dim): w[k - 1]
-                                  for c, w in enumerate(rep.weights)})
+                                  for c, w in enumerate(rep.weights)
+                                  if w[k - 1]})
         if diag != want:
             witness = ("diagonal", k)
             break

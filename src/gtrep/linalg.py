@@ -6,9 +6,8 @@ An entry of a dim x dim matrix sits at one int, its row-major position
 pos(row, col, dim) = row * dim + col, read back by rowcol, so increasing
 positions are in (row, col) order. An Operator holds its entries packed:
 an array('q') of strictly increasing positions and a list of the value
-objects in the same order, zeros absent. It is made from a
-{position: value} dict, which it packs, and is never changed after
-that. Readers iterate (position, value) pairs in order (items); a single
+objects in the same order. It is made from a {position: value} dict
+with no zero value, which it packs, and is never changed after that. Readers iterate (position, value) pairs in order (items); a single
 lookup (get) bisects. Only this module reads the encoding or the
 layout; every other module goes through pos, rowcol and those readers.
 
@@ -49,14 +48,10 @@ def rowcol(p, dim):
 
 
 def _pack(ent):
-    # the positions of the nonzero entries of a {position: value} dict in
-    # increasing order, as an array('q'), and their values in that order
+    # the positions of a {position: value} dict in increasing order, as
+    # an array('q'), and the values in that order
     keys = sorted(ent)
-    vals = list(map(ent.__getitem__, keys))
-    if not all(vals):
-        keys = [p for p, v in zip(keys, vals) if v]
-        vals = list(filter(None, vals))
-    return array("q", keys), vals
+    return array("q", keys), [ent[p] for p in keys]
 
 
 def _distinct(vals):
@@ -65,8 +60,8 @@ def _distinct(vals):
 
 
 class Operator:
-    """dim x dim matrix of the nonzero entries of a {pos(row, col, dim):
-    value} dict, packed (see the module docstring)."""
+    """dim x dim matrix of the entries of a {pos(row, col, dim): value}
+    dict with no zero value, packed (see the module docstring)."""
 
     __slots__ = ("dim", "_pos", "_val")
 
@@ -131,7 +126,11 @@ class Operator:
             return NotImplemented
         out = dict(self.items())
         for p, v in other.items():
-            out[p] = out.get(p, F0) + v
+            nv = out.get(p, F0) + v
+            if nv:
+                out[p] = nv
+            else:
+                out.pop(p, None)
         return Operator(self.dim, out)
 
     def __sub__(self, other):
@@ -185,6 +184,8 @@ def int_form(op):
 def packed_form(den, nums):
     """The int form (den, positions, ints) of the nonzero entries of
     nums, a {position: int} dict."""
+    if 0 in nums.values():
+        nums = {p: v for p, v in nums.items() if v}
     return (den, *_pack(nums))
 
 

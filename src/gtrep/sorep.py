@@ -425,10 +425,9 @@ def defining_operators(n):
     for i in range(-n, n + 1):
         for j in range(-n, n + 1):
             # the two entries cancel on F(i,-i)
-            ent = {pos(at(i), at(j), dim): F1}
-            mirror = pos(at(-j), at(-i), dim)
-            ent[mirror] = ent.get(mirror, F0) - F1
-            ops[(i, j)] = Operator(dim, ent)
+            p, mirror = pos(at(i), at(j), dim), pos(at(-j), at(-i), dim)
+            ops[(i, j)] = Operator(dim, {p: F1, mirror: -F1}
+                                   if p != mirror else {})
     return ops
 
 

@@ -74,10 +74,14 @@ def all_slots(algebra, n):
 
 
 def accumulate(ent, r, c, v, dim):
-    # entry (r, c) of a {position: value} dict plus v; an entry that sums
-    # to zero stays as 0, which the Operator constructor drops
+    # entry (r, c) of a {position: value} dict plus v, an entry that sums
+    # to zero dropped (the Operator constructor takes no zero value)
     p = pos(r, c, dim)
-    ent[p] = ent.get(p, F0) + v
+    nv = ent.get(p, F0) + v
+    if nv:
+        ent[p] = nv
+    else:
+        ent.pop(p, None)
 
 
 def edited(op, changes):
@@ -86,7 +90,11 @@ def edited(op, changes):
     # a fresh Operator through the dict constructor, since an Operator is
     # never changed in place
     ent = dict(op.items())
-    ent.update(changes)
+    for p, v in changes.items():
+        if v:
+            ent[p] = v
+        else:
+            ent.pop(p, None)
     return Operator(op.dim, ent)
 
 
