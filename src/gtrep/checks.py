@@ -559,9 +559,8 @@ def _is_scalar(form, dim, s):
     t = int(t)
     if not t:
         return not nums
-    return len(nums) == dim and all(
-        p == pos(c, c, dim) and v == t
-        for c, (p, v) in enumerate(zip(positions, nums)))
+    return (nums.count(t) == len(nums) == dim
+            and list(positions) == [pos(c, c, dim) for c in range(dim)])
 
 
 def run_verification(rep, level="fast"):

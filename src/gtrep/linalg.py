@@ -51,7 +51,7 @@ def _pack(ent):
     # the positions of a {position: value} dict in increasing order, as
     # an array('q'), and the values in that order
     keys = sorted(ent)
-    return array("q", keys), [ent[p] for p in keys]
+    return array("q", keys), list(map(ent.__getitem__, keys))
 
 
 def _distinct(vals):
