@@ -48,11 +48,20 @@ def build_gl(lam, cap=None):
     for k in range(1, n + 1):
         gens[(k, k)] = rep.diagonal(k)
 
+    made = {}  # (numerator, denominator) -> its one Fraction
+
+    def value(num, den):
+        f = made.get((num, den))
+        if f is None:
+            f = made[(num, den)] = Fraction(num, den)
+        return f
+
     for k in range(1, n):
         up = {}
         down = {}
         for c, pat in enumerate(rep.patterns):
-            # l-value differences are integers: one Fraction per entry
+            # l-value differences are integers: one Fraction per distinct
+            # ratio, shared by every entry that has it
             lk = _lvals(pat.rows[k - 1])
             above = _lvals(pat.rows[k])
             below = _lvals(pat.rows[k - 2]) if k >= 2 else []
@@ -64,11 +73,11 @@ def build_gl(lam, cap=None):
                 num = _prod_diff(li, above)
                 r = index.get(pat.shifted(k, i + 1, +1)) if num else None
                 if r is not None:
-                    up[pos(r, c, dim)] = Fraction(-num, den)
+                    up[pos(r, c, dim)] = value(-num, den)
                 num = _prod_diff(li, below)
                 r = index.get(pat.shifted(k, i + 1, -1)) if num else None
                 if r is not None:
-                    down[pos(r, c, dim)] = Fraction(num, den)
+                    down[pos(r, c, dim)] = value(num, den)
         gens[(k, k + 1)] = Operator(dim, up)
         gens[(k + 1, k)] = Operator(dim, down)
 
