@@ -7,7 +7,8 @@ pos(row, col, dim) = row * dim + col, read back by rowcol, so increasing
 positions are in (row, col) order. An Operator holds its entries packed:
 an array('q') of strictly increasing positions and a list of the value
 objects in the same order. It is made from a {position: value} dict
-with no zero value, which it packs, and is never changed after that. Readers iterate (position, value) pairs in order (items); a single
+with no zero value, which it packs, and is never changed after that.
+Readers iterate (position, value) pairs in order (items); a single
 lookup (get) bisects. Only this module reads the encoding or the
 layout; every other module goes through pos, rowcol and those readers.
 
@@ -182,10 +183,12 @@ def int_form(op):
 
 
 def packed_form(den, nums):
-    """The int form (den, positions, ints) of the nonzero entries of
-    nums, a {position: int} dict."""
+    """The int form (den, positions, ints) of nums, a {position: int}
+    dict, whose zero entries are dropped in place first."""
     if 0 in nums.values():
-        nums = {p: v for p, v in nums.items() if v}
+        # in place: a filtered copy would hold the accumulator twice
+        for p in [p for p, v in nums.items() if not v]:
+            del nums[p]
     return (den, *_pack(nums))
 
 
