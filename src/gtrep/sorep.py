@@ -38,10 +38,12 @@ from __future__ import annotations
 import functools
 import itertools
 from math import lcm
+from operator import mul
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
-from .linalg import RANK_PRIME, BracketTable, Operator, pos, rref
+from .linalg import (RANK_PRIME, BracketTable, Operator, pos, rowcol,
+                     rref)
 from .patterns import (PatternB, Rep, check_weight_so, enumerate_patterns_b,
                        stored_slot)
 
@@ -533,60 +535,47 @@ def build_so(lam, cap=None, trace=None):
 
 
 def _check_span_rank(rep):
-    # the built generators must span a Lie algebra of the right dimension
-    ops = [op for _, op in sorted(rep.gens.items()) if op]
-    want = rep.n * (2 * rep.n + 1)
-    got = _slot_rank(ops)
+    """The built generators must span o(2n+1), of dimension n(2n+1).
+    The basis is a weight basis: every entry (row, col) of a stored slot
+    F(i,j), i != -j, joins basis vectors whose weights differ by the
+    slot's root e_i - e_j (e_{-k} = -e_k, e_0 = 0), or a
+    ConstructionError names the slot, row and col. Distinct stored slots
+    have distinct roots, so their supports are disjoint, and the span's
+    rank is the number of nonzero off-diagonal slots plus the rank of
+    the diagonal slots F(-k,-k), taken on one diagonal entry per
+    distinct weight: a restriction never raises a rank."""
+    n, dim = rep.n, rep.dim
+    dw = [[p.doubled_weight(k) for k in range(1, n + 1)]
+          for p in rep.patterns]
+    # each weight as one int code in a radix above every coordinate of a
+    # weight difference minus a root, so that a difference's code is a
+    # root's only at that root; unit[k] is the code of e_k, doubled as
+    # the weights are, and unit[-k], read from the list's end, -unit[k]
+    radix = 4 * max(map(abs, itertools.chain.from_iterable(dw))) + 1
+    place = [radix ** k for k in range(n)]
+    code = [sum(map(mul, w, place)) for w in dw]
+    unit = [0, *(2 * x for x in place), *(-2 * x for x in reversed(place))]
+    got, diag = 0, []
+    for (i, j), op in sorted(rep.gens.items()):
+        if i == -j:
+            continue
+        root = unit[i] - unit[j]
+        for r, c in map(rowcol, op.keys(), itertools.repeat(dim)):
+            if code[r] - code[c] != root:
+                raise ConstructionError(
+                    "an entry of F(%d,%d) does not shift weight by its root"
+                    % (i, j), witness=((i, j), r, c))
+        if i == j:
+            diag.append(op)
+        elif op:
+            got += 1
+    cols = {x: c for c, x in enumerate(code)}.values()
+    got += span_rank([{c: v for c in cols if (v := op.get(pos(c, c, dim)))}
+                      for op in diag])
+    want = n * (2 * n + 1)
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))
-
-
-def _slot_rank(ops):
-    """Rank of the slots' Operators, each taken as one row over the
-    positions (linalg.pos) of its entries, first on a certified set of
-    positions: m positions of every slot, spread evenly over its entries
-    in increasing order, every slot restricted to their union. A
-    restriction never has a larger rank than the full rows, nor a rank
-    mod p than over Q, so a restricted rank mod RANK_PRIME equal to the
-    row count is the rank.
-    Otherwise m doubles, and once the positions cover every entry
-    span_rank decides on the full rows. Spread positions keep apart the
-    diagonal slots, whose leading entries are the first patterns' shared
-    weights."""
-    total = sum(map(len, ops))
-    m = 1
-    while True:
-        cols = set()
-        for op in ops:
-            step = max(1, len(op) // m)
-            cols.update(itertools.islice(op.keys(), 0, step * m, step))
-        rows = [_restrict(op, cols) for op in ops]
-        if sum(map(len, rows)) == total:
-            return span_rank(rows)
-        if _rank_mod_p(rows) == len(rows):
-            return len(rows)
-        m *= 2
-
-
-def _restrict(op, cols):
-    # the entries of op at positions in cols, as {position: value}: one
-    # lookup (a bisection) per position of cols when those cost less than
-    # a walk over op's pairs, else that walk
-    if len(cols) * len(op).bit_length() < len(op):
-        got = ((k, op.get(k)) for k in cols)
-        return {k: v for k, v in got if v is not None}
-    return {k: v for k, v in op.items() if k in cols}
-
-
-def _rank_mod_p(rows):
-    # the rank mod RANK_PRIME of Fraction rows, each scaled to integers
-    scaled = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        scaled.append({c: v.numerator * (den // v.denominator)
-                       for c, v in row.items()})
-    return len(rref(scaled, modulus=RANK_PRIME))
 
 
 def span_rank(rows):
@@ -594,7 +583,12 @@ def span_rank(rows):
     and the rank taken mod RANK_PRIME; the rank mod p never exceeds the
     rank over Q, so when it equals the row count it is the rank. Otherwise
     the exact rref decides."""
-    got = _rank_mod_p(rows)
+    scaled = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        scaled.append({c: v.numerator * (den // v.denominator)
+                       for c, v in row.items()})
+    got = len(rref(scaled, modulus=RANK_PRIME))
     if got == len(rows):
         return got
     return len(rref(rows))

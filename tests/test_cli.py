@@ -16,6 +16,7 @@ from conftest import (A_CORPUS, B_CORPUS, SHIFTED, edited, fresh_so_rep,
                       gl_rep, ref_patterns_json, ref_rep_csv, ref_rep_json,
                       so_rep)
 import gtrep.cli as cli
+import gtrep.sorep as sorep
 from gtrep import (Operator, build_so, check_weight_so,
                    enumerate_patterns_b, pos)
 from gtrep.cli import main
@@ -419,6 +420,24 @@ class TestStreamedBuild:
                 assert err == "construction failed: pole [witness: (1, 2)]\n"
         assert target.read_text() == "previous"
         assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+
+    def test_an_entry_off_its_root_exits_3_with_its_witness(self, capsys,
+                                                           monkeypatch):
+        # the build's span check, run again after one entry is added at
+        # (0, 0) of F(-2,-1), whose root is e_{-2} - e_{-1}
+        def build(lam, cap=None, trace=None):
+            rep = build_so(lam, cap, trace)
+            rep.gens[(-2, -1)] = edited(rep.gens[(-2, -1)],
+                                        {pos(0, 0, rep.dim): Fraction(1)})
+            sorep._check_span_rank(rep)
+            return rep
+
+        monkeypatch.setattr(cli, "build_so", build)
+        code, out, err = run(capsys, "build", "--type", "B", "--rank", "2",
+                             "--weight", "0,-1")
+        assert (code, out) == (3, "")
+        assert err == ("construction failed: an entry of F(-2,-1) does not "
+                       "shift weight by its root [witness: ((-2, -1), 0, 0)]\n")
 
 
 class TestOutFile:

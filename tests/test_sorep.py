@@ -1,12 +1,11 @@
 """Odd orthogonal generator matrices: coefficients, limits, closure."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from conftest import (A_CORPUS, B_CORPUS, all_gens, all_slots, deformed_raise,
-                      fresh_so_rep, gl_rep, ref_build_f_raise,
+                      edited, fresh_so_rep, gl_rep, ref_build_f_raise,
                       ref_lower_step_terms, ref_prime_drop_terms,
                       ref_sig_case_terms, ref_single_step, so_rep)
 from gtrep import (
@@ -654,87 +653,42 @@ class TestSpanRank:
         assert span_rank([r1, r2, r3]) == 2
         assert calls == [2, 3]
 
-    # the type B modules of the benchmark workloads
+    # the type B modules of the benchmark workloads, a spinor module and
+    # the rank-12 vector module
     BENCH_B = [("-2", "-2", "-3"), ("-1/2", "-3/2", "-5/2"),
                ("-1/2", "-1/2", "-1/2", "-3/2"), ("-1", "-1", "-2")]
-
-    def _record_rows(self, monkeypatch):
-        # (modulus, row count, entry count) of every rref call
-        calls = []
-        real = sorep.rref
-
-        def rref(rows, modulus=None):
-            calls.append((modulus, len(rows), sum(map(len, rows))))
-            return real(rows, modulus)
-        monkeypatch.setattr(sorep, "rref", rref)
-        return calls
+    MORE_B = [("-1/2",) * 4, ("0",) * 11 + ("-1",)]
 
     @pytest.mark.parametrize("w", [w for w in B_CORPUS + BENCH_B
-                                   if any(map(Fraction, w))])
+                                   if any(map(Fraction, w))] + MORE_B)
     def test_built_modules_pass(self, w):
         sorep._check_span_rank(so_rep(w))
 
-    @pytest.mark.parametrize("w", BENCH_B)
-    def test_ranked_rows_hold_far_fewer_entries_than_the_slots(
-            self, w, monkeypatch):
-        r = so_rep(w)
-        calls = self._record_rows(monkeypatch)
-        sorep._check_span_rank(r)
-        canon = structure_table(r.n).canonical
-        slots = {canon(s)[0] for s in r.gens} - {None}
-        nnz = sum(len(r.gens[s]) for s in slots)
-        want = r.n * (2 * r.n + 1)
-        # every call is mod p on one row per slot, the last one full rank,
-        # and no call ranks the full rows: at most a third of their entries
-        # (288 of 3,872 at dim 128, 46 of 70,932 at dim 1386)
-        assert calls and all(m == sorep.RANK_PRIME and rows == want
-                             for m, rows, _ in calls)
-        assert max(e for _, _, e in calls) * 3 < nnz
+    def test_an_entry_off_its_root_raises_with_its_witness(self):
+        # one entry at (0, 0) of F(-2,-1), whose root is e_{-2} - e_{-1}:
+        # the slot's rank and the span's stay as they were
+        r = fresh_so_rep(("0", "-1"))
+        assert len(r.gens[(-2, -1)]) == 2
+        r.gens[(-2, -1)] = edited(r.gens[(-2, -1)],
+                                  {pos(0, 0, r.dim): Fraction(1)})
+        with pytest.raises(ConstructionError,
+                           match=r"entry of F\(-2,-1\) does not shift") as e:
+            sorep._check_span_rank(r)
+        assert e.value.witness == ((-2, -1), 0, 0)
 
-    def test_slots_agreeing_on_their_leading_positions_pass(self,
-                                                             monkeypatch):
-        # the first two slots of o(3) agree on their first two stored
-        # positions and differ at the third, so the positions grow until
-        # they cover every entry and the full rows decide
-        calls = self._record_rows(monkeypatch)
-        one, two = Fraction(1), Fraction(2)
-        a = Operator(3, {pos(0, 0, 3): one, pos(0, 1, 3): -one,
-                         pos(1, 2, 3): one})
-        b = Operator(3, {pos(0, 0, 3): one, pos(0, 1, 3): -one,
-                         pos(1, 2, 3): two})
-        c = Operator(3, {pos(2, 2, 3): Fraction(1, 3)})
-        canon = structure_table(1).canonical
-        slots = sorted({canon((i, j))[0] for i in range(-1, 2)
-                        for j in range(-1, 2)} - {None})
-        rep = SimpleNamespace(n=1, dim=3, gens=dict(zip(slots, (a, b, c))))
-        sorep._check_span_rank(rep)
-        assert [e for _, _, e in calls] == [3, 5, 7]
-
-    def test_diagonal_slots_agreeing_on_their_leading_positions(
-            self, monkeypatch):
-        # two diagonal slots equal on their first half and apart on the
-        # second, as F(k,k) are on the first patterns' shared weights:
-        # the first m positions would need every entry, but positions
-        # spread over each slot tell them apart at m = 2, mod p
-        calls = self._record_rows(monkeypatch)
-        a = Operator(8, {pos(c, c, 8): Fraction(1 + (c >= 4))
-                         for c in range(8)})
-        b = Operator(8, {pos(c, c, 8): Fraction(1 + 2 * (c >= 4))
-                         for c in range(8)})
-        c = Operator(8, {pos(0, 1, 8): Fraction(1, 3)})
-        canon = structure_table(1).canonical
-        slots = sorted({canon((i, j))[0] for i in range(-1, 2)
-                        for j in range(-1, 2)} - {None})
-        rep = SimpleNamespace(n=1, dim=8, gens=dict(zip(slots, (a, b, c))))
-        sorep._check_span_rank(rep)
-        assert calls == [(sorep.RANK_PRIME, 3, 3), (sorep.RANK_PRIME, 3, 5)]
+    def test_an_emptied_off_diagonal_slot_lowers_the_rank(self):
+        r = fresh_so_rep(("0", "-1"))
+        r.gens[(-2, 1)] = Operator(r.dim)
+        with pytest.raises(ConstructionError,
+                           match="generator span has rank 9, expected 10"):
+            sorep._check_span_rank(r)
 
     def test_rank_deficient_generators_raise(self):
+        # F(-1,-1) a copy of F(-2,-2): both shift by the zero root, and the
+        # diagonal block drops to rank 1
         r = fresh_so_rep(("0", "-1"))
-        canon = structure_table(r.n).canonical
-        slots = sorted({canon(s)[0] for s in r.gens} - {None})
         sorep._check_span_rank(r)
-        r.gens[slots[1]] = Operator(r.dim, dict(r.gens[slots[0]].items()))
+        r.gens[(-1, -1)] = Operator(r.dim, dict(r.gens[(-2, -2)].items()))
         with pytest.raises(ConstructionError,
                            match="generator span has rank 9, expected 10"):
             sorep._check_span_rank(r)
