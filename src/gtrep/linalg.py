@@ -293,11 +293,14 @@ RANK_PRIME = (1 << 61) - 1
 
 
 def rref(rows, modulus=None):
-    """Reduced echelon form of sparse rows (dicts col->Fraction), or of
-    rows of ints over GF(modulus) when a prime modulus is given.
+    """Reduced echelon form of sparse rows (dicts col->Fraction), or an
+    echelon form of rows of ints over GF(modulus) when a prime modulus is
+    given.
 
-    Returns {pivot_col: row_dict} with each pivot row monic and fully
-    reduced. Deterministic for a fixed input order.
+    Returns {pivot_col: row_dict} with each pivot row monic; over the
+    rationals each is also fully reduced, over GF(modulus) it is not
+    back-reduced, which leaves the rank (the number of pivots) the same.
+    Deterministic for a fixed input order.
     """
     if modulus is not None:
         return _rref_mod(rows, modulus)
@@ -338,33 +341,26 @@ def rref(rows, modulus=None):
 
 
 def _rref_mod(rows, p):
-    # rref over GF(p): entries are ints in [1, p), zeros absent
+    # forward elimination over GF(p): entries are ints in [1, p), zeros
+    # absent
     piv = {}
     for row in rows:
         r = {c: v % p for c, v in row.items() if v % p}
         while r:
             c = min(r)
             if c in piv:
-                _subtract_mod(r, r[c], piv[c], p)
+                f = r[c]
+                for cc, vv in piv[c].items():
+                    nv = (r.get(cc, 0) - f * vv) % p
+                    if nv:
+                        r[cc] = nv
+                    else:
+                        r.pop(cc, None)
             else:
                 inv = pow(r[c], -1, p)
                 piv[c] = {cc: vv * inv % p for cc, vv in r.items()}
                 break
-    for c in sorted(piv, reverse=True):
-        for c2, row2 in piv.items():
-            if c2 < c and c in row2:
-                _subtract_mod(row2, row2[c], piv[c], p)
     return piv
-
-
-def _subtract_mod(r, f, pr, p):
-    # r -= f * pr over GF(p), in place
-    for cc, vv in pr.items():
-        nv = (r.get(cc, 0) - f * vv) % p
-        if nv:
-            r[cc] = nv
-        else:
-            r.pop(cc, None)
 
 
 def rank_of(rows):

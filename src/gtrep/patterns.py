@@ -9,6 +9,9 @@ fixed to the highest weight), all entries non-positive members of one
 parity class, stored doubled, as ints. Weights and JSON values are
 Fractions; the builders read the ints directly.
 
+Each enumerator descends its chain top level first and emits the basis
+in canonical order as it goes; its docstring states the order.
+
 Validity comes in two strengths. PatternB.full_valid is basis membership:
 parity class, non-positivity, both interleaving chains and the sigma
 bound. PatternB.generic_valid keeps only the interleaving chains;
@@ -109,14 +112,6 @@ class PatternA:
     def n(self):
         return len(self.rows)
 
-    def key(self):
-        # top row constant across the basis, excluded; all patterns of a
-        # module share the base, so the offsets sort as the entries do
-        out = []
-        for k in range(self.n - 1, 0, -1):
-            out.extend(self.rows[k - 1])
-        return tuple(out)
-
     def weight(self):
         # row k sums k entries, so each difference of row sums is one base
         # plus an integer
@@ -166,7 +161,10 @@ class PatternA:
 
 
 def enumerate_patterns_a(lam, cap=None):
-    """All valid type A patterns for the given top row, canonical order."""
+    """All valid type A patterns for the given top row, in canonical
+    order: ascending in rows n-1 down to 1, read left to right (the top
+    row is the same for all). The descent emits them in that order, since
+    each row's candidates come out ascending and the rows below follow."""
     lam = check_weight_gl(lam)
     base = lam[0] % 1
     out = []
@@ -184,7 +182,6 @@ def enumerate_patterns_a(lam, cap=None):
 
     top = _offsets(lam, base)
     descend([top], top)
-    out.sort(key=PatternA.key)
     return tuple(out)
 
 
@@ -227,17 +224,6 @@ class PatternB:
     @property
     def n(self):
         return len(self.sigma)
-
-    def key(self):
-        # the canonical order, on the stored ints: for k = n down to 1,
-        # sigma_k, primed row k, then unprimed row k-1
-        out = []
-        for k in range(self.n, 0, -1):
-            out.append(self.sigma[k - 1])
-            out.extend(self.primed[k - 1])
-            if k >= 2:
-                out.extend(self.rows[k - 2])
-        return tuple(out)
 
     def doubled_weight(self, k):
         # twice the F(k,k) eigenvalue, an int
@@ -325,7 +311,11 @@ class PatternB:
 
 
 def enumerate_patterns_b(lam, cap=None):
-    """All valid B patterns for the highest weight, canonical order."""
+    """All valid B patterns for the highest weight, in canonical order:
+    ascending in, for k = n down to 1, sigma_k, primed row k, then
+    unprimed row k-1, read left to right. The descent emits them in that
+    order, choosing at level k sigma_k, then the primed row, then the row
+    below, each from candidates that come out ascending."""
     top = tuple(_doubled(x) for x in check_weight_so(lam))
     n = len(top)
     par = top[0] % 2
@@ -348,21 +338,21 @@ def enumerate_patterns_b(lam, cap=None):
                 raise DimensionCapError("pattern count exceeds cap %d" % cap)
             return
         # primed row k: lo = urow[i], hi = urow[i-1] (class max for i = 1)
-        for prow in choose_row(urow_d, (zero_max,) + urow_d[:-1]):
-            sig_opts = [0]
-            if par == 1 or prow[0] <= -2:
-                sig_opts.append(1)
-            # unprimed row k-1: between-level bounds from primed row k (the
-            # empty row when k = 1)
-            rows_below = choose_row(prow[1:], prow[:-1])
-            for sig in sig_opts:
-                for urow2 in rows_below:
+        prows = choose_row(urow_d, (zero_max,) + urow_d[:-1])
+        for sig in (0, 1):
+            for prow in prows:
+                # in the integer class sigma_k = 1 needs primed entry
+                # (k,1) <= -1, doubled -2
+                if sig and par == 0 and prow[0] > -2:
+                    continue
+                # unprimed row k-1: between-level bounds from primed row k
+                # (the empty row when k = 1)
+                for urow2 in choose_row(prow[1:], prow[:-1]):
                     descend(k - 1, urow2, sig_acc + [sig],
                             urows_acc + ([urow2] if k >= 2 else []),
                             prows_acc + [prow])
 
     descend(n, top, [], [top], [])
-    out.sort(key=PatternB.key)
     return tuple(out)
 
 

@@ -545,8 +545,8 @@ def _check_span_rank(rep):
     the diagonal slots F(-k,-k), taken on one diagonal entry per
     distinct weight: a restriction never raises a rank."""
     n, dim = rep.n, rep.dim
-    dw = [[p.doubled_weight(k) for k in range(1, n + 1)]
-          for p in rep.patterns]
+    dw = [[x.numerator * (2 // x.denominator) for x in w]
+          for w in rep.weights]
     # each weight as one int code in a radix above every coordinate of a
     # weight difference minus a root, so that a difference's code is a
     # root's only at that root; unit[k] is the code of e_k, doubled as

@@ -598,6 +598,27 @@ def ref_freudenthal(top, roots, rho, signed):
     return mult
 
 
+# ------------------------------------------------------ canonical order
+
+
+def canonical_key(p):
+    # the basis order by its definition, on the stored ints (doubled for
+    # type B, offsets from the shared base for type A): type B reads, for
+    # k = n down to 1, sigma_k, primed row k, then unprimed row k-1; type
+    # A reads rows n-1 down to 1, the top row being the same for all
+    out = []
+    if isinstance(p, PatternB):
+        for k in range(p.n, 0, -1):
+            out.append(p.sigma[k - 1])
+            out.extend(p.primed[k - 1])
+            if k >= 2:
+                out.extend(p.rows[k - 2])
+    else:
+        for k in range(p.n - 1, 0, -1):
+            out.extend(p.rows[k - 1])
+    return tuple(out)
+
+
 # ----------------------------------------------- output by json and csv
 
 

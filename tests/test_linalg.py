@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gtrep import F1, Operator, pos, rowcol
-from gtrep.linalg import (int_form, int_form_operator, int_product_sum,
-                          product_sum)
+from gtrep.linalg import (RANK_PRIME, int_form, int_form_operator,
+                          int_product_sum, product_sum, rref)
 
 # mixed denominators and both signs, so sums of products cancel often
 values = st.sampled_from([Fraction(v) for v in
@@ -309,3 +309,31 @@ def test_int_product_sum_of_nothing_or_zero_operands_is_zero():
     b = int_form(Operator(2, {pos(1, 0, 2): Fraction(2, 3)}))
     got = int_product_sum(2, [(1, a, b), (-1, a, b)])
     assert list(got[1]) == [] and got[2] == []
+
+
+# sparse int rows of at most 6 columns, entries in [-9, 9], zeros absent:
+# every minor is below 10^9 by Hadamard's bound, so none is a nonzero
+# multiple of RANK_PRIME and the rank mod p is the rank over Q
+int_rows = st.lists(st.dictionaries(
+    st.integers(0, 5), st.integers(-9, 9).filter(bool), max_size=6),
+    max_size=7)
+
+
+@given(int_rows)
+def test_rank_mod_p_matches_exact_rank(rows):
+    piv = rref(rows, modulus=RANK_PRIME)
+    assert len(piv) == len(rref([{c: Fraction(v) for c, v in r.items()}
+                                 for r in rows]))
+    # an echelon form: each pivot row monic, starting at its pivot column
+    for c, row in piv.items():
+        assert min(row) == c and row[c] == 1
+        assert all(0 < v < RANK_PRIME for v in row.values())
+
+
+def test_rank_mod_p_drops_a_row_that_p_divides():
+    # p divides every entry of the first row, which vanishes mod p
+    p = RANK_PRIME
+    rows = [{0: p, 1: 2 * p}, {1: 3}]
+    assert len(rref(rows, modulus=p)) == 1
+    assert len(rref([{c: Fraction(v) for c, v in r.items()}
+                      for r in rows])) == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, B_CORPUS, gl_rep, so_rep
+from conftest import A_CORPUS, B_CORPUS, canonical_key, gl_rep, so_rep
 from gtrep import (
     DimensionCapError,
     PatternA,
@@ -74,20 +74,21 @@ class TestEnumerationCounts:
 class TestCanonicalOrder:
     def test_so_vector_module_order(self):
         pats = enumerate_patterns_b(check_weight_so(("-1",)))
-        keys = [p.key() for p in pats]
+        keys = [canonical_key(p) for p in pats]
         # sigma, then the doubled primed entry
         assert keys == [(0, -2), (0, 0), (1, -2)]
 
     def test_key_is_ascending_everywhere(self):
         # strictly: the key determines the pattern, so no two basis
-        # members tie
-        for w in B_CORPUS:
+        # members tie; the two modules at the cap put the integer-class
+        # sigma filter and a long type A descent through it
+        for w in B_CORPUS + [("-1", "-1", "-2", "-2")]:
             pats = enumerate_patterns_b(check_weight_so(w))
-            keys = [p.key() for p in pats]
+            keys = [canonical_key(p) for p in pats]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-        for lam in A_CORPUS:
+        for lam in A_CORPUS + [(4, 3, 3, 3, 3, 3, 2, 0)]:
             pats = enumerate_patterns_a(lam)
-            keys = [p.key() for p in pats]
+            keys = [canonical_key(p) for p in pats]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_no_duplicates(self):
