@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 # rank_of is unused here, but bench/tracer.py wraps checks.rank_of by name
 from .linalg import (Operator, int_product_sum, nullspace, pos, rank_of,
-                     restricted_rows, rowcol)
+                     rowcol)
 from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
                     gl_structure_table, int_forms)
 from .sorep import build_phi_minus, structure_table
@@ -340,6 +340,36 @@ def _raising(rep, k):
     return [rep.gen(m - 1, m) for m in range(1, k)]
 
 
+def _highest_vectors(rep, k):
+    """{weight: basis of the common kernel of _raising(rep, k) on that
+    weight space}, weights sorted, each vector {basis index: value}. A
+    raising entry joins weights w and w + alpha, so on a graded module
+    these are the o(2k-1) highest vectors, each one the vector that one
+    elimination over every column gives (reduced echelon form is unique)."""
+    spaces = {}  # weight -> its basis indices, ascending
+    for c, w in enumerate(rep.weights):
+        spaces.setdefault(w, []).append(c)
+    order = sorted(spaces)
+    space, place = [0] * rep.dim, [0] * rep.dim  # of each basis index
+    for s, w in enumerate(order):
+        for t, c in enumerate(spaces[w]):
+            space[c], place[c] = s, t
+    filed = [[] for _ in order]  # per space: m, row, place, value, ...
+    for m, op in enumerate(_raising(rep, k)):
+        for p, v in op.items():
+            r, c = rowcol(p, rep.dim)
+            filed[space[c]] += m, r, place[c], v
+    out = {}
+    for w, entries in zip(order, filed):
+        rows = {}  # one space's rows at a time, from its filed entries
+        e = iter(entries)
+        for m, r, t, v in zip(e, e, e, e):
+            rows.setdefault((m, r), {})[t] = v
+        out[w] = [{spaces[w][t]: x for t, x in v.items()}
+                  for v in nullspace(rows.values(), len(spaces[w]))]
+    return out
+
+
 def check_branching(rep):
     """Exact highest-vector counts of the rank n-1 subalgebra per weight,
     against the interval counts, plus the global dimension identity. A
@@ -348,15 +378,12 @@ def check_branching(rep):
     and stays out of the dimension sum."""
     report = VerificationReport()
     n = rep.n
-    groups = {}
-    for c, w in enumerate(rep.weights):
-        groups.setdefault(w[:n - 1], []).append(c)
-    raising = _raising(rep, n)
+    found = {}
+    for w, vs in _highest_vectors(rep, n).items():
+        found[w[:n - 1]] = found.get(w[:n - 1], 0) + len(vs)
     witness = None
     counts = {}
-    for mu in sorted(groups):
-        cols = groups[mu]
-        got = len(nullspace(restricted_rows(raising, cols), len(cols)))
+    for mu, got in sorted(found.items()):
         want = branching_multiplicity(rep.lam, mu)
         if got and want:
             counts[mu] = got
@@ -521,12 +548,6 @@ def freudenthal_multiplicities(algebra_type, lam):
 # ------------------------------------- quadratic lowering identity
 
 
-def _joint_kernel(rep, k):
-    # the o(2k-1) highest vectors: the common kernel of F(m-1,m), m < k
-    return nullspace(restricted_rows(_raising(rep, k), range(rep.dim)),
-                     rep.dim)
-
-
 def _phi_witness(rep):
     """First level whose quadratic expression in built generators differs
     from the formula-built primed-lowering operator on that level's
@@ -540,7 +561,7 @@ def _phi_witness(rep):
         diff = quad - build_phi_minus(rep, k)
         if not diff:
             continue
-        for v in _joint_kernel(rep, k):
+        for v in itertools.chain(*_highest_vectors(rep, k).values()):
             if diff.apply(v):
                 return (k, sorted(v))
     return None

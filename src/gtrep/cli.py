@@ -378,15 +378,11 @@ def cmd_branch(args):
     lines = []
     code = 0
     if args.algebra == "A":
-        # multiplicity-free: list the interleaving weights
-        ranges = []
-        for i in range(len(lam) - 1):
-            ranges.append([lam[i + 1] + k
-                           for k in range(int(lam[i] - lam[i + 1]) + 1)])
-        mus = [[]]
-        for r in ranges:
-            mus = [m + [v] for m in mus for v in r]
-        for mu in sorted(map(tuple, mus)):
+        # multiplicity-free: list the interleaving weights; each range
+        # ascends, so their product is in lexicographic order
+        ranges = [[lam[i + 1] + k for k in range(int(lam[i] - lam[i + 1]) + 1)]
+                  for i in range(len(lam) - 1)]
+        for mu in itertools.product(*ranges):
             lines.append("mu=(%s)" % ",".join(format_rational(x) for x in mu))
     elif args.rank == 1:
         lines.append("rank 1 restricts to the trivial subalgebra; "

@@ -367,23 +367,6 @@ def rank_of(rows):
     return len(rref(rows))
 
 
-def restricted_rows(ops, cols):
-    """The rows of every operator in ops restricted to the columns cols,
-    each as a sparse row {position in cols: value}: the system whose
-    nullspace(rows, len(cols)) is the common kernel on those columns."""
-    at = {c: t for t, c in enumerate(cols)}
-    rows = []
-    for op in ops:
-        byrow = {}
-        for p, v in op.items():
-            r, c = rowcol(p, op.dim)
-            t = at.get(c)
-            if t is not None:
-                byrow.setdefault(r, {})[t] = v
-        rows.extend(byrow.values())
-    return rows
-
-
 def nullspace(rows, ncols):
     """Deterministic basis of the kernel of the stacked row system."""
     piv = rref(rows)

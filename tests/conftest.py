@@ -13,7 +13,7 @@ from gtrep import (F0, F1, InconsistencyError, Operator, PatternA, PatternB,
 from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.glrep import capelli_ints, int_forms
-from gtrep.linalg import int_form_operator, restricted_rows
+from gtrep.linalg import int_form_operator
 from gtrep.sorep import (MINUS_HALF, PLAIN, ConstructionError, _lp, _lu,
                          deformed_column, mid_row_prefactor,
                          prime_drop_weight, prime_shift_weight,
@@ -340,6 +340,23 @@ def all_raising(rep, k):
     # reference for the simple ones checks._raising gives
     return [rep.gen(i, j)
             for i in range(-(k - 1), k) for j in range(i + 1, k)]
+
+
+def restricted_rows(ops, cols):
+    """The rows of every operator in ops restricted to the columns cols,
+    each as a sparse row {position in cols: value}: the system whose
+    nullspace(rows, len(cols)) is the common kernel on those columns."""
+    at = {c: t for t, c in enumerate(cols)}
+    rows = []
+    for op in ops:
+        byrow = {}
+        for p, v in op.items():
+            r, c = rowcol(p, op.dim)
+            t = at.get(c)
+            if t is not None:
+                byrow.setdefault(r, {})[t] = v
+        rows.extend(byrow.values())
+    return rows
 
 
 def pairwise_structure_witness(rep):

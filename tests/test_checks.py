@@ -13,8 +13,8 @@ from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_gens, all_raising,
                       all_slots, block_gram, defining_intertwiner, edited,
                       fresh_gl_rep, fresh_so_rep, gl_rep,
                       pairwise_structure_witness, perm_capelli,
-                      ref_casimir_walk, ref_freudenthal, scalar_op,
-                      single_entry_mutants, so_rep)
+                      ref_casimir_walk, ref_freudenthal, restricted_rows,
+                      scalar_op, single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -35,10 +35,10 @@ from gtrep import (
     weyl_dim,
 )
 from gtrep import checks, glrep
-from gtrep.checks import (_freudenthal, _joint_kernel, _orbit, _phi_witness,
-                          _raising, _root_datum, _structure_witness,
-                          presentation)
-from gtrep.linalg import product_sum, restricted_rows
+from gtrep.checks import (_freudenthal, _highest_vectors, _orbit,
+                          _phi_witness, _raising, _root_datum,
+                          _structure_witness, presentation)
+from gtrep.linalg import product_sum
 
 
 class TestWeylDim:
@@ -181,11 +181,51 @@ class TestSimpleRaisingKernels:
 
     @pytest.mark.parametrize("w", B_CORPUS + BENCH_B)
     def test_joint_kernels_are_the_all_slot_kernels(self, w):
+        # the weight spaces' kernels on the simple raising operators are,
+        # vector for vector, the kernel of one elimination over every
+        # column on all the raising slots, filed under their weights
         r = so_rep(w)
         for k in range(1, r.n + 1):
             want = nullspace(restricted_rows(all_raising(r, k),
                                              range(r.dim)), r.dim)
-            assert len(_joint_kernel(r, k)) == len(want), k
+            got = _highest_vectors(r, k)
+            assert list(got) == sorted(set(r.weights)), k
+            for wt, vs in got.items():
+                assert all(r.weights[c] == wt for v in vs for c in v), k
+            assert {tuple(sorted(v.items())) for vs in got.values()
+                    for v in vs} == {tuple(sorted(v.items()))
+                                     for v in want}, k
+
+    @pytest.mark.parametrize("w", [("0", "-1", "-1"), ("-1", "-1", "-2")])
+    def test_each_weight_space_keeps_every_operator_row(self, w):
+        # a faulty module: an entry of F(0,1) = -F(-1,0) added in a row
+        # that F(1,2) also fills, at another column of the same weight
+        # space, the first such entry where that row of each operator
+        # cuts the space's kernel more than the row of their sum does;
+        # each space's kernel is still that of every operator's rows
+        r = fresh_so_rep(w)
+        spaces = {}
+        for c, wt in enumerate(r.weights):
+            spaces.setdefault(wt, []).append(c)
+
+        def kernel(ops, cols):
+            return nullspace(restricted_rows(ops, cols), len(cols))
+
+        def splits(row, d, cols):
+            r.gens[(-1, 0)] = edited(f, {pos(row, d, r.dim): Fraction(1)})
+            return len(kernel(_raising(r, r.n), cols)) != len(
+                kernel([r.gen(0, 1) + r.gen(1, 2)], cols))
+
+        f = r.gens[(-1, 0)]
+        assert any(splits(row, d, spaces[r.weights[b]])
+                   for p, _ in r.gen(1, 2).items()
+                   for row, b in [rowcol(p, r.dim)]
+                   for d in spaces[r.weights[b]] if d != b)
+        got = _highest_vectors(r, r.n)
+        for wt, cols in spaces.items():
+            assert {tuple(sorted(v.items())) for v in got[wt]} == {
+                tuple(sorted((cols[t], x) for t, x in v.items()))
+                for v in kernel(_raising(r, r.n), cols)}, wt
 
     @pytest.mark.parametrize("w, slot, key", [
         (("-1", "-2"), (-1, 0), (1, 4)), (("0", "-1"), (-1, 0), (2, 1))])

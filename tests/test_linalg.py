@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gtrep import F1, Operator, pos, rowcol
 from gtrep.linalg import (RANK_PRIME, int_form, int_form_operator,
@@ -69,6 +69,7 @@ def assert_matches(op, rows):
     assert all(type(v) is Fraction for v in op.values())
 
 
+@settings(deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda d: st.tuples(st.just(d), entry_dicts(d))))
 def test_constructor_round_trip(case):
@@ -91,6 +92,7 @@ def test_constructor_round_trip(case):
         assert v is ent[p]
 
 
+@settings(deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda d: st.tuples(entry_dicts(d, min_size=1), st.just(d))))
 def test_lookup_at_first_last_and_missing_positions(case):
@@ -125,12 +127,14 @@ def test_empty_operator(dim):
         assert dense(op) == [[Fraction(0)] * dim for _ in range(dim)]
 
 
+@settings(deadline=None)
 @given(operator_pairs)
 def test_product_matches_reference(pair):
     a, b = pair
     assert_matches(a @ b, naive_product(a, b))
 
 
+@settings(deadline=None)
 @given(operator_pairs)
 def test_commutator_matches_reference(pair):
     a, b = pair
@@ -138,12 +142,14 @@ def test_commutator_matches_reference(pair):
                    naive_sum(naive_product(a, b), naive_product(b, a), -1))
 
 
+@settings(deadline=None)
 @given(operator_pairs)
 def test_sum_matches_reference(pair):
     a, b = pair
     assert_matches(a + b, naive_sum(dense(a), dense(b)))
 
 
+@settings(deadline=None)
 @given(operator_pairs)
 def test_difference_matches_reference(pair):
     a, b = pair
@@ -151,11 +157,13 @@ def test_difference_matches_reference(pair):
     assert_matches(a - a, naive_sum(dense(a), dense(a), -1))
 
 
+@settings(deadline=None)
 @given(st.integers(1, 4).flatmap(operators))
 def test_negation_matches_reference(op):
     assert_matches(-op, [[-v for v in row] for row in dense(op)])
 
 
+@settings(deadline=None)
 @given(st.integers(1, 4).flatmap(operators),
        st.one_of(values, st.just(Fraction(0)), st.just(3)))
 def test_scale_matches_reference(op, s):
@@ -167,6 +175,7 @@ vectors = st.integers(1, 4).flatmap(
         operators(d), st.dictionaries(st.integers(0, d - 1), values)))
 
 
+@settings(deadline=None)
 @given(vectors)
 def test_apply_matches_reference(case):
     op, vec = case
@@ -179,6 +188,7 @@ def test_apply_matches_reference(case):
     assert op.apply(vec) == want
 
 
+@settings(deadline=None)
 @given(st.integers(1, 4).flatmap(operators))
 def test_column_matches_reference(op):
     x = dense(op)
@@ -222,6 +232,7 @@ def _objects(op):
     return {id(v) for v in op.values()}
 
 
+@settings(deadline=None)
 @given(operator_pairs)
 def test_equal_product_entries_are_one_object(pair):
     a, b = pair
@@ -229,6 +240,7 @@ def test_equal_product_entries_are_one_object(pair):
         assert len(_objects(op)) == len(set(op.values()))
 
 
+@settings(deadline=None)
 @given(operator_pairs)
 def test_negation_negates_each_source_object_once(pair):
     a, _ = pair
@@ -256,6 +268,7 @@ def _as_fractions(form):
     return {k: Fraction(v, den) for k, v in zip(positions, nums)}
 
 
+@settings(deadline=None)
 @given(st.integers(1, 4).flatmap(operators))
 def test_int_form_scales_by_the_common_denominator(op):
     den, positions, nums = int_form(op)
@@ -276,6 +289,7 @@ signed_terms = st.integers(1, 4).flatmap(
                  max_size=4)))
 
 
+@settings(deadline=None)
 @given(signed_terms)
 def test_int_product_sum_matches_reference(case):
     dim, drawn = case
@@ -319,6 +333,7 @@ int_rows = st.lists(st.dictionaries(
     max_size=7)
 
 
+@settings(deadline=None)
 @given(int_rows)
 def test_rank_mod_p_matches_exact_rank(rows):
     piv = rref(rows, modulus=RANK_PRIME)
