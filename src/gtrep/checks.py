@@ -59,10 +59,10 @@ class Presentation(NamedTuple):
     table itself; cartan, the slots F(k,k) or E(k,k); pairs, the
     Chevalley pairs (e_k, f_k) = (F(k-1,k), F(k,k-1)); cartan_matrix,
     a[i][j] = 2 alpha_j(h_i) / alpha_i(h_i) with h_i = [e_i, f_i] (the
-    ratio does not depend on how e_i and f_i are scaled); plan, one step
-    (x, y, target) per remaining canonical slot, whose table entry
-    [x, y] is +-target alone, with x reached before (by an earlier step
-    or as a Cartan or Chevalley slot) and y a Chevalley slot."""
+    ratio does not depend on how e_i and f_i are scaled); plan, the
+    table's plan (BracketTable.plan) from the Cartan and Chevalley slots
+    by the Chevalley slots: one step (x, y, target) per remaining
+    canonical slot, whose table entry [x, y] is +-target alone."""
 
     table: dict
     cartan: list
@@ -82,9 +82,7 @@ def presentation(algebra_type, n):
         table = structure_table(n)
         first = 1
     pairs = [((k - 1, k), (k, k - 1)) for k in range(first, n + 1)]
-    slots = set(table.slot_at.values())
     canon = table.canonical
-    simple = [s for pair in pairs for s in pair]
 
     def root(h_terms, e):
         # alpha(h): the coefficient of e in [h, e], h a sum of slots
@@ -95,37 +93,17 @@ def presentation(algebra_type, n):
     matrix = []
     for e, f in pairs:
         h = table[(e, f)]
-        matrix.append([int(2 * root(h, ej) / root(h, e)) for ej, _ in pairs])
-    # breadth first: each layer brackets the slots reached so far with
-    # the Chevalley slots
-    reached = sorted({canon(s)[0] for s in cartan + simple})
-    todo = slots - set(reached)
-    plan = []
-    while todo:
-        layer = []
-        for x in reached:
-            for y in simple:
-                terms = table[(x, y)]
-                if len(terms) == 1:
-                    (target, c), = terms.items()
-                    if target in todo and c in (1, -1):
-                        todo.discard(target)
-                        layer.append(target)
-                        plan.append((x, y, target))
-        if not layer:
-            raise ValueError("slots %s are not reached from the Chevalley "
-                             "generators" % sorted(todo))
-        reached += layer
+        matrix.append([int(Fraction(2 * root(h, ej), root(h, e)))
+                       for ej, _ in pairs])
+    simple = [s for pair in pairs for s in pair]
+    plan = table.plan({canon(s)[0] for s in cartan + simple}, simple)
     return Presentation(table, cartan, pairs, matrix, plan)
 
 
 def _is_multiple(got, c, want):
-    # Operators: got == c * want for an integer c != 0, compared pair by
-    # pair in position order, on numerators and denominators, without
-    # building c * want. c is a sign or a bracket-table coefficient, an
-    # entry of a commutator of the integer defining matrices, and is made
-    # an int once
-    c = int(c)
+    # Operators: got == c * want for an int c != 0 (a bracket-table
+    # coefficient), compared pair by pair in position order, on numerators
+    # and denominators, without building c * want
     if len(got) != len(want):
         return False
     for (p, g), (k, v) in zip(got.items(), want.items()):
@@ -378,12 +356,13 @@ def check_branching(rep):
     and stays out of the dimension sum."""
     report = VerificationReport()
     n = rep.n
-    found = {}
-    for w, vs in _highest_vectors(rep, n).items():
-        found[w[:n - 1]] = found.get(w[:n - 1], 0) + len(vs)
     witness = None
     counts = {}
-    for mu, got in sorted(found.items()):
+    # the weights ascend, so each o(2n-1) weight w[:n-1] is one run of
+    # them, and the runs ascend
+    for mu, run in itertools.groupby(_highest_vectors(rep, n).items(),
+                                     lambda wv: wv[0][:n - 1]):
+        got = sum(len(vs) for _, vs in run)
         want = branching_multiplicity(rep.lam, mu)
         if got and want:
             counts[mu] = got

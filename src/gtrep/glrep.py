@@ -1,7 +1,8 @@
 """Irreducible gl(n) modules on triangular pattern bases.
 
 Generator matrices come from the closed product formulas for the simple
-generators; the remaining E(i,j) are filled in by commutators. The module
+generators; the remaining E(i,j) are filled in by commutators, in the
+order the bracket table plans (linalg.BracketTable.plan). The module
 also holds what the oracles read: the bracket table, the generators'
 integer table, the column determinant of u + row-shifted generators
 (Capelli type) and the contravariant form.
@@ -49,6 +50,7 @@ def build_gl(lam, cap=None):
         gens[(k, k)] = rep.diagonal(k)
 
     made = {}  # (numerator, denominator) -> its one Fraction
+    simple = []
 
     def value(num, den):
         f = made.get((num, den))
@@ -80,13 +82,15 @@ def build_gl(lam, cap=None):
                     down[pos(r, c, dim)] = value(num, den)
         gens[(k, k + 1)] = Operator(dim, up)
         gens[(k + 1, k)] = Operator(dim, down)
+        simple += [(k, k + 1), (k + 1, k)]
 
-    # non-simple generators by bracketing outward
-    for d in range(2, n):
-        for i in range(1, n - d + 1):
-            j = i + d
-            gens[(i, j)] = gens[(i, i + 1)].commutator(gens[(i + 1, j)])
-            gens[(j, i)] = gens[(j, i + 1)].commutator(gens[(i + 1, i)])
+    # every other generator by the table's plan, [E(x), E(y)] = +-E(t)
+    # taken as [x, y] or [y, x]
+    table = gl_structure_table(n)
+    for x, y, t in table.plan(gens, simple):
+        if table[(x, y)][t] < 0:
+            x, y = y, x
+        gens[t] = gens[x].commutator(gens[y])
 
     return rep
 

@@ -250,14 +250,26 @@ class BracketTable(Mapping):
     asked for and then kept. slot_at maps a matrix position (pos) to the
     slot whose coefficient is read there: the defining matrices of those
     slots have disjoint supports and entry 1 at their own position, and
-    every other defining matrix is one of them negated, or 0. The commutators
-    are taken with product_sum; Operator.commutator is left to brackets
-    of module generators."""
+    every other defining matrix is one of them negated, or 0. So every
+    defining entry is +-1, and each commutator is taken on those entries
+    as ints, grouped by column and by row, and gives int coefficients;
+    Operator.commutator is left to brackets of module generators. An
+    entry whose two defining matrices have no column of one meeting a
+    row of the other is 0, answered without a product and not kept."""
 
     def __init__(self, defs, slot_at):
         self.defs = defs
         self.slot_at = slot_at
         self.known = {}
+        # each defining matrix's entries as {col: [(row, int)]} and
+        # {row: [(col, int)]}
+        self.bycol, self.byrow = {}, {}
+        for key, x in defs.items():
+            bycol, byrow = self.bycol[key], self.byrow[key] = {}, {}
+            for p, v in x.items():
+                r, c = rowcol(p, x.dim)
+                bycol.setdefault(c, []).append((r, int(v)))
+                byrow.setdefault(r, []).append((c, int(v)))
 
     def canonical(self, key):
         """(slot, sign) with X(key) = sign * X(slot), or (None, 0) when
@@ -271,15 +283,51 @@ class BracketTable(Mapping):
     def __getitem__(self, key):
         terms = self.known.get(key)
         if terms is None:
-            x, y = self.defs[key[0]], self.defs[key[1]]
-            comm = product_sum(x.dim, [(1, x, y), (-1, y, x)])
-            terms = {}
-            for p, v in comm.items():
-                slot = self.slot_at.get(p)
-                if slot is not None:
-                    terms[slot] = v
-            self.known[key] = terms
+            a, b = key
+            if (self.bycol[a].keys().isdisjoint(self.byrow[b])
+                    and self.bycol[b].keys().isdisjoint(self.byrow[a])):
+                return {}  # XY = YX = 0
+            acc = {}  # XY - YX at each slot's own position
+            dim = self.defs[a].dim
+            for x, y, s in ((a, b, 1), (b, a, -1)):
+                rows = self.byrow[y]
+                for k, left in self.bycol[x].items():
+                    for c, w in rows.get(k, ()):
+                        for r, v in left:
+                            slot = self.slot_at.get(pos(r, c, dim))
+                            if slot is not None:
+                                acc[slot] = acc.get(slot, 0) + s * v * w
+            terms = self.known[key] = {t: v for t, v in acc.items() if v}
         return terms
+
+    def plan(self, reached, by):
+        """One step (x, y, target) per slot of slot_at not in reached,
+        whose entry [X(x), X(y)] is +-X(target) alone, found breadth
+        first: the first layer brackets the slots of reached, sorted, and
+        each later one the slots the layer before took, in the order it
+        took them, each with every slot of by in order; a target is
+        taken at its first such entry. A layer's brackets need not be
+        read again later: what they reach is taken already. Raises
+        ValueError when a slot is never reached."""
+        layer = sorted(reached)
+        todo = set(self.slot_at.values()).difference(layer)
+        steps = []
+        while todo:
+            took = []
+            for x in layer:
+                for y in by:
+                    terms = self[(x, y)]
+                    if len(terms) == 1:
+                        (target, c), = terms.items()
+                        if target in todo and c in (1, -1):
+                            todo.discard(target)
+                            took.append(target)
+                            steps.append((x, y, target))
+            if not took:
+                raise ValueError("slots %s are not reached by brackets "
+                                 "with %s" % (sorted(todo), list(by)))
+            layer = took
+        return steps
 
     def __iter__(self):
         return ((a, b) for a in self.defs for b in self.defs)

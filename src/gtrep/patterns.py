@@ -12,12 +12,10 @@ Fractions; the builders read the ints directly.
 Each enumerator descends its chain top level first and emits the basis
 in canonical order as it goes; its docstring states the order.
 
-Validity comes in two strengths. PatternB.full_valid is basis membership:
-parity class, non-positivity, both interleaving chains and the sigma
-bound. PatternB.generic_valid keeps only the interleaving chains;
-composite operators pass through such arrays while their coefficients are
-regularized, and the interleaving conditions are the ones stable under
-that deformation.
+A type B basis pattern also keeps the parity class, non-positivity and
+the sigma bound; the composite raising steps pass through arrays that
+only interleave (PatternB.interleaves), the conditions stable under its
+deformation.
 
 Rep is the one record both builders return: the algebra, the basis, its
 index, the weight of each basis vector and the generator matrices, with
@@ -271,25 +269,6 @@ class PatternB:
                     if below[i] < pr[i + 1]:
                         return False
         return True
-
-    def full_valid(self):
-        if not self.interleaves():
-            return False
-        par = self.rows[self.n - 1][0] % 2
-        zero_max = 0 if par == 0 else -1
-        for rr in (self.rows, self.primed):
-            for r in rr:
-                for d in r:
-                    if d % 2 != par or d > zero_max:
-                        return False
-        if par == 0:
-            for k in range(1, self.n + 1):
-                if self.sigma[k - 1] == 1 and self.primed[k - 1][0] > -2:
-                    return False
-        return True
-
-    # generic validity for composite intermediates
-    generic_valid = interleaves
 
     def __eq__(self, other):
         return (isinstance(other, PatternB) and self.sigma == other.sigma

@@ -327,7 +327,7 @@ def _single_step(basis, k, term_fn):
     deformed route here: no tested module meets a zero denominator in these
     coefficients, so one is a construction failure naming its location."""
     # targets are tested by basis membership, which the index lookup needs
-    # anyway; no move touches the top row, so it agrees with full_valid
+    # anyway
     member = basis.index.__contains__
 
     def column(c, pat, notes):
@@ -362,7 +362,7 @@ def raise_column_terms(basis, k, pat, ctx):
     acc = {}
     zero = LaurentSum() if ctx.deformed else F0
     value = ctx.value
-    mid_valid, tgt_valid = PatternB.generic_valid, basis.index.__contains__
+    mid_valid, tgt_valid = PatternB.interleaves, basis.index.__contains__
 
     def add(tgt, v):
         if v:
@@ -446,54 +446,41 @@ def structure_table(n):
     return BracketTable(defining_operators(n), slot_at)
 
 
+def closure_plan(n):
+    """The bracket plan of close_generators: the o(2n+1) table's plan
+    (BracketTable.plan) from the canonical slots of the seeds F(k,k),
+    F(k-1,-k), F(k-1,k), k = 1..n, by the non-Cartan seeds F(k-1,-k),
+    F(k-1,k), the sparse level-k generators."""
+    table = structure_table(n)
+    by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
+    seeds = by + [(k, k) for k in range(1, n + 1)]
+    return table.plan({table.canonical(s)[0] for s in seeds}, by)
+
+
 def close_generators(n, seeds, dim):
     """Extend the seed slots F(k,k), F(k-1,-k), F(k-1,k) to every stored
-    slot F(i,j), i + j <= 0, by a fixed bracket plan:
-
-      F(0,k) = [F(0,k-1), F(k-1,k)], F(0,-k) = [F(0,k-1), F(k-1,-k)],
-      k = 2..n, then every other missing slot with i, j != 0 from
-      [F(i,0), F(0,j)].
+    slot F(i,j), i + j <= 0, one commutator per step (x, y, target) of
+    closure_plan(n), 2n(n-1) in all.
 
     Only the slots with i + j <= 0 are stored, F(i,-i) as the zero
-    operator; F(i,j) with i + j > 0 is -F(-j,-i). So a bracket operand at
-    such a slot is its stored mirror with the sign carried, read as
-    Rep.gen reads it (patterns.stored_slot), F(i,0) = -F(0,-i) for
-    instance, and a seed or a bracket lands on the canonical slot of its
-    target (structure_table(n).canonical). Each bracket's coefficient is
-    read from that table, which must give the bracket as +-1 times the
-    target slot alone, so no commutator is rescaled. One commutator per
-    missing stored slot, 2n(n-1) in all. Every value stored, in a seed or
-    a bracket, is the build's one object of that value: each seed and
-    each commutator is stored as _share remakes it."""
+    operator; F(i,j) with i + j > 0 is -F(-j,-i). So a seed lands on the
+    canonical slot of its target (structure_table(n).canonical), and a
+    step's seed operand F(y) at such a slot is its stored mirror with the
+    sign carried, read as Rep.gen reads it (patterns.stored_slot). The
+    table gives [F(x), F(y)] as +-1 times the target slot alone, so no
+    commutator is rescaled. Every value stored, in a seed or a bracket,
+    is the build's one object of that value: each seed and each
+    commutator is stored as _share remakes it."""
     table = structure_table(n)
-    known = {}
+    known = {(i, -i): Operator(dim) for i in range(-n, n + 1)}
     values = {}
-
-    def store(slot, op, sign=1):
-        # sign * op at slot, or -sign * op at its canonical mirror
-        cs, s = table.canonical(slot)
-        known[cs] = _share(op, values, sign * s)
-
-    def bracket(ab, cd, target):
-        cs, _ = table.canonical(target)
-        terms = table[(ab, cd)]
-        if set(terms) != {cs} or abs(terms[cs]) != 1:
-            raise ConstructionError("bracket [F%s, F%s] is not +-F%s"
-                                    % (ab, cd, target))
-        (x, sx), (y, sy) = stored_slot(known, *ab), stored_slot(known, *cd)
-        store(cs, x.commutator(y), terms[cs] * sx * sy)
-
-    for i in range(-n, n + 1):
-        known[(i, -i)] = Operator(dim)
     for slot, op in seeds.items():
-        store(slot, op)
-    for k in range(2, n + 1):
-        bracket((0, k - 1), (k - 1, k), (0, k))
-        bracket((0, k - 1), (k - 1, -k), (0, -k))
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            if i and j and i + j <= 0 and (i, j) not in known:
-                bracket((i, 0), (0, j), (i, j))
+        cs, sign = table.canonical(slot)
+        known[cs] = _share(op, values, sign)
+    for x, y, target in closure_plan(n):
+        op, sign = stored_slot(known, *y)
+        known[target] = _share(known[x].commutator(op), values,
+                               table[(x, y)][target] * sign)
     return known
 
 

@@ -397,6 +397,31 @@ def pairwise_structure_witness(rep):
     return None
 
 
+def ref_plan(table, reached, by):
+    # the full-rescan breadth-first search over a bracket table: each
+    # layer brackets every slot reached so far, in the order reached
+    # (reached itself sorted first), with every slot of by in order,
+    # taking a target at its first +-1 single-slot entry
+    reached = sorted(reached)
+    todo = set(table.slot_at.values()) - set(reached)
+    plan = []
+    while todo:
+        layer = []
+        for x in reached:
+            for y in by:
+                terms = table[(x, y)]
+                if len(terms) == 1:
+                    (target, c), = terms.items()
+                    if target in todo and c in (1, -1):
+                        todo.discard(target)
+                        layer.append(target)
+                        plan.append((x, y, target))
+        if not layer:
+            raise ValueError("slots %s are not reached" % sorted(todo))
+        reached += layer
+    return plan
+
+
 # every dominant o(2n+1) weight of rank 1-4 with entries from 0 down to
 # -3 or from -1/2 down to -7/2: 69 per parity class
 B_WEIGHT_GRID = [
@@ -613,6 +638,30 @@ def ref_freudenthal(top, roots, rho, signed):
         if val:
             mult[mu] = int(val)
     return mult
+
+
+# ------------------------------------------------------ basis membership
+
+
+def full_valid(pat):
+    # type B basis membership by its definition: both interleaving
+    # chains, every entry in the top row's parity class and at most the
+    # class maximum (0, or -1/2 doubled to -1), and in the integer class
+    # sigma_k = 1 only with primed entry (k,1) <= -1
+    if not pat.interleaves():
+        return False
+    par = pat.rows[pat.n - 1][0] % 2
+    zero_max = 0 if par == 0 else -1
+    for rr in (pat.rows, pat.primed):
+        for r in rr:
+            for d in r:
+                if d % 2 != par or d > zero_max:
+                    return False
+    if par == 0:
+        for k in range(1, pat.n + 1):
+            if pat.sigma[k - 1] == 1 and pat.primed[k - 1][0] > -2:
+                return False
+    return True
 
 
 # ------------------------------------------------------ canonical order

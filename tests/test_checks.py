@@ -13,8 +13,9 @@ from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_gens, all_raising,
                       all_slots, block_gram, defining_intertwiner, edited,
                       fresh_gl_rep, fresh_so_rep, gl_rep,
                       pairwise_structure_witness, perm_capelli,
-                      ref_casimir_walk, ref_freudenthal, restricted_rows,
-                      scalar_op, single_entry_mutants, so_rep)
+                      ref_casimir_walk, ref_freudenthal, ref_plan,
+                      restricted_rows, scalar_op, single_entry_mutants,
+                      so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -596,6 +597,16 @@ class TestStructurePresentation:
             terms = p.table[(x, y)]
             assert list(terms) == [target] and abs(terms[target]) == 1
             reached.add(target)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("algebra", ["A", "B"])
+    def test_plan_is_the_full_rescan_search(self, algebra, n):
+        # the table's planner brackets only the last layer's slots; the
+        # reference rescans every slot reached so far, to the same plan
+        p = presentation(algebra, n)
+        simple = [s for pair in p.pairs for s in pair]
+        given = {p.table.canonical(s)[0] for s in p.cartan + simple}
+        assert p.plan == ref_plan(p.table, given, simple)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("algebra", ["A", "B"])

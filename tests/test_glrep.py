@@ -62,6 +62,32 @@ class TestBracketTable:
                 got = got + units[slot].scale(coef)
             assert units[(a, b)].commutator(units[(c, d)]) == got
 
+    @pytest.mark.parametrize("lam", [(3,), (1, 0), (2, 1, 0), (3, 1, 0, 0),
+                                     (2, 1, 1, 0, 0)])
+    def test_build_takes_one_commutator_per_planned_slot(self, lam,
+                                                          monkeypatch):
+        # the (n-1)(n-2) slots that are neither diagonal nor simple, each
+        # +-[x, y] for the step (x, y, target) of the table's plan
+        n = len(lam)
+        calls = []
+        commutator = Operator.commutator
+
+        def counted(a, b):
+            calls.append(1)
+            return commutator(a, b)
+
+        monkeypatch.setattr(Operator, "commutator", counted)
+        r = build_gl(lam)
+        monkeypatch.undo()
+        assert len(calls) == (n - 1) * (n - 2)
+        tab = gl_structure_table(n)
+        simple = [s for k in range(1, n) for s in ((k, k + 1), (k + 1, k))]
+        plan = tab.plan(simple + [(k, k) for k in range(1, n + 1)], simple)
+        assert len(plan) == len(calls)
+        for x, y, target in plan:
+            ((slot, c),) = tab[(x, y)].items()
+            assert r.gen(*x).commutator(r.gen(*y)) == r.gen(*slot).scale(c)
+
 
 class TestWeights:
     @pytest.mark.parametrize("lam", A_CORPUS)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A_CORPUS, B_CORPUS, canonical_key, gl_rep, so_rep
+from conftest import (A_CORPUS, B_CORPUS, canonical_key, full_valid, gl_rep,
+                      so_rep)
 from gtrep import (
     DimensionCapError,
     PatternA,
@@ -103,7 +104,7 @@ class TestValidity:
 
     def test_enumerated_so_patterns_fully_valid(self):
         for p in enumerate_patterns_b(check_weight_so(("-1", "-2"))):
-            assert p.full_valid()
+            assert full_valid(p)
 
     def test_gl_shift_out_of_range_detected(self):
         p = PatternA([[0], [1, 0]])
@@ -113,15 +114,15 @@ class TestValidity:
 
     def test_so_shift_out_of_range_detected(self):
         p = enumerate_patterns_b(check_weight_so(("-1",)))[1]  # sigma 0, primed 0
-        assert p.shifted([("p", 1, 1, -1)]).full_valid()
-        assert not p.shifted([("p", 1, 1, 1)]).full_valid()
+        assert full_valid(p.shifted([("p", 1, 1, -1)]))
+        assert not full_valid(p.shifted([("p", 1, 1, 1)]))
 
     def test_generic_valid_ignores_class_bound(self):
         # raising sigma without a deep enough primed entry breaks the
         # strict rule but not the interleaving one
         p = enumerate_patterns_b(check_weight_so(("-1",)))[1]
         q = p.shifted([("sig", 1)])
-        assert q.generic_valid() and not q.full_valid()
+        assert q.interleaves() and not full_valid(q)
 
 
 class TestCap:

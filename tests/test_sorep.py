@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A_CORPUS, B_CORPUS, all_gens, all_slots, deformed_raise,
-                      edited, fresh_so_rep, gl_rep, ref_build_f_raise,
-                      ref_lower_step_terms, ref_prime_drop_terms,
-                      ref_sig_case_terms, ref_single_step, so_rep)
+                      edited, fresh_so_rep, full_valid, gl_rep,
+                      ref_build_f_raise, ref_lower_step_terms, ref_plan,
+                      ref_prime_drop_terms, ref_sig_case_terms,
+                      ref_single_step, so_rep)
 from gtrep import (
     Operator,
     PatternB,
@@ -29,6 +30,7 @@ from gtrep.sorep import (
     build_f_raise,
     build_phi_minus,
     close_generators,
+    closure_plan,
     _single_step,
     _sig_case_terms,
     lower_step_terms,
@@ -203,7 +205,23 @@ class TestBrackets:
         assert tab[key] == hand_bracket(3, 0, 1, 1, 2)
         assert list(tab.known) == [key]
         assert dict(tab) == dict(structure_table(3))
-        assert len(tab.known) == len(tab)
+        # the zero entries answered without a product are not kept
+        nonzero = {k for k, terms in tab.items() if terms}
+        assert {k for k, terms in tab.known.items() if terms} == nonzero
+        assert len(nonzero) <= len(tab.known) < len(tab)
+
+    def test_disjoint_supports_answer_zero_and_are_not_kept(self):
+        # F(-3,-2) has rows {-3, 2} and columns {-2, 3}, F(0,1) rows
+        # {-1, 0} and columns {0, 1}: both products are 0
+        tab = structure_table.__wrapped__(3)
+        assert tab[((-3, -2), (0, 1))] == {} == hand_bracket(3, -3, -2, 0, 1)
+        assert not tab.known
+        # a bracket whose supports meet is kept, 0 or not: column 0 of
+        # F(0,1) meets its own row 0
+        keys = [((0, 1), (1, 2)), ((0, 1), (0, 1))]
+        for key in keys:
+            assert tab[key] == hand_bracket(3, *key[0], *key[1])
+        assert list(tab.known) == keys and tab.known[keys[1]] == {}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_table_coefficient_is_plus_or_minus_one(self, n):
@@ -211,23 +229,60 @@ class TestBrackets:
         for terms in structure_table(n).values():
             assert set(terms.values()) <= {1, -1}
 
-    def test_closure_rejects_a_coefficient_other_than_one(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_plan_never_steps_on_a_coefficient_other_than_one(
+            self, n, monkeypatch):
         # a fresh table over the same defining matrices and canonical
-        # slots, with one bracket's entry replaced
-        real = structure_table(2)
+        # slots, with the entry of the real plan's first step replaced:
+        # the plan goes round it, and the closure still rebuilds the
+        # defining module
+        real = structure_table(n)
+        x, y, target = closure_plan(n)[0]
         tab = BracketTable(real.defs, real.slot_at)
-        tab.known[((0, 1), (1, 2))] = {(0, 2): Fraction(2)}
+        tab.known[(x, y)] = {target: 2}
         monkeypatch.setattr(sorep, "structure_table", lambda n: tab)
-        defs = defining_operators(2)
-        seeds = {s: defs[s] for k in (1, 2)
+        plan = closure_plan(n)
+        assert (x, y, target) not in plan
+        assert target in [t for _, _, t in plan]
+        defs = defining_operators(n)
+        seeds = {s: defs[s] for k in range(1, n + 1)
                  for s in ((k, k), (k - 1, -k), (k - 1, k))}
-        with pytest.raises(ConstructionError, match=r"is not \+-F\(0, 2\)"):
-            close_generators(2, seeds, 5)
+        got = close_generators(n, seeds, 2 * n + 1)
+        assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closure_plan_reaches_every_stored_slot_once(self, n):
+        # from the seeds' canonical slots, through +-1 single-slot
+        # brackets with the non-Cartan seeds, each remaining canonical
+        # slot i + j < 0 once: the full-rescan search's plan
+        tab = structure_table(n)
+        by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
+        seeds = {tab.canonical(s)[0]
+                 for s in by + [(k, k) for k in range(1, n + 1)]}
+        plan = closure_plan(n)
+        targets = [t for _, _, t in plan]
+        assert len(set(targets)) == len(targets) == 2 * n * (n - 1)
+        assert seeds.isdisjoint(targets)
+        assert seeds | set(targets) == {
+            (i, j) for i in range(-n, n + 1) for j in range(-n, n + 1)
+            if i + j < 0}
+        reached = set(seeds)
+        for x, y, target in plan:
+            assert x in reached and y in by
+            assert tab[(x, y)] in ({target: 1}, {target: -1})
+            reached.add(target)
+        assert plan == ref_plan(tab, seeds, by)
+
+    def test_plan_raises_on_an_unreached_slot(self):
+        # Cartan slots bracket to 0 with each other
+        tab = structure_table(2)
+        with pytest.raises(ValueError, match="not reached"):
+            tab.plan({(-1, -1), (-2, -2)}, [(1, 1), (2, 2)])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closure_runs_one_commutator_per_missing_slot(self, n,
                                                           monkeypatch):
-        # seeded from the defining module, the fixed bracket plan must
+        # seeded from the defining module, the closure's bracket plan must
         # rebuild every stored slot of it, i + j <= 0, with 2n(n-1)
         # commutators
         defs = defining_operators(n)
@@ -263,16 +318,8 @@ class TestBrackets:
         # each bracketed slot, its values taken from the shared objects,
         # is still the bracket of the plan that made it
         r = so_rep(w)
-        n, tab = r.n, structure_table(r.n)
-        seeds = {s for k in range(1, n + 1)
-                 for s in ((k, k), (k - 1, -k), (k - 1, k))}
-        plan = [((0, k - 1), (k - 1, k), (0, k)) for k in range(2, n + 1)]
-        plan += [((0, k - 1), (k - 1, -k), (0, -k)) for k in range(2, n + 1)]
-        plan += [((i, 0), (0, j), (i, j)) for i in range(-n, n + 1)
-                 for j in range(-n, n + 1) if i and j
-                 and tab.canonical((i, j))[0] == (i, j)
-                 and (i, j) not in seeds]
-        for ab, cd, target in plan:
+        tab = structure_table(r.n)
+        for ab, cd, target in closure_plan(r.n):
             # [F(ab), F(cd)] = coef * F(cs), cs the canonical slot
             ((cs, coef),) = tab[(ab, cd)].items()
             got = r.gen(*ab).commutator(r.gen(*cd))
@@ -556,8 +603,8 @@ def _term_sources(rep):
     seen = set(sources)
     for pat in rep.patterns:
         for k in range(1, rep.n + 1):
-            for terms in (ref_prime_drop_terms(pat, k, PatternB.generic_valid),
-                          ref_lower_step_terms(pat, k, PatternB.generic_valid,
+            for terms in (ref_prime_drop_terms(pat, k, PatternB.interleaves),
+                          ref_lower_step_terms(pat, k, PatternB.interleaves,
                                                0)):
                 for mid, _, _, _ in terms:
                     if mid not in seen:
@@ -573,7 +620,7 @@ def test_term_functions_match_build_then_filter(w):
     rep = so_rep(w)
     for pat in _term_sources(rep):
         for k in range(1, rep.n + 1):
-            for valid in (PatternB.generic_valid, PatternB.full_valid):
+            for valid in (PatternB.interleaves, full_valid):
                 assert (_sig_case_terms(pat, k, valid)
                         == ref_sig_case_terms(pat, k, valid))
                 assert (prime_drop_terms(pat, k, valid)
@@ -598,8 +645,8 @@ def test_term_functions_build_only_interleaving_targets(w, monkeypatch):
     monkeypatch.setattr(PatternB, "shifted", shifted)
     for pat in sources:
         for k in range(1, rep.n + 1):
-            prime_drop_terms(pat, k, PatternB.full_valid)
-            lower_step_terms(pat, k, PatternB.full_valid)
+            prime_drop_terms(pat, k, full_valid)
+            lower_step_terms(pat, k, full_valid)
     assert built and all(t.interleaves() for t in built)
 
 
@@ -621,7 +668,7 @@ def test_basis_membership_agrees_with_full_valid(w):
                 lower_step_terms(pat, k, record, u)
     assert built
     for tgt in built:
-        assert (tgt in rep.index) == tgt.full_valid(), tgt
+        assert (tgt in rep.index) == full_valid(tgt), tgt
 
 
 class TestSpanRank:
