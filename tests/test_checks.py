@@ -251,10 +251,54 @@ class TestSimpleRaisingKernels:
         assert report.summary() == "fail"
 
 
+class TestWeightTexts:
+    """The witnesses that print weights print them as Fractions, on
+    half-integral and non-integral modules alike, whatever encoding the
+    record keeps them in."""
+
+    @pytest.mark.parametrize("change, want", [
+        # the first entry of F(-1,0) deleted, and 1/3 added at (0, 0)
+        ({pos(0, 2, 16): 0},
+         ["((Fraction(-1, 2),), 5, 4)", "(18, 16)"]),
+        ({pos(0, 0, 16): Fraction(1, 3)},
+         ["((Fraction(-3, 2),), 1, 2)", "(12, 16)"])])
+    def test_branching_witness_of_a_half_integral_mutant(self, change,
+                                                          want):
+        r = fresh_so_rep(("-1/2", "-3/2"))
+        r.gens[(-1, 0)] = edited(r.gens[(-1, 0)], change)
+        assert [c["witness"] for c in check_branching(r).checks] == want
+
+    @pytest.mark.parametrize("rep, want", [
+        (lambda: fresh_so_rep(("-1/2", "-3/2")),
+         "[((Fraction(-3, 2), Fraction(-1, 2)), 1), "
+         "((Fraction(-3, 2), Fraction(-1, 2)), 2), "
+         "((Fraction(-3, 2), Fraction(1, 2)), 1)]"),
+        (lambda: fresh_gl_rep(("1/2", "-1/2", "-3/2")),
+         "[((Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)), 1), "
+         "((Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)), 2), "
+         "((Fraction(-3, 2), Fraction(1, 2), Fraction(-1, 2)), 1)]"),
+        (lambda: fresh_gl_rep(("1/3", "-2/3", "-5/3")),
+         "[((Fraction(-5, 3), Fraction(-2, 3), Fraction(1, 3)), 1), "
+         "((Fraction(-5, 3), Fraction(-2, 3), Fraction(1, 3)), 2), "
+         "((Fraction(-5, 3), Fraction(1, 3), Fraction(-2, 3)), 1)]")],
+        ids=["B (-1/2,-3/2)", "A (1/2,-1/2,-3/2)", "A (1/3,-2/3,-5/3)"])
+    def test_freudenthal_witness(self, rep, want, monkeypatch):
+        # every reference multiplicity doubled: the witness is the first
+        # three pairs of the two histograms' symmetric difference
+        real = freudenthal_multiplicities
+        monkeypatch.setattr(checks, "freudenthal_multiplicities",
+                            lambda a, lam: {w: 2 * m for w, m
+                                            in real(a, lam).items()})
+        lines = run_verification(rep(), level="full").checks
+        got = [c for c in lines if c["name"] == FREUDENTHAL]
+        assert [(c["pass"], c["witness"]) for c in got] == [(False, want)]
+
+
 BRANCHING = ("subalgebra highest-vector counts match the interval counts",
              "branching dimensions sum to the module dimension")
 PHI = "quadratic form of the primed-lowering operator matches its definition"
 FORM = "contravariant form is diagonal and nondegenerate"
+FREUDENTHAL = "weight histogram matches the Freudenthal recursion"
 
 
 def _reference_report(r, algebra, monkeypatch):

@@ -267,6 +267,16 @@ class TestContravariantForm:
                            match=r"^form is not determined at weight \(0,1\)$"):
             contravariant_gram(r)
 
+    @pytest.mark.parametrize("slot, want", [
+        ((2, 1), "not determined"), ((1, 2), "degenerate")])
+    def test_messages_print_a_weight_off_the_integers(self, slot, want):
+        # A (1/2,-1/2,-3/2): the weight in the message is the Fraction one
+        r = fresh_gl_rep(("1/2", "-1/2", "-3/2"))
+        r.gens[slot] = Operator(r.dim)
+        with pytest.raises(InconsistencyError) as e:
+            contravariant_gram(r)
+        assert str(e.value) == "form is %s at weight (-1/2,1/2,-3/2)" % want
+
     def test_zero_value_is_degenerate(self):
         r = fresh_gl_rep((1, 0))
         r.gens[(1, 2)] = Operator(2)
