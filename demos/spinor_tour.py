@@ -15,7 +15,7 @@ def show(rep, title):
     for c, pat in enumerate(rep.patterns):
         print("  basis[%d]: sigma=%s primed=%s weight=%s"
               % (c, pat.sigma, pat.to_json()["primed_rows"][-1],
-                 [str(x) for x in pat.weight()]))
+                 [str(x) for x in rep.decode(pat.weight())]))
     # a build stores F(i,j) for i + j <= 0; gen reads every slot
     idx = range(-rep.n, rep.n + 1)
     for slot in [(i, j) for i in idx for j in idx]:

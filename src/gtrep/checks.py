@@ -8,6 +8,7 @@ the constructed matrices is evidence rather than circular bookkeeping.
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -17,6 +18,7 @@ from .linalg import (Operator, int_product_sum, nullspace, pos, rank_of,
                      rowcol)
 from .glrep import (InconsistencyError, capelli_ints, contravariant_gram,
                     gl_structure_table, int_forms)
+from .patterns import _doubled
 from .sorep import build_phi_minus, structure_table
 
 
@@ -236,7 +238,7 @@ def _root_datum(algebra_type, lam):
     group changes signs as well as permuting entries (type B). Without
     sign changes every root sums to 0, so every weight keeps the entry
     sum of top."""
-    lam = _as_fracs(lam)
+    lam = tuple(map(Fraction, lam))
     signed = algebra_type == "B"
     roots, _, rho2 = _positive_roots(algebra_type, len(lam))
     rho = tuple(Fraction(x, 2) for x in rho2)
@@ -250,17 +252,19 @@ def _dot(x, y):
 
 def weyl_dim(algebra_type, lam):
     """Weyl's product over the positive roots of (top + rho, alpha) /
-    (rho, alpha), on ints: top + rho and rho are scaled by the lcm d of
-    2 and the denominators of top (d = 2 on integral and half-integral
-    weights), and the product of the factors' numerators is divided
-    once by the product of their denominators."""
-    lam = _as_fracs(lam)
+    (rho, alpha), on ints (_weyl_dim), lam scaled by the lcm d of 2 and
+    its denominators (d = 2 on integral and half-integral weights)."""
+    d = lcm(2, *(Fraction(x).denominator for x in lam))
+    return _weyl_dim(algebra_type, [int(Fraction(x) * d) for x in lam], d)
+
+
+def _weyl_dim(algebra_type, lam, d):
+    """weyl_dim of lam / d, lam ints and d even: top + rho and rho scaled
+    by d, the factors' products divided once, exactly, at the end."""
     top = _reflect(lam) if algebra_type == "B" else lam
     _, supports, rho2 = _positive_roots(algebra_type, len(lam))
-    d = lcm(2, *(x.denominator for x in top))
     h = d // 2
-    shifted = [x.numerator * (d // x.denominator) + h * r
-               for x, r in zip(top, rho2)]
+    shifted = [x + h * r for x, r in zip(top, rho2)]
     rho = [h * r for r in rho2]
     num = den = 1
     for i, j, s in supports:
@@ -269,28 +273,31 @@ def weyl_dim(algebra_type, lam):
     q, rem = divmod(num, den)
     if rem or q <= 0:
         raise ValueError("dimension formula gave %s for %s"
-                         % (Fraction(num, den), lam))
+                         % (Fraction(num, den), _over(lam, d)))
     return q
+
+
+def _over(t, d):
+    # the ints t over d, as Fractions, for a message's text
+    return tuple(Fraction(x, d) for x in t)
 
 
 # ----------------------------------------------------- branching
 
 
-def _as_fracs(t):
-    return tuple(Fraction(x) for x in t)
-
-
 def branching_multiplicity(lam, mu):
     """Number of interleaving tuples between lam (rank n) and mu (rank n-1),
     counted per coordinate; 0 on parity mismatch or any empty interval."""
-    lam = _as_fracs(lam)
-    mu = _as_fracs(mu)
-    n = len(lam)
-    cls = (2 * lam[0]) % 2
-    if any((2 * x) % 2 != cls for x in mu):
+    return _interval_count(tuple(map(_doubled, lam)),
+                           tuple(map(_doubled, mu)))
+
+
+def _interval_count(lam, mu):
+    # branching_multiplicity on lam and mu doubled, as ints
+    if any((x - lam[0]) % 2 for x in mu):
         return 0
     count = 1
-    for i in range(n):
+    for i in range(len(lam)):
         lo = lam[i]
         hi = -lam[0] if i == 0 else lam[i - 1]
         if i < len(mu):
@@ -302,10 +309,11 @@ def branching_multiplicity(lam, mu):
         span = hi - lo
         if span < 0:
             return 0
-        if span.denominator != 1:
+        if span % 2:
             raise ValueError("interval %s to %s is not integral; %s and %s "
-                             "mix parity" % (lo, hi, lam, mu))
-        count *= int(span) + 1
+                             "mix parity" % (*_over((lo, hi), 2),
+                                             _over(lam, 2), _over(mu, 2)))
+        count *= span // 2 + 1
     return count
 
 
@@ -356,21 +364,22 @@ def check_branching(rep):
     and stays out of the dimension sum."""
     report = VerificationReport()
     n = rep.n
+    lam = tuple(map(_doubled, rep.lam))
     witness = None
     counts = {}
-    # the weights ascend, so each o(2n-1) weight w[:n-1] is one run of
-    # them, and the runs ascend
+    # the weights (doubled ints) ascend, so each o(2n-1) weight w[:n-1] is
+    # one run of them, and the runs ascend
     for mu, run in itertools.groupby(_highest_vectors(rep, n).items(),
                                      lambda wv: wv[0][:n - 1]):
         got = sum(len(vs) for _, vs in run)
-        want = branching_multiplicity(rep.lam, mu)
+        want = _interval_count(lam, mu)
         if got and want:
             counts[mu] = got
         if got != want and witness is None:
-            witness = (mu, got, want)
+            witness = (rep.decode(mu), got, want)
     report.add("subalgebra highest-vector counts match the interval counts",
                witness is None, witness)
-    total = sum(c * weyl_dim("B", mu) for mu, c in counts.items())
+    total = sum(c * _weyl_dim("B", mu, 2) for mu, c in counts.items())
     report.add("branching dimensions sum to the module dimension",
                total == rep.dim, None if total == rep.dim else (total, rep.dim))
     return report
@@ -573,11 +582,7 @@ def run_verification(rep, level="fast"):
 
     witness = None
     for k in range(1, rep.n + 1):
-        diag = rep.gen(k, k)
-        want = Operator(rep.dim, {pos(c, c, rep.dim): w[k - 1]
-                                  for c, w in enumerate(rep.weights)
-                                  if w[k - 1]})
-        if diag != want:
+        if rep.gen(k, k) != rep.diagonal(k):
             witness = ("diagonal", k)
             break
     if witness is None:
@@ -608,14 +613,13 @@ def run_verification(rep, level="fast"):
                        False, e.witness)
         if rep.algebra == "B":
             del forms
-        hist = {}
-        for w_ in rep.weights:
-            hist[w_] = hist.get(w_, 0) + 1
-        freud = freudenthal_multiplicities(rep.algebra, rep.lam)
+        hist = Counter(rep.weights)
+        # the recursion's weights in the record's encoding (Rep.decode)
+        freud = {tuple(int((x - rep.base) * rep.den) for x in w_): m for w_, m
+                 in freudenthal_multiplicities(rep.algebra, rep.lam).items()}
+        diff = sorted(set(hist.items()) ^ set(freud.items()))[:3]
         report.add("weight histogram matches the Freudenthal recursion",
-                   hist == freud,
-                   None if hist == freud else sorted(
-                       set(hist.items()) ^ set(freud.items()))[:3])
+                   not diff, [(rep.decode(w_), m) for w_, m in diff] or None)
         if rep.algebra == "A":
             cwit = None
             ls = [Fraction(x) - i for i, x in enumerate(rep.lam)]

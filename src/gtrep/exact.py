@@ -1,7 +1,7 @@
 """Exact scalar arithmetic for the representation builders.
 
-Scalars are fractions.Fraction throughout: weights (half-integers
-included), pattern l-values and matrix entries alike.
+Matrix entries are fractions.Fraction. Patterns, their l-values and the
+record's weights are ints; Rep.decode reads a weight back as Fractions.
 
 The type B builder writes each coefficient term as c times a ratio of
 products of factors (A, b), each standing for A/2 + b*t with int A and b:

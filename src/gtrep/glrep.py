@@ -10,7 +10,6 @@ integer table, the column determinant of u + row-shifted generators
 from __future__ import annotations
 
 import bisect
-import functools
 from fractions import Fraction
 from math import lcm
 
@@ -95,12 +94,11 @@ def build_gl(lam, cap=None):
     return rep
 
 
-@functools.cache
 def gl_structure_table(n):
     """The gl(n) bracket table (linalg.BracketTable) over the elementary
-    matrices, one per n: E(p,q) is the single entry 1 at (p-1,q-1), so
-    every position is read as its own slot. Only the entries asked for
-    are computed."""
+    matrices, a new one per call: E(p,q) is the single entry 1 at
+    (p-1,q-1), so every position is read as its own slot. Only the
+    entries asked for are computed."""
     units = {(i, j): Operator(n, {pos(i - 1, j - 1, n): F1})
              for i in range(1, n + 1) for j in range(1, n + 1)}
     return BracketTable(units, {pos(i - 1, j - 1, n): (i, j)
@@ -228,13 +226,12 @@ def contravariant_gram(rep, forms=None):
                                 uden * v) * gram[b]
                 if row:
                     rows.append(row)
-        where = "(%s)" % ",".join(str(x) for x in mu)
-        if not _spans(rows, len(block)):
-            raise InconsistencyError("form is not determined at weight %s"
-                                     % where)
-        if not all(gram[a] for a in block):
-            raise InconsistencyError("form is degenerate at weight %s"
-                                     % where)
+        fault = None if _spans(rows, len(block)) else "not determined"
+        if fault is None and not all(gram[a] for a in block):
+            fault = "degenerate"
+        if fault:
+            raise InconsistencyError("form is %s at weight (%s)" % (
+                fault, ",".join(str(x) for x in rep.decode(mu))))
     # E(i,j)^T G = G E(j,i) holds iff its transpose, E(j,i)^T G =
     # G E(i,j), does; the first failing pair in sorted order has i <= j
     for (i, j) in sorted(forms):

@@ -6,8 +6,8 @@ mod 1) and int offsets from it, so comparison, hashing, shifting and the
 interleaving test run on ints. Type B patterns carry one sigma bit per
 level, a primed row per level and an unprimed row per level (top row
 fixed to the highest weight), all entries non-positive members of one
-parity class, stored doubled, as ints. Weights and JSON values are
-Fractions; the builders read the ints directly.
+parity class, stored doubled, as ints; so is each weight (PatternA.weight,
+PatternB.weight). JSON values and Rep.decode give Fractions back.
 
 Each enumerator descends its chain top level first and emits the basis
 in canonical order as it goes; its docstring states the order.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import format_rational
+from .exact import F0, format_rational
 from .linalg import Operator, pos
 
 
@@ -111,15 +111,9 @@ class PatternA:
         return len(self.rows)
 
     def weight(self):
-        # row k sums k entries, so each difference of row sums is one base
-        # plus an integer
-        out = []
-        prev = 0
-        for r in self.rows:
-            s = sum(r)
-            out.append(self.base + (s - prev))
-            prev = s
-        return tuple(out)
+        # int offsets from base: differences of the offset row sums
+        sums = [0, *map(sum, self.rows)]
+        return tuple(b - a for a, b in zip(sums, sums[1:]))
 
     def shifted(self, k, i, sign):
         rows = list(self.rows)
@@ -195,8 +189,8 @@ def _values(rows):
 class PatternB:
     """sigma bits, unprimed rows (rows[n-1] = highest weight) and primed
     rows. The constructor takes entry values; rows and primed store each
-    entry doubled, as an int, and every value read back is a Fraction.
-    Construction performs no validity checks."""
+    entry doubled, as an int, and JSON and repr read them back as
+    rationals. Construction performs no validity checks."""
 
     __slots__ = ("sigma", "rows", "primed")
 
@@ -232,8 +226,8 @@ class PatternB:
         return d
 
     def weight(self):
-        return tuple(Fraction(self.doubled_weight(k), 2)
-                     for k in range(1, self.n + 1))
+        # doubled, as ints
+        return tuple(self.doubled_weight(k) for k in range(1, self.n + 1))
 
     def shifted(self, moves):
         """Apply moves: ("u",k,i,s) unprimed, ("p",k,i,s) primed,
@@ -348,14 +342,18 @@ def stored_slot(gens, i, j):
 class Rep:
     """A module over a pattern basis: the highest weight, the algebra ("A"
     for gl(n), "B" for o(2n+1), read off the pattern class), the basis in
-    canonical order with its index, the weight of each basis vector (a
-    tuple of Fractions) and the stored generator matrices by slot. The
-    type A builder stores every E(i,j), 1 <= i,j <= n. The type B
-    builder stores F(i,j), -n <= i,j <= n, for i + j <= 0 only, F(i,-i)
-    as the zero operator; stored and gen read the other slots."""
+    canonical order with its index, the weight of each basis vector and
+    the stored generator matrices by slot. The type A builder stores
+    every E(i,j), 1 <= i,j <= n. The type B builder stores F(i,j),
+    -n <= i,j <= n, for i + j <= 0 only, F(i,-i) as the zero operator;
+    stored and gen read the other slots. A weight is an int tuple in the
+    patterns' own encoding (their weight method): entry k is base +
+    w[k-1] / den, with base and den the patterns' shared base and 1 for
+    type A, 0 and 2 for type B. Both encodings keep the order of weights,
+    and decode gives the Fractions back."""
 
     __slots__ = ("lam", "n", "algebra", "dim", "patterns", "index",
-                 "weights", "gens")
+                 "weights", "base", "den", "gens")
 
     def __init__(self, lam, patterns):
         self.lam = lam
@@ -365,7 +363,13 @@ class Rep:
         self.dim = len(patterns)
         self.index = {p: i for i, p in enumerate(patterns)}
         self.weights = tuple(p.weight() for p in patterns)
+        self.base, self.den = ((patterns[0].base, 1) if self.algebra == "A"
+                               else (F0, 2))
         self.gens = {}
+
+    def decode(self, w):
+        """The weight ints w as Fractions: the one weight decoder."""
+        return tuple(self.base + Fraction(x, self.den) for x in w)
 
     def slots(self):
         """Every generator slot (i, j) in sorted order, stored or not:
@@ -388,15 +392,12 @@ class Rep:
 
     def diagonal(self, k):
         """E(k,k) or F(k,k), built from the weights: entry k of each basis
-        vector's weight on the diagonal, zeros absent, equal values as one
-        object."""
-        ent = {}
-        shared = {}
-        for c, w in enumerate(self.weights):
-            x = w[k - 1]
-            if x:
-                ent[pos(c, c, self.dim)] = shared.setdefault(x, x)
-        return Operator(self.dim, ent)
+        vector's weight on the diagonal, zeros absent, each distinct int
+        decoded once, so equal values are one object."""
+        col = [w[k - 1] for w in self.weights]
+        value = {x: self.decode((x,))[0] for x in set(col)}
+        return Operator(self.dim, {pos(c, c, self.dim): value[x]
+                                   for c, x in enumerate(col) if value[x]})
 
     def highest_index(self):
         return self.index[type(self.patterns[0]).highest(self.lam)]

@@ -35,7 +35,6 @@ i + j <= 0 only.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from math import lcm
 from operator import mul
@@ -433,25 +432,25 @@ def defining_operators(n):
     return ops
 
 
-@functools.cache
 def structure_table(n):
     """The o(2n+1) bracket table (linalg.BracketTable) over the slots
-    -n..n, read off the defining module, one per n. The canonical slots
-    are F(p,q) with p + q < 0: F(p,-p) = 0, and every other slot is its
-    mirror negated, F(p,q) = -F(-q,-p). A canonical slot's coefficient is
-    read at its own position. Only the entries asked for are computed."""
+    -n..n, read off the defining module, a new one per call. The
+    canonical slots are F(p,q) with p + q < 0: F(p,-p) = 0, and every
+    other slot is its mirror negated, F(p,q) = -F(-q,-p). A canonical
+    slot's coefficient is read at its own position. Only the entries
+    asked for are computed."""
     slot_at = {pos(p + n, q + n, 2 * n + 1): (p, q)
                for p in range(-n, n + 1) for q in range(-n, n + 1)
                if p + q < 0}
     return BracketTable(defining_operators(n), slot_at)
 
 
-def closure_plan(n):
+def closure_plan(table):
     """The bracket plan of close_generators: the o(2n+1) table's plan
     (BracketTable.plan) from the canonical slots of the seeds F(k,k),
     F(k-1,-k), F(k-1,k), k = 1..n, by the non-Cartan seeds F(k-1,-k),
     F(k-1,k), the sparse level-k generators."""
-    table = structure_table(n)
+    n = max(table.defs)[0]  # the slots run over -n..n
     by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
     seeds = by + [(k, k) for k in range(1, n + 1)]
     return table.plan({table.canonical(s)[0] for s in seeds}, by)
@@ -460,7 +459,8 @@ def closure_plan(n):
 def close_generators(n, seeds, dim):
     """Extend the seed slots F(k,k), F(k-1,-k), F(k-1,k) to every stored
     slot F(i,j), i + j <= 0, one commutator per step (x, y, target) of
-    closure_plan(n), 2n(n-1) in all.
+    the plan (closure_plan) of one new structure_table(n), 2n(n-1) in
+    all; the table goes when the closure returns.
 
     Only the slots with i + j <= 0 are stored, F(i,-i) as the zero
     operator; F(i,j) with i + j > 0 is -F(-j,-i). So a seed lands on the
@@ -477,7 +477,7 @@ def close_generators(n, seeds, dim):
     for slot, op in seeds.items():
         cs, sign = table.canonical(slot)
         known[cs] = _share(op, values, sign)
-    for x, y, target in closure_plan(n):
+    for x, y, target in closure_plan(table):
         op, sign = stored_slot(known, *y)
         known[target] = _share(known[x].commutator(op), values,
                                table[(x, y)][target] * sign)
@@ -531,9 +531,7 @@ def _check_span_rank(rep):
     rank is the number of nonzero off-diagonal slots plus the rank of
     the diagonal slots F(-k,-k), taken on one diagonal entry per
     distinct weight: a restriction never raises a rank."""
-    n, dim = rep.n, rep.dim
-    dw = [[x.numerator * (2 // x.denominator) for x in w]
-          for w in rep.weights]
+    n, dim, dw = rep.n, rep.dim, rep.weights  # doubled
     # each weight as one int code in a radix above every coordinate of a
     # weight difference minus a root, so that a difference's code is a
     # root's only at that root; unit[k] is the code of e_k, doubled as

@@ -471,7 +471,7 @@ def defining_intertwiner(rep):
     # the weight of defining vector p: +e_p, -e_-p or 0, at position p + n
     at = {tuple(Fraction((k == p) - (k == -p)) for k in range(1, n + 1)):
           p + n for p in range(-n, n + 1)}
-    pi = [at[w] for w in rep.weights]
+    pi = [at[rep.decode(w)] for w in rep.weights]
     dim = 2 * n + 1
     h = rep.highest_index()
     scale = {h: Fraction(1)}
@@ -535,7 +535,7 @@ def _scaled_chain_sum(rep, chains, hsource):
         for p, v in prod.items():
             r, c = rowcol(p, rep.dim)
             # h_a is the eigenvalue of E_aa - a + 1 on column c
-            w = rep.weights[c]
+            w = rep.decode(rep.weights[c])
             hs = w[hsource - 1] - hsource + 1
             scale = F1
             for t in comp:
@@ -592,7 +592,8 @@ def g_highest_vectors(rep, mu):
     """Basis of {v : E(k,k+1) v = 0 for k <= n-2, E(k,k) v = mu_k v}."""
     mu = tuple(Fraction(x) for x in mu)
     n = rep.n
-    cols = [c for c in range(rep.dim) if rep.weights[c][:n - 1] == mu]
+    cols = [c for c in range(rep.dim)
+            if rep.decode(rep.weights[c][:n - 1]) == mu]
     ops = [rep.gen(k, k + 1) for k in range(1, n - 1)]
     basis = nullspace(restricted_rows(ops, cols), len(cols))
     out = []

@@ -182,7 +182,7 @@ class TestWeightHistogram:
         r = gl_rep(lam)
         hist = {}
         for wt in r.weights:
-            key = tuple(Fraction(x) for x in wt)
+            key = r.decode(wt)
             hist[key] = hist.get(key, 0) + 1
         assert hist == freudenthal_multiplicities("A", lam)
 
@@ -190,7 +190,7 @@ class TestWeightHistogram:
     def test_so_matches_the_recursion_oracle(self, w):
         r = so_rep(w)
         hist = {}
-        for wt in r.weights:
+        for wt in map(r.decode, r.weights):
             hist[wt] = hist.get(wt, 0) + 1
         assert hist == freudenthal_multiplicities("B", r.lam)
 

@@ -164,7 +164,7 @@ def _kernel_counts(rep, ops):
     # the common kernel's dimension on each o(2n-1) weight's columns
     groups = {}
     for c, w in enumerate(rep.weights):
-        groups.setdefault(w[:rep.n - 1], []).append(c)
+        groups.setdefault(rep.decode(w[:rep.n - 1]), []).append(c)
     return {mu: len(nullspace(restricted_rows(ops, cols), len(cols)))
             for mu, cols in groups.items()}
 
@@ -495,7 +495,7 @@ class TestFreudenthal:
         r = gl_rep(lam)
         hist = {}
         for w in r.weights:
-            key = tuple(Fraction(x) for x in w)
+            key = r.decode(w)
             hist[key] = hist.get(key, 0) + 1
         assert freudenthal_multiplicities("A", lam) == hist
 
@@ -503,7 +503,7 @@ class TestFreudenthal:
     def test_matches_so_histogram(self, w):
         r = so_rep(w)
         hist = {}
-        for wt in r.weights:
+        for wt in map(r.decode, r.weights):
             hist[wt] = hist.get(wt, 0) + 1
         assert freudenthal_multiplicities("B", r.lam) == hist
 

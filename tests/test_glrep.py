@@ -111,7 +111,7 @@ class TestWeights:
     def test_highest_index_weight(self):
         r = gl_rep((2, 1, 0))
         h = r.highest_index()
-        assert r.weights[h] == (2, 1, 0)
+        assert r.decode(r.weights[h]) == (2, 1, 0)
 
 
 class TestCentralElement:

@@ -163,18 +163,22 @@ class TestWeights:
         assert p.weight() == (1, 0, 2)
 
     def test_so_weight_example(self):
-        pats = enumerate_patterns_b(check_weight_so(("-1",)))
-        eig = [p.weight()[0] for p in pats]
-        assert eig == [-1, 1, 0]
+        # doubled on the pattern, decoded by the record
+        lam = check_weight_so(("-1",))
+        r = Rep(lam, enumerate_patterns_b(lam))
+        assert [p.weight()[0] for p in r.patterns] == [-2, 2, 0]
+        assert [r.decode(w)[0] for w in r.weights] == [-1, 1, 0]
 
     @pytest.mark.parametrize("rep", [
         lambda: gl_rep((2, 1, 0)), lambda: so_rep(("0", "-1")),
         lambda: so_rep(("-1/2", "-3/2"))], ids=["A", "B", "B-spinor"])
     def test_rep_values_are_fractions(self, rep):
+        # the weights themselves are ints, decoded to Fractions
         r = rep()
-        values = list(r.lam) + [x for w in r.weights for x in w]
+        assert all(type(x) is int for w in r.weights for x in w)
+        values = list(r.lam) + [x for w in r.weights for x in r.decode(w)]
         assert all(type(x) is Fraction for x in values)
-        assert r.weights[r.highest_index()] == r.lam
+        assert r.decode(r.weights[r.highest_index()]) == r.lam
 
     def test_rep_algebra_is_read_off_the_pattern_class(self):
         # on both builders' records and on a bare record with no generators
@@ -185,3 +189,53 @@ class TestWeights:
         assert (bare.algebra, bare.gens) == ("B", {})
         lam = check_weight_gl((2, 0))
         assert Rep(lam, enumerate_patterns_a(lam)).algebra == "A"
+
+
+def _json_weight(p):
+    # a pattern's weight as Fractions, read off its JSON entries: row sums
+    # for type A; sigma_k + 2 (primed row k) - (row k) - (row k-1), each
+    # row summed, for type B
+    def sums(rows):
+        return [sum(map(Fraction, r)) for r in rows]
+    obj = p.to_json()
+    if "sigma" not in obj:
+        s = [0] + sums(obj["rows"])
+        return tuple(b - a for a, b in zip(s, s[1:]))
+    u = [0] + sums(obj["rows"])
+    return tuple(sig + 2 * q - a - b for sig, q, a, b in zip(
+        obj["sigma"], sums(obj["primed_rows"]), u, u[1:]))
+
+
+ENCODED = ([("A", lam) for lam in A_CORPUS] + [("B", w) for w in B_CORPUS]
+           + [("A", ("1/3", "-2/3", "-5/3"))])
+
+
+@pytest.mark.parametrize("algebra, lam", ENCODED,
+                         ids=["%s %s" % (a, ",".join(map(str, w)))
+                              for a, w in ENCODED])
+class TestWeightEncoding:
+    """The record keeps each weight as its patterns' ints (type A offsets
+    from the base, type B doubled); Rep.decode gives the Fractions."""
+
+    def rep(self, algebra, lam):
+        if algebra == "A":
+            lam = check_weight_gl(lam)
+            return Rep(lam, enumerate_patterns_a(lam))
+        lam = check_weight_so(lam)
+        return Rep(lam, enumerate_patterns_b(lam))
+
+    def test_decode_gives_each_pattern_weight(self, algebra, lam):
+        r = self.rep(algebra, lam)
+        assert all(type(x) is int for w in r.weights for x in w)
+        assert [r.decode(w) for w in r.weights] == [
+            _json_weight(p) for p in r.patterns]
+
+    def test_ints_sort_as_the_fractions(self, algebra, lam):
+        r = self.rep(algebra, lam)
+        cols = range(r.dim)
+        assert sorted(cols, key=r.weights.__getitem__) == sorted(
+            cols, key=lambda c: r.decode(r.weights[c]))
+
+    def test_highest_weight_decodes_to_the_label(self, algebra, lam):
+        r = self.rep(algebra, lam)
+        assert r.decode(r.weights[r.highest_index()]) == r.lam
