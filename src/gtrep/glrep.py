@@ -1,8 +1,8 @@
 """Irreducible gl(n) modules on triangular pattern bases.
 
-Generator matrices come from the closed product formulas for the simple
-generators; the remaining E(i,j) are filled in by commutators, in the
-order the bracket table plans (linalg.BracketTable.plan). The module
+Generator matrices come from the closed product formulas for the
+diagonal and simple generators; the remaining E(i,j) are their brackets,
+taken by linalg.close in the order the bracket table plans. The module
 also holds what the oracles read: the bracket table, the generators'
 integer table, the column determinant of u + row-shifted generators
 (Capelli type) and the contravariant form.
@@ -15,7 +15,7 @@ from math import lcm
 
 from .exact import F1
 # nullspace is unused here, but bench/tracer.py wraps glrep.nullspace by name
-from .linalg import (RANK_PRIME, BracketTable, Operator, int_form,
+from .linalg import (RANK_PRIME, BracketTable, Operator, close, int_form,
                      int_product_sum, nullspace, packed_form, pos, rowcol,
                      rref)
 from .patterns import Rep, check_weight_gl, enumerate_patterns_a
@@ -39,15 +39,14 @@ def _prod_diff(li, ls):
 
 
 def build_gl(lam, cap=None):
-    """Construct all n^2 generator matrices over the pattern basis."""
+    """Construct all n^2 generator matrices over the pattern basis: the
+    diagonal and simple ones are the seeds of linalg.close, which brackets
+    by the simple ones, (n-1)(n-2) products."""
     lam = check_weight_gl(lam)
     n = len(lam)
     rep = Rep(lam, enumerate_patterns_a(lam, cap))
-    dim, index, gens = rep.dim, rep.index, rep.gens
-
-    for k in range(1, n + 1):
-        gens[(k, k)] = rep.diagonal(k)
-
+    dim, index = rep.dim, rep.index
+    seeds = {(k, k): rep.diagonal(k) for k in range(1, n + 1)}
     made = {}  # (numerator, denominator) -> its one Fraction
     simple = []
 
@@ -79,18 +78,10 @@ def build_gl(lam, cap=None):
                 r = index.get(pat.shifted(k, i + 1, -1)) if num else None
                 if r is not None:
                     down[pos(r, c, dim)] = value(num, den)
-        gens[(k, k + 1)] = Operator(dim, up)
-        gens[(k + 1, k)] = Operator(dim, down)
+        seeds[(k, k + 1)] = Operator(dim, up)
+        seeds[(k + 1, k)] = Operator(dim, down)
         simple += [(k, k + 1), (k + 1, k)]
-
-    # every other generator by the table's plan, [E(x), E(y)] = +-E(t)
-    # taken as [x, y] or [y, x]
-    table = gl_structure_table(n)
-    for x, y, t in table.plan(gens, simple):
-        if table[(x, y)][t] < 0:
-            x, y = y, x
-        gens[t] = gens[x].commutator(gens[y])
-
+    rep.gens = close(gl_structure_table(n), seeds, simple, dim)
     return rep
 
 

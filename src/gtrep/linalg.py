@@ -23,9 +23,10 @@ an integer form again; nothing in it is reduced, so a chain of products
 to result. int_form_operator turns an integer form back into an
 Operator with one reduced Fraction per distinct value; product_sum is
 int_product_sum between the two. Entries that cancel to zero are not
-stored. Integer forms are made for one call or one verification run and
-never kept on an Operator. Negation negates each distinct entry object
-once."""
+stored. Integer forms are made for one call or one verification run
+and never kept on an Operator. Negation negates each distinct entry
+object once. close, the one code that brackets module generators in a
+build, takes its brackets on integer forms too."""
 from __future__ import annotations
 
 from array import array
@@ -253,9 +254,9 @@ class BracketTable(Mapping):
     every other defining matrix is one of them negated, or 0. So every
     defining entry is +-1, and each commutator is taken on those entries
     as ints, grouped by column and by row, and gives int coefficients;
-    Operator.commutator is left to brackets of module generators. An
-    entry whose two defining matrices have no column of one meeting a
-    row of the other is 0, answered without a product and not kept."""
+    close brackets the module generators. An entry whose two defining
+    matrices have no column of one meeting a row of the other is 0,
+    answered without a product and not kept."""
 
     def __init__(self, defs, slot_at):
         self.defs = defs
@@ -334,6 +335,38 @@ class BracketTable(Mapping):
 
     def __len__(self):
         return len(self.defs) ** 2
+
+
+def close(table, seeds, by, dim):
+    """Every slot of table as a dim x dim Operator, {slot: Operator},
+    from seeds, {slot: Operator} on the module. Each seed is stored at its
+    canonical slot (table.canonical), its sign carried. Each step (x, y,
+    target) of table.plan from those slots by the slots of by stores
+    X(target) = c [X(x), X(y)]: c is the table's +-1 times the sign of
+    y's canonical slot, at which X(y) is read. A step is int_product_sum on
+    the int forms of the two stored operands, made for that step alone,
+    and every value stored, in a seed or a step, is the closure's one
+    object of that value."""
+    values = {}  # denominator -> {numerator: its one Fraction}
+
+    def one(f):
+        return values.setdefault(f.denominator, {}).setdefault(f.numerator, f)
+
+    def bracket(c, x, y):
+        a, b = int_form(known[x]), int_form(known[y])
+        den, positions, nums = int_product_sum(dim, [(c, a, b), (-c, b, a)])
+        made = {v: one(Fraction(v, den)) for v in set(nums)}
+        return Operator._packed(dim, positions, list(map(made.__getitem__,
+                                                         nums)))
+
+    known = {}
+    for slot, op in seeds.items():
+        cs, sign = table.canonical(slot)
+        known[cs] = op.map_values(lambda v: one(v if sign == 1 else -v))
+    for x, y, target in table.plan(known, by):
+        cy, sign = table.canonical(y)
+        known[target] = bracket(table[(x, y)][target] * sign, x, cy)
+    return known
 
 
 # a fixed prime, 2^61 - 1, for ranks taken mod p before any exact rref

@@ -36,15 +36,13 @@ i + j <= 0 only.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from fractions import Fraction
 from operator import mul
 
 from .exact import (F0, F1, LaurentSum, PoleError, factor_laurent,
                     factor_value, rf_limit_at)
-from .linalg import (RANK_PRIME, BracketTable, Operator, pos, rowcol,
-                     rref)
-from .patterns import (PatternB, Rep, check_weight_so, enumerate_patterns_b,
-                       stored_slot)
+from .linalg import BracketTable, Operator, close, int_form, pos, rowcol, rref
+from .patterns import PatternB, Rep, check_weight_so, enumerate_patterns_b
 
 
 class ConstructionError(Exception):
@@ -445,62 +443,17 @@ def structure_table(n):
     return BracketTable(defining_operators(n), slot_at)
 
 
-def closure_plan(table):
-    """The bracket plan of close_generators: the o(2n+1) table's plan
-    (BracketTable.plan) from the canonical slots of the seeds F(k,k),
-    F(k-1,-k), F(k-1,k), k = 1..n, by the non-Cartan seeds F(k-1,-k),
-    F(k-1,k), the sparse level-k generators."""
-    n = max(table.defs)[0]  # the slots run over -n..n
-    by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
-    seeds = by + [(k, k) for k in range(1, n + 1)]
-    return table.plan({table.canonical(s)[0] for s in seeds}, by)
-
-
 def close_generators(n, seeds, dim):
     """Extend the seed slots F(k,k), F(k-1,-k), F(k-1,k) to every stored
-    slot F(i,j), i + j <= 0, one commutator per step (x, y, target) of
-    the plan (closure_plan) of one new structure_table(n), 2n(n-1) in
-    all; the table goes when the closure returns.
-
-    Only the slots with i + j <= 0 are stored, F(i,-i) as the zero
-    operator; F(i,j) with i + j > 0 is -F(-j,-i). So a seed lands on the
-    canonical slot of its target (structure_table(n).canonical), and a
-    step's seed operand F(y) at such a slot is its stored mirror with the
-    sign carried, read as Rep.gen reads it (patterns.stored_slot). The
-    table gives [F(x), F(y)] as +-1 times the target slot alone, so no
-    commutator is rescaled. Every value stored, in a seed or a bracket,
-    is the build's one object of that value: each seed and each
-    commutator is stored as _share remakes it."""
-    table = structure_table(n)
+    slot F(i,j), i + j <= 0, by linalg.close over one new
+    structure_table(n), bracketing by the level-k seeds F(k-1,-k),
+    F(k-1,k): 2n(n-1) products. The table's canonical slots are the
+    stored slots with i + j < 0, where each seed lands with its sign,
+    since F(i,j) = -F(-j,-i); F(i,-i) is stored as the zero operator."""
+    by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
     known = {(i, -i): Operator(dim) for i in range(-n, n + 1)}
-    values = {}
-    for slot, op in seeds.items():
-        cs, sign = table.canonical(slot)
-        known[cs] = _share(op, values, sign)
-    for x, y, target in closure_plan(table):
-        op, sign = stored_slot(known, *y)
-        known[target] = _share(known[x].commutator(op), values,
-                               table[(x, y)][target] * sign)
+    known.update(close(structure_table(n), seeds, by, dim))
     return known
-
-
-def _share(op, values, sign):
-    """sign * op over op's positions (Operator.map_values), every value
-    the one object of it in values, which maps a denominator to
-    {numerator: that object} and gains the values it lacks: ints hash far
-    faster than a Fraction, and no pair is kept per value. Each distinct
-    value object of op is looked up once; op's own value list goes with
-    op."""
-    def one(v):
-        nums = values.get(v.denominator)
-        if nums is None:
-            nums = values[v.denominator] = {}
-        s = nums.get(sign * v.numerator)
-        if s is None:
-            s = v if sign == 1 else -v
-            nums[s.numerator] = s
-        return s
-    return op.map_values(one)
 
 
 def build_so(lam, cap=None, trace=None):
@@ -554,26 +507,17 @@ def _check_span_rank(rep):
             diag.append(op)
         elif op:
             got += 1
-    cols = {x: c for c, x in enumerate(code)}.values()
-    got += span_rank([{c: v for c in cols if (v := op.get(pos(c, c, dim)))}
-                      for op in diag])
+    # rank D = rank D D^T over Q, D the diagonal slots' int forms on one
+    # diagonal entry per distinct weight: n rows of n Gram entries
+    cols = {x: pos(c, c, dim) for c, x in enumerate(code)}.values()
+    ints = []
+    for op in diag:
+        _, positions, nums = int_form(op)
+        at = dict(zip(positions, nums))
+        ints.append([at.get(p, 0) for p in cols])
+    got += len(rref([{b: Fraction(g) for b, y in enumerate(ints)
+                      if (g := sum(map(mul, x, y)))} for x in ints]))
     want = n * (2 * n + 1)
     if got != want:
         raise ConstructionError("generator span has rank %d, expected %d"
                                 % (got, want))
-
-
-def span_rank(rows):
-    """Exact rank of sparse Fraction rows. Each row is scaled to integers
-    and the rank taken mod RANK_PRIME; the rank mod p never exceeds the
-    rank over Q, so when it equals the row count it is the rank. Otherwise
-    the exact rref decides."""
-    scaled = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        scaled.append({c: v.numerator * (den // v.denominator)
-                       for c, v in row.items()})
-    got = len(rref(scaled, modulus=RANK_PRIME))
-    if got == len(rows):
-        return got
-    return len(rref(rows))

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from gtrep import (F0, F1, InconsistencyError, Operator, PatternA, PatternB,
                    build_gl, build_so, check_weight_gl, check_weight_so,
-                   defining_operators, nullspace, pos, rowcol, rref)
+                   defining_operators, gl_structure_table, nullspace, pos,
+                   rowcol, rref)
 from gtrep.checks import _dominants
 from gtrep.exact import format_rational
 from gtrep.glrep import capelli_ints, int_forms
@@ -395,6 +396,32 @@ def pairwise_structure_witness(rep):
             if rep.gens[ab].commutator(rep.gens[cd]) != expected(ab, cd):
                 return (ab, cd)
     return None
+
+
+def closure_steps(algebra, n):
+    """The bracket table of a build of rank n and the plan its closure
+    takes, from the seeds' canonical slots by the simple E(k,k+1),
+    E(k+1,k) (type A) or the level-k F(k-1,-k), F(k-1,k) (type B)."""
+    if algebra == "A":
+        table = gl_structure_table(n)
+        by = [s for k in range(1, n) for s in ((k, k + 1), (k + 1, k))]
+    else:
+        table = structure_table(n)
+        by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
+    seeds = by + [(k, k) for k in range(1, n + 1)]
+    return table, table.plan({table.canonical(s)[0] for s in seeds}, by)
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of owner.name from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def ref_plan(table, reached, by):

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from conftest import (A_CORPUS, B_CORPUS, B_WEIGHT_GRID, all_gens, all_raising,
-                      all_slots, block_gram, defining_intertwiner, edited,
-                      fresh_gl_rep, fresh_so_rep, gl_rep,
-                      pairwise_structure_witness, perm_capelli,
-                      ref_casimir_walk, ref_freudenthal, ref_plan,
-                      restricted_rows, scalar_op, single_entry_mutants,
-                      so_rep)
+                      all_slots, block_gram, count_calls,
+                      defining_intertwiner, edited, fresh_gl_rep,
+                      fresh_so_rep, gl_rep, pairwise_structure_witness,
+                      perm_capelli, ref_casimir_walk, ref_freudenthal,
+                      ref_plan, restricted_rows, scalar_op,
+                      single_entry_mutants, so_rep)
 from gtrep import (
     NonScalarError,
     Operator,
@@ -593,18 +593,6 @@ def _defining_module(algebra, n):
     return _Module(algebra=algebra, n=n, dim=n, gens=gens)
 
 
-def _count_commutators(monkeypatch):
-    calls = []
-    commutator = Operator.commutator
-
-    def counted(a, b):
-        calls.append(1)
-        return commutator(a, b)
-
-    monkeypatch.setattr(Operator, "commutator", counted)
-    return calls
-
-
 class TestStructurePresentation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("algebra", ["A", "B"])
@@ -710,7 +698,7 @@ class TestStructurePresentation:
         # O(n^2) commutators, against O(n^4) for every pair
         rep = _defining_module(algebra, n)
         presentation(algebra, n)
-        calls = _count_commutators(monkeypatch)
+        calls = count_calls(monkeypatch, Operator, "commutator")
         assert _structure_witness(rep) is None
         new = len(calls)
         del calls[:]

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A_CORPUS, SHIFT_IDS, SHIFTED, block_gram, capelli_det,
-                      edited, fresh_gl_rep, g_highest_vectors, gl_rep,
-                      global_gram, mu_vector_index, perm_capelli, scalar_op,
-                      transpose, z_lower, z_raise)
+                      closure_steps, count_calls, edited, fresh_gl_rep,
+                      g_highest_vectors, gl_rep, global_gram, mu_vector_index,
+                      perm_capelli, scalar_op, transpose, z_lower, z_raise)
 from gtrep import (
     InconsistencyError,
     Operator,
@@ -19,6 +19,7 @@ from gtrep import (
     run_verification,
     weyl_dim,
 )
+from gtrep import linalg
 from gtrep.glrep import _spans
 from gtrep.linalg import RANK_PRIME
 
@@ -67,26 +68,27 @@ class TestBracketTable:
     def test_build_takes_one_commutator_per_planned_slot(self, lam,
                                                           monkeypatch):
         # the (n-1)(n-2) slots that are neither diagonal nor simple, each
-        # +-[x, y] for the step (x, y, target) of the table's plan
+        # +-[x, y] for the step (x, y, target) of the table's plan, one
+        # product of linalg.close each and no Operator.commutator
         n = len(lam)
-        calls = []
-        commutator = Operator.commutator
-
-        def counted(a, b):
-            calls.append(1)
-            return commutator(a, b)
-
-        monkeypatch.setattr(Operator, "commutator", counted)
+        products = count_calls(monkeypatch, linalg, "int_product_sum")
+        commutators = count_calls(monkeypatch, Operator, "commutator")
         r = build_gl(lam)
         monkeypatch.undo()
-        assert len(calls) == (n - 1) * (n - 2)
-        tab = gl_structure_table(n)
-        simple = [s for k in range(1, n) for s in ((k, k + 1), (k + 1, k))]
-        plan = tab.plan(simple + [(k, k) for k in range(1, n + 1)], simple)
-        assert len(plan) == len(calls)
+        assert len(products) == (n - 1) * (n - 2) and not commutators
+        tab, plan = closure_steps("A", n)
+        assert len(plan) == len(products)
         for x, y, target in plan:
             ((slot, c),) = tab[(x, y)].items()
             assert r.gen(*x).commutator(r.gen(*y)) == r.gen(*slot).scale(c)
+
+    @pytest.mark.parametrize("lam", [(2, 1, 0), (4, 3, 2, 1, 0),
+                                     ("1/2", "-1/2", "-3/2")])
+    def test_build_keeps_one_object_per_value(self, lam):
+        # every value stored, in the diagonal and simple seeds and in the
+        # bracketed slots, is the build's one object of it
+        stored = [v for op in gl_rep(lam).gens.values() for v in op.values()]
+        assert len({id(v) for v in stored}) == len(set(stored))
 
 
 class TestWeights:

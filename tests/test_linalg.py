@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtrep import F1, Operator, pos, rowcol
-from gtrep.linalg import (RANK_PRIME, int_form, int_form_operator,
+from gtrep import F1, Operator, gl_structure_table, pos, rowcol
+from gtrep.linalg import (RANK_PRIME, close, int_form, int_form_operator,
                           int_product_sum, product_sum, rref)
 
 # mixed denominators and both signs, so sums of products cancel often
@@ -352,3 +352,16 @@ def test_rank_mod_p_drops_a_row_that_p_divides():
     assert len(rref(rows, modulus=p)) == 1
     assert len(rref([{c: Fraction(v) for c, v in r.items()}
                       for r in rows])) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_close_rebuilds_the_elementary_matrices_from_their_seeds(n):
+    # the diagonal and simple E(i,j) of gl(n) as seeds, bracketed by the
+    # simple ones, give back every E(i,j), all of their entries one object
+    table = gl_structure_table(n)
+    simple = [s for k in range(1, n) for s in ((k, k + 1), (k + 1, k))]
+    seeds = {s: table.defs[s]
+             for s in [(k, k) for k in range(1, n + 1)] + simple}
+    got = close(table, seeds, simple, n)
+    assert got == table.defs
+    assert len({id(v) for op in got.values() for v in op.values()}) == 1

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (A_CORPUS, B_CORPUS, all_gens, all_slots, deformed_raise,
-                      edited, fresh_so_rep, full_valid, gl_rep,
-                      ref_build_f_raise, ref_lower_step_terms, ref_plan,
-                      ref_prime_drop_terms, ref_sig_case_terms,
-                      ref_single_step, so_rep)
+from conftest import (A_CORPUS, B_CORPUS, all_gens, all_slots, closure_steps,
+                      count_calls, deformed_raise, edited, fresh_so_rep,
+                      full_valid, gl_rep, ref_build_f_raise,
+                      ref_lower_step_terms, ref_plan, ref_prime_drop_terms,
+                      ref_sig_case_terms, ref_single_step, so_rep)
 from gtrep import (
     Operator,
     PatternB,
@@ -20,7 +20,7 @@ from gtrep import (
     rowcol,
     structure_table,
 )
-from gtrep import sorep
+from gtrep import linalg, sorep
 from gtrep.linalg import BracketTable
 from gtrep.sorep import (
     DEFORMED,
@@ -30,7 +30,6 @@ from gtrep.sorep import (
     build_f_raise,
     build_phi_minus,
     close_generators,
-    closure_plan,
     _single_step,
     _sig_case_terms,
     lower_step_terms,
@@ -39,8 +38,13 @@ from gtrep.sorep import (
     prime_drop_weight,
     prime_shift_weight,
     raise_column_terms,
-    span_rank,
 )
+
+
+def seeds(n):
+    # the seed slots of a type B closure: F(k,k), F(k-1,-k), F(k-1,k)
+    return [s for k in range(1, n + 1)
+            for s in ((k, k), (k - 1, -k), (k - 1, k))]
 
 
 def hand_bracket(n, a, b, c, d):
@@ -236,18 +240,17 @@ class TestBrackets:
         # slots, with the entry of the real plan's first step replaced:
         # the plan goes round it, and the closure still rebuilds the
         # defining module
-        real = structure_table(n)
-        x, y, target = closure_plan(real)[0]
+        real, plan = closure_steps("B", n)
+        x, y, target = plan[0]
         tab = BracketTable(real.defs, real.slot_at)
         tab.known[(x, y)] = {target: 2}
         monkeypatch.setattr(sorep, "structure_table", lambda n: tab)
-        plan = closure_plan(tab)
+        plan = tab.plan({tab.canonical(s)[0] for s in seeds(n)},
+                        [s for s in seeds(n) if s[0] != s[1]])
         assert (x, y, target) not in plan
         assert target in [t for _, _, t in plan]
         defs = defining_operators(n)
-        seeds = {s: defs[s] for k in range(1, n + 1)
-                 for s in ((k, k), (k - 1, -k), (k - 1, k))}
-        got = close_generators(n, seeds, 2 * n + 1)
+        got = close_generators(n, {s: defs[s] for s in seeds(n)}, 2 * n + 1)
         assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -255,23 +258,21 @@ class TestBrackets:
         # from the seeds' canonical slots, through +-1 single-slot
         # brackets with the non-Cartan seeds, each remaining canonical
         # slot i + j < 0 once: the full-rescan search's plan
-        tab = structure_table(n)
-        by = [s for k in range(1, n + 1) for s in ((k - 1, -k), (k - 1, k))]
-        seeds = {tab.canonical(s)[0]
-                 for s in by + [(k, k) for k in range(1, n + 1)]}
-        plan = closure_plan(tab)
+        by = [s for s in seeds(n) if s[0] != s[1]]
+        tab, plan = closure_steps("B", n)
+        seeds_at = {tab.canonical(s)[0] for s in seeds(n)}
         targets = [t for _, _, t in plan]
         assert len(set(targets)) == len(targets) == 2 * n * (n - 1)
-        assert seeds.isdisjoint(targets)
-        assert seeds | set(targets) == {
+        assert seeds_at.isdisjoint(targets)
+        assert seeds_at | set(targets) == {
             (i, j) for i in range(-n, n + 1) for j in range(-n, n + 1)
             if i + j < 0}
-        reached = set(seeds)
+        reached = set(seeds_at)
         for x, y, target in plan:
             assert x in reached and y in by
             assert tab[(x, y)] in ({target: 1}, {target: -1})
             reached.add(target)
-        assert plan == ref_plan(tab, seeds, by)
+        assert plan == ref_plan(tab, seeds_at, by)
 
     def test_plan_raises_on_an_unreached_slot(self):
         # Cartan slots bracket to 0 with each other
@@ -284,23 +285,12 @@ class TestBrackets:
                                                           monkeypatch):
         # seeded from the defining module, the closure's bracket plan must
         # rebuild every stored slot of it, i + j <= 0, with 2n(n-1)
-        # commutators
+        # products of linalg.close and no Operator.commutator
         defs = defining_operators(n)
-        seeds = {}
-        for k in range(1, n + 1):
-            for slot in ((k, k), (k - 1, -k), (k - 1, k)):
-                seeds[slot] = defs[slot]
-        structure_table(n)
-        calls = []
-        commutator = Operator.commutator
-
-        def counted(a, b):
-            calls.append(1)
-            return commutator(a, b)
-
-        monkeypatch.setattr(Operator, "commutator", counted)
-        got = close_generators(n, seeds, 2 * n + 1)
-        assert len(calls) == 2 * n * (n - 1)
+        products = count_calls(monkeypatch, linalg, "int_product_sum")
+        commutators = count_calls(monkeypatch, Operator, "commutator")
+        got = close_generators(n, {s: defs[s] for s in seeds(n)}, 2 * n + 1)
+        assert len(products) == 2 * n * (n - 1) and not commutators
         assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
 
     @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
@@ -313,17 +303,20 @@ class TestBrackets:
         assert len({id(v) for v in stored}) == len(set(stored))
 
     @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
-                                   ("-1/2", "-3/2", "-5/2")])
+                                   ("-1/2", "-3/2", "-5/2")] + B_CORPUS
+                             + A_CORPUS)
     def test_shared_values_keep_the_bracket_plan(self, w):
         # each bracketed slot, its values taken from the shared objects,
-        # is still the bracket of the plan that made it
-        r = so_rep(w)
-        tab = structure_table(r.n)
-        for ab, cd, target in closure_plan(tab):
-            # [F(ab), F(cd)] = coef * F(cs), cs the canonical slot
-            ((cs, coef),) = tab[(ab, cd)].items()
-            got = r.gen(*ab).commutator(r.gen(*cd))
-            assert got == r.gens[cs].scale(coef), target
+        # is still the table's +-Operator.commutator of the step that
+        # made it; a type A module (int weight entries) closes too
+        r = so_rep(w) if isinstance(w[0], str) else gl_rep(w)
+        tab, plan = closure_steps(r.algebra, r.n)
+        for x, y, target in plan:
+            # [X(x), X(y)] = coef * X(target), target a canonical slot
+            ((cs, coef),) = tab[(x, y)].items()
+            assert cs == target
+            got = r.gen(*x).commutator(r.gen(*y))
+            assert r.gens[target] == got.scale(coef), target
 
     @pytest.mark.parametrize("w", [("-1", "-1", "-2"),
                                    ("-1/2", "-3/2", "-5/2")] + B_CORPUS
@@ -352,13 +345,9 @@ class TestBrackets:
         # negated values
         n = 2
         defs = defining_operators(n)
-        seeds = {}
-        for k in range(1, n + 1):
-            for slot in ((k, k), (k - 1, -k), (k - 1, k)):
-                seeds[slot] = Operator(defs[slot].dim, {
-                    p: Fraction(v.numerator, v.denominator)
-                    for p, v in defs[slot].items()})
-        got = close_generators(n, seeds, 2 * n + 1)
+        got = close_generators(n, {s: Operator(defs[s].dim, {
+            p: Fraction(v.numerator, v.denominator)
+            for p, v in defs[s].items()}) for s in seeds(n)}, 2 * n + 1)
         assert got == {s: op for s, op in defs.items() if sum(s) <= 0}
         stored = {id(v): v for op in got.values() for v in op.values()}
         assert sorted(stored.values()) == [-1, 1]
@@ -672,33 +661,30 @@ def test_basis_membership_agrees_with_full_valid(w):
 
 
 class TestSpanRank:
-    def _count_exact(self, monkeypatch):
+    @pytest.mark.parametrize("w", [("-1/2",) * 4, ("0",) * 11 + ("-1",)])
+    def test_the_diagonal_rank_is_taken_on_n_by_n_gram_rows(
+            self, w, monkeypatch):
+        # the n diagonal slots over one entry per distinct weight (16 and
+        # 25 of them here) reach one exact rref as their Gram matrix: n
+        # rows of at most n entries
+        r = so_rep(w)
         calls = []
         real = sorep.rref
 
         def rref(rows, modulus=None):
-            if modulus is None:
-                calls.append(len(rows))
+            calls.append((len(rows), max(map(len, rows)), modulus))
             return real(rows, modulus)
         monkeypatch.setattr(sorep, "rref", rref)
-        return calls
+        sorep._check_span_rank(r)
+        ((rows, width, modulus),) = calls
+        assert rows == r.n and width <= r.n and modulus is None
 
-    def test_full_rank_mod_p_skips_the_exact_rref(self, monkeypatch):
-        calls = self._count_exact(monkeypatch)
-        rows = [{0: Fraction(1, 2), 3: Fraction(2)}, {3: Fraction(-1, 3)}]
-        assert span_rank(rows) == 2 and calls == []
-
-    def test_numerators_vanishing_mod_p_fall_back_to_exact(self,
-                                                           monkeypatch):
-        calls = self._count_exact(monkeypatch)
-        p = sorep.RANK_PRIME
-        r1 = {0: Fraction(p), 1: Fraction(p, 3)}
-        r2 = {1: Fraction(2 * p, 7), 2: Fraction(p)}
-        r3 = {0: Fraction(p), 1: Fraction(p, 3) + Fraction(2 * p, 7),
-              2: Fraction(p)}
-        assert span_rank([r1, r2]) == 2
-        assert span_rank([r1, r2, r3]) == 2
-        assert calls == [2, 3]
+    def test_a_diagonal_slot_scaled_by_a_third_passes(self):
+        # each diagonal slot is scaled to ints by its own denominator
+        r = fresh_so_rep(("-1/2", "-3/2"))
+        r.gens[(-1, -1)] = r.gens[(-1, -1)].scale(Fraction(1, 3))
+        assert 6 in {v.denominator for v in r.gens[(-1, -1)].values()}
+        sorep._check_span_rank(r)
 
     # the type B modules of the benchmark workloads, a spinor module and
     # the rank-12 vector module
